@@ -9,7 +9,6 @@ from .adapt import (
     AdaptConfig,
     ExpansionMode,
     apply_update_tool,
-    classify_observation,
     execute_action,
     reflection_gate,
 )
@@ -56,7 +55,6 @@ from .policy import (
 from .react import ActionParseError, ActionRecord, StateRecord, parse_action, render_prompt
 from .trajectory import (
     SftRecord,
-    Trajectory,
     collect_from_trees,
     export_sft,
     extract_successful,
@@ -85,14 +83,12 @@ __all__ = [
     "StateRecord",
     "TaskInstance",
     "ToolRegistry",
-    "Trajectory",
     "TreeNode",
     "apply_update_tool",
     "backpropagate",
     "best_child",
     "build_policy",
     "builtin_corpus",
-    "classify_observation",
     "collect_from_trees",
     "evaluate",
     "execute_action",

@@ -1,8 +1,10 @@
-"""Tool-variability adaptation: error classification, UpdateTool, reflection gate.
+"""Tool-variability adaptation: executing actions, UpdateTool, reflection gate.
 
-The environment owns fixed message templates, so observation classes are
-recovered from raw text by template matching. UpdateTool grows the in-prompt
-manual for one search path only; sibling subtrees keep their own manuals.
+Every executed step carries the environment's class for its observation
+(``Observation.kind``), and the reflection gate decides from that class
+alone, so no observation text can steer the search. UpdateTool grows the
+in-prompt manual for one search path only; sibling subtrees keep their own
+manuals.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ from .env import INVOCATION_ERROR_TEXT, Observation, ToolRegistry, evaluate, inv
 from .react import ActionRecord, StateRecord
 
 UPDATE_TOOL_OK_TEXT = "The description for the new tool has been updated successfully."
-
-OK = "ok"
-INVOCATION_ERROR = "invocation_error"
-DEPRECATION_ERROR = "deprecation_error"
-TASK_DONE = "task_done"
 
 
 class ExpansionMode(Enum):
@@ -37,17 +34,9 @@ class AdaptConfig:
     no_tool_update: bool = False
 
 
-def classify_observation(text: str | None) -> str:
-    """Map raw observation text onto the environment's feedback classes."""
-    if text is None:
-        return OK
-    if "is deprecated" in text:
-        return DEPRECATION_ERROR
-    if "Your action is filtered" in text:
-        return INVOCATION_ERROR
-    if "Answer is" in text:
-        return TASK_DONE
-    return OK
+def as_text(value) -> str:
+    """An action-input value as text: strings as given, anything else as JSON."""
+    return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
 
 
 def apply_update_tool(
@@ -89,37 +78,32 @@ def execute_action(
     an API invocation. Only Finish produces a terminal outcome.
     """
     if record.action_name == "Finish":
-        answer = record.action_input.get("answer", "")
-        if not isinstance(answer, str):
-            answer = json.dumps(answer, ensure_ascii=False)
-        obs = evaluate(state.task, answer)
-        executed = record.executed(obs.text)
+        obs = evaluate(state.task, as_text(record.action_input.get("answer", "")))
+        executed = record.executed(obs)
         return ActionOutcome(
             state=state.with_step(executed), step=executed, terminal=True, reward=obs.reward
         )
     if record.action_name == "UpdateTool":
-        desc = record.action_input.get("newtool_desc", "")
-        if not isinstance(desc, str):
-            desc = json.dumps(desc, ensure_ascii=False)
+        desc = as_text(record.action_input.get("newtool_desc", ""))
         new_state, obs = apply_update_tool(state, desc, config)
-        executed = record.executed(obs.text)
+        executed = record.executed(obs)
         return ActionOutcome(state=new_state.with_step(executed), step=executed)
     obs = invoke(registry, record.action_name, record.action_input)
-    executed = record.executed(obs.text)
+    executed = record.executed(obs)
     return ActionOutcome(state=state.with_step(executed), step=executed)
 
 
 def reflection_gate(state: StateRecord, config: AdaptConfig = AdaptConfig()) -> ExpansionMode:
-    """Decide how a node may be expanded, given its last observation.
+    """Decide how a node may be expanded, given the class of its last observation.
 
     Error states expand reflectively (the error stays in context) rather than
     being pruned; with the self-reflection ablation, invocation errors become
     terminal instead, while deprecation errors are still reflected on.
     """
-    klass = classify_observation(state.last_observation())
-    if klass == DEPRECATION_ERROR:
+    kind = state.steps[-1].kind if state.steps else None
+    if kind == "deprecation_error":
         return ExpansionMode.REFLECTIVE
-    if klass == INVOCATION_ERROR:
+    if kind == "invocation_error":
         if config.no_self_reflection:
             return ExpansionMode.TERMINAL
         return ExpansionMode.REFLECTIVE

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .adapt import classify_observation
 from .corpus import BASE_BEHAVIORS, Corpus, build_world, load_corpus, tasks_from_json
 from .env import ToolRegistry, registry_from_json, registry_to_json
 from .mcts import (
@@ -86,15 +85,29 @@ def _load_corpus(value: str) -> Corpus:
     return corpus
 
 
+def _read_config(path: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(_read_text(path))
+    except configparser.Error as exc:
+        raise CliError(f"cannot parse {path}: {exc}", EXIT_CONFIG) from exc
+    return parser
+
+
+def _section(parser: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
+    """The named section; an absent one is added empty, so every key takes its default."""
+    if name not in parser:
+        parser.add_section(name)
+    return parser[name]
+
+
 def _plan_from_args(args) -> MutationPlan:
     if args.plan:
-        parser = configparser.ConfigParser()
-        parser.read_string(_read_text(args.plan))
-        section_name = "mutation" if "mutation" in parser else None
-        if section_name is None:
+        parser = _read_config(args.plan)
+        if "mutation" not in parser:
             raise CliError(f"{args.plan} has no [mutation] section", EXIT_CONFIG)
         try:
-            plan = plan_from_section(parser[section_name])
+            plan = plan_from_section(parser["mutation"])
         except (MutationError, ValueError) as exc:
             raise CliError(f"bad mutation plan: {exc}", EXIT_CONFIG) from exc
         if args.seed is not None:
@@ -136,17 +149,8 @@ def _derive_seed(base_seed: int, task_id: str, tree_index: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _manifest_sections(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(_read_text(path))
-    except configparser.Error as exc:
-        raise CliError(f"cannot parse manifest {path}: {exc}", EXIT_CONFIG) from exc
-    return parser
-
-
 def _search_config(section) -> SearchConfig:
-    config = SearchConfig(
+    return SearchConfig(
         c_puct=section.getfloat("c_puct", 1.25),
         max_depth=section.getint("max_depth", 15),
         k=section.getint("k", 5),
@@ -155,7 +159,6 @@ def _search_config(section) -> SearchConfig:
         rng_seed=section.getint("rng_seed", 0),
         cache_rollouts=section.getboolean("cache_rollouts", True),
     )
-    return config
 
 
 def _policy_config(section) -> PolicyConfig:
@@ -164,7 +167,6 @@ def _policy_config(section) -> PolicyConfig:
         endpoint=section.get("endpoint", None) or None,
         temperature=section.getfloat("temperature", 0.7),
         request_timeout=section.getfloat("request_timeout", 10.0),
-        max_candidates=section.getint("max_candidates", 5),
     )
 
 
@@ -184,7 +186,7 @@ def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base:
 
 
 def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[SearchTree], Corpus, str]:
-    run = parser["run"] if "run" in parser else {}
+    run = _section(parser, "run")
     corpus = _load_corpus(run.get("corpus", "builtin"))
     base = _load_registry(run.get("registry", "builtin"), corpus)
     setting = overrides.setting or run.get("setting", "consistent")
@@ -192,24 +194,23 @@ def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[Sea
         raise CliError(f"unknown setting {setting!r}", EXIT_CONFIG)
     try:
         registry = _registry_for_setting(setting, parser, base)
-    except MutationError as exc:
+    except (MutationError, ValueError) as exc:
         raise CliError(f"mutation failed: {exc}", EXIT_CONFIG) from exc
 
-    search_cfg = _search_config(parser["search"] if "search" in parser else {})
-    if overrides.sims is not None:
-        search_cfg.max_simulations = overrides.sims
-    if overrides.trees is not None:
-        search_cfg.trees_per_task = overrides.trees
-    search_cfg.no_self_reflection = overrides.no_self_reflection
-    search_cfg.no_tool_update = overrides.no_tool_update
     try:
+        search_cfg = _search_config(_section(parser, "search"))
+        if overrides.sims is not None:
+            search_cfg.max_simulations = overrides.sims
+        if overrides.trees is not None:
+            search_cfg.trees_per_task = overrides.trees
+        search_cfg.no_self_reflection = overrides.no_self_reflection
+        search_cfg.no_tool_update = overrides.no_tool_update
         search_cfg.validate()
     except ValueError as exc:
         raise CliError(f"bad search config: {exc}", EXIT_CONFIG) from exc
 
-    policy_section = parser["policy"] if "policy" in parser else {}
     try:
-        policy_cfg = _policy_config(policy_section)
+        policy_cfg = _policy_config(_section(parser, "policy"))
     except ValueError as exc:
         raise CliError(f"bad policy config: {exc}", EXIT_CONFIG) from exc
     if overrides.no_tool_update:
@@ -287,9 +288,9 @@ def print_summary(rows: list[dict]) -> None:
 
 
 def cmd_search(args) -> int:
-    parser = _manifest_sections(args.manifest)
+    parser = _read_config(args.manifest)
     trees, corpus, setting = run_manifest(parser, args)
-    out_dir = args.output_dir or (parser["run"].get("output_dir", "out") if "run" in parser else "out")
+    out_dir = args.output_dir or _section(parser, "run").get("output_dir", "out")
     tree_dir = Path(out_dir) / "trees"
     for tree in trees:
         _write_text(str(tree_dir / f"{tree.tree_id}.json"), tree_to_json(tree))
@@ -318,8 +319,8 @@ def cmd_export(args) -> int:
     trees = []
     for path in sorted(tree_dir.glob("*.json")):
         try:
-            trees.append(tree_from_json(path.read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            trees.append(tree_from_json(_read_text(str(path))))
+        except ValueError as exc:
             raise CliError(f"corrupt tree file {path}: {exc}", EXIT_INVARIANT) from exc
     trajectories = collect_from_trees(
         trees, max_per_task=args.max_per_task, seed=args.seed, include_failed=args.include_failed
@@ -339,8 +340,6 @@ def _check_tree_invariants(tree: SearchTree) -> list[str]:
             problems.append(f"node {node.id}: Q={node.q_value} outside [-1, 1]")
         if node.terminal != (node.reward is not None):
             problems.append(f"node {node.id}: terminal/reward mismatch")
-        if node.parent is not None and node.depth != tree.node(node.parent).depth + 1:
-            problems.append(f"node {node.id}: depth != parent depth + 1")
         if node.visit_count < 0:
             problems.append(f"node {node.id}: negative visit count")
         if node.children:
@@ -363,10 +362,9 @@ def _node_label(tree: SearchTree, node) -> str:
     if node.terminal:
         sign = "+1" if node.reward == 1 else "-1"
         flags.append(f"[terminal r={sign}]")
-    if node.action is not None and node.action.observation is not None:
-        klass = classify_observation(node.action.observation)
-        if klass.endswith("_error"):
-            flags.append(f"[{klass}]")
+    kind = node.action.kind if node.action is not None else None
+    if kind is not None and kind.endswith("_error"):
+        flags.append(f"[{kind}]")
     suffix = " " + " ".join(flags) if flags else ""
     return (
         f"[{node.id}] {label} N={node.visit_count} Q={node.q_value:+.3f} "
@@ -377,17 +375,16 @@ def _node_label(tree: SearchTree, node) -> str:
 def cmd_inspect(args) -> int:
     try:
         tree = tree_from_json(_read_text(args.tree))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"corrupt tree file {args.tree}: {exc}", EXIT_INVARIANT) from exc
     print(f"tree {tree.tree_id} task={tree.task.id} generation={tree.registry_generation}")
 
-    def walk(node_id: int, indent: int) -> None:
+    stack = [(tree.root_id, 0)]
+    while stack:
+        node_id, indent = stack.pop()
         node = tree.node(node_id)
         print("  " * indent + _node_label(tree, node))
-        for child in node.children:
-            walk(child, indent + 1)
-
-    walk(tree.root_id, 0)
+        stack.extend((child, indent + 1) for child in reversed(node.children))
     problems = _check_tree_invariants(tree)
     if problems:
         print(f"{len(problems)} invariant violation(s):")

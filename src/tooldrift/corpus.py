@@ -82,6 +82,24 @@ def conditions_to_text(mapping: dict[str, str]) -> str:
     return ", ".join(mapping.values())
 
 
+def remap_args(args: dict, old_params: list[str], example: dict) -> dict:
+    """Carry argument values onto a successor signature.
+
+    Positions line up the old params with the example's keys; values follow
+    the example's shapes, converting between condition-string and keyed-map
+    form where they disagree.
+    """
+    out: dict = {}
+    for old_name, (new_name, shape) in zip(old_params, example.items()):
+        value = args[old_name]
+        if isinstance(shape, dict) and isinstance(value, str):
+            value = conditions_to_map(value)
+        elif isinstance(shape, str) and isinstance(value, dict):
+            value = conditions_to_text(value)
+        out[new_name] = value
+    return out
+
+
 def _match(row: dict, cond: str) -> bool:
     for symbol, op in _OPS:
         if symbol in cond:

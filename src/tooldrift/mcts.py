@@ -13,10 +13,17 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .adapt import AdaptConfig, ExpansionMode, execute_action, reflection_gate
+from .adapt import (
+    AdaptConfig,
+    ExpansionMode,
+    apply_update_tool,
+    as_text,
+    execute_action,
+    reflection_gate,
+)
 from .env import TaskInstance, ToolRegistry
 from .policy import PolicyError
 from .react import ActionParseError, ActionRecord, StateRecord, parse_action
@@ -376,8 +383,45 @@ def run_search(
 
 
 # ---------------------------------------------------------------------------
-# Serialization. States are rebuilt from the action path at load time.
+# Serialization, tree JSON format_version 2. ``nodes`` is a list whose index
+# is the node id; ``parent`` (null for node 0, an earlier index otherwise) is
+# the only structural field. Each action stores its observation's ``kind``.
+# Children (in id order), depth and the states are rebuilt at load time.
 # ---------------------------------------------------------------------------
+
+TREE_FORMAT_VERSION = 2
+
+_DOC_TYPES = {
+    "format_version": (int,),
+    "tree_id": (str,),
+    "registry_generation": (str,),
+    "task": (dict,),
+    "config": (dict,),
+    "manual": (list,),
+    "demos": (list,),
+    "stats": (dict,),
+    "nodes": (list,),
+}
+_ACTION_TYPES = {
+    "thought": (str,),
+    "action_name": (str,),
+    "action_input": (dict,),
+    "observation": (str, type(None)),
+    "kind": (str, type(None)),
+}
+_NODE_TYPES = {
+    "parent": (int, type(None)),
+    "action": (dict, type(None)),
+    "q_value": (int, float),
+    "visit_count": (int,),
+    "prior": (int, float),
+    "cached": (bool,),
+    "terminal": (bool,),
+    "reward": (int, type(None)),
+    "failure": (str, type(None)),
+}
+# JSON types accepted for a SearchConfig field, keyed by its default's type.
+_CONFIG_TYPES = {float: (int, float), int: (int,), bool: (bool,)}
 
 
 def _action_to_json(action: ActionRecord | None) -> dict | None:
@@ -388,58 +432,40 @@ def _action_to_json(action: ActionRecord | None) -> dict | None:
         "action_name": action.action_name,
         "action_input": action.action_input,
         "observation": action.observation,
+        "kind": action.kind,
     }
 
 
-def _action_from_json(doc: dict | None) -> ActionRecord | None:
-    if doc is None:
-        return None
-    return ActionRecord(
-        thought=doc["thought"],
-        action_name=doc["action_name"],
-        action_input=doc["action_input"],
-        observation=doc.get("observation"),
-    )
+def _typed(doc, types: dict[str, tuple], where: str) -> dict:
+    """``doc`` itself, once it is an object with exactly the keys of ``types``
+    and each value has one of the JSON types listed for its key."""
+    if not isinstance(doc, dict) or doc.keys() != types.keys():
+        raise ValueError(f"{where}: expected an object with keys {sorted(types)}")
+    for key, allowed in types.items():
+        if type(doc[key]) not in allowed:
+            raise ValueError(f"{where}: {key!r} is {type(doc[key]).__name__}")
+    return doc
 
 
 def tree_to_json(tree: SearchTree) -> str:
     root_state = tree.node(tree.root_id).state
     doc: dict[str, Any] = {
-        "format_version": 1,
+        "format_version": TREE_FORMAT_VERSION,
         "tree_id": tree.tree_id,
         "registry_generation": tree.registry_generation,
-        "task": {
-            "id": tree.task.id,
-            "description": tree.task.description,
-            "gold_answer": tree.task.gold_answer,
-            "dataset": tree.task.dataset,
-            "difficulty": tree.task.difficulty,
-        },
-        "config": {
-            "c_puct": tree.config.c_puct,
-            "max_depth": tree.config.max_depth,
-            "k": tree.config.k,
-            "max_simulations": tree.config.max_simulations,
-            "trees_per_task": tree.config.trees_per_task,
-            "rng_seed": tree.config.rng_seed,
-            "cache_rollouts": tree.config.cache_rollouts,
-            "no_self_reflection": tree.config.no_self_reflection,
-            "no_tool_update": tree.config.no_tool_update,
-        },
+        "task": {f.name: getattr(tree.task, f.name) for f in fields(TaskInstance)},
+        "config": {f.name: getattr(tree.config, f.name) for f in fields(SearchConfig)},
         "manual": list(root_state.tool_manual),
         "demos": list(root_state.demos),
         "stats": tree.stats,
         "nodes": [
             {
-                "id": n.id,
                 "parent": n.parent,
                 "action": _action_to_json(n.action),
                 "q_value": n.q_value,
                 "visit_count": n.visit_count,
                 "prior": n.prior,
-                "children": n.children,
                 "cached": n.cached,
-                "depth": n.depth,
                 "terminal": n.terminal,
                 "reward": n.reward,
                 "failure": n.failure,
@@ -451,48 +477,45 @@ def tree_to_json(tree: SearchTree) -> str:
 
 
 def tree_from_json(text: str) -> SearchTree:
-    doc = json.loads(text)
-    task = TaskInstance(**doc["task"])
-    config = SearchConfig(**doc["config"])
+    """Load a format_version 2 tree; any malformed document raises ValueError."""
+    doc = _typed(json.loads(text), _DOC_TYPES, "tree")
+    if doc["format_version"] != TREE_FORMAT_VERSION:
+        raise ValueError(f"unsupported tree format_version {doc['format_version']}")
+    task = TaskInstance(**_typed(doc["task"], {f.name: (str,) for f in fields(TaskInstance)}, "task"))
+    config = SearchConfig(**_typed(
+        doc["config"], {f.name: _CONFIG_TYPES[type(f.default)] for f in fields(SearchConfig)}, "config"
+    ))
+    config.validate()
     tree = SearchTree(
         task=task,
         config=config,
         registry_generation=doc["registry_generation"],
         tree_id=doc["tree_id"],
-        stats=doc.get("stats", {}),
+        stats=doc["stats"],
     )
-    root_state = StateRecord(
-        task=task, tool_manual=tuple(doc["manual"]), demos=tuple(doc["demos"])
-    )
+    if not all(isinstance(entry, str) for entry in doc["manual"] + doc["demos"]):
+        raise ValueError("tree: manual and demos must be lists of strings")
+    root_state = StateRecord(task=task, tool_manual=tuple(doc["manual"]), demos=tuple(doc["demos"]))
     adapt_config = config.adapt
-    for node_doc in sorted(doc["nodes"], key=lambda d: d["id"]):
-        action = _action_from_json(node_doc["action"])
-        if node_doc["parent"] is None:
-            state = root_state
-        else:
-            parent_state = tree.node(node_doc["parent"]).state
-            state = parent_state
-            if action is not None and action.action_name == "UpdateTool":
-                desc = action.action_input.get("newtool_desc", "")
-                if isinstance(desc, str) and desc and not adapt_config.no_tool_update:
-                    state = state.with_manual_entry(desc)
-            state = state.with_step(action) if action is not None else state
-        node = TreeNode(
-            id=node_doc["id"],
-            parent=node_doc["parent"],
-            state=state,
-            action=action,
-            q_value=node_doc["q_value"],
-            visit_count=node_doc["visit_count"],
-            prior=node_doc["prior"],
-            children=list(node_doc["children"]),
-            cached=node_doc["cached"],
-            depth=node_doc["depth"],
-            terminal=node_doc["terminal"],
-            reward=node_doc["reward"],
-            failure=node_doc.get("failure"),
-        )
-        if node.id != len(tree.nodes):
-            raise ValueError("tree nodes are not densely numbered")
-        tree.nodes.append(node)
+    nodes = tree.nodes
+    for index, node_doc in enumerate(doc["nodes"]):
+        where = f"node {index}"
+        parent = _typed(node_doc, _NODE_TYPES, where)["parent"]
+        if (parent is None) != (index == 0) or (parent is not None and not 0 <= parent < index):
+            raise ValueError(f"{where}: parent {parent!r} is not an earlier node")
+        if (node_doc["action"] is None) != (index == 0):
+            raise ValueError(f"{where}: only the root has no action")
+        depth, state = 0, root_state
+        if parent is not None:
+            action = ActionRecord(**_typed(node_doc["action"], _ACTION_TYPES, f"{where} action"))
+            node_doc["action"] = action  # node_doc becomes the TreeNode's keyword arguments
+            state = nodes[parent].state
+            if action.action_name == "UpdateTool":
+                desc = as_text(action.action_input.get("newtool_desc", ""))
+                state = apply_update_tool(state, desc, adapt_config)[0]
+            state, depth = state.with_step(action), nodes[parent].depth + 1
+            nodes[parent].children.append(index)
+        nodes.append(TreeNode(id=index, state=state, depth=depth, **node_doc))
+    if not tree.nodes:
+        raise ValueError("tree has no nodes")
     return tree

@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
+from .corpus import remap_args
 from .env import (
     ApiSpec,
     DeprecationEntry,
@@ -243,19 +244,6 @@ def _check_identifier(report: MutationReport, owner: str, name: str) -> None:
             report.add(f"{owner}: special char inside word or non-CamelCase segment {segment!r} in {name!r}")
 
 
-def _remap_args(old_spec: ApiSpec, new_spec: ApiSpec, args: dict) -> dict:
-    """Translate a base invocation onto the successor signature positionally."""
-    out = {}
-    for old_p, new_p in zip(old_spec.params, new_spec.params):
-        value = args[old_p.name]
-        if new_p.kind == "map" and isinstance(value, str):
-            value = {f"condition{i + 1}": part.strip() for i, part in enumerate(value.split(","))}
-        elif new_p.kind == "text" and isinstance(value, dict):
-            value = ", ".join(value.values())
-        out[new_p.name] = value
-    return out
-
-
 def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> MutationReport:
     """Check a mutated registry against the drift-construction constraints."""
     report = MutationReport()
@@ -284,7 +272,8 @@ def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> MutationReport
             continue
         probe = spec.example_args()
         base_obs = invoke(base, spec.name, probe)
-        mut_obs = invoke(mutated, entry.successor, _remap_args(spec, new_spec, probe))
+        args = remap_args(probe, spec.param_names(), new_spec.example_args())
+        mut_obs = invoke(mutated, entry.successor, args)
         if (base_obs.kind, base_obs.text) != (mut_obs.kind, mut_obs.text):
             report.add(
                 f"behavior drift: {spec.name} -> {entry.successor} "

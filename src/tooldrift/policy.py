@@ -6,10 +6,19 @@ observations, retries through successor APIs, and records what it learned
 with UpdateTool; the rigid one replays the base plan no matter what the
 environment says. Both are pure functions of the rendered state, which makes
 them usable as oracles in tests.
+
+Framework decisions (the reflection gate, ``inspect``) read the typed
+``Observation.kind`` on each step. The scripted agents, like an LLM, see only
+the prompt text: they recognise errors solely by the environment's exact
+templates (``parse_deprecation_guidance`` matches the whole deprecation
+message; an invocation error equals ``INVOCATION_ERROR_TEXT``). Steps parsed
+back from a rendered prompt carry no kind, and a completion server that
+rebuilds the state that way still gets the same answers.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import threading
@@ -18,16 +27,9 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .adapt import (
-    DEPRECATION_ERROR,
-    INVOCATION_ERROR,
-    OK,
-    AdaptConfig,
-    classify_observation,
-    execute_action,
-)
-from .corpus import Corpus, PlannedCall, conditions_to_map, conditions_to_text, load_corpus
-from .env import TaskInstance, ToolRegistry
+from .adapt import AdaptConfig, execute_action
+from .corpus import Corpus, PlannedCall, load_corpus, remap_args
+from .env import INVOCATION_ERROR_TEXT, TaskInstance, ToolRegistry
 from .react import StateRecord, parse_action, render_prompt
 
 POLICY_KINDS = ("scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive", "remote")
@@ -60,7 +62,6 @@ class PolicyConfig:
     endpoint: str | None = None
     temperature: float = 0.7
     request_timeout: float = 10.0
-    max_candidates: int = 5
     max_inflight: int = 4
     max_retries: int = 2
     emit_tool_updates: bool = True
@@ -87,9 +88,12 @@ def update_tool_desc(successor: str, old_name: str, example: dict) -> str:
     )
 
 
-def parse_deprecation_guidance(text: str) -> tuple[str, str, dict] | None:
-    """Extract (old name, successor name, param example) from an error text."""
-    match = _DEPRECATION_MSG_RE.search(text)
+@functools.lru_cache(maxsize=1024)
+def parse_deprecation_guidance(text: str | None) -> tuple[str, str, dict] | None:
+    """(old name, successor name, param example) if the text is exactly a
+    deprecation message, else None. Results are cached, so the example dict
+    is shared and must not be mutated."""
+    match = _DEPRECATION_MSG_RE.fullmatch(text or "")
     if match is None:
         return None
     old, new, example_json = match.groups()
@@ -126,30 +130,16 @@ def successor_map(state: StateRecord) -> dict[str, tuple[str, dict]]:
             old, new, example = parsed
             found[old] = (new, example)
     for step in state.steps:
-        if step.observation and classify_observation(step.observation) == DEPRECATION_ERROR:
-            parsed = parse_deprecation_guidance(step.observation)
-            if parsed is not None:
-                old, new, example = parsed
-                found[old] = (new, example)
+        parsed = parse_deprecation_guidance(step.observation)
+        if parsed is not None:
+            old, new, example = parsed
+            found[old] = (new, example)
     return found
 
 
-def remap_args(base_args: dict, base_param_order: list[str], example: dict) -> dict:
-    """Carry argument values onto a successor signature.
-
-    Positions line up old params with the example's keys; values follow the
-    example's shapes, converting between condition-string and keyed-map form
-    where they disagree.
-    """
-    out: dict = {}
-    for old_name, (new_name, shape) in zip(base_param_order, example.items()):
-        value = base_args[old_name]
-        if isinstance(shape, dict) and isinstance(value, str):
-            value = conditions_to_map(value)
-        elif isinstance(shape, str) and isinstance(value, dict):
-            value = conditions_to_text(value)
-        out[new_name] = value
-    return out
+def reads_as_error(text: str | None) -> bool:
+    """Whether an observation text is one of the environment's error messages."""
+    return text == INVOCATION_ERROR_TEXT or parse_deprecation_guidance(text) is not None
 
 
 class ScriptedPolicy:
@@ -175,9 +165,7 @@ class ScriptedPolicy:
     def _progress(state: StateRecord) -> int:
         done = 0
         for step in state.steps:
-            if step.action_name == "UpdateTool":
-                continue
-            if classify_observation(step.observation) == OK:
+            if step.action_name != "UpdateTool" and not reads_as_error(step.observation):
                 done += 1
         return done
 
@@ -223,7 +211,7 @@ class ScriptedAdaptivePolicy(ScriptedPolicy):
         if not self.emit_tool_updates or not state.steps:
             return None
         last = state.steps[-1]
-        if last.action_name == "UpdateTool" or classify_observation(last.observation) != OK:
+        if last.action_name == "UpdateTool" or reads_as_error(last.observation):
             return None
         for old, (new, example) in successor_map(state).items():
             if last.action_name != new:
@@ -241,21 +229,20 @@ class ScriptedAdaptivePolicy(ScriptedPolicy):
         plan = self._plan(state)
         done = self._progress(state)
         successors = successor_map(state)
-        last_class = classify_observation(state.last_observation())
+        last = state.last_observation()
+        guidance = parse_deprecation_guidance(last)
 
-        if last_class == DEPRECATION_ERROR and done < len(plan.calls):
-            guidance = parse_deprecation_guidance(state.steps[-1].observation or "")
-            if guidance is not None:
-                old, new, example = guidance
-                call = plan.calls[done]
-                args = remap_args(call.args, self._base_param_order(call.tool), example)
-                thought = (
-                    f"The {old} tool has been deprecated. I should use {new} "
-                    f"with its new parameters instead."
-                )
-                return candidate_text(thought, new, args)
+        if guidance is not None and done < len(plan.calls):
+            old, new, example = guidance
+            call = plan.calls[done]
+            args = remap_args(call.args, self._base_param_order(call.tool), example)
+            thought = (
+                f"The {old} tool has been deprecated. I should use {new} "
+                f"with its new parameters instead."
+            )
+            return candidate_text(thought, new, args)
 
-        if last_class == INVOCATION_ERROR and done < len(plan.calls):
+        if last == INVOCATION_ERROR_TEXT and done < len(plan.calls):
             name, args, _ = self._translated_call(plan.calls[done], successors)
             thought = (
                 "The previous invocation was malformed. Let me correct the action "

@@ -10,10 +10,10 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
-from .env import TaskInstance
+from .env import Observation, TaskInstance
 
 PROMPT_HEADER = (
     "Answer the question by interacting with the tools below. At every step, respond with a "
@@ -41,15 +41,20 @@ class ActionParseError(ValueError):
 
 @dataclass(frozen=True)
 class ActionRecord:
-    """One executed or proposed step of the dialogue."""
+    """One executed or proposed step of the dialogue.
+
+    ``kind`` is the environment's class for the observation (``Observation.kind``).
+    It is never rendered, so a step parsed back from prompt text has none.
+    """
 
     thought: str
     action_name: str
     action_input: dict[str, Any]
     observation: str | None = None
+    kind: str | None = None
 
-    def executed(self, observation: str) -> "ActionRecord":
-        return replace(self, observation=observation)
+    def executed(self, obs: Observation) -> "ActionRecord":
+        return replace(self, observation=obs.text, kind=obs.kind)
 
 
 @dataclass(frozen=True)

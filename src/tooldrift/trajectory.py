@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .mcts import SearchTree
+from .mcts import SearchTree, TreeNode
 from .react import ActionRecord, parse_action, render_prompt, render_step
 
 SFT_FORMAT_VERSION = 1
@@ -22,21 +22,9 @@ _BLOCK_SPLIT_RE = re.compile(r"\n\n(?=Thought: )")
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One root-to-leaf action sequence with its episode reward."""
-
-    task_id: str
-    steps: tuple[ActionRecord, ...]
-    reward: int
-    tree_id: str
-    leaf_id: int
-    input_prompt: str
-    registry_generation: str
-
-
-@dataclass(frozen=True)
 class SftRecord:
-    """One training example: root prompt in, rendered step sequence out."""
+    """One training example: the root prompt in, the rendered steps of one
+    root-to-leaf path out, with the episode reward."""
 
     input: str
     target: str
@@ -45,70 +33,6 @@ class SftRecord:
     leaf_id: int
     registry_generation: str
     reward: int
-
-
-def _trajectory_from_leaf(tree: SearchTree, leaf_id: int) -> Trajectory:
-    path = tree.path_to(leaf_id)
-    steps = tuple(node.action for node in path if node.action is not None)
-    return Trajectory(
-        task_id=tree.task.id,
-        steps=steps,
-        reward=tree.node(leaf_id).reward or -1,
-        tree_id=tree.tree_id,
-        leaf_id=leaf_id,
-        input_prompt=render_prompt(tree.node(tree.root_id).state),
-        registry_generation=tree.registry_generation,
-    )
-
-
-def extract_successful(tree: SearchTree, max_per_task: int = 4, seed: int = 0) -> list[Trajectory]:
-    """All reward-+1 root-to-leaf paths, subsampled to max_per_task.
-
-    Paths through formerly cached (rollout-built) nodes count; sampling is
-    seeded and the surviving trajectories keep leaf-id order.
-    """
-    leaves = sorted(tree.successful_leaves(), key=lambda n: n.id)
-    trajectories = [_trajectory_from_leaf(tree, leaf.id) for leaf in leaves]
-    return _subsample(trajectories, max_per_task, seed)
-
-
-def extract_failed(tree: SearchTree, max_per_task: int = 4, seed: int = 0) -> list[Trajectory]:
-    """Reward--1 paths, for preference-style downstream use; off by default."""
-    leaves = sorted(
-        (n for n in tree.nodes if n.terminal and n.reward == -1), key=lambda n: n.id
-    )
-    trajectories = [_trajectory_from_leaf(tree, leaf.id) for leaf in leaves]
-    return _subsample(trajectories, max_per_task, seed)
-
-
-def _subsample(trajectories: list[Trajectory], max_per_task: int, seed: int) -> list[Trajectory]:
-    if max_per_task >= 0 and len(trajectories) > max_per_task:
-        chosen = random.Random(seed).sample(trajectories, max_per_task)
-        trajectories = sorted(chosen, key=lambda t: (t.tree_id, t.leaf_id))
-    return trajectories
-
-
-def collect_from_trees(
-    trees: list[SearchTree],
-    max_per_task: int = 4,
-    seed: int = 0,
-    include_failed: bool = False,
-) -> list[Trajectory]:
-    """Gather trajectories from many trees with a per-task cap.
-
-    The cap applies across all trees of one task, matching the data-budget
-    rule of at most max_per_task correct trajectories per question.
-    """
-    by_task: dict[str, list[Trajectory]] = {}
-    for tree in trees:
-        found = extract_successful(tree, max_per_task=-1, seed=seed)
-        if include_failed:
-            found = found + extract_failed(tree, max_per_task=-1, seed=seed)
-        by_task.setdefault(tree.task.id, []).extend(found)
-    out: list[Trajectory] = []
-    for task_id in sorted(by_task):
-        out.extend(_subsample(by_task[task_id], max_per_task, seed))
-    return out
 
 
 def render_target(steps: tuple[ActionRecord, ...]) -> str:
@@ -120,16 +44,67 @@ def parse_target(target: str) -> list[ActionRecord]:
     return [parse_action(block) for block in _BLOCK_SPLIT_RE.split(target) if block.strip()]
 
 
-def sft_record(trajectory: Trajectory) -> SftRecord:
+def _record(tree: SearchTree, leaf: TreeNode) -> SftRecord:
     return SftRecord(
-        input=trajectory.input_prompt,
-        target=render_target(trajectory.steps),
-        task_id=trajectory.task_id,
-        tree_id=trajectory.tree_id,
-        leaf_id=trajectory.leaf_id,
-        registry_generation=trajectory.registry_generation,
-        reward=trajectory.reward,
+        input=render_prompt(tree.node(tree.root_id).state),
+        target=render_target(tuple(n.action for n in tree.path_to(leaf.id) if n.action is not None)),
+        task_id=tree.task.id,
+        tree_id=tree.tree_id,
+        leaf_id=leaf.id,
+        registry_generation=tree.registry_generation,
+        reward=leaf.reward or -1,
     )
+
+
+def _leaves(tree: SearchTree, reward: int) -> list[tuple[SearchTree, TreeNode]]:
+    """(tree, leaf) for the terminal nodes with this reward, in id order."""
+    return [(tree, n) for n in tree.nodes if n.terminal and n.reward == reward]
+
+
+def _sample(leaves: list[tuple[SearchTree, TreeNode]], max_per_task: int, seed: int) -> list[SftRecord]:
+    """Seeded subsample of (tree, leaf) pairs, rendered in (tree id, leaf id) order.
+
+    Sampling comes before rendering, so only the kept paths are rendered.
+    """
+    if max_per_task >= 0 and len(leaves) > max_per_task:
+        chosen = random.Random(seed).sample(leaves, max_per_task)
+        leaves = sorted(chosen, key=lambda pair: (pair[0].tree_id, pair[1].id))
+    return [_record(tree, leaf) for tree, leaf in leaves]
+
+
+def extract_successful(tree: SearchTree, max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:
+    """All reward-+1 root-to-leaf paths, subsampled to max_per_task.
+
+    Paths through formerly cached (rollout-built) nodes count; sampling is
+    seeded and the surviving records keep leaf-id order.
+    """
+    return _sample(_leaves(tree, 1), max_per_task, seed)
+
+
+def extract_failed(tree: SearchTree, max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:
+    """Reward--1 paths, for preference-style downstream use; off by default."""
+    return _sample(_leaves(tree, -1), max_per_task, seed)
+
+
+def collect_from_trees(
+    trees: list[SearchTree],
+    max_per_task: int = 4,
+    seed: int = 0,
+    include_failed: bool = False,
+) -> list[SftRecord]:
+    """Gather records from many trees with a per-task cap.
+
+    The cap applies across all trees of one task, matching the data-budget
+    rule of at most max_per_task correct trajectories per question.
+    """
+    by_task: dict[str, list[tuple[SearchTree, TreeNode]]] = {}
+    for tree in trees:
+        found = _leaves(tree, 1) + (_leaves(tree, -1) if include_failed else [])
+        by_task.setdefault(tree.task.id, []).extend(found)
+    out: list[SftRecord] = []
+    for task_id in sorted(by_task):
+        out.extend(_sample(by_task[task_id], max_per_task, seed))
+    return out
 
 
 def record_to_json(record: SftRecord) -> dict:
@@ -145,13 +120,10 @@ def record_to_json(record: SftRecord) -> dict:
     }
 
 
-def export_sft(trajectories: list[Trajectory], path: str | Path) -> int:
+def export_sft(records: list[SftRecord], path: str | Path) -> int:
     """Write one JSON object per line; returns the record count."""
     path = Path(path)
-    lines = [
-        json.dumps(record_to_json(sft_record(t)), sort_keys=True, ensure_ascii=False)
-        for t in trajectories
-    ]
+    lines = [json.dumps(record_to_json(r), sort_keys=True, ensure_ascii=False) for r in records]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return len(lines)
 

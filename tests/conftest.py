@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from tooldrift.corpus import load_corpus
 from tooldrift.mutation import MutationPlan, mutate_registry
+
+# Same examples on every run, no wall-clock deadline on a shared machine, and
+# a bound on the examples per property so tier-1 stays fast.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

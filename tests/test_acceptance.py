@@ -201,8 +201,8 @@ class TestCriterion5Ablations:
                 policy = ScriptedAdaptivePolicy(corpus, emit_tool_updates=False)
                 tree = run_search(task, mutated, policy, no_update_cfg, corpus.manual, corpus.demos)
                 assert tree.successful_leaves(), task.id
-                for trajectory in extract_successful(tree, max_per_task=10**9):
-                    assert all(step.action_name != "UpdateTool" for step in trajectory.steps)
+                for record in extract_successful(tree, max_per_task=10**9):
+                    assert all(step.action_name != "UpdateTool" for step in parse_target(record.target))
                 root_manual = tree.node(0).state.tool_manual
                 assert all(node.state.tool_manual == root_manual for node in tree.nodes)
 
@@ -274,14 +274,18 @@ class TestCriterion7FormatFidelity:
                 corpus.task("coffee-hard-4"), mutated_registry, ScriptedAdaptivePolicy(corpus),
                 PAPER_DEFAULTS, corpus.manual, corpus.demos, tree_id="accept7",
             )
-            trajectories = extract_successful(tree, max_per_task=4, seed=0)
-            assert trajectories
+            records = extract_successful(tree, max_per_task=4, seed=0)
+            assert records
             from tooldrift.trajectory import export_sft
 
             out = tmp_path / "sft.jsonl"
-            export_sft(trajectories, out)
-            for record_doc, trajectory in zip(load_sft(out), trajectories):
-                assert tuple(parse_target(record_doc["target"])) == trajectory.steps
+            export_sft(records, out)
+            for record_doc, record in zip(load_sft(out), records):
+                # The SFT text never carries the observation kind.
+                path = tuple(
+                    replace(n.action, kind=None) for n in tree.path_to(record.leaf_id) if n.action is not None
+                )
+                assert tuple(parse_target(record_doc["target"])) == path
                 for entry in corpus.manual:
                     assert entry in record_doc["input"]
                 assert "updated version of" not in record_doc["input"]

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import configparser
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tooldrift.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
-from tooldrift.mcts import tree_from_json
+from tooldrift.corpus import load_corpus
+from tooldrift.mcts import SearchConfig, run_search, tree_from_json, tree_to_json
+from tooldrift.policy import ScriptedAdaptivePolicy
 
 MANIFEST = """
 [run]
@@ -33,11 +39,13 @@ rng_seed = 7
 """
 
 
-def write_manifest(tmp_path, setting="consistent", policy="scripted_adaptive", sims=30, trees=1):
+def manifest_text(tmp_path, setting="consistent", policy="scripted_adaptive", sims=30, trees=1):
+    return MANIFEST.format(setting=setting, outdir=tmp_path / "out", policy=policy, sims=sims, trees=trees)
+
+
+def write_manifest(tmp_path, **kwargs):
     path = tmp_path / "run.ini"
-    path.write_text(
-        MANIFEST.format(setting=setting, outdir=tmp_path / "out", policy=policy, sims=sims, trees=trees)
-    )
+    path.write_text(manifest_text(tmp_path, **kwargs))
     return str(path)
 
 
@@ -133,6 +141,44 @@ class TestSearchCommand:
         manifest.write_text("[run]\nsetting = weird\n")
         assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[mutation]\nseed = 11", "[mutation]\nseed = x"),
+            ("k = 5", "k = five"),
+            ("rng_seed = 7", "rng_seed = 7\ncache_rollouts = maybe"),
+            ("kind = scripted_adaptive", "kind = scripted_adaptive\ntemperature = hot"),
+        ],
+        ids=["seed_x", "k_five", "cache_rollouts_maybe", "temperature_hot"],
+    )
+    def test_bad_manifest_value_is_config_error(self, tmp_path, capsys, old, new):
+        text = manifest_text(tmp_path, setting="mutated_in", sims=5)
+        assert old in text
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(text.replace(old, new))
+        assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("section", ["run", "search", "policy"])
+    def test_absent_section_takes_defaults(self, tmp_path, capsys, section):
+        parser = configparser.ConfigParser()
+        parser.read_string(manifest_text(tmp_path, sims=5))
+        parser.remove_section(section)
+        manifest = tmp_path / "run.ini"
+        with open(manifest, "w") as handle:
+            parser.write(handle)
+        out = tmp_path / "out"
+        args = ["--manifest", str(manifest), "--output-dir", str(out), "--trees", "1", "--sims", "5"]
+        assert main(["search", *args]) == EXIT_OK
+        assert "100.0%" in capsys.readouterr().out
+        assert len(list((out / "trees").glob("*.json"))) == 24
+
+    def test_unparseable_plan_is_config_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.ini"
+        plan.write_text("seed = 5\n")
+        assert main(["mutate", "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+        assert "cannot parse" in capsys.readouterr().err
+
 
 def serial_dir_mk(tmp_path, name) -> Path:
     d = tmp_path / name
@@ -205,3 +251,89 @@ class TestPipelineReproducibility:
             digests.append((registry_path.read_bytes(), tree_bytes, sft.read_bytes()))
         capsys.readouterr()
         assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def small_tree_doc():
+    corpus = load_corpus()
+    tree = run_search(
+        corpus.task("coffee-easy-1"), corpus.base_registry, ScriptedAdaptivePolicy(corpus),
+        SearchConfig(max_simulations=5, rng_seed=3), corpus.manual, corpus.demos,
+    )
+    doc = json.loads(tree_to_json(tree))
+    assert len(doc["nodes"]) > 3
+    return doc
+
+
+def _set_parent(node_id, parent):
+    def edit(doc):
+        doc["nodes"][node_id]["parent"] = parent
+    return edit
+
+
+def _v1(doc):
+    doc["format_version"] = 1
+    for i, node in enumerate(doc["nodes"]):
+        node.update(id=i, depth=0, children=[j for j, n in enumerate(doc["nodes"]) if n["parent"] == i])
+
+
+MALFORMED_TREES = {
+    "parent_out_of_range": _set_parent(1, 999),
+    "parent_forward": _set_parent(1, 2),
+    "parent_cycle": lambda doc: (_set_parent(1, 2)(doc), _set_parent(2, 1)(doc)),
+    "root_with_parent": _set_parent(0, 0),
+    "stale_children_list": lambda doc: doc["nodes"][1].update(children=[999]),
+    "nodes_not_a_list": lambda doc: doc.update(nodes=5),
+    "node_not_an_object": lambda doc: doc["nodes"].append(5),
+    "no_nodes": lambda doc: doc.update(nodes=[]),
+    "format_v1": _v1,
+}
+
+
+def _write_tree(path: Path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestMalformedTrees:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TREES))
+    def test_inspect_and_export_exit_4(self, tmp_path, capsys, small_tree_doc, case):
+        doc = json.loads(json.dumps(small_tree_doc))
+        MALFORMED_TREES[case](doc)
+        trees = tmp_path / "trees"
+        trees.mkdir()
+        path = _write_tree(trees / "t.json", doc)
+        with pytest.raises(ValueError):
+            tree_from_json(Path(path).read_text())
+        assert main(["inspect", path]) == EXIT_INVARIANT
+        assert main(["export", "--trees", str(trees), "--out", str(tmp_path / "sft.jsonl")]) == EXIT_INVARIANT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: corrupt tree file") for line in err)
+
+    def test_unmodified_doc_inspects_clean(self, tmp_path, capsys, small_tree_doc):
+        assert main(["inspect", _write_tree(tmp_path / "t.json", small_tree_doc)]) == EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith("invariants: ok")
+
+
+_ODD_VALUES = st.sampled_from([None, True, 0, -1, 7, 1.5, "x", [], {}, [0], {"a": 1}])
+
+
+@given(data=st.data())
+def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
+    """One field of a real tree changed: inspect succeeds or reports exit 4."""
+    doc = json.loads(json.dumps(small_tree_doc))
+    index = data.draw(st.integers(0, len(doc["nodes"]) - 1), label="node")
+    node = doc["nodes"][index]
+    containers = [doc, doc["task"], doc["config"], node] + ([node["action"]] if node["action"] else [])
+    target = data.draw(st.sampled_from(containers), label="object")
+    key = data.draw(st.sampled_from(sorted(target)), label="key")
+    op = data.draw(st.sampled_from(["drop", "value", "forward_parent", "far_parent"]), label="op")
+    if op == "drop":
+        del target[key]
+    elif op == "value":
+        target[key] = data.draw(_ODD_VALUES, label="value")
+    else:
+        node["parent"] = index + 1 if op == "forward_parent" else len(doc["nodes"]) + 5
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["inspect", _write_tree(Path(tmp) / "t.json", doc)])
+    assert code in (EXIT_OK, EXIT_INVARIANT)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tooldrift.adapt import classify_observation
 from tooldrift.env import INVOCATION_ERROR_TEXT, TaskInstance
 from tooldrift.mcts import (
     FAILED_ACTION_NAME,
@@ -207,12 +206,12 @@ class TestExpand:
         tree = _root_tree(corpus, "coffee-easy-1")
         first_level = expand(tree, 0, policy, registry)
         leaf = tree.node(first_level[0])
-        assert classify_observation(leaf.state.last_observation()) == "deprecation_error"
+        assert leaf.action.kind == "deprecation_error"
         children = expand(tree, leaf.id, policy, registry)
         successor = registry.deprecated["LoadDB"].successor
         child = tree.node(children[0])
         assert child.action.action_name == successor
-        assert classify_observation(child.action.observation) == "ok"
+        assert child.action.kind == "response"
 
     def test_unparseable_candidates_become_failed_terminals(self, corpus, base_registry):
         class GibberishPolicy:
@@ -235,6 +234,7 @@ class TestExpand:
             action_name="LoadDB",
             action_input={"Nope": "coffee"},
             observation=INVOCATION_ERROR_TEXT,
+            kind="invocation_error",
         )
         leaf = tree.add_node(0, tree.node(0).state.with_step(bad), action=bad, prior=1.0)
         assert expand(tree, leaf.id, ScriptedAdaptivePolicy(corpus), base_registry) == []
@@ -380,9 +380,26 @@ class TestTreeSerialization:
         text = tree_to_json(tree)
         loaded = tree_from_json(text)
         assert tree_to_json(loaded) == text
+        assert all(n.action.kind for n in tree.nodes[1:])
         for original, rebuilt in zip(tree.nodes, loaded.nodes):
             assert original.state.tool_manual == rebuilt.state.tool_manual
             assert original.state.steps == rebuilt.state.steps
+            assert (original.children, original.depth) == (rebuilt.children, rebuilt.depth)
+
+    def test_object_tool_description_rebuilds_the_same_manual(self, corpus, base_registry):
+        class ObjectUpdatePolicy:
+            def propose(self, state, k):
+                if not state.steps:
+                    return ['Thought: t\nAction: UpdateTool\nAction Input: {"newtool_desc": {"a": "b"}}'] * k
+                return ['Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'] * k
+
+        tree = run_search(
+            corpus.task("coffee-easy-1"), base_registry, ObjectUpdatePolicy(), SearchConfig(max_simulations=2),
+            corpus.manual, corpus.demos,
+        )
+        assert tree.node(1).state.tool_manual[-1] == '{"a": "b"}'
+        loaded = tree_from_json(tree_to_json(tree))
+        assert [n.state for n in loaded.nodes] == [n.state for n in tree.nodes]
 
     def test_rejects_garbage(self):
         with pytest.raises((KeyError, ValueError)):

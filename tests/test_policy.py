@@ -6,7 +6,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from tooldrift.adapt import classify_observation
 from tooldrift.env import invoke
 from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import (
@@ -65,7 +64,7 @@ class TestScriptedPolicies:
             "coffee-easy-1",
             ['Thought: load\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'],
         )
-        assert classify_observation(state.last_observation()) == "deprecation_error"
+        assert state.steps[-1].kind == "deprecation_error"
         record = parse_action(ScriptedAdaptivePolicy(corpus).propose(state, 5)[0])
         successor = mutated_registry.deprecated["LoadDB"].successor
         assert record.action_name == successor
@@ -139,7 +138,7 @@ class TestScriptedPolicies:
         assert obs.kind == "invocation_error"
         result = run_greedy_episode(policy, corpus.task("coffee-easy-1"), base_registry, corpus.manual, corpus.demos)
         assert result.reward == 1
-        kinds = [classify_observation(s.observation) for s in result.state.steps]
+        kinds = [s.kind for s in result.state.steps]
         assert "invocation_error" in kinds
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from tooldrift.adapt import UPDATE_TOOL_OK_TEXT
@@ -15,8 +17,12 @@ from tooldrift.trajectory import (
     load_sft,
     parse_target,
     render_target,
-    sft_record,
 )
+
+
+def path_steps(tree, record):
+    """The record's path actions as the SFT text carries them: without kind."""
+    return tuple(replace(n.action, kind=None) for n in tree.path_to(record.leaf_id) if n.action is not None)
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +69,9 @@ class TestExtract:
         assert len(everything) == len(adaptive_tree.successful_leaves())
 
     def test_only_positive_rewards_exported(self, adaptive_tree):
-        for trajectory in extract_successful(adaptive_tree, max_per_task=10**9):
-            assert trajectory.reward == 1
-            assert trajectory.steps[-1].action_name == "Finish"
+        for record in extract_successful(adaptive_tree, max_per_task=10**9):
+            assert record.reward == 1
+            assert parse_target(record.target)[-1].action_name == "Finish"
 
     def test_failed_paths_available_behind_flag(self, failed_tree):
         failed = extract_failed(failed_tree, max_per_task=3)
@@ -73,11 +79,11 @@ class TestExtract:
         assert all(t.reward == -1 for t in failed)
 
     def test_replay_reproduces_observations(self, corpus, mutated_registry, adaptive_tree):
-        trajectories = extract_successful(adaptive_tree, max_per_task=4, seed=0)
-        assert trajectories
-        for trajectory in trajectories:
-            task = corpus.task(trajectory.task_id)
-            for step in trajectory.steps:
+        records = extract_successful(adaptive_tree, max_per_task=4, seed=0)
+        assert records
+        for record in records:
+            task = corpus.task(record.task_id)
+            for step in parse_target(record.target):
                 if step.action_name == "Finish":
                     observed = evaluate(task, step.action_input["answer"]).text
                 elif step.action_name == "UpdateTool":
@@ -97,56 +103,57 @@ class TestExtract:
         ]
         collected = collect_from_trees(trees, max_per_task=4, seed=1)
         assert len(collected) == 4
-        assert {t.task_id for t in collected} == {"coffee-easy-2"}
-        assert len({(t.tree_id, t.leaf_id) for t in collected}) == 4
+        assert {r.task_id for r in collected} == {"coffee-easy-2"}
+        assert len({(r.tree_id, r.leaf_id) for r in collected}) == 4
 
 
 class TestExport:
     def test_record_count_matches_lines(self, adaptive_tree, tmp_path):
-        trajectories = extract_successful(adaptive_tree, max_per_task=4, seed=0)
+        records = extract_successful(adaptive_tree, max_per_task=4, seed=0)
         out = tmp_path / "sft.jsonl"
-        count = export_sft(trajectories, out)
-        assert count == len(trajectories) == len(out.read_text().splitlines())
+        count = export_sft(records, out)
+        assert count == len(records) == len(out.read_text().splitlines())
 
     def test_round_trip(self, adaptive_tree, tmp_path):
-        trajectories = extract_successful(adaptive_tree, max_per_task=4, seed=0)
+        records = extract_successful(adaptive_tree, max_per_task=4, seed=0)
         out = tmp_path / "sft.jsonl"
-        export_sft(trajectories, out)
-        records = load_sft(out)
-        for record, trajectory in zip(records, trajectories):
-            assert record["task_id"] == trajectory.task_id
-            assert tuple(parse_target(record["target"])) == trajectory.steps
-            assert record["input"] == trajectory.input_prompt
+        export_sft(records, out)
+        loaded = load_sft(out)
+        assert len(loaded) == len(records)
+        for doc, record in zip(loaded, records):
+            assert doc["task_id"] == record.task_id
+            assert tuple(parse_target(doc["target"])) == path_steps(adaptive_tree, record)
+            assert doc["input"] == record.input
 
     def test_input_contains_base_manual_only(self, corpus, adaptive_tree):
-        trajectories = extract_successful(adaptive_tree, max_per_task=10**9)
+        records = extract_successful(adaptive_tree, max_per_task=10**9)
         with_updates = [
-            t for t in trajectories if any(s.action_name == "UpdateTool" for s in t.steps)
+            r for r in records if any(s.action_name == "UpdateTool" for s in parse_target(r.target))
         ]
         assert with_updates
         root_render = render_prompt(adaptive_tree.node(0).state)
-        for trajectory in with_updates:
-            assert trajectory.input_prompt == root_render
+        for record in with_updates:
+            assert record.input == root_render
             for entry in corpus.manual:
-                assert entry in trajectory.input_prompt
-            assert "updated version of" not in trajectory.input_prompt
-            assert "updated version of" in render_target(trajectory.steps)
+                assert entry in record.input
+            assert "updated version of" not in record.input
+            assert "updated version of" in record.target
 
     def test_deterministic_bytes(self, adaptive_tree, tmp_path):
-        trajectories = extract_successful(adaptive_tree, max_per_task=4, seed=9)
+        records = extract_successful(adaptive_tree, max_per_task=4, seed=9)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        export_sft(trajectories, a)
+        export_sft(records, a)
         export_sft(extract_successful(adaptive_tree, max_per_task=4, seed=9), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_unwritable_path_raises(self, adaptive_tree, tmp_path):
-        trajectories = extract_successful(adaptive_tree, max_per_task=1)
+        records = extract_successful(adaptive_tree, max_per_task=1)
         with pytest.raises(OSError):
-            export_sft(trajectories, tmp_path / "missing_dir" / "sft.jsonl")
+            export_sft(records, tmp_path / "missing_dir" / "sft.jsonl")
 
     def test_sft_record_shape(self, adaptive_tree):
-        trajectory = extract_successful(adaptive_tree, max_per_task=1)[0]
-        record = sft_record(trajectory)
+        record = extract_successful(adaptive_tree, max_per_task=1)[0]
         assert record.registry_generation == "mutated-11"
         assert record.reward == 1
         assert record.target.startswith("Thought: ")
+        assert record.target == render_target(path_steps(adaptive_tree, record))
