@@ -6,13 +6,12 @@ an exporter of successful trajectories as SFT records.
 """
 
 from .adapt import (
-    AdaptConfig,
     ExpansionMode,
     apply_update_tool,
     execute_action,
     reflection_gate,
 )
-from .corpus import Corpus, builtin_corpus, load_corpus
+from .corpus import Corpus, load_corpus
 from .env import (
     ApiSpec,
     DeprecationEntry,
@@ -50,7 +49,6 @@ from .policy import (
     PolicyError,
     build_policy,
     run_greedy_episode,
-    scripted_adaptive_step,
 )
 from .react import ActionParseError, ActionRecord, StateRecord, parse_action, render_prompt
 from .trajectory import (
@@ -64,7 +62,6 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptConfig",
     "ActionParseError",
     "ActionRecord",
     "ApiSpec",
@@ -88,7 +85,6 @@ __all__ = [
     "backpropagate",
     "best_child",
     "build_policy",
-    "builtin_corpus",
     "collect_from_trees",
     "evaluate",
     "execute_action",
@@ -107,7 +103,6 @@ __all__ = [
     "render_prompt",
     "run_greedy_episode",
     "run_search",
-    "scripted_adaptive_step",
     "select_leaf",
     "simulate_cached",
     "tree_from_json",

@@ -5,6 +5,10 @@ Every executed step carries the environment's class for its observation
 alone, so no observation text can steer the search. UpdateTool grows the
 in-prompt manual for one search path only; sibling subtrees keep their own
 manuals.
+
+The paper's two ablations are plain boolean arguments: ``no_self_reflection``
+for ``reflection_gate`` and ``no_tool_update`` for ``apply_update_tool`` and
+``execute_action``. Each function takes only the switch it reads.
 """
 
 from __future__ import annotations
@@ -26,14 +30,6 @@ class ExpansionMode(Enum):
     TERMINAL = "terminal"
 
 
-@dataclass(frozen=True)
-class AdaptConfig:
-    """Ablation switches: disable invocation-error reflection, or tool updates."""
-
-    no_self_reflection: bool = False
-    no_tool_update: bool = False
-
-
 def as_text(value) -> str:
     """An action-input value as text: strings as given, anything else as JSON."""
     return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
@@ -42,7 +38,7 @@ def as_text(value) -> str:
 def apply_update_tool(
     state: StateRecord,
     newtool_desc: str,
-    config: AdaptConfig = AdaptConfig(),
+    no_tool_update: bool = False,
 ) -> tuple[StateRecord, Observation]:
     """Append a learned tool description to this path's manual.
 
@@ -51,7 +47,7 @@ def apply_update_tool(
     """
     if not newtool_desc:
         return state, Observation(kind="invocation_error", text=INVOCATION_ERROR_TEXT)
-    if config.no_tool_update:
+    if no_tool_update:
         return state, Observation(kind="response", text=UPDATE_TOOL_OK_TEXT)
     return state.with_manual_entry(newtool_desc), Observation(kind="response", text=UPDATE_TOOL_OK_TEXT)
 
@@ -70,7 +66,7 @@ def execute_action(
     state: StateRecord,
     record: ActionRecord,
     registry: ToolRegistry,
-    config: AdaptConfig = AdaptConfig(),
+    no_tool_update: bool = False,
 ) -> ActionOutcome:
     """Route an action to the environment and append the executed step.
 
@@ -85,7 +81,7 @@ def execute_action(
         )
     if record.action_name == "UpdateTool":
         desc = as_text(record.action_input.get("newtool_desc", ""))
-        new_state, obs = apply_update_tool(state, desc, config)
+        new_state, obs = apply_update_tool(state, desc, no_tool_update)
         executed = record.executed(obs)
         return ActionOutcome(state=new_state.with_step(executed), step=executed)
     obs = invoke(registry, record.action_name, record.action_input)
@@ -93,7 +89,7 @@ def execute_action(
     return ActionOutcome(state=state.with_step(executed), step=executed)
 
 
-def reflection_gate(state: StateRecord, config: AdaptConfig = AdaptConfig()) -> ExpansionMode:
+def reflection_gate(state: StateRecord, no_self_reflection: bool = False) -> ExpansionMode:
     """Decide how a node may be expanded, given the class of its last observation.
 
     Error states expand reflectively (the error stays in context) rather than
@@ -104,7 +100,7 @@ def reflection_gate(state: StateRecord, config: AdaptConfig = AdaptConfig()) -> 
     if kind == "deprecation_error":
         return ExpansionMode.REFLECTIVE
     if kind == "invocation_error":
-        if config.no_self_reflection:
+        if no_self_reflection:
             return ExpansionMode.TERMINAL
         return ExpansionMode.REFLECTIVE
     return ExpansionMode.NORMAL

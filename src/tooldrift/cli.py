@@ -2,6 +2,19 @@
 
 Exit codes: 0 success, 2 configuration or parse problem, 3 I/O failure,
 4 invariant violation (failed verification or corrupt tree respectively).
+
+A run manifest (``search --manifest``) is an INI file. Every section and key
+is optional, and an absent key takes its default:
+
+  [run]                         corpus, registry, setting, output_dir
+  [mutation], [mutation_in],    seed, kinds, special_char, synonyms
+  [mutation_ood]
+  [search]                      c_puct, max_depth, k, max_simulations,
+                                trees_per_task, rng_seed, cache_rollouts
+  [policy]                      kind, endpoint, temperature, request_timeout
+
+Any other section or key exits 2. Only --no-self-reflection and
+--no-tool-update set the ablations.
 """
 
 from __future__ import annotations
@@ -10,21 +23,14 @@ import argparse
 import configparser
 import csv
 import hashlib
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .corpus import BASE_BEHAVIORS, Corpus, build_world, load_corpus, tasks_from_json
+from .corpus import Corpus, load_corpus, tasks_from_json
 from .env import ToolRegistry, registry_from_json, registry_to_json
-from .mcts import (
-    SearchConfig,
-    SearchTree,
-    run_search,
-    tree_from_json,
-    tree_to_json,
-)
+from .mcts import SearchConfig, SearchTree, run_search, tree_from_json, tree_to_json
 from .mutation import (
     MutationError,
     MutationPlan,
@@ -41,6 +47,11 @@ EXIT_IO = 3
 EXIT_INVARIANT = 4
 
 SETTINGS = ("consistent", "mutated_in", "mutated_ood")
+RUN_KEYS = ("corpus", "registry", "setting", "output_dir")
+MUTATION_SECTIONS = ("mutation", "mutation_in", "mutation_ood")
+# The SectionProxy method that reads a [search] or [policy] value, by the type
+# of its field's default; other fields (a str, or the None endpoint) take text.
+_READERS = {bool: "getboolean", int: "getint", float: "getfloat"}
 
 
 class CliError(Exception):
@@ -69,8 +80,8 @@ def _load_registry(value: str, corpus: Corpus) -> ToolRegistry:
         return corpus.base_registry
     text = _read_text(value)
     try:
-        return registry_from_json(text, world=corpus.world, base_behaviors=BASE_BEHAVIORS)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        return registry_from_json(text, corpus.base_registry)
+    except ValueError as exc:
         raise CliError(f"cannot parse registry {value}: {exc}", EXIT_CONFIG) from exc
 
 
@@ -80,7 +91,7 @@ def _load_corpus(value: str) -> Corpus:
         text = _read_text(value)
         try:
             corpus.tasks = tasks_from_json(text)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"cannot parse corpus {value}: {exc}", EXIT_CONFIG) from exc
     return corpus
 
@@ -94,11 +105,34 @@ def _read_config(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _section(parser: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
-    """The named section; an absent one is added empty, so every key takes its default."""
+def _section(parser: configparser.ConfigParser, name: str, keys) -> configparser.SectionProxy:
+    """The named section; an absent one is added empty, so every key takes its
+    default. A key outside ``keys`` is a config error."""
     if name not in parser:
         parser.add_section(name)
+    unknown = sorted(set(parser[name]) - set(keys))
+    if unknown:
+        raise CliError(f"unknown key {unknown[0]!r} in [{name}]", EXIT_CONFIG)
     return parser[name]
+
+
+def _config(parser: configparser.ConfigParser, name: str, cls, **owned):
+    """A ``cls`` dataclass from the named section. Every field outside ``owned``
+    is set by the key of its name, read by the type of its default, so each
+    default is written once, in ``cls``; ``owned`` holds the fields that
+    command-line flags set."""
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in owned}
+    section = _section(parser, name, defaults)
+    values = dict(owned)
+    for key in section:
+        try:
+            values[key] = getattr(section, _READERS.get(type(defaults[key]), "get"))(key)
+        except ValueError as exc:
+            raise CliError(f"bad [{name}] {key}: {exc}", EXIT_CONFIG) from exc
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise CliError(f"bad [{name}] section: {exc}", EXIT_CONFIG) from exc
 
 
 def _plan_from_args(args) -> MutationPlan:
@@ -108,7 +142,7 @@ def _plan_from_args(args) -> MutationPlan:
             raise CliError(f"{args.plan} has no [mutation] section", EXIT_CONFIG)
         try:
             plan = plan_from_section(parser["mutation"])
-        except (MutationError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad mutation plan: {exc}", EXIT_CONFIG) from exc
         if args.seed is not None:
             plan = replace(plan, seed=args.seed)
@@ -149,80 +183,59 @@ def _derive_seed(base_seed: int, task_id: str, tree_index: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _search_config(section) -> SearchConfig:
-    return SearchConfig(
-        c_puct=section.getfloat("c_puct", 1.25),
-        max_depth=section.getint("max_depth", 15),
-        k=section.getint("k", 5),
-        max_simulations=section.getint("max_simulations", 30),
-        trees_per_task=section.getint("trees_per_task", 20),
-        rng_seed=section.getint("rng_seed", 0),
-        cache_rollouts=section.getboolean("cache_rollouts", True),
-    )
-
-
-def _policy_config(section) -> PolicyConfig:
-    return PolicyConfig(
-        kind=section.get("kind", "scripted_adaptive"),
-        endpoint=section.get("endpoint", None) or None,
-        temperature=section.getfloat("temperature", 0.7),
-        request_timeout=section.getfloat("request_timeout", 10.0),
-    )
-
-
 def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base: ToolRegistry):
+    plans = {}
+    for name in MUTATION_SECTIONS:
+        if name in parser:
+            try:
+                plans[name] = plan_from_section(parser[name])
+            except ValueError as exc:
+                raise CliError(f"bad [{name}] section: {exc}", EXIT_CONFIG) from exc
     if setting == "consistent":
         return base
     section_name = {"mutated_in": "mutation_in", "mutated_ood": "mutation_ood"}[setting]
-    if section_name in parser:
-        plan = plan_from_section(parser[section_name])
-    elif "mutation" in parser:
-        plan = plan_from_section(parser["mutation"])
+    if section_name in plans:
+        plan = plans[section_name]
+    elif "mutation" in plans:
+        plan = plans["mutation"]
         if setting == "mutated_ood":
             plan = replace(plan, seed=plan.seed + 1)
     else:
         raise CliError(f"setting {setting} requires a [mutation] section", EXIT_CONFIG)
-    return mutate_registry(base, plan)
+    try:
+        return mutate_registry(base, plan)
+    except MutationError as exc:
+        raise CliError(f"mutation failed: {exc}", EXIT_CONFIG) from exc
 
 
 def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[SearchTree], Corpus, str]:
-    run = _section(parser, "run")
+    unknown = sorted(set(parser.sections()) - {"run", "search", "policy", *MUTATION_SECTIONS})
+    if unknown:
+        raise CliError(f"unknown section [{unknown[0]}]", EXIT_CONFIG)
+    run = _section(parser, "run", RUN_KEYS)
     corpus = _load_corpus(run.get("corpus", "builtin"))
     base = _load_registry(run.get("registry", "builtin"), corpus)
     setting = overrides.setting or run.get("setting", "consistent")
     if setting not in SETTINGS:
         raise CliError(f"unknown setting {setting!r}", EXIT_CONFIG)
-    try:
-        registry = _registry_for_setting(setting, parser, base)
-    except (MutationError, ValueError) as exc:
-        raise CliError(f"mutation failed: {exc}", EXIT_CONFIG) from exc
+    registry = _registry_for_setting(setting, parser, base)
 
+    search_cfg = _config(parser, "search", SearchConfig, no_self_reflection=overrides.no_self_reflection,
+                         no_tool_update=overrides.no_tool_update)
+    if overrides.sims is not None:
+        search_cfg.max_simulations = overrides.sims
+    if overrides.trees is not None:
+        search_cfg.trees_per_task = overrides.trees
     try:
-        search_cfg = _search_config(_section(parser, "search"))
-        if overrides.sims is not None:
-            search_cfg.max_simulations = overrides.sims
-        if overrides.trees is not None:
-            search_cfg.trees_per_task = overrides.trees
-        search_cfg.no_self_reflection = overrides.no_self_reflection
-        search_cfg.no_tool_update = overrides.no_tool_update
         search_cfg.validate()
     except ValueError as exc:
         raise CliError(f"bad search config: {exc}", EXIT_CONFIG) from exc
 
-    try:
-        policy_cfg = _policy_config(_section(parser, "policy"))
-    except ValueError as exc:
-        raise CliError(f"bad policy config: {exc}", EXIT_CONFIG) from exc
-    if overrides.no_tool_update:
-        policy_cfg = replace(policy_cfg, emit_tool_updates=False)
+    policy_cfg = _config(parser, "policy", PolicyConfig, emit_tool_updates=not overrides.no_tool_update)
     policy = build_policy(policy_cfg, corpus)
 
     jobs = max(1, overrides.jobs)
-    runs = [
-        (task, index)
-        for task in corpus.tasks
-        for index in range(search_cfg.trees_per_task)
-    ]
+    runs = [(task, index) for task in corpus.tasks for index in range(search_cfg.trees_per_task)]
 
     def one(run_spec):
         task, index = run_spec
@@ -290,7 +303,7 @@ def print_summary(rows: list[dict]) -> None:
 def cmd_search(args) -> int:
     parser = _read_config(args.manifest)
     trees, corpus, setting = run_manifest(parser, args)
-    out_dir = args.output_dir or _section(parser, "run").get("output_dir", "out")
+    out_dir = args.output_dir or parser["run"].get("output_dir", "out")
     tree_dir = Path(out_dir) / "trees"
     for tree in trees:
         _write_text(str(tree_dir / f"{tree.tree_id}.json"), tree_to_json(tree))
@@ -333,24 +346,6 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _check_tree_invariants(tree: SearchTree) -> list[str]:
-    problems = []
-    for node in tree.nodes:
-        if not -1.0 - 1e-9 <= node.q_value <= 1.0 + 1e-9:
-            problems.append(f"node {node.id}: Q={node.q_value} outside [-1, 1]")
-        if node.terminal != (node.reward is not None):
-            problems.append(f"node {node.id}: terminal/reward mismatch")
-        if node.visit_count < 0:
-            problems.append(f"node {node.id}: negative visit count")
-        if node.children:
-            total = sum(tree.node(c).prior for c in node.children)
-            if abs(total - 1.0) > 1e-6:
-                problems.append(f"node {node.id}: child priors sum to {total:.6f}")
-        if not node.cached and node.depth > tree.config.max_depth:
-            problems.append(f"node {node.id}: beyond depth limit")
-    return problems
-
-
 def _node_label(tree: SearchTree, node) -> str:
     if node.action is None:
         label = "root"
@@ -385,12 +380,7 @@ def cmd_inspect(args) -> int:
         node = tree.node(node_id)
         print("  " * indent + _node_label(tree, node))
         stack.extend((child, indent + 1) for child in reversed(node.children))
-    problems = _check_tree_invariants(tree)
-    if problems:
-        print(f"{len(problems)} invariant violation(s):")
-        for problem in problems:
-            print(f"  - {problem}")
-        return EXIT_INVARIANT
+    # tree_from_json has checked the invariants.
     print("invariants: ok")
     return EXIT_OK
 

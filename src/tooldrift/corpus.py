@@ -13,12 +13,14 @@ import operator
 from dataclasses import dataclass, field
 
 from .env import (
+    TASK_TYPES,
     ApiSpec,
     Behavior,
     BehaviorError,
     ParamSpec,
     TaskInstance,
     ToolRegistry,
+    typed_object,
 )
 
 COFFEE_COLUMNS = ["Date", "Open", "High", "Low", "Close", "Volume", "Currency"]
@@ -639,12 +641,6 @@ def build_demos() -> list[str]:
     return [demo1, demo2, demo3]
 
 
-def builtin_corpus() -> tuple[ToolRegistry, list[TaskInstance]]:
-    """The embedded toy corpus: (base registry, tasks)."""
-    bundle = load_corpus()
-    return bundle.base_registry, bundle.tasks
-
-
 def load_corpus() -> Corpus:
     world = build_world()
     registry = build_base_registry(world)
@@ -660,18 +656,13 @@ def load_corpus() -> Corpus:
 
 
 def tasks_to_json(tasks: list[TaskInstance]) -> str:
-    doc = [
-        {
-            "id": t.id,
-            "description": t.description,
-            "gold_answer": t.gold_answer,
-            "dataset": t.dataset,
-            "difficulty": t.difficulty,
-        }
-        for t in tasks
-    ]
+    doc = [{name: getattr(t, name) for name in TASK_TYPES} for t in tasks]
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def tasks_from_json(text: str) -> list[TaskInstance]:
-    return [TaskInstance(**d) for d in json.loads(text)]
+    """Tasks from a JSON list; any malformed document raises ValueError."""
+    doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise ValueError("tasks: expected a list")
+    return [TaskInstance(**typed_object(d, TASK_TYPES, f"task {i}")) for i, d in enumerate(doc)]

@@ -9,10 +9,8 @@ search can keep exploring through error states.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
-
-SYSTEM_TOOL_NAMES = ("Finish", "UpdateTool")
 
 INVOCATION_ERROR_TEXT = (
     "Your action is filtered due to some error in content. "
@@ -67,7 +65,6 @@ class ApiSpec:
     params: tuple[ParamSpec, ...] = ()
     description: str = ""
     response_note: str = ""
-    replaced_by: str | None = None
     is_system_tool: bool = False
 
     def param_names(self) -> list[str]:
@@ -152,8 +149,6 @@ class ToolRegistry:
         for name, spec in self.apis.items():
             if not name or name != spec.name:
                 raise ValueError(f"registry key {name!r} does not match spec name {spec.name!r}")
-            if spec.is_system_tool and spec.replaced_by is not None:
-                raise ValueError(f"system tool {name} must not carry replaced_by")
             if not spec.is_system_tool and name not in self.behaviors:
                 raise ValueError(f"non-system API {name} has no behavior")
         overlap = set(self.deprecated) & set(self.apis)
@@ -257,51 +252,59 @@ def evaluate(task: TaskInstance, answer: str) -> Observation:
 # re-bound by lineage at load time (they are code, not data).
 # ---------------------------------------------------------------------------
 
-
-def _param_to_json(p: ParamSpec) -> dict:
-    out: dict[str, Any] = {"name": p.name, "kind": p.kind, "example": p.example}
-    if p.alt_kind is not None:
-        out["alt_kind"] = p.alt_kind
-        out["alt_example"] = p.alt_example
-    return out
-
-
-def _param_from_json(d: dict) -> ParamSpec:
-    return ParamSpec(
-        name=d["name"],
-        kind=d.get("kind", "text"),
-        example=d.get("example", ""),
-        alt_kind=d.get("alt_kind"),
-        alt_example=d.get("alt_example"),
-    )
+_REGISTRY_TYPES = {"generation": (str,), "apis": (list,), "deprecated": (dict,)}
+_SPEC_TYPES = {"name": (str,), "params": (list,), "description": (str,), "response_note": (str,),
+               "is_system_tool": (bool,)}
+_PARAM_TYPES = {"name": (str,), "kind": (str,), "example": (str,),
+                "alt_kind": (str, type(None)), "alt_example": (str, type(None))}
+_ENTRY_TYPES = {"successor": (str,), "param_example": (dict,), "old_params": (list,)}
+TASK_TYPES = {f.name: (str,) for f in fields(TaskInstance)}
 
 
-def _spec_to_json(spec: ApiSpec) -> dict:
-    return {
-        "name": spec.name,
-        "params": [_param_to_json(p) for p in spec.params],
-        "description": spec.description,
-        "response_note": spec.response_note,
-        "replaced_by": spec.replaced_by,
-        "is_system_tool": spec.is_system_tool,
-    }
+def typed_object(doc, types: dict[str, tuple], where: str) -> dict:
+    """``doc`` itself, once it is an object with exactly the keys of ``types``
+    and each value has one of the JSON types listed for its key."""
+    if not isinstance(doc, dict) or doc.keys() != types.keys():
+        raise ValueError(f"{where}: expected an object with keys {sorted(types)}")
+    for key, allowed in types.items():
+        if type(doc[key]) not in allowed:
+            raise ValueError(f"{where}: {key!r} is {type(doc[key]).__name__}")
+    return doc
 
 
-def _spec_from_json(d: dict) -> ApiSpec:
-    return ApiSpec(
-        name=d["name"],
-        params=tuple(_param_from_json(p) for p in d.get("params", [])),
-        description=d.get("description", ""),
-        response_note=d.get("response_note", ""),
-        replaced_by=d.get("replaced_by"),
-        is_system_tool=d.get("is_system_tool", False),
-    )
+def _param_from_json(doc, where: str) -> ParamSpec:
+    param = ParamSpec(**typed_object(doc, _PARAM_TYPES, where))
+    if not param.name:
+        raise ValueError(f"{where}: empty param name")
+    for kind, example in ((param.kind, param.example), (param.alt_kind, param.alt_example)):
+        if kind is not None and kind not in PARAM_KINDS:
+            raise ValueError(f"{where}: unknown param kind {kind!r}")
+        if kind == "map":
+            try:
+                is_object = isinstance(json.loads(example or ""), dict)
+            except ValueError:
+                is_object = False
+            if not is_object:
+                raise ValueError(f"{where}: a map example must be a JSON object")
+    return param
+
+
+def _spec_from_json(doc, where: str) -> ApiSpec:
+    spec = typed_object(doc, _SPEC_TYPES, where)
+    params = tuple(_param_from_json(p, f"{where} param {i}") for i, p in enumerate(spec["params"]))
+    return ApiSpec(**{**spec, "params": params})
 
 
 def registry_to_json(registry: ToolRegistry) -> str:
     doc = {
         "generation": registry.generation,
-        "apis": [_spec_to_json(registry.apis[name]) for name in sorted(registry.apis)],
+        "apis": [
+            {
+                **{f.name: getattr(spec, f.name) for f in fields(ApiSpec)},
+                "params": [{f.name: getattr(p, f.name) for f in fields(ParamSpec)} for p in spec.params],
+            }
+            for _, spec in sorted(registry.apis.items())
+        ],
         "deprecated": {
             old: {
                 "successor": e.successor,
@@ -314,41 +317,45 @@ def registry_to_json(registry: ToolRegistry) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def registry_from_json(
-    text: str,
-    world: dict,
-    base_behaviors: dict[str, Behavior],
-) -> ToolRegistry:
+def registry_from_json(text: str, base: ToolRegistry) -> ToolRegistry:
     """Rebuild a registry from JSON, re-binding behaviors through lineage.
 
     A deployed API inherits the behavior of the base API it replaced (via
-    the deprecation map) or of its own name for unmutated generations.
+    the deprecation map) or of its own name for unmutated generations, and
+    must take as many params as that API. The world is the base's. Any
+    malformed document raises ValueError.
     """
-    doc = json.loads(text)
-    apis = {d["name"]: _spec_from_json(d) for d in doc["apis"]}
-    deprecated = {
-        old: DeprecationEntry(
-            successor=e["successor"],
-            param_example=e["param_example"],
-            old_params=tuple(e.get("old_params", ())),
-        )
-        for old, e in doc.get("deprecated", {}).items()
-    }
+    doc = typed_object(json.loads(text), _REGISTRY_TYPES, "registry")
+    apis: dict[str, ApiSpec] = {}
+    for index, spec_doc in enumerate(doc["apis"]):
+        spec = _spec_from_json(spec_doc, f"api {index}")
+        if spec.name in apis:
+            raise ValueError(f"api {index}: duplicate name {spec.name!r}")
+        apis[spec.name] = spec
+    deprecated = {}
+    for old, entry_doc in doc["deprecated"].items():
+        entry = typed_object(entry_doc, _ENTRY_TYPES, f"deprecated {old}")
+        if not all(isinstance(p, str) for p in entry["old_params"]):
+            raise ValueError(f"deprecated {old}: old_params must be strings")
+        deprecated[old] = DeprecationEntry(**{**entry, "old_params": tuple(entry["old_params"])})
     successor_to_old = {e.successor: old for old, e in deprecated.items()}
     behaviors: dict[str, Behavior] = {}
     for name, spec in apis.items():
         if spec.is_system_tool:
             continue
         lineage = successor_to_old.get(name, name)
-        if lineage not in base_behaviors:
+        origin = base.apis.get(lineage)
+        if origin is None or lineage not in base.behaviors:
             raise ValueError(f"no behavior known for API {name} (lineage {lineage})")
-        behaviors[name] = base_behaviors[lineage]
+        if len(spec.params) != len(origin.params):
+            raise ValueError(f"API {name} takes {len(spec.params)} params, {lineage} {len(origin.params)}")
+        behaviors[name] = base.behaviors[lineage]
     registry = ToolRegistry(
         apis=apis,
         behaviors=behaviors,
         deprecated=deprecated,
-        world=world,
-        generation=doc.get("generation", "base"),
+        world=base.world,
+        generation=doc["generation"],
     )
     registry.validate()
     return registry

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .adapt import (
-    AdaptConfig,
     ExpansionMode,
     apply_update_tool,
     as_text,
     execute_action,
     reflection_gate,
 )
-from .env import TaskInstance, ToolRegistry
+from .env import TASK_TYPES, TaskInstance, ToolRegistry, typed_object
 from .policy import PolicyError
 from .react import ActionParseError, ActionRecord, StateRecord, parse_action
 
@@ -51,13 +50,6 @@ class SearchConfig:
         for name in ("max_depth", "k", "max_simulations", "trees_per_task"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-
-    @property
-    def adapt(self) -> AdaptConfig:
-        return AdaptConfig(
-            no_self_reflection=self.no_self_reflection,
-            no_tool_update=self.no_tool_update,
-        )
 
 
 @dataclass
@@ -188,7 +180,6 @@ def _make_child(
     registry: ToolRegistry,
     prior: float,
     cached: bool,
-    adapt_config: AdaptConfig,
 ) -> TreeNode:
     try:
         record = parse_action(text)
@@ -206,7 +197,7 @@ def _make_child(
             reward=-1,
             failure=str(exc),
         )
-    outcome = execute_action(parent.state, record, registry, adapt_config)
+    outcome = execute_action(parent.state, record, registry, tree.config.no_tool_update)
     return tree.add_node(
         parent.id,
         outcome.state,
@@ -229,10 +220,7 @@ def _generate_children(
     texts = policy.propose(node.state, k)
     tree.stats["policy_calls"] += 1
     prior = 1.0 / len(texts)
-    return [
-        _make_child(tree, node, text, registry, prior, cached, tree.config.adapt).id
-        for text in texts
-    ]
+    return [_make_child(tree, node, text, registry, prior, cached).id for text in texts]
 
 
 def expand(tree: SearchTree, leaf_id: int, policy, registry: ToolRegistry) -> list[int]:
@@ -244,7 +232,7 @@ def expand(tree: SearchTree, leaf_id: int, policy, registry: ToolRegistry) -> li
     instead. Policy transport failure marks the leaf failed-terminal.
     """
     leaf = tree.node(leaf_id)
-    mode = reflection_gate(leaf.state, tree.config.adapt)
+    mode = reflection_gate(leaf.state, tree.config.no_self_reflection)
     if mode is ExpansionMode.TERMINAL:
         leaf.terminal, leaf.reward = True, -1
         return []
@@ -281,7 +269,7 @@ def simulate_cached(
             return cur.reward or -1
         if cur.depth >= tree.config.max_depth:
             return -1
-        mode = reflection_gate(cur.state, tree.config.adapt)
+        mode = reflection_gate(cur.state, tree.config.no_self_reflection)
         if mode is ExpansionMode.TERMINAL:
             cur.terminal, cur.reward = True, -1
             return -1
@@ -306,7 +294,7 @@ def _transient_rollout(
         return start.reward or -1
     state, depth = start.state, start.depth
     while depth < tree.config.max_depth:
-        if reflection_gate(state, tree.config.adapt) is ExpansionMode.TERMINAL:
+        if reflection_gate(state, tree.config.no_self_reflection) is ExpansionMode.TERMINAL:
             return -1
         try:
             texts = policy.propose(state, tree.config.k)
@@ -318,7 +306,7 @@ def _transient_rollout(
             record = parse_action(text)
         except ActionParseError:
             return -1
-        outcome = execute_action(state, record, registry, tree.config.adapt)
+        outcome = execute_action(state, record, registry, tree.config.no_tool_update)
         if outcome.terminal:
             return outcome.reward or -1
         state, depth = outcome.state, depth + 1
@@ -436,24 +424,13 @@ def _action_to_json(action: ActionRecord | None) -> dict | None:
     }
 
 
-def _typed(doc, types: dict[str, tuple], where: str) -> dict:
-    """``doc`` itself, once it is an object with exactly the keys of ``types``
-    and each value has one of the JSON types listed for its key."""
-    if not isinstance(doc, dict) or doc.keys() != types.keys():
-        raise ValueError(f"{where}: expected an object with keys {sorted(types)}")
-    for key, allowed in types.items():
-        if type(doc[key]) not in allowed:
-            raise ValueError(f"{where}: {key!r} is {type(doc[key]).__name__}")
-    return doc
-
-
 def tree_to_json(tree: SearchTree) -> str:
     root_state = tree.node(tree.root_id).state
     doc: dict[str, Any] = {
         "format_version": TREE_FORMAT_VERSION,
         "tree_id": tree.tree_id,
         "registry_generation": tree.registry_generation,
-        "task": {f.name: getattr(tree.task, f.name) for f in fields(TaskInstance)},
+        "task": {name: getattr(tree.task, name) for name in TASK_TYPES},
         "config": {f.name: getattr(tree.config, f.name) for f in fields(SearchConfig)},
         "manual": list(root_state.tool_manual),
         "demos": list(root_state.demos),
@@ -477,12 +454,13 @@ def tree_to_json(tree: SearchTree) -> str:
 
 
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 2 tree; any malformed document raises ValueError."""
-    doc = _typed(json.loads(text), _DOC_TYPES, "tree")
+    """Load a format_version 2 tree; any malformed document, or one that breaks
+    an invariant of ``check_tree_invariants``, raises ValueError."""
+    doc = typed_object(json.loads(text), _DOC_TYPES, "tree")
     if doc["format_version"] != TREE_FORMAT_VERSION:
         raise ValueError(f"unsupported tree format_version {doc['format_version']}")
-    task = TaskInstance(**_typed(doc["task"], {f.name: (str,) for f in fields(TaskInstance)}, "task"))
-    config = SearchConfig(**_typed(
+    task = TaskInstance(**typed_object(doc["task"], TASK_TYPES, "task"))
+    config = SearchConfig(**typed_object(
         doc["config"], {f.name: _CONFIG_TYPES[type(f.default)] for f in fields(SearchConfig)}, "config"
     ))
     config.validate()
@@ -496,26 +474,47 @@ def tree_from_json(text: str) -> SearchTree:
     if not all(isinstance(entry, str) for entry in doc["manual"] + doc["demos"]):
         raise ValueError("tree: manual and demos must be lists of strings")
     root_state = StateRecord(task=task, tool_manual=tuple(doc["manual"]), demos=tuple(doc["demos"]))
-    adapt_config = config.adapt
     nodes = tree.nodes
     for index, node_doc in enumerate(doc["nodes"]):
         where = f"node {index}"
-        parent = _typed(node_doc, _NODE_TYPES, where)["parent"]
+        parent = typed_object(node_doc, _NODE_TYPES, where)["parent"]
         if (parent is None) != (index == 0) or (parent is not None and not 0 <= parent < index):
             raise ValueError(f"{where}: parent {parent!r} is not an earlier node")
         if (node_doc["action"] is None) != (index == 0):
             raise ValueError(f"{where}: only the root has no action")
         depth, state = 0, root_state
         if parent is not None:
-            action = ActionRecord(**_typed(node_doc["action"], _ACTION_TYPES, f"{where} action"))
+            action = ActionRecord(**typed_object(node_doc["action"], _ACTION_TYPES, f"{where} action"))
             node_doc["action"] = action  # node_doc becomes the TreeNode's keyword arguments
             state = nodes[parent].state
             if action.action_name == "UpdateTool":
                 desc = as_text(action.action_input.get("newtool_desc", ""))
-                state = apply_update_tool(state, desc, adapt_config)[0]
+                state = apply_update_tool(state, desc, config.no_tool_update)[0]
             state, depth = state.with_step(action), nodes[parent].depth + 1
             nodes[parent].children.append(index)
         nodes.append(TreeNode(id=index, state=state, depth=depth, **node_doc))
     if not tree.nodes:
         raise ValueError("tree has no nodes")
+    problems = check_tree_invariants(tree)
+    if problems:
+        raise ValueError(f"{len(problems)} invariant violation(s): {'; '.join(problems)}")
     return tree
+
+
+def check_tree_invariants(tree: SearchTree) -> list[str]:
+    """The invariants ``tree`` breaks, one line each; empty for a sound tree."""
+    problems = []
+    for node in tree.nodes:
+        if not -1.0 - 1e-9 <= node.q_value <= 1.0 + 1e-9:
+            problems.append(f"node {node.id}: Q={node.q_value} outside [-1, 1]")
+        if node.terminal != (node.reward is not None):
+            problems.append(f"node {node.id}: terminal/reward mismatch")
+        if node.visit_count < 0:
+            problems.append(f"node {node.id}: negative visit count")
+        if node.children:
+            total = sum(tree.node(c).prior for c in node.children)
+            if abs(total - 1.0) > 1e-6:
+                problems.append(f"node {node.id}: child priors sum to {total:.6f}")
+        if not node.cached and node.depth > tree.config.max_depth:
+            problems.append(f"node {node.id}: beyond depth limit")
+    return problems

@@ -10,9 +10,7 @@ state, so outputs are stable across platforms and Python versions.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
-import io
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -86,6 +84,11 @@ class MutationPlan:
             raise MutationError(f"unknown mutation kinds: {sorted(unknown)}")
         if self.special_char not in SPECIAL_CHARS:
             raise MutationError(f"special_char must be one of {SPECIAL_CHARS}")
+        table = self.synonym_table
+        if not isinstance(table, dict) or not all(
+            isinstance(words, list) and all(isinstance(w, str) for w in words) for words in table.values()
+        ):
+            raise MutationError("the synonym table must map each word to a list of words")
 
 
 def split_words(name: str, special_chars: str = "".join(SPECIAL_CHARS)) -> list[str]:
@@ -283,24 +286,16 @@ def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> MutationReport
 
 
 # ---------------------------------------------------------------------------
-# Plan (de)serialization: one keyed plain-text config section.
+# Plan reading: one keyed plain-text config section.
 # ---------------------------------------------------------------------------
 
-
-def plan_to_config(plan: MutationPlan) -> str:
-    parser = configparser.ConfigParser()
-    parser["mutation"] = {
-        "seed": str(plan.seed),
-        "kinds": ", ".join(sorted(plan.kinds)),
-        "special_char": plan.special_char,
-        "synonyms": json.dumps(plan.synonym_table, sort_keys=True),
-    }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
-
-
 def plan_from_section(section) -> MutationPlan:
+    """The plan a ``[mutation]`` section describes; absent keys take the plan's
+    defaults, and a key other than seed, kinds, special_char or synonyms
+    raises MutationError."""
+    unknown = sorted(set(section) - {"seed", "kinds", "special_char", "synonyms"})
+    if unknown:
+        raise MutationError(f"unknown key {unknown[0]!r}")
     kinds = frozenset(k.strip() for k in section.get("kinds", "").split(",") if k.strip())
     synonyms = section.get("synonyms", "")
     return MutationPlan(
@@ -309,11 +304,3 @@ def plan_from_section(section) -> MutationPlan:
         special_char=section.get("special_char", "_"),
         synonym_table=json.loads(synonyms) if synonyms else dict(DEFAULT_SYNONYMS),
     )
-
-
-def plan_from_config(text: str) -> MutationPlan:
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
-    if "mutation" not in parser:
-        raise MutationError("config has no [mutation] section")
-    return plan_from_section(parser["mutation"])

@@ -14,6 +14,10 @@ templates (``parse_deprecation_guidance`` matches the whole deprecation
 message; an invocation error equals ``INVOCATION_ERROR_TEXT``). Steps parsed
 back from a rendered prompt carry no kind, and a completion server that
 rebuilds the state that way still gets the same answers.
+
+The remote policy retries a failed request a fixed ``RemotePolicy.MAX_RETRIES``
+times. It has no request limit of its own: ``search --jobs`` shares one policy
+across its worker threads, so the number of jobs bounds the requests in flight.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from __future__ import annotations
 import functools
 import json
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 
 import requests
 
-from .adapt import AdaptConfig, execute_action
+from .adapt import execute_action
 from .corpus import Corpus, PlannedCall, load_corpus, remap_args
 from .env import INVOCATION_ERROR_TEXT, TaskInstance, ToolRegistry
 from .react import StateRecord, parse_action, render_prompt
@@ -56,20 +59,19 @@ class UnknownTaskError(PolicyError):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """How to build a policy; endpoint is required exactly for remote kind."""
+    """How to build a policy; a non-empty endpoint is required exactly for the
+    remote kind."""
 
     kind: str = "scripted_adaptive"
     endpoint: str | None = None
     temperature: float = 0.7
     request_timeout: float = 10.0
-    max_inflight: int = 4
-    max_retries: int = 2
     emit_tool_updates: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if (self.kind == "remote") != (self.endpoint is not None):
+        if (self.kind == "remote") != bool(self.endpoint):
             raise ValueError("endpoint is required exactly when kind is remote")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
@@ -147,12 +149,10 @@ class ScriptedPolicy:
 
     def __init__(self, corpus: Corpus | None = None):
         self.corpus = corpus if corpus is not None else load_corpus()
-        self.propose_calls = 0
 
     def propose(self, state: StateRecord, k: int) -> list[str]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.propose_calls += 1
         return [self.next_step(state)] * k
 
     def _plan(self, state: StateRecord):
@@ -284,19 +284,17 @@ class RemotePolicy:
     """
 
     STOP_SEQUENCES = ["Observation:"]
+    MAX_RETRIES = 2
 
     def __init__(self, config: PolicyConfig, session: requests.Session | None = None):
         if config.kind != "remote":
             raise ValueError("RemotePolicy requires a remote PolicyConfig")
         self.config = config
         self.session = session or requests.Session()
-        self.propose_calls = 0
-        self._slots = threading.Semaphore(config.max_inflight)
 
     def propose(self, state: StateRecord, k: int) -> list[str]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.propose_calls += 1
         payload = {
             "prompt": render_prompt(state),
             "n": k,
@@ -304,22 +302,21 @@ class RemotePolicy:
             "stop": self.STOP_SEQUENCES,
         }
         last_error: Exception | None = None
-        with self._slots:
-            for attempt in range(self.config.max_retries + 1):
-                try:
-                    response = self.session.post(
-                        self.config.endpoint, json=payload, timeout=self.config.request_timeout
-                    )
-                    response.raise_for_status()
-                    choices = response.json().get("choices", [])
-                    texts = [c["text"] for c in choices]
-                    if len(texts) < k:
-                        raise PolicyError(f"endpoint returned {len(texts)} candidates, wanted {k}")
-                    return texts[:k]
-                except (requests.RequestException, KeyError, ValueError) as exc:
-                    last_error = exc
-                    if attempt < self.config.max_retries:
-                        time.sleep(0.05 * (attempt + 1))
+        for attempt in range(self.MAX_RETRIES + 1):
+            try:
+                response = self.session.post(
+                    self.config.endpoint, json=payload, timeout=self.config.request_timeout
+                )
+                response.raise_for_status()
+                choices = response.json().get("choices", [])
+                texts = [c["text"] for c in choices]
+                if len(texts) < k:
+                    raise PolicyError(f"endpoint returned {len(texts)} candidates, wanted {k}")
+                return texts[:k]
+            except (requests.RequestException, KeyError, ValueError) as exc:
+                last_error = exc
+                if attempt < self.MAX_RETRIES:
+                    time.sleep(0.05 * (attempt + 1))
         raise PolicyError(f"remote policy failed after retries: {last_error}")
 
 
@@ -331,11 +328,6 @@ def build_policy(config: PolicyConfig, corpus: Corpus | None = None):
     if config.kind == "scripted_semi_adaptive":
         return ScriptedSemiAdaptivePolicy(corpus, emit_tool_updates=config.emit_tool_updates)
     return RemotePolicy(config)
-
-
-def scripted_adaptive_step(state: StateRecord, corpus: Corpus | None = None) -> str:
-    """The single next step of the deterministic adaptive agent."""
-    return ScriptedAdaptivePolicy(corpus).next_step(state)
 
 
 @dataclass
@@ -355,7 +347,7 @@ def run_greedy_episode(
     manual: list[str],
     demos: list[str] = (),
     max_steps: int = 15,
-    adapt_config: AdaptConfig = AdaptConfig(),
+    no_tool_update: bool = False,
 ) -> EpisodeResult:
     """Follow candidate 1 at every step until Finish or the step budget.
 
@@ -367,7 +359,7 @@ def run_greedy_episode(
     for _ in range(max_steps):
         text = policy.propose(state, 1)[0]
         record = parse_action(text)
-        outcome = execute_action(state, record, registry, adapt_config)
+        outcome = execute_action(state, record, registry, no_tool_update)
         state = outcome.state
         if outcome.terminal:
             return EpisodeResult(reward=outcome.reward or -1, state=state)

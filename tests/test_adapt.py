@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tooldrift.adapt import (
     UPDATE_TOOL_OK_TEXT,
-    AdaptConfig,
     ExpansionMode,
     apply_update_tool,
     execute_action,
@@ -80,9 +79,8 @@ class TestClassifyObservation:
 
     @given(st.text(max_size=40), st.sampled_from(KINDS), st.booleans())
     def test_total(self, text, kind, no_self_reflection):
-        config = AdaptConfig(no_self_reflection=no_self_reflection)
-        gate = reflection_gate(make_state(text, kind), config)
-        assert gate is reflection_gate(make_state("", kind), config)
+        gate = reflection_gate(make_state(text, kind), no_self_reflection)
+        assert gate is reflection_gate(make_state("", kind), no_self_reflection)
         assert (gate is ExpansionMode.NORMAL) == (kind in ("response", "task_done"))
 
 
@@ -111,7 +109,7 @@ class TestApplyUpdateTool:
 
     def test_no_tool_update_ablation_freezes_manual(self):
         state = make_state()
-        updated, obs = apply_update_tool(state, "NewTool[x]: learned.", AdaptConfig(no_tool_update=True))
+        updated, obs = apply_update_tool(state, "NewTool[x]: learned.", no_tool_update=True)
         assert updated.tool_manual == state.tool_manual
         assert obs.kind == "response"
 
@@ -136,11 +134,11 @@ class TestReflectionGate:
 
     def test_invocation_error_terminal_without_self_reflection(self):
         state = make_state(INVOCATION_ERROR_TEXT, "invocation_error")
-        assert reflection_gate(state, AdaptConfig(no_self_reflection=True)) is ExpansionMode.TERMINAL
+        assert reflection_gate(state, no_self_reflection=True) is ExpansionMode.TERMINAL
 
     def test_deprecation_error_still_reflective_without_self_reflection(self):
         state = make_state(DEPRECATION_TEXT, "deprecation_error")
-        assert reflection_gate(state, AdaptConfig(no_self_reflection=True)) is ExpansionMode.REFLECTIVE
+        assert reflection_gate(state, no_self_reflection=True) is ExpansionMode.REFLECTIVE
 
     def test_ok_observation_is_normal(self):
         assert reflection_gate(make_state("all good", "response")) is ExpansionMode.NORMAL

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from tooldrift.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 from tooldrift.corpus import load_corpus
+from tooldrift.env import registry_to_json
 from tooldrift.mcts import SearchConfig, run_search, tree_from_json, tree_to_json
+from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
 
 MANIFEST = """
@@ -49,6 +51,13 @@ def write_manifest(tmp_path, **kwargs):
     return str(path)
 
 
+MALFORMED_REGISTRIES = {
+    "apis_not_a_list": '{"apis": {"a": 1}}',
+    "params_not_a_list": '{"apis": [{"name": "LoadDB", "params": 5}]}',
+    "not_an_object": "[]",
+}
+
+
 class TestMutateCommand:
     def test_deterministic_output(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -73,6 +82,27 @@ class TestMutateCommand:
     def test_missing_base_file_is_io_error(self, tmp_path):
         code = main(["mutate", "--base", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "text", ["[mutation]\nsed = 5\n", "[other]\nseed = 5\n"], ids=["misspelled_key", "other_section_only"]
+    )
+    def test_bad_plan_is_config_error(self, tmp_path, capsys, text):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(text)
+        assert main(["mutate", "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc", sorted(MALFORMED_REGISTRIES))
+    def test_malformed_registry_is_config_error(self, tmp_path, capsys, doc):
+        registry = tmp_path / "registry.json"
+        registry.write_text(MALFORMED_REGISTRIES[doc])
+        code = main(["mutate", "--base", str(registry), "--out", str(tmp_path / "m.json"), "--seed", "1"])
+        assert code == EXIT_CONFIG
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(f"[run]\nregistry = {registry}\n")
+        assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: cannot parse registry") for line in err)
 
     def test_plan_file(self, tmp_path):
         plan = tmp_path / "plan.ini"
@@ -142,22 +172,51 @@ class TestSearchCommand:
         assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, named",
         [
-            ("[mutation]\nseed = 11", "[mutation]\nseed = x"),
-            ("k = 5", "k = five"),
-            ("rng_seed = 7", "rng_seed = 7\ncache_rollouts = maybe"),
-            ("kind = scripted_adaptive", "kind = scripted_adaptive\ntemperature = hot"),
+            ("[mutation]\nseed = 11", "[mutation]\nseed = x", "[mutation]"),
+            ("k = 5", "k = five", "k"),
+            ("rng_seed = 7", "rng_seed = 7\ncache_rollouts = maybe", "cache_rollouts"),
+            ("kind = scripted_adaptive", "kind = scripted_adaptive\ntemperature = hot", "temperature"),
+            ("max_simulations = 5", "max_simulation = 2", "max_simulation"),
+            ("[mutation]\nseed = 11", "[mutation]\nsed = 5", "sed"),
+            ("kind = scripted_adaptive", "kind = scripted_adaptive\nmax_inflight = 8", "max_inflight"),
+            ("output_dir =", "outputdir =", "outputdir"),
+            ("rng_seed = 7", "rng_seed = 7\nno_tool_update = true", "no_tool_update"),
+            ("kind = scripted_adaptive", "kind = scripted_adaptive\nemit_tool_updates = false", "emit_tool_updates"),
+            ("[search]", "[serach]", "[serach]"),
+            ("kind = scripted_adaptive", "kind = remote\nendpoint =", "endpoint"),
         ],
-        ids=["seed_x", "k_five", "cache_rollouts_maybe", "temperature_hot"],
+        ids=[
+            "seed_x",
+            "k_five",
+            "cache_rollouts_maybe",
+            "temperature_hot",
+            "max_simulation",
+            "sed",
+            "max_inflight",
+            "outputdir",
+            "flag_owned_no_tool_update",
+            "flag_owned_emit_tool_updates",
+            "unknown_section",
+            "remote_without_endpoint",
+        ],
     )
-    def test_bad_manifest_value_is_config_error(self, tmp_path, capsys, old, new):
+    def test_bad_manifest_value_is_config_error(self, tmp_path, capsys, old, new, named):
         text = manifest_text(tmp_path, setting="mutated_in", sims=5)
         assert old in text
         manifest = tmp_path / "run.ini"
         manifest.write_text(text.replace(old, new))
         assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_empty_endpoint_under_scripted_kind_is_no_endpoint(self, tmp_path, capsys):
+        text = manifest_text(tmp_path, sims=5).replace("kind = scripted_adaptive", "kind = scripted_adaptive\nendpoint =")
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(text)
+        assert main(["search", "--manifest", str(manifest)]) == EXIT_OK
+        assert "100.0%" in capsys.readouterr().out
 
     @pytest.mark.parametrize("section", ["run", "search", "policy"])
     def test_absent_section_takes_defaults(self, tmp_path, capsys, section):
@@ -287,10 +346,13 @@ MALFORMED_TREES = {
     "node_not_an_object": lambda doc: doc["nodes"].append(5),
     "no_nodes": lambda doc: doc.update(nodes=[]),
     "format_v1": _v1,
+    "q_out_of_range": lambda doc: doc["nodes"][1].update(q_value=7.5),
+    "terminal_without_reward": lambda doc: doc["nodes"][2].update(terminal=True, reward=None),
+    "priors_do_not_sum": lambda doc: doc["nodes"][1].update(prior=0.9),
 }
 
 
-def _write_tree(path: Path, doc) -> str:
+def _write_json(path: Path, doc) -> str:
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
@@ -302,7 +364,7 @@ class TestMalformedTrees:
         MALFORMED_TREES[case](doc)
         trees = tmp_path / "trees"
         trees.mkdir()
-        path = _write_tree(trees / "t.json", doc)
+        path = _write_json(trees / "t.json", doc)
         with pytest.raises(ValueError):
             tree_from_json(Path(path).read_text())
         assert main(["inspect", path]) == EXIT_INVARIANT
@@ -311,7 +373,7 @@ class TestMalformedTrees:
         assert len(err) == 2 and all(line.startswith("error: corrupt tree file") for line in err)
 
     def test_unmodified_doc_inspects_clean(self, tmp_path, capsys, small_tree_doc):
-        assert main(["inspect", _write_tree(tmp_path / "t.json", small_tree_doc)]) == EXIT_OK
+        assert main(["inspect", _write_json(tmp_path / "t.json", small_tree_doc)]) == EXIT_OK
         assert capsys.readouterr().out.rstrip().endswith("invariants: ok")
 
 
@@ -335,5 +397,30 @@ def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
     else:
         node["parent"] = index + 1 if op == "forward_parent" else len(doc["nodes"]) + 5
     with tempfile.TemporaryDirectory() as tmp:
-        code = main(["inspect", _write_tree(Path(tmp) / "t.json", doc)])
+        code = main(["inspect", _write_json(Path(tmp) / "t.json", doc)])
     assert code in (EXIT_OK, EXIT_INVARIANT)
+
+
+@pytest.fixture(scope="module")
+def registry_docs():
+    base = load_corpus().base_registry
+    return [json.loads(registry_to_json(r)) for r in (base, mutate_registry(base, MutationPlan(seed=11)))]
+
+
+@given(data=st.data())
+def test_perturbed_registry_mutates_to_0_or_2(registry_docs, data):
+    """One field of a real base or mutated registry changed: mutate --base
+    succeeds or reports exit 2."""
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(registry_docs), label="registry")))
+    spec = data.draw(st.sampled_from(doc["apis"]), label="api")
+    containers = [doc, spec, *spec["params"], *doc["deprecated"].values()]
+    target = data.draw(st.sampled_from(containers), label="object")
+    key = data.draw(st.sampled_from(sorted(target)), label="key")
+    if data.draw(st.booleans(), label="drop"):
+        del target[key]
+    else:
+        target[key] = data.draw(_ODD_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        base = _write_json(Path(tmp) / "base.json", doc)
+        code = main(["mutate", "--base", base, "--out", str(Path(tmp) / "out.json"), "--seed", "3"])
+    assert code in (EXIT_OK, EXIT_CONFIG)

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tooldrift.corpus import (
-    BASE_BEHAVIORS,
     behavior_load_db,
     build_world,
     filter_rows,
@@ -268,10 +267,17 @@ class TestBuiltinCorpus:
 
     def test_registry_serialization_round_trip(self, base_registry, corpus):
         text = registry_to_json(base_registry)
-        loaded = registry_from_json(text, world=corpus.world, base_behaviors=BASE_BEHAVIORS)
+        loaded = registry_from_json(text, base_registry)
         assert registry_to_json(loaded) == text
         obs = invoke(loaded, "Calculate", {"Expression": "2 - 1"})
         assert obs.text == "The calculated result is: 1."
+
+    def test_mutated_registry_round_trip_rebinds_behaviors(self, base_registry, mutated_registry):
+        text = registry_to_json(mutated_registry)
+        loaded = registry_from_json(text, base_registry)
+        assert registry_to_json(loaded) == text
+        successor = loaded.deprecated["Calculate"].successor
+        assert loaded.behaviors[successor] is base_registry.behaviors["Calculate"]
 
     def test_tasks_serialization_round_trip(self, corpus):
         text = tasks_to_json(corpus.tasks)
@@ -293,3 +299,32 @@ class TestBuiltinCorpus:
         registry = ToolRegistry(apis=dict(base_registry.apis), behaviors=behaviors, world=base_registry.world)
         with pytest.raises(ValueError, match="behavior"):
             registry.validate()
+
+
+def _api(doc, name):
+    return next(spec for spec in doc["apis"] if spec["name"] == name)
+
+
+def _param(doc, api, index=0):
+    return _api(doc, api)["params"][index]
+
+
+MALFORMED_REGISTRY_EDITS = {
+    "params_dropped": lambda doc: _api(doc, "LoadDB").update(params=[]),
+    "unknown_param_kind": lambda doc: _param(doc, "LoadDB").update(kind="x"),
+    "unknown_alt_kind": lambda doc: _param(doc, "LoadDB").update(alt_kind="x"),
+    "alt_map_example_not_an_object": lambda doc: _param(doc, "FilterDB", 1).update(alt_example="x"),
+    "empty_param_name": lambda doc: _param(doc, "LoadDB").update(name=""),
+    "duplicate_api": lambda doc: doc["apis"].append(_api(doc, "LoadDB")),
+    "unknown_lineage": lambda doc: _api(doc, "LoadDB").update(name="LoadEverything"),
+    "stale_replaced_by_key": lambda doc: _api(doc, "LoadDB").update(replaced_by=None),
+}
+
+
+class TestRegistryJson:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REGISTRY_EDITS))
+    def test_malformed_doc_raises_value_error(self, base_registry, case):
+        doc = json.loads(registry_to_json(base_registry))
+        MALFORMED_REGISTRY_EDITS[case](doc)
+        with pytest.raises(ValueError):
+            registry_from_json(json.dumps(doc), base_registry)

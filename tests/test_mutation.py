@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import configparser
+import json
 import re
 from dataclasses import replace
 
@@ -12,8 +14,7 @@ from tooldrift.mutation import (
     MutationError,
     MutationPlan,
     mutate_registry,
-    plan_from_config,
-    plan_to_config,
+    plan_from_section,
     split_words,
     verify_mutation,
 )
@@ -131,7 +132,6 @@ class TestMutateRegistry:
         for name in ("Finish", "UpdateTool"):
             assert mutated_registry.apis[name] == base_registry.apis[name]
             assert name not in mutated_registry.deprecated
-            assert mutated_registry.apis[name].replaced_by is None
 
     def test_uncovered_word_is_an_explicit_error(self, base_registry):
         table = {k: v for k, v in DEFAULT_SYNONYMS.items() if k != "Load"}
@@ -240,11 +240,28 @@ class TestVerifyMutation:
         assert (base_obs.kind, base_obs.text) == (mutated_obs.kind, mutated_obs.text)
 
 
-class TestPlanConfig:
-    def test_round_trip(self):
-        plan = MutationPlan(seed=7, kinds=frozenset({"name_text", "param_format"}), special_char="-")
-        assert plan_from_config(plan_to_config(plan)) == plan
+def _section(text: str):
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    return parser["mutation"]
 
-    def test_missing_section_rejected(self):
+
+class TestPlanConfig:
+    def test_section_reads_every_key(self):
+        synonyms = {"Load": ["Open"], "DB": ["Store"]}
+        section = _section(
+            "[mutation]\nseed = 7\nkinds = name_text, param_format\nspecial_char = -\n"
+            f"synonyms = {json.dumps(synonyms)}\n"
+        )
+        plan = MutationPlan(
+            seed=7, kinds=frozenset({"name_text", "param_format"}), special_char="-", synonym_table=synonyms
+        )
+        assert plan_from_section(section) == plan
+
+    def test_empty_section_takes_defaults(self):
+        assert plan_from_section(_section("[mutation]\n")) == MutationPlan(seed=0)
+
+    @pytest.mark.parametrize("line", ["sed = 5", "synonyms = [1]", 'synonyms = {"Load": "Open"}'])
+    def test_bad_key_or_table_rejected(self, line):
         with pytest.raises(MutationError):
-            plan_from_config("[other]\nx = 1\n")
+            plan_from_section(_section(f"[mutation]\n{line}\n"))

@@ -19,7 +19,6 @@ from tooldrift.policy import (
     build_policy,
     parse_deprecation_guidance,
     run_greedy_episode,
-    scripted_adaptive_step,
     update_tool_desc,
 )
 from tooldrift.react import StateRecord, parse_action
@@ -52,7 +51,7 @@ class TestScriptedPolicies:
         assert len(candidates) == 5
 
     def test_fresh_coffee_state_loads_db(self, corpus):
-        text = scripted_adaptive_step(state_for(corpus, "coffee-easy-1"), corpus)
+        text = ScriptedAdaptivePolicy(corpus).next_step(state_for(corpus, "coffee-easy-1"))
         record = parse_action(text)
         assert record.action_name == "LoadDB"
         assert record.action_input == {"DBName": "coffee"}
@@ -258,10 +257,10 @@ class TestRemotePolicy:
     def test_transport_failure_raises_policy_error(self, corpus, completion_server):
         url, handler = completion_server
         handler.fail_with = 500
-        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url, max_retries=1, request_timeout=2))
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url, request_timeout=2))
         with pytest.raises(PolicyError):
             policy.propose(state_for(corpus, "coffee-easy-1"), 2)
-        assert len(handler.seen) == 2  # initial try plus one retry
+        assert len(handler.seen) == 1 + RemotePolicy.MAX_RETRIES == 3  # first try plus the retries
 
     def test_config_requires_endpoint_for_remote(self):
         with pytest.raises(ValueError):
