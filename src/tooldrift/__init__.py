@@ -55,7 +55,6 @@ from .trajectory import (
     SftRecord,
     collect_from_trees,
     export_sft,
-    extract_successful,
     load_sft,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "execute_action",
     "expand",
     "export_sft",
-    "extract_successful",
     "invoke",
     "load_corpus",
     "load_sft",

@@ -1,7 +1,12 @@
 """Batch front-end: mutate registries, run searches, export data, inspect trees.
 
 Exit codes: 0 success, 2 configuration or parse problem, 3 I/O failure,
-4 invariant violation (failed verification or corrupt tree respectively).
+4 invariant violation (a failed mutation check, or a tree that breaks an
+invariant when it is written or read).
+
+``mutate`` writes the registry of the default mutation plan, or of the
+[mutation] section of a ``--plan`` file (the keys of the manifest's mutation
+sections below); ``--seed`` overrides the plan's seed.
 
 A run manifest (``search --manifest``) is an INI file. Every section and key
 is optional, and an absent key takes its default:
@@ -136,26 +141,19 @@ def _config(parser: configparser.ConfigParser, name: str, cls, **owned):
 
 
 def _plan_from_args(args) -> MutationPlan:
+    """The plan of ``--plan``'s [mutation] section, or the default plan; ``--seed``
+    overrides its seed."""
+    section = {}
     if args.plan:
         parser = _read_config(args.plan)
         if "mutation" not in parser:
             raise CliError(f"{args.plan} has no [mutation] section", EXIT_CONFIG)
-        try:
-            plan = plan_from_section(parser["mutation"])
-        except ValueError as exc:
-            raise CliError(f"bad mutation plan: {exc}", EXIT_CONFIG) from exc
-        if args.seed is not None:
-            plan = replace(plan, seed=args.seed)
-        return plan
-    kinds = frozenset(k.strip() for k in args.kinds.split(",") if k.strip())
+        section = parser["mutation"]
     try:
-        return MutationPlan(
-            seed=args.seed if args.seed is not None else 0,
-            kinds=kinds,
-            special_char=args.special_char,
-        )
-    except MutationError as exc:
+        plan = plan_from_section(section)
+    except ValueError as exc:
         raise CliError(f"bad mutation plan: {exc}", EXIT_CONFIG) from exc
+    return plan if args.seed is None else replace(plan, seed=args.seed)
 
 
 def cmd_mutate(args) -> int:
@@ -306,7 +304,10 @@ def cmd_search(args) -> int:
     out_dir = args.output_dir or parser["run"].get("output_dir", "out")
     tree_dir = Path(out_dir) / "trees"
     for tree in trees:
-        _write_text(str(tree_dir / f"{tree.tree_id}.json"), tree_to_json(tree))
+        try:
+            _write_text(str(tree_dir / f"{tree.tree_id}.json"), tree_to_json(tree))
+        except ValueError as exc:
+            raise CliError(f"tree {tree.tree_id}: {exc}", EXIT_INVARIANT) from exc
     rows = summarize(trees, corpus, setting)
     print_summary(rows)
     if args.csv:
@@ -335,11 +336,9 @@ def cmd_export(args) -> int:
             trees.append(tree_from_json(_read_text(str(path))))
         except ValueError as exc:
             raise CliError(f"corrupt tree file {path}: {exc}", EXIT_INVARIANT) from exc
-    trajectories = collect_from_trees(
-        trees, max_per_task=args.max_per_task, seed=args.seed, include_failed=args.include_failed
-    )
+    records = collect_from_trees(trees, max_per_task=args.max_per_task, seed=args.seed)
     try:
-        count = export_sft(trajectories, args.out)
+        count = export_sft(records, args.out)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
     print(f"exported {count} records to {args.out}")
@@ -392,10 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mutate = sub.add_parser("mutate", help="derive a drifted registry generation")
     p_mutate.add_argument("--base", default="builtin", help="base registry JSON or 'builtin'")
     p_mutate.add_argument("--out", required=True, help="output registry JSON path")
-    p_mutate.add_argument("--seed", type=int, default=None)
-    p_mutate.add_argument("--kinds", default="name_text, param_text, param_format")
-    p_mutate.add_argument("--special-char", dest="special_char", default="_")
-    p_mutate.add_argument("--plan", default=None, help="INI file with a [mutation] section")
+    p_mutate.add_argument("--seed", type=int, default=None, help="mutation seed; overrides the plan's")
+    p_mutate.add_argument(
+        "--plan",
+        default=None,
+        help="INI file with a [mutation] section (seed, kinds, special_char, synonyms); absent keys take defaults",
+    )
     p_mutate.set_defaults(func=cmd_mutate)
 
     p_search = sub.add_parser("search", help="run tree searches over a task corpus")
@@ -415,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--out", required=True, help="output JSONL path")
     p_export.add_argument("--max-per-task", dest="max_per_task", type=int, default=4)
     p_export.add_argument("--seed", type=int, default=0)
-    p_export.add_argument("--include-failed", dest="include_failed", action="store_true")
     p_export.set_defaults(func=cmd_export)
 
     p_inspect = sub.add_parser("inspect", help="print a tree as an indented outline")

@@ -1,11 +1,12 @@
 """Customized tree search: PUCT selection, policy expansion, cached rollouts.
 
-The search keeps an explicit open-leaf set. Every iteration selects the best
-open leaf by PUCT, expands it with k policy candidates (reusing rollout-built
-children when the cache holds them), simulates one new child to a terminal
-reward, and propagates the reward to the root with incremental-mean updates.
-Rollout-created nodes stay in the tree but are invisible to selection until
-an expansion unhides them.
+The frontier is a property of the node flags: an open leaf is a visible
+(not cached), non-terminal node above the depth limit with no visible child.
+Every simulation selects the best open leaf by PUCT, expands it with k policy
+candidates (reusing rollout-built children when the cache holds them),
+simulates one new child to a terminal reward, and propagates the reward to the
+root with incremental-mean updates. Rollout-created nodes stay in the tree but
+are invisible to selection until an expansion unhides them.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class SearchConfig:
     no_tool_update: bool = False
 
     def validate(self) -> None:
-        if self.c_puct <= 0:
-            raise ValueError("c_puct must be positive")
+        if not (math.isfinite(self.c_puct) and self.c_puct > 0):
+            raise ValueError("c_puct must be a finite positive number")
         for name in ("max_depth", "k", "max_simulations", "trees_per_task"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -78,11 +79,9 @@ class SearchTree:
     registry_generation: str = "base"
     tree_id: str = "tree"
     nodes: list[TreeNode] = field(default_factory=list)
-    open_leaves: list[int] = field(default_factory=list)
     stats: dict[str, int] = field(
         default_factory=lambda: {"simulations": 0, "backprops": 0, "policy_calls": 0}
     )
-    selections: list[tuple[int, bool]] = field(default_factory=list)
 
     @property
     def root_id(self) -> int:
@@ -138,38 +137,35 @@ def best_child(tree: SearchTree, parent_id: int, c_puct: float, allowed=None) ->
     return best_id
 
 
-def select_leaf(tree: SearchTree) -> int | None:
-    """Walk from the root by PUCT to the best open leaf; None when exhausted."""
-    open_set = set(tree.open_leaves)
-    if not open_set:
-        return None
+def _visible_children(tree: SearchTree, node: TreeNode) -> list[int]:
+    return [c for c in node.children if not tree.node(c).cached]
 
+
+def select_leaf(tree: SearchTree) -> int | None:
+    """Walk from the root by PUCT to the best open leaf; None when exhausted.
+
+    An open leaf is a visible, non-terminal node above ``max_depth`` with no
+    visible child.
+    """
     reachable: dict[int, bool] = {}
 
     def leads_to_open(node_id: int) -> bool:
         known = reachable.get(node_id)
-        if known is not None:
-            return known
-        node = tree.node(node_id)
-        if node.cached or node.terminal:
-            result = False
-        elif node_id in open_set:
-            result = True
-        else:
-            result = any(leads_to_open(c) for c in node.children)
-        reachable[node_id] = result
-        return result
+        if known is None:
+            node = tree.node(node_id)
+            if node.cached or node.terminal:
+                known = False
+            else:
+                visible = _visible_children(tree, node)
+                known = any(map(leads_to_open, visible)) if visible else node.depth < tree.config.max_depth
+            reachable[node_id] = known
+        return known
 
     if not leads_to_open(tree.root_id):
         return None
     cur = tree.root_id
-    while cur not in open_set:
-        allowed = {c for c in tree.node(cur).children if leads_to_open(c)}
-        nxt = best_child(tree, cur, tree.config.c_puct, allowed=allowed)
-        if nxt is None:
-            return None
-        cur = nxt
-    tree.selections.append((cur, tree.node(cur).cached))
+    while allowed := {c for c in _visible_children(tree, tree.node(cur)) if leads_to_open(c)}:
+        cur = best_child(tree, cur, tree.config.c_puct, allowed=allowed)
     return cur
 
 
@@ -223,28 +219,32 @@ def _generate_children(
     return [_make_child(tree, node, text, registry, prior, cached).id for text in texts]
 
 
-def expand(tree: SearchTree, leaf_id: int, policy, registry: ToolRegistry) -> list[int]:
-    """Create (or unhide) the leaf's children.
+def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> list[int]:
+    """The node's children, generated hidden on first use; [] once the node is
+    a failed terminal, because the reflection gate stops it or the policy fails.
 
-    Cached children from earlier rollouts are reused without a policy call.
-    An error state expands the same way, with the error in context; under the
-    self-reflection ablation an invocation-error leaf becomes terminal
-    instead. Policy transport failure marks the leaf failed-terminal.
+    An error state passes the gate, so it expands with the error in context;
+    under the self-reflection ablation an invocation-error node stops.
     """
-    leaf = tree.node(leaf_id)
-    mode = reflection_gate(leaf.state, tree.config.no_self_reflection)
-    if mode is ExpansionMode.TERMINAL:
-        leaf.terminal, leaf.reward = True, -1
+    if reflection_gate(node.state, tree.config.no_self_reflection) is ExpansionMode.TERMINAL:
+        node.terminal, node.reward = True, -1
         return []
-    if leaf.children:
-        for child_id in leaf.children:
-            tree.node(child_id).cached = False
-        return list(leaf.children)
-    try:
-        return _generate_children(tree, leaf, policy, registry, cached=False)
-    except PolicyError as exc:
-        leaf.terminal, leaf.reward, leaf.failure = True, -1, str(exc)
-        return []
+    if not node.children:
+        try:
+            _generate_children(tree, node, policy, registry, cached=True)
+        except PolicyError as exc:
+            node.terminal, node.reward, node.failure = True, -1, str(exc)
+            return []
+    return node.children
+
+
+def expand(tree: SearchTree, leaf_id: int, policy, registry: ToolRegistry) -> list[int]:
+    """Unhide the leaf's children, reusing those an earlier rollout cached
+    without a policy call; [] when the leaf became a failed terminal."""
+    children = _children(tree, tree.node(leaf_id), policy, registry)
+    for child_id in children:
+        tree.node(child_id).cached = False
+    return children
 
 
 def simulate_cached(
@@ -264,22 +264,11 @@ def simulate_cached(
     cur = tree.node(node_id)
     if not tree.config.cache_rollouts:
         return _transient_rollout(tree, cur, policy, registry, rng)
-    while True:
-        if cur.terminal:
-            return cur.reward or -1
-        if cur.depth >= tree.config.max_depth:
-            return -1
-        mode = reflection_gate(cur.state, tree.config.no_self_reflection)
-        if mode is ExpansionMode.TERMINAL:
-            cur.terminal, cur.reward = True, -1
-            return -1
-        if not cur.children:
-            try:
-                _generate_children(tree, cur, policy, registry, cached=True)
-            except PolicyError as exc:
-                cur.terminal, cur.reward, cur.failure = True, -1, str(exc)
-                return -1
-        cur = tree.node(rng.choice(cur.children))
+    while not cur.terminal and cur.depth < tree.config.max_depth:
+        children = _children(tree, cur, policy, registry)
+        if children:
+            cur = tree.node(rng.choice(children))
+    return cur.reward or -1
 
 
 def _transient_rollout(
@@ -344,29 +333,18 @@ def run_search(
         tree_id=tree_id or f"{task.id}__seed{config.rng_seed}",
     )
     tree.add_node(parent=None, state=root_state)
-    tree.open_leaves = [tree.root_id]
-
-    simulations = 0
-    while simulations < config.max_simulations:
+    for _ in range(config.max_simulations):
         leaf_id = select_leaf(tree)
         if leaf_id is None:
             break
-        leaf = tree.node(leaf_id)
-        if leaf.depth >= config.max_depth:
-            tree.open_leaves.remove(leaf_id)
-            continue
         new_ids = expand(tree, leaf_id, policy, registry)
-        tree.open_leaves.remove(leaf_id)
-        if not new_ids:
-            backpropagate(tree, leaf_id, -1)
-            simulations += 1
-            continue
-        tree.open_leaves.extend(nid for nid in new_ids if not tree.node(nid).terminal)
-        chosen = rng.choice(new_ids)
-        reward = simulate_cached(tree, chosen, policy, registry, rng)
+        if new_ids:
+            chosen = rng.choice(new_ids)
+            reward = simulate_cached(tree, chosen, policy, registry, rng)
+        else:
+            chosen, reward = leaf_id, -1
         backpropagate(tree, chosen, reward)
-        simulations += 1
-    tree.stats["simulations"] = simulations
+        tree.stats["simulations"] += 1
     return tree
 
 
@@ -424,7 +402,20 @@ def _action_to_json(action: ActionRecord | None) -> dict | None:
     }
 
 
+def _require_invariants(tree: SearchTree) -> None:
+    problems = check_tree_invariants(tree)
+    if problems:
+        raise ValueError(f"{len(problems)} invariant violation(s): {'; '.join(problems)}")
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"tree: non-finite number {token}")
+
+
 def tree_to_json(tree: SearchTree) -> str:
+    """The tree's format_version 2 text; a tree that breaks an invariant of
+    ``check_tree_invariants`` raises ValueError instead."""
+    _require_invariants(tree)
     root_state = tree.node(tree.root_id).state
     doc: dict[str, Any] = {
         "format_version": TREE_FORMAT_VERSION,
@@ -454,9 +445,10 @@ def tree_to_json(tree: SearchTree) -> str:
 
 
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 2 tree; any malformed document, or one that breaks
-    an invariant of ``check_tree_invariants``, raises ValueError."""
-    doc = typed_object(json.loads(text), _DOC_TYPES, "tree")
+    """Load a format_version 2 tree; any malformed document (a NaN or Infinity
+    token included), or one that breaks an invariant of
+    ``check_tree_invariants``, raises ValueError."""
+    doc = typed_object(json.loads(text, parse_constant=_reject_constant), _DOC_TYPES, "tree")
     if doc["format_version"] != TREE_FORMAT_VERSION:
         raise ValueError(f"unsupported tree format_version {doc['format_version']}")
     task = TaskInstance(**typed_object(doc["task"], TASK_TYPES, "task"))
@@ -495,9 +487,7 @@ def tree_from_json(text: str) -> SearchTree:
         nodes.append(TreeNode(id=index, state=state, depth=depth, **node_doc))
     if not tree.nodes:
         raise ValueError("tree has no nodes")
-    problems = check_tree_invariants(tree)
-    if problems:
-        raise ValueError(f"{len(problems)} invariant violation(s): {'; '.join(problems)}")
+    _require_invariants(tree)
     return tree
 
 
@@ -513,7 +503,7 @@ def check_tree_invariants(tree: SearchTree) -> list[str]:
             problems.append(f"node {node.id}: negative visit count")
         if node.children:
             total = sum(tree.node(c).prior for c in node.children)
-            if abs(total - 1.0) > 1e-6:
+            if not abs(total - 1.0) <= 1e-6:  # also true for a NaN prior
                 problems.append(f"node {node.id}: child priors sum to {total:.6f}")
         if not node.cached and node.depth > tree.config.max_depth:
             problems.append(f"node {node.id}: beyond depth limit")

@@ -71,7 +71,7 @@ class MutationError(ValueError):
 class MutationPlan:
     """Seeded recipe for one drifted registry generation."""
 
-    seed: int
+    seed: int = 0
     kinds: frozenset[str] = frozenset({"name_text", "param_text", "param_format"})
     special_char: str = "_"
     synonym_table: dict[str, list[str]] = field(default_factory=lambda: dict(DEFAULT_SYNONYMS))
@@ -289,18 +289,20 @@ def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> MutationReport
 # Plan reading: one keyed plain-text config section.
 # ---------------------------------------------------------------------------
 
+# Each ``[mutation]`` key: the MutationPlan field it sets and how its text is read.
+_PLAN_KEYS = {
+    "seed": ("seed", int),
+    "kinds": ("kinds", lambda text: frozenset(k.strip() for k in text.split(",") if k.strip())),
+    "special_char": ("special_char", str),
+    "synonyms": ("synonym_table", json.loads),
+}
+
+
 def plan_from_section(section) -> MutationPlan:
-    """The plan a ``[mutation]`` section describes; absent keys take the plan's
-    defaults, and a key other than seed, kinds, special_char or synonyms
-    raises MutationError."""
-    unknown = sorted(set(section) - {"seed", "kinds", "special_char", "synonyms"})
+    """The plan a ``[mutation]`` section (or any str mapping) describes; an
+    absent key takes the plan's default, and an unknown key or a bad value,
+    an empty ``kinds`` included, raises ValueError."""
+    unknown = sorted(set(section) - set(_PLAN_KEYS))
     if unknown:
         raise MutationError(f"unknown key {unknown[0]!r}")
-    kinds = frozenset(k.strip() for k in section.get("kinds", "").split(",") if k.strip())
-    synonyms = section.get("synonyms", "")
-    return MutationPlan(
-        seed=int(section.get("seed", "0")),
-        kinds=kinds or MutationPlan(seed=0).kinds,
-        special_char=section.get("special_char", "_"),
-        synonym_table=json.loads(synonyms) if synonyms else dict(DEFAULT_SYNONYMS),
-    )
+    return MutationPlan(**{_PLAN_KEYS[key][0]: _PLAN_KEYS[key][1](section[key]) for key in section})

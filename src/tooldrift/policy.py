@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -73,8 +74,10 @@ class PolicyConfig:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if (self.kind == "remote") != bool(self.endpoint):
             raise ValueError("endpoint is required exactly when kind is remote")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0")
+        if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
+            raise ValueError("request_timeout must be a finite positive number")
 
 
 def candidate_text(thought: str, action_name: str, action_input: dict) -> str:

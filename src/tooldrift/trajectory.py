@@ -1,7 +1,8 @@
 """Successful-path extraction and line-delimited SFT export.
 
 Each exported record pairs the root prompt (base manual only) with the
-rendered step sequence of one reward-+1 root-to-leaf path. Tool updates made
+rendered step sequence of one reward-+1 root-to-leaf path; failed paths are
+never exported. ``collect_from_trees`` is the one extractor. Tool updates made
 along the way live in the target steps, never in the input prompt.
 """
 
@@ -56,54 +57,26 @@ def _record(tree: SearchTree, leaf: TreeNode) -> SftRecord:
     )
 
 
-def _leaves(tree: SearchTree, reward: int) -> list[tuple[SearchTree, TreeNode]]:
-    """(tree, leaf) for the terminal nodes with this reward, in id order."""
-    return [(tree, n) for n in tree.nodes if n.terminal and n.reward == reward]
-
-
-def _sample(leaves: list[tuple[SearchTree, TreeNode]], max_per_task: int, seed: int) -> list[SftRecord]:
-    """Seeded subsample of (tree, leaf) pairs, rendered in (tree id, leaf id) order.
-
-    Sampling comes before rendering, so only the kept paths are rendered.
-    """
-    if max_per_task >= 0 and len(leaves) > max_per_task:
-        chosen = random.Random(seed).sample(leaves, max_per_task)
-        leaves = sorted(chosen, key=lambda pair: (pair[0].tree_id, pair[1].id))
-    return [_record(tree, leaf) for tree, leaf in leaves]
-
-
-def extract_successful(tree: SearchTree, max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:
-    """All reward-+1 root-to-leaf paths, subsampled to max_per_task.
-
-    Paths through formerly cached (rollout-built) nodes count; sampling is
-    seeded and the surviving records keep leaf-id order.
-    """
-    return _sample(_leaves(tree, 1), max_per_task, seed)
-
-
-def extract_failed(tree: SearchTree, max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:
-    """Reward--1 paths, for preference-style downstream use; off by default."""
-    return _sample(_leaves(tree, -1), max_per_task, seed)
-
-
-def collect_from_trees(
-    trees: list[SearchTree],
-    max_per_task: int = 4,
-    seed: int = 0,
-    include_failed: bool = False,
-) -> list[SftRecord]:
-    """Gather records from many trees with a per-task cap.
+def collect_from_trees(trees: list[SearchTree], max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:
+    """Records of the reward-+1 root-to-leaf paths, at most max_per_task per task.
 
     The cap applies across all trees of one task, matching the data-budget
-    rule of at most max_per_task correct trajectories per question.
+    rule of at most max_per_task correct trajectories per question. Paths
+    through formerly cached (rollout-built) nodes count. Records come in task
+    id order; within a task, a capped set is a seeded sample in (tree id,
+    leaf id) order, and sampling comes before rendering, so only the kept
+    paths are rendered.
     """
     by_task: dict[str, list[tuple[SearchTree, TreeNode]]] = {}
     for tree in trees:
-        found = _leaves(tree, 1) + (_leaves(tree, -1) if include_failed else [])
-        by_task.setdefault(tree.task.id, []).extend(found)
+        by_task.setdefault(tree.task.id, []).extend((tree, leaf) for leaf in tree.successful_leaves())
     out: list[SftRecord] = []
     for task_id in sorted(by_task):
-        out.extend(_sample(by_task[task_id], max_per_task, seed))
+        leaves = by_task[task_id]
+        if max_per_task >= 0 and len(leaves) > max_per_task:
+            chosen = random.Random(seed).sample(leaves, max_per_task)
+            leaves = sorted(chosen, key=lambda pair: (pair[0].tree_id, pair[1].id))
+        out.extend(_record(tree, leaf) for tree, leaf in leaves)
     return out
 
 

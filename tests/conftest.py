@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from tooldrift import mcts
 from tooldrift.corpus import load_corpus
 from tooldrift.mutation import MutationPlan, mutate_registry
 
@@ -25,6 +26,23 @@ def base_registry(corpus):
 @pytest.fixture(scope="session")
 def mutated_registry(base_registry):
     return mutate_registry(base_registry, MutationPlan(seed=11))
+
+
+@pytest.fixture
+def selected_leaves(monkeypatch):
+    """(id, cached at return) of every leaf ``mcts.select_leaf`` returns while
+    the test runs; ``run_search`` looks the function up by that name."""
+    seen = []
+    select = mcts.select_leaf
+
+    def spy(tree):
+        leaf = select(tree)
+        if leaf is not None:
+            seen.append((leaf, tree.node(leaf).cached))
+        return leaf
+
+    monkeypatch.setattr(mcts, "select_leaf", spy)
+    return seen
 
 
 @pytest.fixture(scope="session")

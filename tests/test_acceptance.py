@@ -34,7 +34,7 @@ from tooldrift.policy import (
     ScriptedSemiAdaptivePolicy,
 )
 from tooldrift.react import StateRecord, parse_action
-from tooldrift.trajectory import extract_successful, load_sft, parse_target
+from tooldrift.trajectory import collect_from_trees, load_sft, parse_target
 
 
 @contextmanager
@@ -114,24 +114,26 @@ class TestCriterion2Puct:
 
 
 class TestCriterion3Cache:
-    def test_cache_invisible_and_effective(self, corpus, mutated_registry):
+    def test_cache_invisible_and_effective(self, corpus, mutated_registry, selected_leaves):
         with criterion(3, "cached nodes invisible to selection; caching only reduces policy calls"):
             task_ids = ["coffee-easy-1", "coffee-hard-4", "agenda-easy-1", "agenda-hard-1"]
             strict_reduction = False
             for task_id in task_ids:
                 task = corpus.task(task_id)
+                selected_leaves.clear()
                 cached_tree = run_search(
                     task, mutated_registry, ScriptedAdaptivePolicy(corpus), PAPER_DEFAULTS,
                     corpus.manual, corpus.demos,
                 )
+                cached_tree_leaves = list(selected_leaves)
                 plain_tree = run_search(
                     task, mutated_registry, ScriptedAdaptivePolicy(corpus),
                     replace(PAPER_DEFAULTS, cache_rollouts=False),
                     corpus.manual, corpus.demos,
                 )
                 # (a) selection never returned a node that was cached at the time
-                assert cached_tree.selections
-                assert all(not was_cached for _, was_cached in cached_tree.selections)
+                assert cached_tree_leaves
+                assert all(not was_cached for _, was_cached in cached_tree_leaves)
                 # (b) call counts
                 assert cached_tree.stats["policy_calls"] <= plain_tree.stats["policy_calls"]
                 if cached_tree.stats["policy_calls"] < plain_tree.stats["policy_calls"]:
@@ -201,7 +203,7 @@ class TestCriterion5Ablations:
                 policy = ScriptedAdaptivePolicy(corpus, emit_tool_updates=False)
                 tree = run_search(task, mutated, policy, no_update_cfg, corpus.manual, corpus.demos)
                 assert tree.successful_leaves(), task.id
-                for record in extract_successful(tree, max_per_task=10**9):
+                for record in collect_from_trees([tree], max_per_task=10**9):
                     assert all(step.action_name != "UpdateTool" for step in parse_target(record.target))
                 root_manual = tree.node(0).state.tool_manual
                 assert all(node.state.tool_manual == root_manual for node in tree.nodes)
@@ -274,7 +276,7 @@ class TestCriterion7FormatFidelity:
                 corpus.task("coffee-hard-4"), mutated_registry, ScriptedAdaptivePolicy(corpus),
                 PAPER_DEFAULTS, corpus.manual, corpus.demos, tree_id="accept7",
             )
-            records = extract_successful(tree, max_per_task=4, seed=0)
+            records = collect_from_trees([tree], max_per_task=4, seed=0)
             assert records
             from tooldrift.trajectory import export_sft
 

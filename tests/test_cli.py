@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tooldrift import cli
 from tooldrift.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 from tooldrift.corpus import load_corpus
 from tooldrift.env import registry_to_json
@@ -84,7 +85,9 @@ class TestMutateCommand:
         assert code == EXIT_IO
 
     @pytest.mark.parametrize(
-        "text", ["[mutation]\nsed = 5\n", "[other]\nseed = 5\n"], ids=["misspelled_key", "other_section_only"]
+        "text",
+        ["[mutation]\nsed = 5\n", "[other]\nseed = 5\n", "[mutation]\nseed = 5\nkinds =\n"],
+        ids=["misspelled_key", "other_section_only", "empty_kinds"],
     )
     def test_bad_plan_is_config_error(self, tmp_path, capsys, text):
         plan = tmp_path / "plan.ini"
@@ -103,6 +106,15 @@ class TestMutateCommand:
         assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: cannot parse registry") for line in err)
+
+    def test_seed_flag_writes_the_default_plan(self, tmp_path, base_registry):
+        plan = tmp_path / "plan.ini"
+        plan.write_text("[mutation]\nseed = 3\n")
+        by_seed, by_plan = tmp_path / "seed.json", tmp_path / "plan.json"
+        assert main(["mutate", "--out", str(by_seed), "--seed", "5"]) == EXIT_OK
+        assert main(["mutate", "--plan", str(plan), "--seed", "5", "--out", str(by_plan)]) == EXIT_OK
+        expected = registry_to_json(mutate_registry(base_registry, MutationPlan(seed=5)))
+        assert by_seed.read_text() == by_plan.read_text() == expected
 
     def test_plan_file(self, tmp_path):
         plan = tmp_path / "plan.ini"
@@ -186,6 +198,12 @@ class TestSearchCommand:
             ("kind = scripted_adaptive", "kind = scripted_adaptive\nemit_tool_updates = false", "emit_tool_updates"),
             ("[search]", "[serach]", "[serach]"),
             ("kind = scripted_adaptive", "kind = remote\nendpoint =", "endpoint"),
+            ("kinds = name_text, param_text, param_format", "kinds =", "[mutation]"),
+            ("c_puct = 1.25", "c_puct = nan", "c_puct"),
+            ("c_puct = 1.25", "c_puct = inf", "c_puct"),
+            ("kind = scripted_adaptive", "kind = scripted_adaptive\ntemperature = nan", "temperature"),
+            ("kind = scripted_adaptive", "kind = scripted_adaptive\nrequest_timeout = -5", "request_timeout"),
+            ("kind = scripted_adaptive", "kind = scripted_adaptive\nrequest_timeout = inf", "request_timeout"),
         ],
         ids=[
             "seed_x",
@@ -200,6 +218,12 @@ class TestSearchCommand:
             "flag_owned_emit_tool_updates",
             "unknown_section",
             "remote_without_endpoint",
+            "empty_kinds",
+            "c_puct_nan",
+            "c_puct_inf",
+            "temperature_nan",
+            "request_timeout_negative",
+            "request_timeout_inf",
         ],
     )
     def test_bad_manifest_value_is_config_error(self, tmp_path, capsys, old, new, named):
@@ -231,6 +255,18 @@ class TestSearchCommand:
         assert main(["search", *args]) == EXIT_OK
         assert "100.0%" in capsys.readouterr().out
         assert len(list((out / "trees").glob("*.json"))) == 24
+
+    def test_tree_that_breaks_an_invariant_exits_4_unwritten(self, tmp_path, capsys, monkeypatch):
+        def broken_search(*args, **kwargs):
+            tree = run_search(*args, **kwargs)
+            tree.node(1).q_value = 7.5
+            return tree
+
+        monkeypatch.setattr(cli, "run_search", broken_search)
+        manifest = write_manifest(tmp_path, sims=2)
+        assert main(["search", "--manifest", manifest]) == EXIT_INVARIANT
+        assert "Q=7.5" in capsys.readouterr().err
+        assert not list((tmp_path / "out" / "trees").glob("*.json"))
 
     def test_unparseable_plan_is_config_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.ini"
@@ -349,6 +385,9 @@ MALFORMED_TREES = {
     "q_out_of_range": lambda doc: doc["nodes"][1].update(q_value=7.5),
     "terminal_without_reward": lambda doc: doc["nodes"][2].update(terminal=True, reward=None),
     "priors_do_not_sum": lambda doc: doc["nodes"][1].update(prior=0.9),
+    "prior_nan": lambda doc: doc["nodes"][1].update(prior=float("nan")),
+    "c_puct_infinite": lambda doc: doc["config"].update(c_puct=float("inf")),
+    "c_puct_nan": lambda doc: doc["config"].update(c_puct=float("nan")),
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -24,7 +25,8 @@ from tooldrift.mcts import (
     tree_from_json,
     tree_to_json,
 )
-from tooldrift.policy import PolicyError, ScriptedAdaptivePolicy, ScriptedRigidPolicy
+from tooldrift.mutation import MutationPlan, mutate_registry
+from tooldrift.policy import PolicyConfig, PolicyError, ScriptedAdaptivePolicy, ScriptedRigidPolicy, build_policy
 from tooldrift.react import ActionRecord, StateRecord
 
 
@@ -71,7 +73,6 @@ class TestPuctScore:
 class TestSelectLeaf:
     def test_fresh_tree_returns_root(self):
         tree = bare_tree()
-        tree.open_leaves = [0]
         assert select_leaf(tree) == 0
 
     def test_prefers_unvisited_sibling(self):
@@ -79,7 +80,6 @@ class TestSelectLeaf:
         tree.node(0).visit_count = 3
         first = add_child(tree, q=0.4, n=0, prior=0.5)
         second = add_child(tree, q=0.4, n=3, prior=0.5)
-        tree.open_leaves = [first.id, second.id]
         chosen = select_leaf(tree)
         # exhaustive oracle over the two children
         scores = {
@@ -94,7 +94,6 @@ class TestSelectLeaf:
         tree.node(0).visit_count = 5
         a = add_child(tree, q=0.1, n=1, prior=0.5)
         b = add_child(tree, q=0.1, n=1, prior=0.5)
-        tree.open_leaves = [a.id, b.id]
         assert select_leaf(tree) == a.id
 
     def test_cached_best_child_is_skipped(self):
@@ -102,20 +101,39 @@ class TestSelectLeaf:
         tree.node(0).visit_count = 4
         hidden = add_child(tree, q=1.0, n=0, prior=0.9, cached=True)
         visible = add_child(tree, q=0.0, n=2, prior=0.1)
-        tree.open_leaves = [hidden.id, visible.id]
         assert select_leaf(tree) == visible.id
 
     def test_exhausted_tree_returns_none(self):
         tree = bare_tree()
-        tree.open_leaves = []
+        tree.node(0).terminal, tree.node(0).reward = True, -1
         assert select_leaf(tree) is None
 
     def test_walks_past_expanded_level(self):
         tree = bare_tree()
         mid = add_child(tree, q=0.9, n=1, prior=1.0)
         deep = add_child(tree, parent=mid.id, q=0.0, n=0, prior=1.0)
-        tree.open_leaves = [deep.id]
         assert select_leaf(tree) == deep.id
+
+    def test_leaf_at_max_depth_is_never_returned(self):
+        tree = bare_tree(SearchConfig(max_depth=2))
+        tree.node(0).visit_count = 4
+        mid = add_child(tree, q=0.9, n=1, prior=0.5)
+        deep = add_child(tree, parent=mid.id, prior=1.0)
+        other = add_child(tree, q=-0.5, n=1, prior=0.5)
+        assert deep.depth == 2
+        assert select_leaf(tree) == other.id
+        other.terminal, other.reward = True, -1
+        assert select_leaf(tree) is None
+
+    def test_subtree_with_only_terminal_children_is_passed_over(self):
+        tree = bare_tree()
+        tree.node(0).visit_count = 4
+        mid = add_child(tree, q=0.9, n=2, prior=0.5)
+        for _ in range(2):
+            add_child(tree, parent=mid.id, prior=0.5, terminal=True)
+        other = add_child(tree, q=-0.5, n=1, prior=0.5)
+        assert best_child(tree, 0, tree.config.c_puct) == mid.id
+        assert select_leaf(tree) == other.id
 
 
 class TestBestChild:
@@ -334,14 +352,14 @@ class TestRunSearch:
         assert tree.node(0).visit_count == tree.stats["backprops"]
         assert tree.stats["simulations"] == config.max_simulations
 
-    def test_selection_never_returns_cached(self, search_setup):
+    def test_selection_never_returns_cached(self, search_setup, selected_leaves):
         corpus, registry, config = search_setup
-        tree = run_search(
+        run_search(
             corpus.task("coffee-hard-1"), registry, ScriptedAdaptivePolicy(corpus), config,
             corpus.manual, corpus.demos,
         )
-        assert tree.selections
-        assert all(not was_cached for _, was_cached in tree.selections)
+        assert selected_leaves
+        assert all(not was_cached for _, was_cached in selected_leaves)
 
     def test_byte_reproducibility(self, search_setup):
         corpus, registry, config = search_setup
@@ -404,3 +422,35 @@ class TestTreeSerialization:
     def test_rejects_garbage(self):
         with pytest.raises((KeyError, ValueError)):
             tree_from_json("{\"nodes\": []}")
+
+    def test_tree_that_breaks_an_invariant_is_not_written(self):
+        tree = bare_tree()
+        add_child(tree, q=7.5, n=1, prior=1.0)
+        with pytest.raises(ValueError, match="Q=7.5"):
+            tree_to_json(tree)
+
+
+# First 16 hex chars of sha256 over the tree JSON of coffee-hard-4 then
+# agenda-easy-3, searched at rng_seed 7 on the seed-7 mutated registry. Any
+# change to selection, expansion, rollout or backprop order changes them.
+SEARCH_PINS = {
+    "adaptive": ("scripted_adaptive", {}, "a1e5605e05a4bdac"),
+    "rigid": ("scripted_rigid", {}, "212a6a1f04b2d7bf"),
+    "semi_adaptive_no_self_reflection": ("scripted_semi_adaptive", {"no_self_reflection": True}, "10a285ccdb0a490b"),
+    "rigid_max_depth_4": ("scripted_rigid", {"max_depth": 4}, "80d8a8b588cb6087"),
+    "adaptive_no_cache": ("scripted_adaptive", {"cache_rollouts": False}, "ec0b85d0ce4508b4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_PINS))
+def test_search_output_is_pinned(corpus, case):
+    kind, overrides, expected = SEARCH_PINS[case]
+    registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+    policy = build_policy(PolicyConfig(kind=kind), corpus)
+    digest = hashlib.sha256()
+    for task_id in ("coffee-hard-4", "agenda-easy-3"):
+        tree = run_search(
+            corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7, **overrides), corpus.manual, corpus.demos
+        )
+        digest.update(tree_to_json(tree).encode("utf-8"))
+    assert digest.hexdigest()[:16] == expected

@@ -261,7 +261,9 @@ class TestPlanConfig:
     def test_empty_section_takes_defaults(self):
         assert plan_from_section(_section("[mutation]\n")) == MutationPlan(seed=0)
 
-    @pytest.mark.parametrize("line", ["sed = 5", "synonyms = [1]", 'synonyms = {"Load": "Open"}'])
+    @pytest.mark.parametrize(
+        "line", ["sed = 5", "synonyms = [1]", 'synonyms = {"Load": "Open"}', "kinds =", "kinds = ,"]
+    )
     def test_bad_key_or_table_rejected(self, line):
         with pytest.raises(MutationError):
             plan_from_section(_section(f"[mutation]\n{line}\n"))

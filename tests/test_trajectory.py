@@ -12,8 +12,6 @@ from tooldrift.react import render_prompt
 from tooldrift.trajectory import (
     collect_from_trees,
     export_sft,
-    extract_failed,
-    extract_successful,
     load_sft,
     parse_target,
     render_target,
@@ -57,29 +55,24 @@ def failed_tree(corpus, base_registry):
 
 class TestExtract:
     def test_tree_without_success_yields_nothing(self, failed_tree):
-        assert extract_successful(failed_tree) == []
+        assert collect_from_trees([failed_tree]) == []
 
     def test_subsample_is_capped_and_stable(self, adaptive_tree):
         assert len(adaptive_tree.successful_leaves()) > 4
-        first = extract_successful(adaptive_tree, max_per_task=4, seed=5)
-        second = extract_successful(adaptive_tree, max_per_task=4, seed=5)
+        first = collect_from_trees([adaptive_tree], max_per_task=4, seed=5)
+        second = collect_from_trees([adaptive_tree], max_per_task=4, seed=5)
         assert len(first) == 4
         assert first == second
-        everything = extract_successful(adaptive_tree, max_per_task=10**9, seed=5)
+        everything = collect_from_trees([adaptive_tree], max_per_task=10**9, seed=5)
         assert len(everything) == len(adaptive_tree.successful_leaves())
 
     def test_only_positive_rewards_exported(self, adaptive_tree):
-        for record in extract_successful(adaptive_tree, max_per_task=10**9):
+        for record in collect_from_trees([adaptive_tree], max_per_task=10**9):
             assert record.reward == 1
             assert parse_target(record.target)[-1].action_name == "Finish"
 
-    def test_failed_paths_available_behind_flag(self, failed_tree):
-        failed = extract_failed(failed_tree, max_per_task=3)
-        assert failed
-        assert all(t.reward == -1 for t in failed)
-
     def test_replay_reproduces_observations(self, corpus, mutated_registry, adaptive_tree):
-        records = extract_successful(adaptive_tree, max_per_task=4, seed=0)
+        records = collect_from_trees([adaptive_tree], max_per_task=4, seed=0)
         assert records
         for record in records:
             task = corpus.task(record.task_id)
@@ -109,13 +102,13 @@ class TestExtract:
 
 class TestExport:
     def test_record_count_matches_lines(self, adaptive_tree, tmp_path):
-        records = extract_successful(adaptive_tree, max_per_task=4, seed=0)
+        records = collect_from_trees([adaptive_tree], max_per_task=4, seed=0)
         out = tmp_path / "sft.jsonl"
         count = export_sft(records, out)
         assert count == len(records) == len(out.read_text().splitlines())
 
     def test_round_trip(self, adaptive_tree, tmp_path):
-        records = extract_successful(adaptive_tree, max_per_task=4, seed=0)
+        records = collect_from_trees([adaptive_tree], max_per_task=4, seed=0)
         out = tmp_path / "sft.jsonl"
         export_sft(records, out)
         loaded = load_sft(out)
@@ -126,7 +119,7 @@ class TestExport:
             assert doc["input"] == record.input
 
     def test_input_contains_base_manual_only(self, corpus, adaptive_tree):
-        records = extract_successful(adaptive_tree, max_per_task=10**9)
+        records = collect_from_trees([adaptive_tree], max_per_task=10**9)
         with_updates = [
             r for r in records if any(s.action_name == "UpdateTool" for s in parse_target(r.target))
         ]
@@ -140,19 +133,19 @@ class TestExport:
             assert "updated version of" in record.target
 
     def test_deterministic_bytes(self, adaptive_tree, tmp_path):
-        records = extract_successful(adaptive_tree, max_per_task=4, seed=9)
+        records = collect_from_trees([adaptive_tree], max_per_task=4, seed=9)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         export_sft(records, a)
-        export_sft(extract_successful(adaptive_tree, max_per_task=4, seed=9), b)
+        export_sft(collect_from_trees([adaptive_tree], max_per_task=4, seed=9), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_unwritable_path_raises(self, adaptive_tree, tmp_path):
-        records = extract_successful(adaptive_tree, max_per_task=1)
+        records = collect_from_trees([adaptive_tree], max_per_task=1)
         with pytest.raises(OSError):
             export_sft(records, tmp_path / "missing_dir" / "sft.jsonl")
 
     def test_sft_record_shape(self, adaptive_tree):
-        record = extract_successful(adaptive_tree, max_per_task=1)[0]
+        record = collect_from_trees([adaptive_tree], max_per_task=1)[0]
         assert record.registry_generation == "mutated-11"
         assert record.reward == 1
         assert record.target.startswith("Thought: ")
