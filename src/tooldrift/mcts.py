@@ -169,54 +169,34 @@ def select_leaf(tree: SearchTree) -> int | None:
     return cur
 
 
-def _make_child(
-    tree: SearchTree,
-    parent: TreeNode,
-    text: str,
-    registry: ToolRegistry,
-    prior: float,
-    cached: bool,
-) -> TreeNode:
+def _make_child(tree: SearchTree, parent: TreeNode, text: str, registry: ToolRegistry) -> dict[str, Any]:
+    """The state, action and outcome of the child that candidate ``text`` makes."""
     try:
         record = parse_action(text)
     except ActionParseError as exc:
         step = ActionRecord(
             thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc)
         )
-        return tree.add_node(
-            parent.id,
-            parent.state.with_step(step),
-            action=step,
-            prior=prior,
-            cached=cached,
-            terminal=True,
-            reward=-1,
-            failure=str(exc),
+        return dict(
+            state=parent.state.with_step(step), action=step, terminal=True, reward=-1, failure=str(exc)
         )
     outcome = execute_action(parent.state, record, registry, tree.config.no_tool_update)
-    return tree.add_node(
-        parent.id,
-        outcome.state,
-        action=outcome.step,
-        prior=prior,
-        cached=cached,
-        terminal=outcome.terminal,
-        reward=outcome.reward,
-    )
+    return dict(state=outcome.state, action=outcome.step, terminal=outcome.terminal, reward=outcome.reward)
 
 
-def _generate_children(
-    tree: SearchTree,
-    node: TreeNode,
-    policy,
-    registry: ToolRegistry,
-    cached: bool,
-) -> list[int]:
-    k = tree.config.k
-    texts = policy.propose(node.state, k)
+def _generate_children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> None:
+    """Add one hidden child per policy candidate, each with prior 1/len(texts).
+    Each distinct text is parsed and executed once; a duplicate sibling gets
+    its own node sharing the first one's state, action and outcome, which is
+    safe because ``execute_action`` is pure and both records are frozen."""
+    texts = policy.propose(node.state, tree.config.k)
     tree.stats["policy_calls"] += 1
     prior = 1.0 / len(texts)
-    return [_make_child(tree, node, text, registry, prior, cached).id for text in texts]
+    made: dict[str, dict[str, Any]] = {}
+    for text in texts:
+        if text not in made:
+            made[text] = _make_child(tree, node, text, registry)
+        tree.add_node(node.id, prior=prior, cached=True, **made[text])
 
 
 def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> list[int]:
@@ -231,7 +211,7 @@ def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) 
         return []
     if not node.children:
         try:
-            _generate_children(tree, node, policy, registry, cached=True)
+            _generate_children(tree, node, policy, registry)
         except PolicyError as exc:
             node.terminal, node.reward, node.failure = True, -1, str(exc)
             return []
@@ -349,13 +329,15 @@ def run_search(
 
 
 # ---------------------------------------------------------------------------
-# Serialization, tree JSON format_version 2. ``nodes`` is a list whose index
-# is the node id; ``parent`` (null for node 0, an earlier index otherwise) is
-# the only structural field. Each action stores its observation's ``kind``.
-# Children (in id order), depth and the states are rebuilt at load time.
+# Serialization, tree JSON format_version 3, compact with sorted keys.
+# ``actions`` holds each distinct action (with its observation's ``kind``) once,
+# in order of first use. ``nodes`` is a list whose index is the node id; its
+# ``action`` is null for node 0 and an index into ``actions`` otherwise, and
+# ``parent`` (null for node 0, an earlier index otherwise) is the only
+# structural field. Children (in id order), depth and states are rebuilt at load.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT_VERSION = 2
+TREE_FORMAT_VERSION = 3
 
 _DOC_TYPES = {
     "format_version": (int,),
@@ -366,6 +348,7 @@ _DOC_TYPES = {
     "manual": (list,),
     "demos": (list,),
     "stats": (dict,),
+    "actions": (list,),
     "nodes": (list,),
 }
 _ACTION_TYPES = {
@@ -377,7 +360,7 @@ _ACTION_TYPES = {
 }
 _NODE_TYPES = {
     "parent": (int, type(None)),
-    "action": (dict, type(None)),
+    "action": (int, type(None)),
     "q_value": (int, float),
     "visit_count": (int,),
     "prior": (int, float),
@@ -390,9 +373,7 @@ _NODE_TYPES = {
 _CONFIG_TYPES = {float: (int, float), int: (int,), bool: (bool,)}
 
 
-def _action_to_json(action: ActionRecord | None) -> dict | None:
-    if action is None:
-        return None
+def _action_to_json(action: ActionRecord) -> dict:
     return {
         "thought": action.thought,
         "action_name": action.action_name,
@@ -413,10 +394,37 @@ def _reject_constant(token: str):
 
 
 def tree_to_json(tree: SearchTree) -> str:
-    """The tree's format_version 2 text; a tree that breaks an invariant of
+    """The tree's format_version 3 text; a tree that breaks an invariant of
     ``check_tree_invariants`` raises ValueError instead."""
     _require_invariants(tree)
     root_state = tree.node(tree.root_id).state
+    # Canonical action JSON -> (index, entry); index_of skips shared ActionRecords.
+    table: dict[str, tuple[int, dict]] = {}
+    index_of: dict[int, int] = {}
+
+    def action_index(action: ActionRecord | None) -> int | None:
+        if action is None:
+            return None
+        if id(action) not in index_of:
+            entry = _action_to_json(action)
+            key = json.dumps(entry, sort_keys=True, ensure_ascii=False)
+            index_of[id(action)] = table.setdefault(key, (len(table), entry))[0]
+        return index_of[id(action)]
+
+    nodes = [
+        {
+            "parent": n.parent,
+            "action": action_index(n.action),
+            "q_value": n.q_value,
+            "visit_count": n.visit_count,
+            "prior": n.prior,
+            "cached": n.cached,
+            "terminal": n.terminal,
+            "reward": n.reward,
+            "failure": n.failure,
+        }
+        for n in tree.nodes
+    ]
     doc: dict[str, Any] = {
         "format_version": TREE_FORMAT_VERSION,
         "tree_id": tree.tree_id,
@@ -426,28 +434,17 @@ def tree_to_json(tree: SearchTree) -> str:
         "manual": list(root_state.tool_manual),
         "demos": list(root_state.demos),
         "stats": tree.stats,
-        "nodes": [
-            {
-                "parent": n.parent,
-                "action": _action_to_json(n.action),
-                "q_value": n.q_value,
-                "visit_count": n.visit_count,
-                "prior": n.prior,
-                "cached": n.cached,
-                "terminal": n.terminal,
-                "reward": n.reward,
-                "failure": n.failure,
-            }
-            for n in tree.nodes
-        ],
+        "actions": [entry for _, entry in table.values()],
+        "nodes": nodes,
     }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 2 tree; any malformed document (a NaN or Infinity
-    token included), or one that breaks an invariant of
-    ``check_tree_invariants``, raises ValueError."""
+    """Load a format_version 3 tree; any malformed document (a NaN or Infinity
+    token, or an action index that is not an int into ``actions``, included),
+    or one that breaks an invariant of ``check_tree_invariants``, raises
+    ValueError. Nodes that name one table entry share its ActionRecord."""
     doc = typed_object(json.loads(text, parse_constant=_reject_constant), _DOC_TYPES, "tree")
     if doc["format_version"] != TREE_FORMAT_VERSION:
         raise ValueError(f"unsupported tree format_version {doc['format_version']}")
@@ -465,6 +462,10 @@ def tree_from_json(text: str) -> SearchTree:
     )
     if not all(isinstance(entry, str) for entry in doc["manual"] + doc["demos"]):
         raise ValueError("tree: manual and demos must be lists of strings")
+    actions = [
+        ActionRecord(**typed_object(entry, _ACTION_TYPES, f"action {index}"))
+        for index, entry in enumerate(doc["actions"])
+    ]
     root_state = StateRecord(task=task, tool_manual=tuple(doc["manual"]), demos=tuple(doc["demos"]))
     nodes = tree.nodes
     for index, node_doc in enumerate(doc["nodes"]):
@@ -476,8 +477,10 @@ def tree_from_json(text: str) -> SearchTree:
             raise ValueError(f"{where}: only the root has no action")
         depth, state = 0, root_state
         if parent is not None:
-            action = ActionRecord(**typed_object(node_doc["action"], _ACTION_TYPES, f"{where} action"))
-            node_doc["action"] = action  # node_doc becomes the TreeNode's keyword arguments
+            if not 0 <= node_doc["action"] < len(actions):
+                raise ValueError(f"{where}: action {node_doc['action']} is not an index into actions")
+            # node_doc becomes the TreeNode's keyword arguments
+            action = node_doc["action"] = actions[node_doc["action"]]
             state = nodes[parent].state
             if action.action_name == "UpdateTool":
                 desc = as_text(action.action_input.get("newtool_desc", ""))

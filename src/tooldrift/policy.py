@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import math
 import re
 import time
@@ -36,6 +37,7 @@ from .corpus import Corpus, PlannedCall, load_corpus, remap_args
 from .env import INVOCATION_ERROR_TEXT, TaskInstance, ToolRegistry
 from .react import StateRecord, parse_action, render_prompt
 
+log = logging.getLogger(__name__)
 POLICY_KINDS = ("scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive", "remote")
 
 _DEPRECATION_MSG_RE = re.compile(
@@ -307,10 +309,12 @@ class RemotePolicy:
         last_error: Exception | None = None
         for attempt in range(self.MAX_RETRIES + 1):
             try:
+                start = time.perf_counter()
                 response = self.session.post(
                     self.config.endpoint, json=payload, timeout=self.config.request_timeout
                 )
                 response.raise_for_status()
+                log.debug("POST %s took %.1f ms", self.config.endpoint, 1000 * (time.perf_counter() - start))
                 choices = response.json().get("choices", [])
                 texts = [c["text"] for c in choices]
                 if len(texts) < k:
@@ -319,6 +323,7 @@ class RemotePolicy:
             except (requests.RequestException, KeyError, ValueError) as exc:
                 last_error = exc
                 if attempt < self.MAX_RETRIES:
+                    log.warning("remote policy attempt %d failed, retrying: %s", attempt + 1, exc)
                     time.sleep(0.05 * (attempt + 1))
         raise PolicyError(f"remote policy failed after retries: {last_error}")
 

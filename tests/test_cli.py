@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tooldrift import cli
 from tooldrift.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
-from tooldrift.corpus import load_corpus
+from tooldrift.corpus import load_corpus, tasks_to_json
 from tooldrift.env import registry_to_json
 from tooldrift.mcts import SearchConfig, run_search, tree_from_json, tree_to_json
 from tooldrift.mutation import MutationPlan, mutate_registry
@@ -372,6 +372,14 @@ def _v1(doc):
         node.update(id=i, depth=0, children=[j for j, n in enumerate(doc["nodes"]) if n["parent"] == i])
 
 
+def _v2(doc):
+    """The same tree as format_version 2 wrote it: each node holds its action."""
+    doc["format_version"] = 2
+    table = doc.pop("actions")
+    for node in doc["nodes"][1:]:
+        node["action"] = table[node["action"]]
+
+
 MALFORMED_TREES = {
     "parent_out_of_range": _set_parent(1, 999),
     "parent_forward": _set_parent(1, 2),
@@ -388,6 +396,15 @@ MALFORMED_TREES = {
     "prior_nan": lambda doc: doc["nodes"][1].update(prior=float("nan")),
     "c_puct_infinite": lambda doc: doc["config"].update(c_puct=float("inf")),
     "c_puct_nan": lambda doc: doc["config"].update(c_puct=float("nan")),
+    "action_index_out_of_range": lambda doc: doc["nodes"][1].update(action=len(doc["actions"])),
+    "action_index_negative": lambda doc: doc["nodes"][1].update(action=-1),
+    "action_index_true": lambda doc: doc["nodes"][1].update(action=True),
+    "action_index_float": lambda doc: doc["nodes"][1].update(action=0.0),
+    "action_entry_missing_key": lambda doc: doc["actions"][0].pop("kind"),
+    "action_entry_extra_key": lambda doc: doc["actions"][0].update(extra=1),
+    "actions_not_a_list": lambda doc: doc.update(actions={}),
+    "action_entry_not_an_object": lambda doc: doc["actions"].__setitem__(0, 5),
+    "format_v2": _v2,
 }
 
 
@@ -425,14 +442,16 @@ def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
     doc = json.loads(json.dumps(small_tree_doc))
     index = data.draw(st.integers(0, len(doc["nodes"]) - 1), label="node")
     node = doc["nodes"][index]
-    containers = [doc, doc["task"], doc["config"], node] + ([node["action"]] if node["action"] else [])
-    target = data.draw(st.sampled_from(containers), label="object")
+    entry = data.draw(st.sampled_from(doc["actions"]), label="action entry")
+    target = data.draw(st.sampled_from([doc, doc["task"], doc["config"], node, entry]), label="object")
     key = data.draw(st.sampled_from(sorted(target)), label="key")
-    op = data.draw(st.sampled_from(["drop", "value", "forward_parent", "far_parent"]), label="op")
+    op = data.draw(st.sampled_from(["drop", "value", "forward_parent", "far_parent", "far_action"]), label="op")
     if op == "drop":
         del target[key]
     elif op == "value":
         target[key] = data.draw(_ODD_VALUES, label="value")
+    elif op == "far_action":
+        node["action"] = len(doc["actions"]) + data.draw(st.integers(0, 5), label="past the end")
     else:
         node["parent"] = index + 1 if op == "forward_parent" else len(doc["nodes"]) + 5
     with tempfile.TemporaryDirectory() as tmp:
@@ -463,3 +482,39 @@ def test_perturbed_registry_mutates_to_0_or_2(registry_docs, data):
         base = _write_json(Path(tmp) / "base.json", doc)
         code = main(["mutate", "--base", base, "--out", str(Path(tmp) / "out.json"), "--seed", "3"])
     assert code in (EXIT_OK, EXIT_CONFIG)
+
+
+_MANIFEST_ODD_VALUES = st.sampled_from(
+    ["", "x", "-1", "0", "2", "1.5", "nan", "inf", "true", "builtin", "remote", "mutated_ood", "name_text", "{}"]
+)
+_SECTION_NAMES = st.sampled_from(["run", "search", "policy", "mutation", "mutation_in", "mutation_ood", "serach"])
+
+
+@given(data=st.data())
+def test_perturbed_manifest_searches_to_0_2_3_or_4(data):
+    """One thing in a real manifest changed (a key dropped, a value set to an
+    odd one, a section renamed): ``search`` ends in a documented exit code."""
+    corpus = load_corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        tasks = tmp / "tasks.json"
+        tasks.write_text(tasks_to_json([corpus.task("coffee-easy-1"), corpus.task("agenda-hard-5")]))
+        parser = configparser.ConfigParser()
+        parser.read_string(manifest_text(tmp, setting="mutated_in", sims=1, trees=1))
+        parser["run"]["corpus"] = str(tasks)
+        section = data.draw(st.sampled_from(parser.sections()), label="section")
+        op = data.draw(st.sampled_from(["drop", "value", "rename"]), label="op")
+        if op != "rename":
+            key = data.draw(st.sampled_from(sorted(parser[section])), label="key")
+            if op == "drop":
+                del parser[section][key]
+            else:
+                parser[section][key] = data.draw(_MANIFEST_ODD_VALUES, label="value")
+        manifest = tmp / "run.ini"
+        with open(manifest, "w") as handle:
+            parser.write(handle)
+        if op == "rename":
+            text = manifest.read_text().replace(f"[{section}]", f"[{data.draw(_SECTION_NAMES, label='to')}]")
+            manifest.write_text(text)
+        argv = ["search", "--manifest", str(manifest), "--sims", "1", "--trees", "1", "--output-dir", str(tmp / "o")]
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_INVARIANT)

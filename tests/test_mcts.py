@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tooldrift import mcts
 from tooldrift.env import INVOCATION_ERROR_TEXT, TaskInstance
 from tooldrift.mcts import (
     FAILED_ACTION_NAME,
@@ -244,6 +246,33 @@ class TestExpand:
             assert node.terminal and node.reward == -1
             assert node.action.action_name == FAILED_ACTION_NAME
 
+    def test_each_distinct_candidate_is_parsed_and_executed_once(self, corpus, base_registry, monkeypatch):
+        load = 'Thought: t\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'
+        finish = 'Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'
+
+        class MixedPolicy:
+            def propose(self, state, k):
+                return [load, finish, load, "no labels here", finish]
+
+        executed = []
+        execute = mcts.execute_action
+
+        def counting(state, record, *rest):
+            executed.append(record.action_name)
+            return execute(state, record, *rest)
+
+        monkeypatch.setattr(mcts, "execute_action", counting)
+        tree = _root_tree(corpus, "coffee-easy-1")
+        ids = expand(tree, 0, MixedPolicy(), base_registry)
+        nodes = [tree.node(i) for i in ids]
+        assert executed == ["LoadDB", "Finish"]
+        assert [n.action.action_name for n in nodes] == ["LoadDB", "Finish", "LoadDB", FAILED_ACTION_NAME, "Finish"]
+        assert len(set(ids)) == 5 and all(n.prior == pytest.approx(0.2) for n in nodes)
+        assert nodes[0].state is nodes[2].state and nodes[0].action is nodes[2].action
+        assert nodes[1].state is nodes[4].state and (nodes[1].terminal, nodes[1].reward) == (True, -1)
+        assert nodes[0].state is not nodes[1].state and not nodes[0].terminal
+        assert nodes[3].terminal and nodes[3].failure
+
     def test_gate_marks_invocation_error_leaf_terminal(self, corpus, base_registry):
         config = SearchConfig(no_self_reflection=True)
         tree = _root_tree(corpus, "coffee-easy-1", config)
@@ -430,15 +459,39 @@ class TestTreeSerialization:
             tree_to_json(tree)
 
 
-# First 16 hex chars of sha256 over the tree JSON of coffee-hard-4 then
-# agenda-easy-3, searched at rng_seed 7 on the seed-7 mutated registry. Any
-# change to selection, expansion, rollout or backprop order changes them.
+def canonical_fields(tree: SearchTree) -> str:
+    """Every field ``tree_to_json`` writes, as canonical JSON built from the
+    tree object, so it does not depend on the file format."""
+    root = tree.node(tree.root_id).state
+    return json.dumps(
+        {
+            "tree_id": tree.tree_id,
+            "registry_generation": tree.registry_generation,
+            "task": asdict(tree.task),
+            "config": asdict(tree.config),
+            "stats": tree.stats,
+            "manual": root.tool_manual,
+            "demos": root.demos,
+            "nodes": [
+                [n.parent, n.action and asdict(n.action), n.q_value, n.visit_count, n.prior,
+                 n.cached, n.terminal, n.reward, n.failure]
+                for n in tree.nodes
+            ],
+        },
+        sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+    )
+
+
+# First 16 hex chars of sha256 over ``canonical_fields`` of coffee-hard-4 then
+# agenda-easy-3, searched at rng_seed 7 on the seed-7 mutated registry; each
+# tree also survives a write and a load unchanged. Any change to selection,
+# expansion, rollout or backprop order changes them.
 SEARCH_PINS = {
-    "adaptive": ("scripted_adaptive", {}, "a1e5605e05a4bdac"),
-    "rigid": ("scripted_rigid", {}, "212a6a1f04b2d7bf"),
-    "semi_adaptive_no_self_reflection": ("scripted_semi_adaptive", {"no_self_reflection": True}, "10a285ccdb0a490b"),
-    "rigid_max_depth_4": ("scripted_rigid", {"max_depth": 4}, "80d8a8b588cb6087"),
-    "adaptive_no_cache": ("scripted_adaptive", {"cache_rollouts": False}, "ec0b85d0ce4508b4"),
+    "adaptive": ("scripted_adaptive", {}, "a9851a7f51aa47ff"),
+    "rigid": ("scripted_rigid", {}, "6065df5e7c289fd7"),
+    "semi_adaptive_no_self_reflection": ("scripted_semi_adaptive", {"no_self_reflection": True}, "aa96010725cd14a6"),
+    "rigid_max_depth_4": ("scripted_rigid", {"max_depth": 4}, "a2ad0f3b0f7d65cc"),
+    "adaptive_no_cache": ("scripted_adaptive", {"cache_rollouts": False}, "cb5937dac6a50a93"),
 }
 
 
@@ -452,5 +505,7 @@ def test_search_output_is_pinned(corpus, case):
         tree = run_search(
             corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7, **overrides), corpus.manual, corpus.demos
         )
-        digest.update(tree_to_json(tree).encode("utf-8"))
+        text = canonical_fields(tree)
+        assert canonical_fields(tree_from_json(tree_to_json(tree))) == text
+        digest.update(text.encode("utf-8"))
     assert digest.hexdigest()[:16] == expected

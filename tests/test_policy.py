@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -242,11 +243,14 @@ def completion_server():
 
 
 class TestRemotePolicy:
-    def test_wire_format_and_arity(self, corpus, completion_server):
+    def test_wire_format_and_arity(self, corpus, completion_server, caplog):
         url, handler = completion_server
         policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url, temperature=0.3))
-        texts = policy.propose(state_for(corpus, "coffee-easy-1"), 4)
+        with caplog.at_level(logging.DEBUG, logger="tooldrift.policy"):
+            texts = policy.propose(state_for(corpus, "coffee-easy-1"), 4)
         assert len(texts) == 4
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert caplog.records[0].getMessage().startswith(f"POST {url} took ")
         request = handler.seen[-1]
         assert set(request) == {"prompt", "n", "temperature", "stop"}
         assert request["n"] == 4
@@ -254,13 +258,16 @@ class TestRemotePolicy:
         assert request["stop"] == ["Observation:"]
         assert "Question:" in request["prompt"]
 
-    def test_transport_failure_raises_policy_error(self, corpus, completion_server):
+    def test_transport_failure_raises_policy_error(self, corpus, completion_server, caplog):
         url, handler = completion_server
         handler.fail_with = 500
         policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url, request_timeout=2))
-        with pytest.raises(PolicyError):
+        with caplog.at_level(logging.WARNING, logger="tooldrift.policy"), pytest.raises(PolicyError):
             policy.propose(state_for(corpus, "coffee-easy-1"), 2)
         assert len(handler.seen) == 1 + RemotePolicy.MAX_RETRIES == 3  # first try plus the retries
+        retries = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(retries) == RemotePolicy.MAX_RETRIES
+        assert all(f"attempt {n} failed" in m and "500" in m for n, m in enumerate(retries, 1))
 
     def test_config_requires_endpoint_for_remote(self):
         with pytest.raises(ValueError):

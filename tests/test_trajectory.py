@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from tooldrift.adapt import UPDATE_TOOL_OK_TEXT
+from tooldrift.adapt import UPDATE_TOOL_OK_TEXT, execute_action
+from tooldrift.cli import _derive_seed
 from tooldrift.env import evaluate, invoke
 from tooldrift.mcts import SearchConfig, run_search
+from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
-from tooldrift.react import render_prompt
+from tooldrift.react import StateRecord, render_prompt
 from tooldrift.trajectory import (
     collect_from_trees,
     export_sft,
@@ -84,6 +86,33 @@ class TestExtract:
                 else:
                     observed = invoke(mutated_registry, step.action_name, step.action_input).text
                 assert observed == step.observation
+
+    def test_records_replay_from_the_root_to_plus_one(self, corpus):
+        """The seed-7 mutated_in pipeline's records, one tree per task as
+        ``search`` seeds them: each target, run from the root state through
+        ``execute_action`` on the same registry, reproduces every recorded
+        observation and ends in a +1 Finish."""
+        registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+        policy = ScriptedAdaptivePolicy(corpus)
+        trees = [
+            run_search(
+                task, registry, policy, SearchConfig(rng_seed=_derive_seed(7, task.id, 0)),
+                corpus.manual, corpus.demos, tree_id=f"{task.id}__t0",
+            )
+            for task in corpus.tasks
+        ]
+        records = collect_from_trees(trees, seed=7)
+        assert len(records) == 4 * len(corpus.tasks)
+        for record in records:
+            state = StateRecord(corpus.task(record.task_id), tuple(corpus.manual), tuple(corpus.demos))
+            assert render_prompt(state) == record.input
+            steps = parse_target(record.target)
+            for index, step in enumerate(steps):
+                outcome = execute_action(state, replace(step, observation=None), registry)
+                assert outcome.step.observation == step.observation
+                assert outcome.terminal == (index == len(steps) - 1)
+                state = outcome.state
+            assert outcome.reward == 1
 
     def test_collect_from_trees_caps_per_task(self, corpus, mutated_registry):
         config = SearchConfig(max_simulations=12, rng_seed=3)
