@@ -5,12 +5,7 @@ self-reflection and in-prompt tool updating, a deterministic API mutator, and
 an exporter of successful trajectories as SFT records.
 """
 
-from .adapt import (
-    ExpansionMode,
-    apply_update_tool,
-    execute_action,
-    reflection_gate,
-)
+from .adapt import advance, execute_action, reflection_gate
 from .corpus import Corpus, load_corpus
 from .env import (
     ApiSpec,
@@ -66,7 +61,6 @@ __all__ = [
     "ApiSpec",
     "Corpus",
     "DeprecationEntry",
-    "ExpansionMode",
     "MutationPlan",
     "MutationReport",
     "Observation",
@@ -80,7 +74,7 @@ __all__ = [
     "TaskInstance",
     "ToolRegistry",
     "TreeNode",
-    "apply_update_tool",
+    "advance",
     "backpropagate",
     "best_child",
     "build_policy",

@@ -1,20 +1,21 @@
-"""Tool-variability adaptation: executing actions, UpdateTool, reflection gate.
+"""Tool-variability adaptation: executing actions, the step rule, reflection gate.
 
 Every executed step carries the environment's class for its observation
 (``Observation.kind``), and the reflection gate decides from that class
-alone, so no observation text can steer the search. UpdateTool grows the
-in-prompt manual for one search path only; sibling subtrees keep their own
-manuals.
+alone, so no observation text can steer the search. ``advance`` is the one
+rule for how executed steps change a state: it appends them, and each
+UpdateTool grows the in-prompt manual of that path only, so sibling subtrees
+keep their own manuals. Search and loaded trees derive every state with it.
 
-The paper's two ablations are plain boolean arguments: ``no_self_reflection``
-for ``reflection_gate`` and ``no_tool_update`` for ``apply_update_tool`` and
-``execute_action``. Each function takes only the switch it reads.
+The paper's two ablations are plain boolean arguments. ``reflection_gate``
+reads ``no_self_reflection``; ``advance`` reads ``no_tool_update``, which
+``execute_action`` only passes on, because an UpdateTool's observation does
+not depend on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import json
 
@@ -24,32 +25,31 @@ from .react import ActionRecord, StateRecord
 UPDATE_TOOL_OK_TEXT = "The description for the new tool has been updated successfully."
 
 
-class ExpansionMode(Enum):
-    NORMAL = "normal"
-    REFLECTIVE = "reflective"
-    TERMINAL = "terminal"
-
-
 def as_text(value) -> str:
     """An action-input value as text: strings as given, anything else as JSON."""
     return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
 
 
-def apply_update_tool(
-    state: StateRecord,
-    newtool_desc: str,
-    no_tool_update: bool = False,
-) -> tuple[StateRecord, Observation]:
-    """Append a learned tool description to this path's manual.
+def _tool_description(step: ActionRecord) -> str:
+    return as_text(step.action_input.get("newtool_desc", ""))
 
-    Set-union semantics: re-adding an identical description is a no-op. With
+
+def advance(state: StateRecord, steps, no_tool_update: bool = False) -> StateRecord:
+    """The state after the executed ``steps``.
+
+    Each UpdateTool with a non-empty description adds it to the manual, with
+    set-union semantics (re-adding an identical description is a no-op); with
     the tool-update ablation the manual is left untouched.
     """
-    if not newtool_desc:
-        return state, Observation(kind="invocation_error", text=INVOCATION_ERROR_TEXT)
-    if no_tool_update:
-        return state, Observation(kind="response", text=UPDATE_TOOL_OK_TEXT)
-    return state.with_manual_entry(newtool_desc), Observation(kind="response", text=UPDATE_TOOL_OK_TEXT)
+    steps = tuple(steps)
+    manual = state.tool_manual
+    if not no_tool_update:
+        for step in steps:
+            if step.action_name == "UpdateTool":
+                desc = _tool_description(step)
+                if desc and desc not in manual:
+                    manual += (desc,)
+    return StateRecord(task=state.task, tool_manual=manual, demos=state.demos, steps=state.steps + steps)
 
 
 @dataclass(frozen=True)
@@ -68,39 +68,35 @@ def execute_action(
     registry: ToolRegistry,
     no_tool_update: bool = False,
 ) -> ActionOutcome:
-    """Route an action to the environment and append the executed step.
+    """Route an action to the environment and advance the state by the executed step.
 
-    Finish is scored, UpdateTool edits this path's manual, everything else is
-    an API invocation. Only Finish produces a terminal outcome.
+    Finish is scored, UpdateTool is acknowledged (an empty description is an
+    invocation error), everything else is an API invocation. Only Finish
+    produces a terminal outcome.
     """
     if record.action_name == "Finish":
         obs = evaluate(state.task, as_text(record.action_input.get("answer", "")))
-        executed = record.executed(obs)
-        return ActionOutcome(
-            state=state.with_step(executed), step=executed, terminal=True, reward=obs.reward
-        )
-    if record.action_name == "UpdateTool":
-        desc = as_text(record.action_input.get("newtool_desc", ""))
-        new_state, obs = apply_update_tool(state, desc, no_tool_update)
-        executed = record.executed(obs)
-        return ActionOutcome(state=new_state.with_step(executed), step=executed)
-    obs = invoke(registry, record.action_name, record.action_input)
+    elif record.action_name == "UpdateTool":
+        if _tool_description(record):
+            obs = Observation(kind="response", text=UPDATE_TOOL_OK_TEXT)
+        else:
+            obs = Observation(kind="invocation_error", text=INVOCATION_ERROR_TEXT)
+    else:
+        obs = invoke(registry, record.action_name, record.action_input)
     executed = record.executed(obs)
-    return ActionOutcome(state=state.with_step(executed), step=executed)
+    return ActionOutcome(
+        state=advance(state, (executed,), no_tool_update),
+        step=executed,
+        terminal=record.action_name == "Finish",
+        reward=obs.reward,
+    )
 
 
-def reflection_gate(state: StateRecord, no_self_reflection: bool = False) -> ExpansionMode:
-    """Decide how a node may be expanded, given the class of its last observation.
+def reflection_gate(kind: str | None, no_self_reflection: bool = False) -> bool:
+    """Whether a node whose last observation has class ``kind`` stops (None at the root).
 
     Error states expand reflectively (the error stays in context) rather than
-    being pruned; with the self-reflection ablation, invocation errors become
-    terminal instead, while deprecation errors are still reflected on.
+    being pruned; with the self-reflection ablation, invocation errors stop
+    the node instead, while deprecation errors are still reflected on.
     """
-    kind = state.steps[-1].kind if state.steps else None
-    if kind == "deprecation_error":
-        return ExpansionMode.REFLECTIVE
-    if kind == "invocation_error":
-        if no_self_reflection:
-            return ExpansionMode.TERMINAL
-        return ExpansionMode.REFLECTIVE
-    return ExpansionMode.NORMAL
+    return no_self_reflection and kind == "invocation_error"

@@ -1,5 +1,9 @@
 """Customized tree search: PUCT selection, policy expansion, cached rollouts.
 
+A node stores only its executed action and statistics. Its state is derived:
+``SearchTree.state`` replays the actions on the path from the root through
+``adapt.advance``, so search and loaded trees share one step rule.
+
 The frontier is a property of the node flags: an open leaf is a visible
 (not cached), non-terminal node above the depth limit with no visible child.
 Every simulation selects the best open leaf by PUCT, expands it with k policy
@@ -17,13 +21,7 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .adapt import (
-    ExpansionMode,
-    apply_update_tool,
-    as_text,
-    execute_action,
-    reflection_gate,
-)
+from .adapt import advance, execute_action, reflection_gate
 from .env import TASK_TYPES, TaskInstance, ToolRegistry, typed_object
 from .policy import PolicyError
 from .react import ActionParseError, ActionRecord, StateRecord, parse_action
@@ -59,7 +57,6 @@ class TreeNode:
 
     id: int
     parent: int | None
-    state: StateRecord
     action: ActionRecord | None = None
     q_value: float = 0.0
     visit_count: int = 0
@@ -78,6 +75,8 @@ class SearchTree:
     config: SearchConfig
     registry_generation: str = "base"
     tree_id: str = "tree"
+    manual: tuple[str, ...] = ()
+    demos: tuple[str, ...] = ()
     nodes: list[TreeNode] = field(default_factory=list)
     stats: dict[str, int] = field(
         default_factory=lambda: {"simulations": 0, "backprops": 0, "policy_calls": 0}
@@ -90,9 +89,9 @@ class SearchTree:
     def node(self, node_id: int) -> TreeNode:
         return self.nodes[node_id]
 
-    def add_node(self, parent: int | None, state: StateRecord, **kwargs) -> TreeNode:
+    def add_node(self, parent: int | None, **kwargs) -> TreeNode:
         depth = 0 if parent is None else self.node(parent).depth + 1
-        node = TreeNode(id=len(self.nodes), parent=parent, state=state, depth=depth, **kwargs)
+        node = TreeNode(id=len(self.nodes), parent=parent, depth=depth, **kwargs)
         self.nodes.append(node)
         if parent is not None:
             self.node(parent).children.append(node.id)
@@ -109,6 +108,16 @@ class SearchTree:
             path.append(node)
             cur = node.parent
         return list(reversed(path))
+
+    def state(self, node_id: int) -> StateRecord:
+        """The node's state: the root state advanced by the actions on its path."""
+        actions = []
+        node = self.nodes[node_id]
+        while node.parent is not None:
+            actions.append(node.action)
+            node = self.nodes[node.parent]
+        root = StateRecord(task=self.task, tool_manual=self.manual, demos=self.demos)
+        return advance(root, reversed(actions), self.config.no_tool_update)
 
 
 def puct_score(parent_visits: int, child: TreeNode, c_puct: float) -> float:
@@ -169,33 +178,32 @@ def select_leaf(tree: SearchTree) -> int | None:
     return cur
 
 
-def _make_child(tree: SearchTree, parent: TreeNode, text: str, registry: ToolRegistry) -> dict[str, Any]:
-    """The state, action and outcome of the child that candidate ``text`` makes."""
+def _make_child(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> dict[str, Any]:
+    """The action and outcome of the child that candidate ``text`` makes from ``state``."""
     try:
         record = parse_action(text)
     except ActionParseError as exc:
         step = ActionRecord(
             thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc)
         )
-        return dict(
-            state=parent.state.with_step(step), action=step, terminal=True, reward=-1, failure=str(exc)
-        )
-    outcome = execute_action(parent.state, record, registry, tree.config.no_tool_update)
-    return dict(state=outcome.state, action=outcome.step, terminal=outcome.terminal, reward=outcome.reward)
+        return dict(action=step, terminal=True, reward=-1, failure=str(exc))
+    outcome = execute_action(state, record, registry, tree.config.no_tool_update)
+    return dict(action=outcome.step, terminal=outcome.terminal, reward=outcome.reward)
 
 
 def _generate_children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> None:
     """Add one hidden child per policy candidate, each with prior 1/len(texts).
     Each distinct text is parsed and executed once; a duplicate sibling gets
-    its own node sharing the first one's state, action and outcome, which is
-    safe because ``execute_action`` is pure and both records are frozen."""
-    texts = policy.propose(node.state, tree.config.k)
+    its own node sharing the first one's action and outcome, which is safe
+    because ``execute_action`` is pure and the action record is frozen."""
+    state = tree.state(node.id)
+    texts = policy.propose(state, tree.config.k)
     tree.stats["policy_calls"] += 1
     prior = 1.0 / len(texts)
     made: dict[str, dict[str, Any]] = {}
     for text in texts:
         if text not in made:
-            made[text] = _make_child(tree, node, text, registry)
+            made[text] = _make_child(tree, state, text, registry)
         tree.add_node(node.id, prior=prior, cached=True, **made[text])
 
 
@@ -206,7 +214,8 @@ def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) 
     An error state passes the gate, so it expands with the error in context;
     under the self-reflection ablation an invocation-error node stops.
     """
-    if reflection_gate(node.state, tree.config.no_self_reflection) is ExpansionMode.TERMINAL:
+    kind = node.action.kind if node.action is not None else None
+    if reflection_gate(kind, tree.config.no_self_reflection):
         node.terminal, node.reward = True, -1
         return []
     if not node.children:
@@ -261,9 +270,10 @@ def _transient_rollout(
     """Cache-free rollout: walk states without adding nodes to the tree."""
     if start.terminal:
         return start.reward or -1
-    state, depth = start.state, start.depth
+    state, depth = tree.state(start.id), start.depth
+    kind = start.action.kind if start.action is not None else None
     while depth < tree.config.max_depth:
-        if reflection_gate(state, tree.config.no_self_reflection) is ExpansionMode.TERMINAL:
+        if reflection_gate(kind, tree.config.no_self_reflection):
             return -1
         try:
             texts = policy.propose(state, tree.config.k)
@@ -278,7 +288,7 @@ def _transient_rollout(
         outcome = execute_action(state, record, registry, tree.config.no_tool_update)
         if outcome.terminal:
             return outcome.reward or -1
-        state, depth = outcome.state, depth + 1
+        state, kind, depth = outcome.state, outcome.step.kind, depth + 1
     return -1
 
 
@@ -305,14 +315,15 @@ def run_search(
     """Build one search tree for a task; every failure becomes a terminal node."""
     config.validate()
     rng = random.Random(config.rng_seed)
-    root_state = StateRecord(task=task, tool_manual=tuple(manual), demos=tuple(demos))
     tree = SearchTree(
         task=task,
         config=config,
         registry_generation=registry.generation,
         tree_id=tree_id or f"{task.id}__seed{config.rng_seed}",
+        manual=tuple(manual),
+        demos=tuple(demos),
     )
-    tree.add_node(parent=None, state=root_state)
+    tree.add_node(parent=None)
     for _ in range(config.max_simulations):
         leaf_id = select_leaf(tree)
         if leaf_id is None:
@@ -334,7 +345,9 @@ def run_search(
 # in order of first use. ``nodes`` is a list whose index is the node id; its
 # ``action`` is null for node 0 and an index into ``actions`` otherwise, and
 # ``parent`` (null for node 0, an earlier index otherwise) is the only
-# structural field. Children (in id order), depth and states are rebuilt at load.
+# structural field. Children (in id order) and depth are rebuilt at load; states
+# are neither written nor rebuilt, since ``SearchTree.state`` derives them from
+# ``manual``, ``demos`` and the path's actions.
 # ---------------------------------------------------------------------------
 
 TREE_FORMAT_VERSION = 3
@@ -397,7 +410,6 @@ def tree_to_json(tree: SearchTree) -> str:
     """The tree's format_version 3 text; a tree that breaks an invariant of
     ``check_tree_invariants`` raises ValueError instead."""
     _require_invariants(tree)
-    root_state = tree.node(tree.root_id).state
     # Canonical action JSON -> (index, entry); index_of skips shared ActionRecords.
     table: dict[str, tuple[int, dict]] = {}
     index_of: dict[int, int] = {}
@@ -431,8 +443,8 @@ def tree_to_json(tree: SearchTree) -> str:
         "registry_generation": tree.registry_generation,
         "task": {name: getattr(tree.task, name) for name in TASK_TYPES},
         "config": {f.name: getattr(tree.config, f.name) for f in fields(SearchConfig)},
-        "manual": list(root_state.tool_manual),
-        "demos": list(root_state.demos),
+        "manual": list(tree.manual),
+        "demos": list(tree.demos),
         "stats": tree.stats,
         "actions": [entry for _, entry in table.values()],
         "nodes": nodes,
@@ -453,20 +465,21 @@ def tree_from_json(text: str) -> SearchTree:
         doc["config"], {f.name: _CONFIG_TYPES[type(f.default)] for f in fields(SearchConfig)}, "config"
     ))
     config.validate()
+    if not all(isinstance(entry, str) for entry in doc["manual"] + doc["demos"]):
+        raise ValueError("tree: manual and demos must be lists of strings")
     tree = SearchTree(
         task=task,
         config=config,
         registry_generation=doc["registry_generation"],
         tree_id=doc["tree_id"],
+        manual=tuple(doc["manual"]),
+        demos=tuple(doc["demos"]),
         stats=doc["stats"],
     )
-    if not all(isinstance(entry, str) for entry in doc["manual"] + doc["demos"]):
-        raise ValueError("tree: manual and demos must be lists of strings")
     actions = [
         ActionRecord(**typed_object(entry, _ACTION_TYPES, f"action {index}"))
         for index, entry in enumerate(doc["actions"])
     ]
-    root_state = StateRecord(task=task, tool_manual=tuple(doc["manual"]), demos=tuple(doc["demos"]))
     nodes = tree.nodes
     for index, node_doc in enumerate(doc["nodes"]):
         where = f"node {index}"
@@ -475,19 +488,15 @@ def tree_from_json(text: str) -> SearchTree:
             raise ValueError(f"{where}: parent {parent!r} is not an earlier node")
         if (node_doc["action"] is None) != (index == 0):
             raise ValueError(f"{where}: only the root has no action")
-        depth, state = 0, root_state
+        depth = 0
         if parent is not None:
             if not 0 <= node_doc["action"] < len(actions):
                 raise ValueError(f"{where}: action {node_doc['action']} is not an index into actions")
             # node_doc becomes the TreeNode's keyword arguments
-            action = node_doc["action"] = actions[node_doc["action"]]
-            state = nodes[parent].state
-            if action.action_name == "UpdateTool":
-                desc = as_text(action.action_input.get("newtool_desc", ""))
-                state = apply_update_tool(state, desc, config.no_tool_update)[0]
-            state, depth = state.with_step(action), nodes[parent].depth + 1
+            node_doc["action"] = actions[node_doc["action"]]
+            depth = nodes[parent].depth + 1
             nodes[parent].children.append(index)
-        nodes.append(TreeNode(id=index, state=state, depth=depth, **node_doc))
+        nodes.append(TreeNode(id=index, depth=depth, **node_doc))
     if not tree.nodes:
         raise ValueError("tree has no nodes")
     _require_invariants(tree)

@@ -315,12 +315,17 @@ class RemotePolicy:
                 )
                 response.raise_for_status()
                 log.debug("POST %s took %.1f ms", self.config.endpoint, 1000 * (time.perf_counter() - start))
-                choices = response.json().get("choices", [])
+                reply = response.json()
+                choices = reply.get("choices", []) if isinstance(reply, dict) else None
+                if not isinstance(choices, list) or not all(
+                    isinstance(c, dict) and isinstance(c.get("text"), str) for c in choices
+                ):
+                    raise ValueError('endpoint reply is not {"choices": [{"text": <string>}, ...]}')
                 texts = [c["text"] for c in choices]
                 if len(texts) < k:
                     raise PolicyError(f"endpoint returned {len(texts)} candidates, wanted {k}")
                 return texts[:k]
-            except (requests.RequestException, KeyError, ValueError) as exc:
+            except (requests.RequestException, ValueError) as exc:
                 last_error = exc
                 if attempt < self.MAX_RETRIES:
                     log.warning("remote policy attempt %d failed, retrying: %s", attempt + 1, exc)

@@ -66,14 +66,6 @@ class StateRecord:
     demos: tuple[str, ...] = ()
     steps: tuple[ActionRecord, ...] = ()
 
-    def with_step(self, step: ActionRecord) -> "StateRecord":
-        return replace(self, steps=self.steps + (step,))
-
-    def with_manual_entry(self, entry: str) -> "StateRecord":
-        if entry in self.tool_manual:
-            return self
-        return replace(self, tool_manual=self.tool_manual + (entry,))
-
     def last_observation(self) -> str | None:
         if not self.steps:
             return None

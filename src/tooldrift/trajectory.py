@@ -47,7 +47,7 @@ def parse_target(target: str) -> list[ActionRecord]:
 
 def _record(tree: SearchTree, leaf: TreeNode) -> SftRecord:
     return SftRecord(
-        input=render_prompt(tree.node(tree.root_id).state),
+        input=render_prompt(tree.state(tree.root_id)),
         target=render_target(tuple(n.action for n in tree.path_to(leaf.id) if n.action is not None)),
         task_id=tree.task.id,
         tree_id=tree.tree_id,

@@ -63,10 +63,10 @@ class TestCriterion1Backprop:
             state = _dummy_state()
             for _ in range(1000):
                 tree = SearchTree(task=state.task, config=SearchConfig())
-                tree.add_node(parent=None, state=state)
+                tree.add_node(parent=None)
                 n_nodes = rng.randint(2, 60)
                 for _ in range(n_nodes - 1):
-                    tree.add_node(parent=rng.randrange(len(tree.nodes)), state=state)
+                    tree.add_node(parent=rng.randrange(len(tree.nodes)))
                 propagated: dict[int, list[int]] = {n.id: [] for n in tree.nodes}
                 for _ in range(rng.randint(1, 60)):
                     node_id = rng.randrange(len(tree.nodes))
@@ -95,10 +95,10 @@ class TestCriterion2Puct:
             start = time.perf_counter()
             for _ in range(10_000):
                 tree = SearchTree(task=state.task, config=SearchConfig())
-                root = tree.add_node(parent=None, state=state)
+                root = tree.add_node(parent=None)
                 root.visit_count = rng.randint(0, 200)
                 for _ in range(rng.randint(1, 8)):
-                    child = tree.add_node(parent=0, state=state)
+                    child = tree.add_node(parent=0)
                     child.q_value = rng.choice((-1.0, -0.5, 0.0, 0.25, 0.25, 0.5, 1.0))
                     child.visit_count = rng.randint(0, 12)
                     child.prior = rng.choice((0.1, 0.2, 0.2, 0.25, 0.5))
@@ -141,7 +141,7 @@ class TestCriterion3Cache:
                 # (c) identical terminal rewards for the selection-visible tree
                 def rewards(tree):
                     return sorted(
-                        (tuple(s.action_name for s in node.state.steps), node.reward)
+                        (tuple(n.action.action_name for n in tree.path_to(node.id)[1:]), node.reward)
                         for node in tree.nodes
                         if node.terminal and not node.cached
                     )
@@ -205,8 +205,7 @@ class TestCriterion5Ablations:
                 assert tree.successful_leaves(), task.id
                 for record in collect_from_trees([tree], max_per_task=10**9):
                     assert all(step.action_name != "UpdateTool" for step in parse_target(record.target))
-                root_manual = tree.node(0).state.tool_manual
-                assert all(node.state.tool_manual == root_manual for node in tree.nodes)
+                assert all(tree.state(node.id).tool_manual == tree.manual for node in tree.nodes)
 
 
 class TestCriterion6Mutation:

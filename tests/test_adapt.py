@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tooldrift.adapt import (
-    UPDATE_TOOL_OK_TEXT,
-    ExpansionMode,
-    apply_update_tool,
-    execute_action,
-    reflection_gate,
-)
+from tooldrift.adapt import UPDATE_TOOL_OK_TEXT, advance, execute_action, reflection_gate
 from tooldrift.cli import main
 from tooldrift.corpus import load_corpus
 from tooldrift.env import INVOCATION_ERROR_TEXT, TaskInstance
-from tooldrift.mcts import SearchConfig, run_search, tree_to_json
+from tooldrift.mcts import SearchConfig, SearchTree, expand, run_search, tree_to_json
 from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy, run_greedy_episode
 from tooldrift.react import ActionRecord, StateRecord, render_prompt
@@ -47,104 +41,150 @@ def make_state(observation=None, kind=None, manual=("LoadDB[DBName]: loads.",)) 
     return StateRecord(task=task, tool_manual=tuple(manual), steps=steps)
 
 
+def update_step(desc) -> ActionRecord:
+    return ActionRecord(
+        thought="memo", action_name="UpdateTool", action_input={"newtool_desc": desc},
+        observation=UPDATE_TOOL_OK_TEXT, kind="response",
+    )
+
+
+def expansion_stops(text, kind, no_self_reflection=False) -> bool:
+    """Whether expanding a node whose action observed ``text`` of class ``kind``
+    stops it; the gate's answer for ``kind`` must agree."""
+
+    class MalformedPolicy:
+        def propose(self, state, k):
+            return ["no labels here"] * k
+
+    tree = SearchTree(task=make_state().task, config=SearchConfig(no_self_reflection=no_self_reflection))
+    tree.add_node(None)
+    step = ActionRecord(
+        thought="x", action_name="LoadDB", action_input={"DBName": "coffee"}, observation=text, kind=kind
+    )
+    node = tree.add_node(0, action=step)
+    # Malformed candidates never reach the registry.
+    children = expand(tree, node.id, MalformedPolicy(), registry=None)
+    assert node.terminal == (children == []) == reflection_gate(kind, no_self_reflection)
+    return node.terminal
+
+
 class TestClassifyObservation:
     """The observation class is the step's ``kind``, set by the environment;
-    reflection_gate reads it and never the observation text."""
+    expansion gates on it and never on the observation text."""
 
     def test_deprecation_template(self):
-        gate = reflection_gate(make_state(DEPRECATION_TEXT, "deprecation_error"))
-        assert gate is ExpansionMode.REFLECTIVE
+        assert not expansion_stops(DEPRECATION_TEXT, "deprecation_error", no_self_reflection=True)
 
     def test_deprecation_alt_phrasing(self):
-        assert reflection_gate(make_state(DEPRECATION_TEXT_ALT, "deprecation_error")) is ExpansionMode.REFLECTIVE
+        assert not expansion_stops(DEPRECATION_TEXT_ALT, "deprecation_error", no_self_reflection=True)
         # The template text under another kind is just data.
-        assert reflection_gate(make_state(DEPRECATION_TEXT, "response")) is ExpansionMode.NORMAL
+        assert not expansion_stops(DEPRECATION_TEXT, "response", no_self_reflection=True)
 
     def test_filtered_template(self):
-        gate = reflection_gate(make_state(INVOCATION_ERROR_TEXT, "invocation_error"))
-        assert gate is ExpansionMode.REFLECTIVE
-        assert reflection_gate(make_state(INVOCATION_ERROR_TEXT, "response")) is ExpansionMode.NORMAL
+        assert not expansion_stops(INVOCATION_ERROR_TEXT, "invocation_error")
+        assert expansion_stops(INVOCATION_ERROR_TEXT, "invocation_error", no_self_reflection=True)
+        assert not expansion_stops(INVOCATION_ERROR_TEXT, "response", no_self_reflection=True)
 
     def test_response_is_ok(self):
         text = "We have successfully loaded the coffee database, including the following columns: Date."
-        assert reflection_gate(make_state(text, "response")) is ExpansionMode.NORMAL
+        assert not expansion_stops(text, "response", no_self_reflection=True)
 
     def test_task_done(self):
-        assert reflection_gate(make_state("Answer is CORRECT", "task_done")) is ExpansionMode.NORMAL
-        assert reflection_gate(make_state("Answer is INCORRECT", "task_done")) is ExpansionMode.NORMAL
+        assert not expansion_stops("Answer is CORRECT", "task_done", no_self_reflection=True)
+        assert not expansion_stops("Answer is INCORRECT", "task_done", no_self_reflection=True)
 
     def test_none_is_ok(self):
         # Steps parsed back from prompt text carry no kind.
-        assert reflection_gate(make_state(DEPRECATION_TEXT, None)) is ExpansionMode.NORMAL
+        assert not expansion_stops(DEPRECATION_TEXT, None, no_self_reflection=True)
 
-    @given(st.text(max_size=40), st.sampled_from(KINDS), st.booleans())
+    @given(st.text(max_size=40), st.sampled_from(KINDS + (None,)), st.booleans())
     def test_total(self, text, kind, no_self_reflection):
-        gate = reflection_gate(make_state(text, kind), no_self_reflection)
-        assert gate is reflection_gate(make_state("", kind), no_self_reflection)
-        assert (gate is ExpansionMode.NORMAL) == (kind in ("response", "task_done"))
+        stops = expansion_stops(text, kind, no_self_reflection)
+        assert stops == expansion_stops("", kind, no_self_reflection)
+        assert stops == (no_self_reflection and kind == "invocation_error")
 
 
 class TestApplyUpdateTool:
-    def test_appends_description(self):
-        state = make_state()
-        updated, obs = apply_update_tool(state, "NewTool[x]: learned.")
-        assert len(updated.tool_manual) == len(state.tool_manual) + 1
-        assert updated.tool_manual[-1] == "NewTool[x]: learned."
-        assert obs.text == "The description for the new tool has been updated successfully."
-        assert obs.kind == "response"
+    """UpdateTool: ``execute_action`` decides its observation, ``advance`` its
+    effect on the manual."""
+
+    def test_appends_description(self, corpus):
+        state = make_state(DEPRECATION_TEXT, "deprecation_error")
+        record = replace(update_step("NewTool[x]: learned."), observation=None, kind=None)
+        outcome = execute_action(state, record, corpus.base_registry)
+        assert outcome.state.tool_manual == state.tool_manual + ("NewTool[x]: learned.",)
+        assert outcome.state.steps == state.steps + (outcome.step,)
+        assert (outcome.state.task, outcome.state.demos) == (state.task, state.demos)
+        assert (outcome.step.kind, outcome.step.observation) == ("response", UPDATE_TOOL_OK_TEXT)
+        assert advance(state, (outcome.step,)) == outcome.state
 
     def test_idempotent_for_duplicate_description(self):
         state = make_state()
-        once, _ = apply_update_tool(state, "NewTool[x]: learned.")
-        twice, obs = apply_update_tool(once, "NewTool[x]: learned.")
-        assert twice.tool_manual == once.tool_manual
-        assert obs.text == UPDATE_TOOL_OK_TEXT
+        step = update_step("NewTool[x]: learned.")
+        once = advance(state, (step,))
+        assert advance(once, (step,)).tool_manual == once.tool_manual
+        assert advance(state, (step, step)).tool_manual == once.tool_manual
 
-    def test_empty_description_is_invocation_error(self):
+    def test_empty_description_is_invocation_error(self, corpus):
         state = make_state()
-        same, obs = apply_update_tool(state, "")
-        assert same.tool_manual == state.tool_manual
-        assert obs.kind == "invocation_error"
-        assert obs.text == INVOCATION_ERROR_TEXT
+        record = ActionRecord(thought="memo", action_name="UpdateTool", action_input={"newtool_desc": ""})
+        outcome = execute_action(state, record, corpus.base_registry)
+        assert (outcome.step.kind, outcome.step.observation) == ("invocation_error", INVOCATION_ERROR_TEXT)
+        assert outcome.state.tool_manual == state.tool_manual and not outcome.terminal
+        assert advance(state, (update_step(""),)).tool_manual == state.tool_manual
 
-    def test_no_tool_update_ablation_freezes_manual(self):
+    def test_no_tool_update_ablation_freezes_manual(self, corpus):
         state = make_state()
-        updated, obs = apply_update_tool(state, "NewTool[x]: learned.", no_tool_update=True)
-        assert updated.tool_manual == state.tool_manual
-        assert obs.kind == "response"
+        record = ActionRecord(thought="memo", action_name="UpdateTool", action_input={"newtool_desc": "N[x]: new."})
+        outcome = execute_action(state, record, corpus.base_registry, no_tool_update=True)
+        assert (outcome.step.kind, outcome.step.observation) == ("response", UPDATE_TOOL_OK_TEXT)
+        assert outcome.state.tool_manual == state.tool_manual
+        assert outcome.state.steps == (outcome.step,)
 
     def test_scope_isolated_to_descendants(self):
         parent = make_state()
-        updated, _ = apply_update_tool(parent, "NewTool[x]: learned.")
-        sibling = parent.with_step(
-            ActionRecord(thought="s", action_name="LoadDB", action_input={"DBName": "coffee"}, observation="fine")
+        updated = advance(parent, (update_step("NewTool[x]: learned."),))
+        sibling = advance(
+            parent,
+            (ActionRecord(thought="s", action_name="LoadDB", action_input={"DBName": "coffee"}, observation="fine"),),
         )
         assert "NewTool[x]" in render_prompt(updated)
         assert "NewTool[x]" not in render_prompt(sibling)
         assert "NewTool[x]" not in render_prompt(parent)
 
+    @given(st.lists(st.sampled_from(["A[x]: a.", "B[y]: b.", ""]), max_size=6), st.booleans())
+    def test_many_steps_at_once_equal_one_at_a_time(self, descs, no_tool_update):
+        steps = [update_step(desc) for desc in descs]
+        one_by_one = make_state()
+        for step in steps:
+            one_by_one = advance(one_by_one, (step,), no_tool_update)
+        assert advance(make_state(), steps, no_tool_update) == one_by_one
+
 
 class TestReflectionGate:
+    """Whether a node stops, from the class of its last observation."""
+
     def test_deprecation_error_is_reflective(self):
-        assert reflection_gate(make_state(DEPRECATION_TEXT, "deprecation_error")) is ExpansionMode.REFLECTIVE
+        assert not reflection_gate("deprecation_error")
 
     def test_invocation_error_is_reflective_by_default(self):
-        gate = reflection_gate(make_state(INVOCATION_ERROR_TEXT, "invocation_error"))
-        assert gate is ExpansionMode.REFLECTIVE
+        assert not reflection_gate("invocation_error")
 
     def test_invocation_error_terminal_without_self_reflection(self):
-        state = make_state(INVOCATION_ERROR_TEXT, "invocation_error")
-        assert reflection_gate(state, no_self_reflection=True) is ExpansionMode.TERMINAL
+        assert reflection_gate("invocation_error", no_self_reflection=True)
 
     def test_deprecation_error_still_reflective_without_self_reflection(self):
-        state = make_state(DEPRECATION_TEXT, "deprecation_error")
-        assert reflection_gate(state, no_self_reflection=True) is ExpansionMode.REFLECTIVE
+        assert not reflection_gate("deprecation_error", no_self_reflection=True)
 
     def test_ok_observation_is_normal(self):
-        assert reflection_gate(make_state("all good", "response")) is ExpansionMode.NORMAL
+        for kind in ("response", "task_done"):
+            assert not reflection_gate(kind)
+            assert not reflection_gate(kind, no_self_reflection=True)
 
     def test_fresh_state_is_normal(self):
-        assert reflection_gate(make_state()) is ExpansionMode.NORMAL
+        # None at the root.
+        assert not reflection_gate(None)
+        assert not reflection_gate(None, no_self_reflection=True)
 
 
 class TestExecuteAction:
@@ -214,8 +254,7 @@ class TestAdversarialWorldCells:
         assert result.reward == 1
         index = next(i for i, s in enumerate(result.state.steps) if cell in (s.observation or ""))
         assert result.state.steps[index].kind == "response"
-        prefix = replace(result.state, steps=result.state.steps[: index + 1])
-        assert reflection_gate(prefix) is ExpansionMode.NORMAL
+        assert not reflection_gate(result.state.steps[index].kind, no_self_reflection=True)
 
         tree = run_search(adversarial, registry, policy, SearchConfig(), corpus.manual, corpus.demos)
         assert tree.successful_leaves()

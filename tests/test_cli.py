@@ -173,7 +173,7 @@ class TestSearchCommand:
             for node in tree.nodes:
                 if node.action is not None:
                     assert node.action.action_name != "UpdateTool"
-                assert node.state.tool_manual == tree.node(0).state.tool_manual
+                assert tree.state(node.id).tool_manual == tree.manual
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["search", "--manifest", str(tmp_path / "none.ini")]) == EXIT_IO

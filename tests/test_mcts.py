@@ -38,8 +38,9 @@ def dummy_state() -> StateRecord:
 
 
 def bare_tree(config: SearchConfig | None = None) -> SearchTree:
-    tree = SearchTree(task=dummy_state().task, config=config or SearchConfig())
-    tree.add_node(parent=None, state=dummy_state())
+    root = dummy_state()
+    tree = SearchTree(task=root.task, config=config or SearchConfig(), manual=root.tool_manual)
+    tree.add_node(parent=None)
     return tree
 
 
@@ -47,7 +48,6 @@ def add_child(tree, parent=0, q=0.0, n=0, prior=0.2, cached=False, terminal=Fals
     action = ActionRecord(thought="x", action_name="Tool", action_input={}, observation=observation)
     node = tree.add_node(
         parent,
-        tree.node(parent).state.with_step(action),
         action=action,
         prior=prior,
         cached=cached,
@@ -60,15 +60,15 @@ def add_child(tree, parent=0, q=0.0, n=0, prior=0.2, cached=False, terminal=Fals
 
 class TestPuctScore:
     def test_reference_value(self):
-        child = TreeNode(id=1, parent=0, state=dummy_state(), q_value=0.5, visit_count=1, prior=0.2)
+        child = TreeNode(id=1, parent=0, q_value=0.5, visit_count=1, prior=0.2)
         assert puct_score(8, child, 1.25) == pytest.approx(0.8535533906, abs=1e-9)
 
     def test_zero_parent_visits_reduces_to_q(self):
-        child = TreeNode(id=1, parent=0, state=dummy_state(), q_value=0.37, visit_count=2, prior=0.9)
+        child = TreeNode(id=1, parent=0, q_value=0.37, visit_count=2, prior=0.9)
         assert puct_score(0, child, 5.0) == 0.37
 
     def test_fresh_child_pure_exploration(self):
-        child = TreeNode(id=1, parent=0, state=dummy_state(), q_value=0.0, visit_count=0, prior=1.0)
+        child = TreeNode(id=1, parent=0, q_value=0.0, visit_count=0, prior=1.0)
         assert puct_score(4, child, 1.0) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -268,9 +268,9 @@ class TestExpand:
         assert executed == ["LoadDB", "Finish"]
         assert [n.action.action_name for n in nodes] == ["LoadDB", "Finish", "LoadDB", FAILED_ACTION_NAME, "Finish"]
         assert len(set(ids)) == 5 and all(n.prior == pytest.approx(0.2) for n in nodes)
-        assert nodes[0].state is nodes[2].state and nodes[0].action is nodes[2].action
-        assert nodes[1].state is nodes[4].state and (nodes[1].terminal, nodes[1].reward) == (True, -1)
-        assert nodes[0].state is not nodes[1].state and not nodes[0].terminal
+        assert nodes[0].action is nodes[2].action and nodes[1].action is nodes[4].action
+        assert (nodes[1].terminal, nodes[1].reward) == (nodes[4].terminal, nodes[4].reward) == (True, -1)
+        assert nodes[0].action is not nodes[1].action and not nodes[0].terminal
         assert nodes[3].terminal and nodes[3].failure
 
     def test_gate_marks_invocation_error_leaf_terminal(self, corpus, base_registry):
@@ -283,7 +283,7 @@ class TestExpand:
             observation=INVOCATION_ERROR_TEXT,
             kind="invocation_error",
         )
-        leaf = tree.add_node(0, tree.node(0).state.with_step(bad), action=bad, prior=1.0)
+        leaf = tree.add_node(0, action=bad, prior=1.0)
         assert expand(tree, leaf.id, ScriptedAdaptivePolicy(corpus), base_registry) == []
         assert leaf.terminal and leaf.reward == -1
 
@@ -300,12 +300,11 @@ class TestExpand:
 
 
 def _root_tree(corpus, task_id, config=None):
-    task = corpus.task(task_id)
-    tree = SearchTree(task=task, config=config or SearchConfig())
-    tree.add_node(
-        parent=None,
-        state=StateRecord(task=task, tool_manual=tuple(corpus.manual), demos=tuple(corpus.demos)),
+    tree = SearchTree(
+        task=corpus.task(task_id), config=config or SearchConfig(),
+        manual=tuple(corpus.manual), demos=tuple(corpus.demos),
     )
+    tree.add_node(parent=None)
     return tree
 
 
@@ -313,15 +312,15 @@ class TestSimulateCached:
     def test_one_finish_step_away_scores_plus_one(self, corpus, base_registry):
         from tooldrift.adapt import execute_action
 
-        task = corpus.task("coffee-easy-1")
-        plan = corpus.plans[task.id]
-        state = StateRecord(task=task, tool_manual=tuple(corpus.manual), demos=tuple(corpus.demos))
-        for call in plan.calls:
+        tree = _root_tree(corpus, "coffee-easy-1")
+        state = tree.state(tree.root_id)
+        for call in corpus.plans[tree.task.id].calls:
             record = ActionRecord(thought=call.thought, action_name=call.tool, action_input=call.args)
-            state = execute_action(state, record, base_registry).state
-        tree = SearchTree(task=task, config=SearchConfig())
-        tree.add_node(parent=None, state=state)
-        reward = simulate_cached(tree, 0, ScriptedAdaptivePolicy(corpus), base_registry, random.Random(1))
+            outcome = execute_action(state, record, base_registry)
+            state = outcome.state
+            leaf = tree.add_node(len(tree.nodes) - 1, action=outcome.step)
+        assert tree.state(leaf.id) == state
+        reward = simulate_cached(tree, leaf.id, ScriptedAdaptivePolicy(corpus), base_registry, random.Random(1))
         assert reward == 1
 
     def test_repeat_simulation_is_free_and_identical(self, corpus, base_registry):
@@ -409,7 +408,7 @@ class TestRunSearch:
 
         def visible_rewards(tree):
             return sorted(
-                (tuple(s.action_name for s in n.state.steps), n.reward)
+                (tuple(p.action.action_name for p in tree.path_to(n.id)[1:]), n.reward)
                 for n in tree.nodes
                 if n.terminal and not n.cached
             )
@@ -429,24 +428,43 @@ class TestTreeSerialization:
         assert tree_to_json(loaded) == text
         assert all(n.action.kind for n in tree.nodes[1:])
         for original, rebuilt in zip(tree.nodes, loaded.nodes):
-            assert original.state.tool_manual == rebuilt.state.tool_manual
-            assert original.state.steps == rebuilt.state.steps
+            assert tree.state(original.id) == loaded.state(rebuilt.id)
             assert (original.children, original.depth) == (rebuilt.children, rebuilt.depth)
 
-    def test_object_tool_description_rebuilds_the_same_manual(self, corpus, base_registry):
+    @pytest.mark.parametrize("no_tool_update", [False, True])
+    @pytest.mark.parametrize("inner", ["adaptive", "object_update"])
+    def test_loaded_tree_replays_the_states_the_policy_saw(self, corpus, inner, no_tool_update):
+        """A loaded tree derives, for every expanded node, exactly the state
+        the policy was shown when that node's children were generated."""
+
         class ObjectUpdatePolicy:
             def propose(self, state, k):
                 if not state.steps:
                     return ['Thought: t\nAction: UpdateTool\nAction Input: {"newtool_desc": {"a": "b"}}'] * k
                 return ['Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'] * k
 
+        class RecordingPolicy:
+            def __init__(self, inner):
+                self.inner, self.states = inner, []
+
+            def propose(self, state, k):
+                self.states.append(state)
+                return self.inner.propose(state, k)
+
+        policy = RecordingPolicy(ScriptedAdaptivePolicy(corpus) if inner == "adaptive" else ObjectUpdatePolicy())
+        registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
         tree = run_search(
-            corpus.task("coffee-easy-1"), base_registry, ObjectUpdatePolicy(), SearchConfig(max_simulations=2),
+            corpus.task("coffee-hard-4"), registry, policy, SearchConfig(rng_seed=7, no_tool_update=no_tool_update),
             corpus.manual, corpus.demos,
         )
-        assert tree.node(1).state.tool_manual[-1] == '{"a": "b"}'
         loaded = tree_from_json(tree_to_json(tree))
-        assert [n.state for n in loaded.nodes] == [n.state for n in tree.nodes]
+        parents = sorted({n.parent for n in tree.nodes[1:]}, key=lambda p: tree.node(p).children[0])
+        assert len(parents) == len(policy.states) > 1
+        assert [loaded.state(p) for p in parents] == policy.states
+        grown = [s.tool_manual for s in policy.states if len(s.tool_manual) > len(corpus.manual)]
+        assert bool(grown) != no_tool_update
+        if inner == "object_update" and grown:
+            assert grown[0][-1] == '{"a": "b"}'
 
     def test_rejects_garbage(self):
         with pytest.raises((KeyError, ValueError)):
@@ -462,7 +480,6 @@ class TestTreeSerialization:
 def canonical_fields(tree: SearchTree) -> str:
     """Every field ``tree_to_json`` writes, as canonical JSON built from the
     tree object, so it does not depend on the file format."""
-    root = tree.node(tree.root_id).state
     return json.dumps(
         {
             "tree_id": tree.tree_id,
@@ -470,8 +487,8 @@ def canonical_fields(tree: SearchTree) -> str:
             "task": asdict(tree.task),
             "config": asdict(tree.config),
             "stats": tree.stats,
-            "manual": root.tool_manual,
-            "demos": root.demos,
+            "manual": tree.manual,
+            "demos": tree.demos,
             "nodes": [
                 [n.parent, n.action and asdict(n.action), n.q_value, n.visit_count, n.prior,
                  n.cached, n.terminal, n.reward, n.failure]

@@ -7,7 +7,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from tooldrift import policy as policy_module
 from tooldrift.env import invoke
+from tooldrift.mcts import SearchConfig, run_search
 from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import (
     PolicyConfig,
@@ -242,7 +244,55 @@ def completion_server():
     thread.join(timeout=2)
 
 
+class _FakeResponse:
+    def __init__(self, reply):
+        self.reply = reply
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.reply
+
+
+class _FakeSession:
+    """Answers every POST with the same decoded JSON reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.posts = 0
+
+    def post(self, url, json, timeout):
+        self.posts += 1
+        return _FakeResponse(self.reply)
+
+
+BAD_REPLIES = {
+    "text_not_a_string": {"choices": [{"text": 5}] * 5},
+    "text_is_a_list": {"choices": [{"text": ["a"]}] * 5},
+    "choice_not_an_object": {"choices": [7] * 5},
+    "choices_not_a_list": {"choices": "Thought: t"},
+    "reply_is_a_list": [1, 2],
+}
+
+
 class TestRemotePolicy:
+    @pytest.mark.parametrize("shape", sorted(BAD_REPLIES))
+    def test_reply_of_the_wrong_shape_is_a_policy_error(self, corpus, base_registry, shape, monkeypatch):
+        monkeypatch.setattr(policy_module.time, "sleep", lambda seconds: None)
+        session = _FakeSession(BAD_REPLIES[shape])
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint="http://localhost/complete"), session=session)
+        with pytest.raises(PolicyError):
+            policy.propose(state_for(corpus, "coffee-easy-1"), 5)
+        assert session.posts == 1 + RemotePolicy.MAX_RETRIES
+        tree = run_search(
+            corpus.task("coffee-easy-1"), base_registry, policy, SearchConfig(max_simulations=3),
+            corpus.manual, corpus.demos,
+        )
+        root = tree.node(tree.root_id)
+        assert len(tree.nodes) == 1 and root.terminal and root.reward == -1
+        assert root.failure.startswith("remote policy failed")
+
     def test_wire_format_and_arity(self, corpus, completion_server, caplog):
         url, handler = completion_server
         policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url, temperature=0.3))

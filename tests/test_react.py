@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tooldrift.adapt import apply_update_tool
+from tooldrift.adapt import advance
 from tooldrift.env import TaskInstance
 from tooldrift.react import (
     ActionParseError,
@@ -106,14 +106,17 @@ class TestRenderPrompt:
 
     def test_updated_manual_appends_after_original(self):
         state = make_state()
-        updated, _ = apply_update_tool(state, "NewTool[z]: learned later.")
+        update = ActionRecord(
+            thought="memo", action_name="UpdateTool", action_input={"newtool_desc": "NewTool[z]: learned later."}
+        )
+        updated = advance(state, (update,))
         text = render_prompt(updated)
         assert text.index("LoadDB[DBName]") < text.index("NewTool[z]")
 
     def test_rendering_monotonic_under_append(self):
         state = make_state()
         step = ActionRecord(thought="go", action_name="LoadDB", action_input={"DBName": "coffee"}, observation="ok")
-        longer = state.with_step(step)
+        longer = advance(state, (step,))
         assert render_prompt(longer).startswith(render_prompt(state))
 
     def test_byte_identical_for_identical_states(self):

@@ -153,7 +153,7 @@ class TestExport:
             r for r in records if any(s.action_name == "UpdateTool" for s in parse_target(r.target))
         ]
         assert with_updates
-        root_render = render_prompt(adaptive_tree.node(0).state)
+        root_render = render_prompt(adaptive_tree.state(adaptive_tree.root_id))
         for record in with_updates:
             assert record.input == root_render
             for entry in corpus.manual:
