@@ -207,6 +207,8 @@ def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base:
 
 
 def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[SearchTree], Corpus, str]:
+    if overrides.jobs < 1:
+        raise CliError(f"--jobs must be a positive integer, not {overrides.jobs}", EXIT_CONFIG)
     unknown = sorted(set(parser.sections()) - {"run", "search", "policy", *MUTATION_SECTIONS})
     if unknown:
         raise CliError(f"unknown section [{unknown[0]}]", EXIT_CONFIG)
@@ -232,7 +234,6 @@ def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[Sea
     policy_cfg = _config(parser, "policy", PolicyConfig, emit_tool_updates=not overrides.no_tool_update)
     policy = build_policy(policy_cfg, corpus)
 
-    jobs = max(1, overrides.jobs)
     runs = [(task, index) for task in corpus.tasks for index in range(search_cfg.trees_per_task)]
 
     def one(run_spec):
@@ -248,10 +249,10 @@ def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[Sea
             tree_id=f"{task.id}__t{index}",
         )
 
-    if jobs == 1:
+    if overrides.jobs == 1:
         trees = [one(r) for r in runs]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=overrides.jobs) as pool:
             trees = list(pool.map(one, runs))
     trees.sort(key=lambda t: t.tree_id)
     return trees, corpus, setting
@@ -327,6 +328,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.max_per_task < 0:
+        raise CliError(f"--max-per-task must be >= 0, not {args.max_per_task}", EXIT_CONFIG)
     tree_dir = Path(args.trees)
     if not tree_dir.is_dir():
         raise CliError(f"not a directory: {tree_dir}", EXIT_IO)

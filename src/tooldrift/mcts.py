@@ -2,7 +2,10 @@
 
 A node stores only its executed action and statistics. Its state is derived:
 ``SearchTree.state`` replays the actions on the path from the root through
-``adapt.advance``, so search and loaded trees share one step rule.
+``adapt.advance``, so search and loaded trees share one step rule. A child's
+action and outcome depend only on its candidate text, the task and the
+registry, so a tree parses and executes each distinct text once per registry
+object it is expanded under; that memo is never serialized.
 
 The frontier is a property of the node flags: an open leaf is a visible
 (not cached), non-terminal node above the depth limit with no visible child.
@@ -51,7 +54,7 @@ class SearchConfig:
                 raise ValueError(f"{name} must be a positive integer")
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One search node; holds a single executed action and its statistics."""
 
@@ -81,6 +84,8 @@ class SearchTree:
     stats: dict[str, int] = field(
         default_factory=lambda: {"simulations": 0, "backprops": 0, "policy_calls": 0}
     )
+    # (registry, text -> child fields) of _generate_children; not a field, so never written.
+    _made = (None, None)
 
     @property
     def root_id(self) -> int:
@@ -193,14 +198,18 @@ def _make_child(tree: SearchTree, state: StateRecord, text: str, registry: ToolR
 
 def _generate_children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> None:
     """Add one hidden child per policy candidate, each with prior 1/len(texts).
-    Each distinct text is parsed and executed once; a duplicate sibling gets
-    its own node sharing the first one's action and outcome, which is safe
-    because ``execute_action`` is pure and the action record is frozen."""
+    Each distinct text is parsed and executed once per tree and registry object;
+    every node it makes shares that frozen record and outcome, which depend only
+    on the text, the task and the registry: ``invoke`` is pure in (registry,
+    name, args), ``evaluate`` reads only the task, and ``no_tool_update``
+    changes only the state, which is derived."""
     state = tree.state(node.id)
     texts = policy.propose(state, tree.config.k)
     tree.stats["policy_calls"] += 1
     prior = 1.0 / len(texts)
-    made: dict[str, dict[str, Any]] = {}
+    if tree._made[1] is None or tree._made[0] is not registry:
+        tree._made = (registry, {})
+    made: dict[str, dict[str, Any]] = tree._made[1]
     for text in texts:
         if text not in made:
             made[text] = _make_child(tree, state, text, registry)

@@ -18,6 +18,7 @@ rebuilds the state that way still gets the same answers.
 The remote policy retries a failed request a fixed ``RemotePolicy.MAX_RETRIES``
 times. It has no request limit of its own: ``search --jobs`` shares one policy
 across its worker threads, so the number of jobs bounds the requests in flight.
+Only ``RemotePolicy`` loads ``requests``, so scripted runs never import it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-
-import requests
 
 from .adapt import execute_action
 from .corpus import Corpus, PlannedCall, load_corpus, remap_args
@@ -285,19 +284,21 @@ class RemotePolicy:
     Request: {"prompt": text, "n": int, "temperature": float, "stop": [text]}.
     Response: {"choices": [{"text": ...}, ...]} with exactly n choices. The
     stop sequence is the Observation label so the model never invents
-    environment feedback.
+    environment feedback. ``session`` defaults to a new ``requests.Session``.
     """
 
     STOP_SEQUENCES = ["Observation:"]
     MAX_RETRIES = 2
 
-    def __init__(self, config: PolicyConfig, session: requests.Session | None = None):
+    def __init__(self, config: PolicyConfig, session=None):
+        import requests
         if config.kind != "remote":
             raise ValueError("RemotePolicy requires a remote PolicyConfig")
         self.config = config
         self.session = session or requests.Session()
 
     def propose(self, state: StateRecord, k: int) -> list[str]:
+        import requests
         if k < 1:
             raise ValueError("k must be >= 1")
         payload = {

@@ -73,7 +73,7 @@ def collect_from_trees(trees: list[SearchTree], max_per_task: int = 4, seed: int
     out: list[SftRecord] = []
     for task_id in sorted(by_task):
         leaves = by_task[task_id]
-        if max_per_task >= 0 and len(leaves) > max_per_task:
+        if len(leaves) > max_per_task:
             chosen = random.Random(seed).sample(leaves, max_per_task)
             leaves = sorted(chosen, key=lambda pair: (pair[0].tree_id, pair[1].id))
         out.extend(_record(tree, leaf) for tree, leaf in leaves)

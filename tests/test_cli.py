@@ -175,6 +175,13 @@ class TestSearchCommand:
                     assert node.action.action_name != "UpdateTool"
                 assert tree.state(node.id).tool_manual == tree.manual
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        manifest = write_manifest(tmp_path, sims=2)
+        assert main(["search", "--manifest", manifest, "--jobs", jobs]) == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["search", "--manifest", str(tmp_path / "none.ini")]) == EXIT_IO
 
@@ -305,6 +312,14 @@ class TestExportCommand:
             per_task[record["task_id"]] = per_task.get(record["task_id"], 0) + 1
         assert all(v <= 4 for v in per_task.values())
         capsys.readouterr()
+
+    def test_negative_max_per_task_is_config_error(self, tmp_path, capsys):
+        empty = tmp_path / "trees"
+        empty.mkdir()
+        out = tmp_path / "sft.jsonl"
+        assert main(["export", "--trees", str(empty), "--out", str(out), "--max-per-task", "-1"]) == EXIT_CONFIG
+        assert "--max-per-task" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_dir_is_io_error(self, tmp_path):
         assert main(["export", "--trees", str(tmp_path / "nope"), "--out", str(tmp_path / "x.jsonl")]) == EXIT_IO

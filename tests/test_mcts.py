@@ -272,6 +272,41 @@ class TestExpand:
         assert (nodes[1].terminal, nodes[1].reward) == (nodes[4].terminal, nodes[4].reward) == (True, -1)
         assert nodes[0].action is not nodes[1].action and not nodes[0].terminal
         assert nodes[3].terminal and nodes[3].failure
+        # The memo lives for the whole tree: a later expansion elsewhere that
+        # gets the same texts reuses the records and executes nothing new.
+        deeper = [tree.node(i) for i in expand(tree, ids[0], MixedPolicy(), base_registry)]
+        assert executed == ["LoadDB", "Finish"]
+        assert [n.action for n in deeper] == [n.action for n in nodes]
+        assert [(n.terminal, n.reward, n.failure) for n in deeper] == [(n.terminal, n.reward, n.failure) for n in nodes]
+        assert all(n.depth == 2 for n in deeper)
+        # A loaded tree starts with an empty memo.
+        loaded = tree_from_json(tree_to_json(tree))
+        expand(loaded, ids[2], MixedPolicy(), base_registry)
+        assert executed == ["LoadDB", "Finish"] * 2
+
+    def test_a_second_registry_object_executes_anew(self, corpus, base_registry, mutated_registry, monkeypatch):
+        load = 'Thought: t\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'
+
+        class LoadPolicy:
+            def propose(self, state, k):
+                return [load] * k
+
+        registries = []
+        execute = mcts.execute_action
+
+        def counting(state, record, registry, *rest):
+            registries.append(registry)
+            return execute(state, record, registry, *rest)
+
+        monkeypatch.setattr(mcts, "execute_action", counting)
+        tree = _root_tree(corpus, "coffee-easy-1")
+        first = expand(tree, 0, LoadPolicy(), base_registry)
+        assert tree.node(first[0]).action.kind == "response"
+        second = expand(tree, first[0], LoadPolicy(), mutated_registry)
+        assert registries == [base_registry, mutated_registry]
+        assert tree.node(second[0]).action.kind == "deprecation_error"
+        expand(tree, first[1], LoadPolicy(), base_registry)
+        assert registries == [base_registry, mutated_registry, base_registry]
 
     def test_gate_marks_invocation_error_leaf_terminal(self, corpus, base_registry):
         config = SearchConfig(no_self_reflection=True)
