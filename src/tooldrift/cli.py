@@ -20,6 +20,12 @@ is optional, and an absent key takes its default:
 
 Any other section or key exits 2. Only --no-self-reflection and
 --no-tool-update set the ablations.
+
+``search`` writes each tree to ``<output_dir>/trees/<tree id>.json`` as it
+finishes, in run order (task, then tree index), and keeps only each tree's
+task id and outcome for the summary, so one tree at a time is held (plus
+those ``--jobs`` workers have finished ahead of it). A tree that breaks an
+invariant exits 4 unwritten; the trees written before it remain.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ import configparser
 import csv
 import hashlib
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -206,7 +214,12 @@ def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base:
         raise CliError(f"mutation failed: {exc}", EXIT_CONFIG) from exc
 
 
-def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[SearchTree], Corpus, str]:
+def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Iterator[SearchTree], Corpus, str]:
+    """Check the manifest and the overrides, then return an iterator that runs
+    each search as it is drawn and yields the trees in run order (task, then
+    tree index), with the corpus and the setting. A bad manifest raises
+    CliError before any search runs. With ``--jobs`` above 1 the searches run
+    in a thread pool; closing the iterator cancels those not yet started."""
     if overrides.jobs < 1:
         raise CliError(f"--jobs must be a positive integer, not {overrides.jobs}", EXIT_CONFIG)
     unknown = sorted(set(parser.sections()) - {"run", "search", "policy", *MUTATION_SECTIONS})
@@ -249,23 +262,29 @@ def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[Sea
             tree_id=f"{task.id}__t{index}",
         )
 
-    if overrides.jobs == 1:
-        trees = [one(r) for r in runs]
-    else:
-        with ThreadPoolExecutor(max_workers=overrides.jobs) as pool:
-            trees = list(pool.map(one, runs))
-    trees.sort(key=lambda t: t.tree_id)
-    return trees, corpus, setting
+    def trees():
+        if overrides.jobs == 1:
+            yield from map(one, runs)
+        else:
+            with ThreadPoolExecutor(max_workers=overrides.jobs) as pool:
+                yield from pool.map(one, runs)
+
+    return trees(), corpus, setting
 
 
-def summarize(trees: list[SearchTree], corpus: Corpus, setting: str) -> list[dict]:
-    """Per (dataset, difficulty) success rates; a task counts as solved when
-    any of its trees holds a reward-+1 terminal node."""
+def run_manifest(parser: configparser.ConfigParser, overrides) -> tuple[list[SearchTree], Corpus, str]:
+    """``search_manifest`` with every tree held, sorted by tree id."""
+    trees, corpus, setting = search_manifest(parser, overrides)
+    return sorted(trees, key=lambda t: t.tree_id), corpus, setting
+
+
+def summarize(outcomes: Iterable[tuple[str, bool]], corpus: Corpus, setting: str) -> list[dict]:
+    """Per (dataset, difficulty) success rates from one (task id, solved) pair
+    per tree; a task counts as solved when any of its trees holds a reward-+1
+    terminal node."""
     solved: dict[str, bool] = {}
-    for tree in trees:
-        solved.setdefault(tree.task.id, False)
-        if tree.successful_leaves():
-            solved[tree.task.id] = True
+    for task_id, won in outcomes:
+        solved[task_id] = solved.get(task_id, False) or won
     groups: dict[tuple[str, str], list[str]] = {}
     for task in corpus.tasks:
         groups.setdefault((task.dataset, task.difficulty), []).append(task.id)
@@ -301,15 +320,19 @@ def print_summary(rows: list[dict]) -> None:
 
 def cmd_search(args) -> int:
     parser = _read_config(args.manifest)
-    trees, corpus, setting = run_manifest(parser, args)
+    trees, corpus, setting = search_manifest(parser, args)
     out_dir = args.output_dir or parser["run"].get("output_dir", "out")
     tree_dir = Path(out_dir) / "trees"
-    for tree in trees:
-        try:
-            _write_text(str(tree_dir / f"{tree.tree_id}.json"), tree_to_json(tree))
-        except ValueError as exc:
-            raise CliError(f"tree {tree.tree_id}: {exc}", EXIT_INVARIANT) from exc
-    rows = summarize(trees, corpus, setting)
+    outcomes = []
+    with closing(trees):
+        for tree in trees:
+            try:
+                text = tree_to_json(tree)
+            except ValueError as exc:
+                raise CliError(f"tree {tree.tree_id}: {exc}", EXIT_INVARIANT) from exc
+            _write_text(str(tree_dir / f"{tree.tree_id}.json"), text)
+            outcomes.append((tree.task.id, bool(tree.successful_leaves())))
+    rows = summarize(outcomes, corpus, setting)
     print_summary(rows)
     if args.csv:
         try:
@@ -323,7 +346,7 @@ def cmd_search(args) -> int:
                 writer.writerows(rows)
         except OSError as exc:
             raise CliError(f"cannot write {args.csv}: {exc}", EXIT_IO) from exc
-    print(f"wrote {len(trees)} trees to {tree_dir}")
+    print(f"wrote {len(outcomes)} trees to {tree_dir}")
     return EXIT_OK
 
 

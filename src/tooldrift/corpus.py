@@ -8,6 +8,7 @@ at module load, so every answer is recomputable by an independent script.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from .env import (
     ToolRegistry,
     typed_object,
 )
+from .react import ActionRecord, render_step
 
 COFFEE_COLUMNS = ["Date", "Open", "High", "Low", "Close", "Volume", "Currency"]
 COFFEE_ROWS = [
@@ -284,12 +286,24 @@ class PlannedCall:
     args: dict
     thought: str
 
+    @functools.cached_property
+    def text(self) -> str:
+        """The call as a candidate step, rendered once."""
+        return render_step(ActionRecord(thought=self.thought, action_name=self.tool, action_input=self.args))
+
 
 @dataclass(frozen=True)
 class TaskPlan:
     calls: tuple[PlannedCall, ...]
     answer: str
     finish_thought: str = "I now know the final answer."
+
+    @functools.cached_property
+    def finish_text(self) -> str:
+        """The Finish step with the answer, rendered once."""
+        return render_step(
+            ActionRecord(thought=self.finish_thought, action_name="Finish", action_input={"answer": self.answer})
+        )
 
 
 @dataclass

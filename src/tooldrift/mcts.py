@@ -22,6 +22,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any
 
 from .adapt import advance, execute_action, reflection_gate
@@ -84,7 +85,7 @@ class SearchTree:
     stats: dict[str, int] = field(
         default_factory=lambda: {"simulations": 0, "backprops": 0, "policy_calls": 0}
     )
-    # (registry, text -> child fields) of _generate_children; not a field, so never written.
+    # (registry, text -> child fields) of _child_fields; not a field, so never written.
     _made = (None, None)
 
     @property
@@ -94,12 +95,29 @@ class SearchTree:
     def node(self, node_id: int) -> TreeNode:
         return self.nodes[node_id]
 
-    def add_node(self, parent: int | None, **kwargs) -> TreeNode:
-        depth = 0 if parent is None else self.node(parent).depth + 1
-        node = TreeNode(id=len(self.nodes), parent=parent, depth=depth, **kwargs)
-        self.nodes.append(node)
+    def add_node(
+        self,
+        parent: int | None,
+        action: ActionRecord | None = None,
+        q_value: float = 0.0,
+        visit_count: int = 0,
+        prior: float = 1.0,
+        cached: bool = False,
+        terminal: bool = False,
+        reward: int | None = None,
+        failure: str | None = None,
+    ) -> TreeNode:
+        """Append the next node; the only way a node is made. The fields after
+        ``parent`` are in the order of the node columns of the tree JSON."""
+        node_id = len(self.nodes)
+        depth = 0
         if parent is not None:
-            self.node(parent).children.append(node.id)
+            above = self.nodes[parent]
+            above.children.append(node_id)
+            depth = above.depth + 1
+        # Positional, in TreeNode's field order: half the cost of keywords.
+        node = TreeNode(node_id, parent, action, q_value, visit_count, prior, [], cached, depth, terminal, reward, failure)
+        self.nodes.append(node)
         return node
 
     def successful_leaves(self) -> list[TreeNode]:
@@ -183,37 +201,45 @@ def select_leaf(tree: SearchTree) -> int | None:
     return cur
 
 
-def _make_child(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> dict[str, Any]:
-    """The action and outcome of the child that candidate ``text`` makes from ``state``."""
+def _make_child(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> tuple:
+    """The (action, terminal, reward, failure) of the child that candidate
+    ``text`` makes from ``state``."""
     try:
         record = parse_action(text)
     except ActionParseError as exc:
         step = ActionRecord(
             thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc)
         )
-        return dict(action=step, terminal=True, reward=-1, failure=str(exc))
+        return step, True, -1, str(exc)
     outcome = execute_action(state, record, registry, tree.config.no_tool_update)
-    return dict(action=outcome.step, terminal=outcome.terminal, reward=outcome.reward)
+    return outcome.step, outcome.terminal, outcome.reward, None
+
+
+def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> tuple:
+    """``_make_child`` through the tree's memo: each distinct text is parsed and
+    executed once per tree and registry object, and every node it makes shares
+    that frozen record and outcome. They depend only on the text, the task and
+    the registry: ``invoke`` is pure in (registry, name, args), ``evaluate``
+    reads only the task, and ``no_tool_update`` changes only the state, which
+    is derived."""
+    if tree._made[1] is None or tree._made[0] is not registry:
+        tree._made = (registry, {})
+    made = tree._made[1]
+    child = made.get(text)
+    if child is None:
+        child = made[text] = _make_child(tree, state, text, registry)
+    return child
 
 
 def _generate_children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> None:
-    """Add one hidden child per policy candidate, each with prior 1/len(texts).
-    Each distinct text is parsed and executed once per tree and registry object;
-    every node it makes shares that frozen record and outcome, which depend only
-    on the text, the task and the registry: ``invoke`` is pure in (registry,
-    name, args), ``evaluate`` reads only the task, and ``no_tool_update``
-    changes only the state, which is derived."""
+    """Add one hidden child per policy candidate, each with prior 1/len(texts)."""
     state = tree.state(node.id)
     texts = policy.propose(state, tree.config.k)
     tree.stats["policy_calls"] += 1
     prior = 1.0 / len(texts)
-    if tree._made[1] is None or tree._made[0] is not registry:
-        tree._made = (registry, {})
-    made: dict[str, dict[str, Any]] = tree._made[1]
     for text in texts:
-        if text not in made:
-            made[text] = _make_child(tree, state, text, registry)
-        tree.add_node(node.id, prior=prior, cached=True, **made[text])
+        action, terminal, reward, failure = _child_fields(tree, state, text, registry)
+        tree.add_node(node.id, action, prior=prior, cached=True, terminal=terminal, reward=reward, failure=failure)
 
 
 def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> list[int]:
@@ -276,7 +302,8 @@ def _transient_rollout(
     registry: ToolRegistry,
     rng: random.Random,
 ) -> int:
-    """Cache-free rollout: walk states without adding nodes to the tree."""
+    """Cache-free rollout: walk states without adding nodes to the tree. Each
+    step's outcome comes from the tree's candidate memo, like an expansion's."""
     if start.terminal:
         return start.reward or -1
     state, depth = tree.state(start.id), start.depth
@@ -289,15 +316,11 @@ def _transient_rollout(
         except PolicyError:
             return -1
         tree.stats["policy_calls"] += 1
-        text = rng.choice(texts)
-        try:
-            record = parse_action(text)
-        except ActionParseError:
-            return -1
-        outcome = execute_action(state, record, registry, tree.config.no_tool_update)
-        if outcome.terminal:
-            return outcome.reward or -1
-        state, kind, depth = outcome.state, outcome.step.kind, depth + 1
+        action, terminal, reward, _ = _child_fields(tree, state, rng.choice(texts), registry)
+        if terminal:
+            return reward or -1
+        state = advance(state, (action,), tree.config.no_tool_update)
+        kind, depth = action.kind, depth + 1
     return -1
 
 
@@ -349,17 +372,19 @@ def run_search(
 
 
 # ---------------------------------------------------------------------------
-# Serialization, tree JSON format_version 3, compact with sorted keys.
+# Serialization, tree JSON format_version 4, compact with sorted keys.
 # ``actions`` holds each distinct action (with its observation's ``kind``) once,
-# in order of first use. ``nodes`` is a list whose index is the node id; its
-# ``action`` is null for node 0 and an index into ``actions`` otherwise, and
-# ``parent`` (null for node 0, an earlier index otherwise) is the only
-# structural field. Children (in id order) and depth are rebuilt at load; states
-# are neither written nor rebuilt, since ``SearchTree.state`` derives them from
-# ``manual``, ``demos`` and the path's actions.
+# in order of first use. ``nodes`` is an object of columns, one list per node
+# field of ``_NODE_COLUMNS``, each indexed by node id and all of one length. In
+# the ``action`` column node 0 holds null and every other node an index into
+# ``actions``; the ``parent`` column (null for node 0, an earlier id otherwise)
+# is the only structural one. Children (in id order) and depth are rebuilt at
+# load; states are neither written nor rebuilt, since ``SearchTree.state``
+# derives them from ``manual``, ``demos`` and the path's actions. A loader of
+# version 4 reads no other version.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT_VERSION = 3
+TREE_FORMAT_VERSION = 4
 
 _DOC_TYPES = {
     "format_version": (int,),
@@ -371,7 +396,7 @@ _DOC_TYPES = {
     "demos": (list,),
     "stats": (dict,),
     "actions": (list,),
-    "nodes": (list,),
+    "nodes": (dict,),
 }
 _ACTION_TYPES = {
     "thought": (str,),
@@ -380,6 +405,7 @@ _ACTION_TYPES = {
     "observation": (str, type(None)),
     "kind": (str, type(None)),
 }
+# The JSON types of each node column's entries, in the order of add_node's fields.
 _NODE_TYPES = {
     "parent": (int, type(None)),
     "action": (int, type(None)),
@@ -391,6 +417,7 @@ _NODE_TYPES = {
     "reward": (int, type(None)),
     "failure": (str, type(None)),
 }
+_NODE_COLUMNS = tuple(_NODE_TYPES)
 # JSON types accepted for a SearchConfig field, keyed by its default's type.
 _CONFIG_TYPES = {float: (int, float), int: (int,), bool: (bool,)}
 
@@ -416,7 +443,7 @@ def _reject_constant(token: str):
 
 
 def tree_to_json(tree: SearchTree) -> str:
-    """The tree's format_version 3 text; a tree that breaks an invariant of
+    """The tree's format_version 4 text; a tree that breaks an invariant of
     ``check_tree_invariants`` raises ValueError instead."""
     _require_invariants(tree)
     # Canonical action JSON -> (index, entry); index_of skips shared ActionRecords.
@@ -432,20 +459,9 @@ def tree_to_json(tree: SearchTree) -> str:
             index_of[id(action)] = table.setdefault(key, (len(table), entry))[0]
         return index_of[id(action)]
 
-    nodes = [
-        {
-            "parent": n.parent,
-            "action": action_index(n.action),
-            "q_value": n.q_value,
-            "visit_count": n.visit_count,
-            "prior": n.prior,
-            "cached": n.cached,
-            "terminal": n.terminal,
-            "reward": n.reward,
-            "failure": n.failure,
-        }
-        for n in tree.nodes
-    ]
+    nodes = tree.nodes
+    columns = {name: list(map(attrgetter(name), nodes)) for name in _NODE_COLUMNS if name != "action"}
+    columns["action"] = [action_index(n.action) for n in nodes]
     doc: dict[str, Any] = {
         "format_version": TREE_FORMAT_VERSION,
         "tree_id": tree.tree_id,
@@ -456,19 +472,38 @@ def tree_to_json(tree: SearchTree) -> str:
         "demos": list(tree.demos),
         "stats": tree.stats,
         "actions": [entry for _, entry in table.values()],
-        "nodes": nodes,
+        "nodes": columns,
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _node_columns(doc) -> dict[str, list]:
+    """The ``nodes`` object's columns, once each is a list of one shared,
+    non-zero length whose entries have the column's JSON types."""
+    columns = typed_object(doc, {name: (list,) for name in _NODE_COLUMNS}, "nodes")
+    lengths = {len(column) for column in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"nodes: columns differ in length {sorted(lengths)}")
+    if lengths == {0}:
+        raise ValueError("tree has no nodes")
+    for name, allowed in _NODE_TYPES.items():
+        odd = set(map(type, columns[name])).difference(allowed)
+        if odd:
+            raise ValueError(f"nodes: {name!r} holds {sorted(t.__name__ for t in odd)}")
+    return columns
+
+
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 3 tree; any malformed document (a NaN or Infinity
-    token, or an action index that is not an int into ``actions``, included),
-    or one that breaks an invariant of ``check_tree_invariants``, raises
-    ValueError. Nodes that name one table entry share its ActionRecord."""
-    doc = typed_object(json.loads(text, parse_constant=_reject_constant), _DOC_TYPES, "tree")
-    if doc["format_version"] != TREE_FORMAT_VERSION:
-        raise ValueError(f"unsupported tree format_version {doc['format_version']}")
+    """Load a format_version 4 tree; any malformed document (a NaN or Infinity
+    token, a parent that is not an earlier node, or an action index that is
+    not an int into ``actions``, included), or one that breaks an invariant of
+    ``check_tree_invariants``, raises ValueError. Nodes that name one table
+    entry share its ActionRecord."""
+    doc = json.loads(text, parse_constant=_reject_constant)
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != TREE_FORMAT_VERSION or type(version) is not int:
+        raise ValueError(f"unsupported tree format_version {version!r}")
+    doc = typed_object(doc, _DOC_TYPES, "tree")
     task = TaskInstance(**typed_object(doc["task"], TASK_TYPES, "task"))
     config = SearchConfig(**typed_object(
         doc["config"], {f.name: _CONFIG_TYPES[type(f.default)] for f in fields(SearchConfig)}, "config"
@@ -489,25 +524,19 @@ def tree_from_json(text: str) -> SearchTree:
         ActionRecord(**typed_object(entry, _ACTION_TYPES, f"action {index}"))
         for index, entry in enumerate(doc["actions"])
     ]
-    nodes = tree.nodes
-    for index, node_doc in enumerate(doc["nodes"]):
-        where = f"node {index}"
-        parent = typed_object(node_doc, _NODE_TYPES, where)["parent"]
-        if (parent is None) != (index == 0) or (parent is not None and not 0 <= parent < index):
-            raise ValueError(f"{where}: parent {parent!r} is not an earlier node")
-        if (node_doc["action"] is None) != (index == 0):
-            raise ValueError(f"{where}: only the root has no action")
-        depth = 0
-        if parent is not None:
-            if not 0 <= node_doc["action"] < len(actions):
-                raise ValueError(f"{where}: action {node_doc['action']} is not an index into actions")
-            # node_doc becomes the TreeNode's keyword arguments
-            node_doc["action"] = actions[node_doc["action"]]
-            depth = nodes[parent].depth + 1
-            nodes[parent].children.append(index)
-        nodes.append(TreeNode(id=index, depth=depth, **node_doc))
-    if not tree.nodes:
-        raise ValueError("tree has no nodes")
+    columns = _node_columns(doc["nodes"])
+    parents, indices = columns["parent"], columns["action"]
+    if parents[0] is not None or indices[0] is not None:
+        raise ValueError("node 0: the root has a parent or an action")
+    for index in range(1, len(parents)):
+        parent, action = parents[index], indices[index]
+        if parent is None or not 0 <= parent < index:
+            raise ValueError(f"node {index}: parent {parent!r} is not an earlier node")
+        if action is None or not 0 <= action < len(actions):
+            raise ValueError(f"node {index}: action {action!r} is not an index into actions")
+    columns["action"] = [None] + [actions[i] for i in indices[1:]]
+    for row in zip(*(columns[name] for name in _NODE_COLUMNS)):
+        tree.add_node(*row)
     _require_invariants(tree)
     return tree
 
@@ -515,7 +544,8 @@ def tree_from_json(text: str) -> SearchTree:
 def check_tree_invariants(tree: SearchTree) -> list[str]:
     """The invariants ``tree`` breaks, one line each; empty for a sound tree."""
     problems = []
-    for node in tree.nodes:
+    nodes, max_depth = tree.nodes, tree.config.max_depth
+    for node in nodes:
         if not -1.0 - 1e-9 <= node.q_value <= 1.0 + 1e-9:
             problems.append(f"node {node.id}: Q={node.q_value} outside [-1, 1]")
         if node.terminal != (node.reward is not None):
@@ -523,9 +553,9 @@ def check_tree_invariants(tree: SearchTree) -> list[str]:
         if node.visit_count < 0:
             problems.append(f"node {node.id}: negative visit count")
         if node.children:
-            total = sum(tree.node(c).prior for c in node.children)
+            total = sum(nodes[c].prior for c in node.children)
             if not abs(total - 1.0) <= 1e-6:  # also true for a NaN prior
                 problems.append(f"node {node.id}: child priors sum to {total:.6f}")
-        if not node.cached and node.depth > tree.config.max_depth:
+        if not node.cached and node.depth > max_depth:
             problems.append(f"node {node.id}: beyond depth limit")
     return problems

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .adapt import execute_action
 from .corpus import Corpus, PlannedCall, load_corpus, remap_args
 from .env import INVOCATION_ERROR_TEXT, TaskInstance, ToolRegistry
-from .react import StateRecord, parse_action, render_prompt
+from .react import ActionRecord, StateRecord, parse_action, render_prompt, render_step
 
 log = logging.getLogger(__name__)
 POLICY_KINDS = ("scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive", "remote")
@@ -82,7 +82,7 @@ class PolicyConfig:
 
 
 def candidate_text(thought: str, action_name: str, action_input: dict) -> str:
-    return f"Thought: {thought}\nAction: {action_name}\nAction Input: {json.dumps(action_input, ensure_ascii=False)}"
+    return render_step(ActionRecord(thought=thought, action_name=action_name, action_input=action_input))
 
 
 def update_tool_desc(successor: str, old_name: str, example: dict) -> str:
@@ -188,9 +188,8 @@ class ScriptedRigidPolicy(ScriptedPolicy):
         plan = self._plan(state)
         done = self._progress(state)
         if done >= len(plan.calls):
-            return candidate_text(plan.finish_thought, "Finish", {"answer": plan.answer})
-        call = plan.calls[done]
-        return candidate_text(call.thought, call.tool, call.args)
+            return plan.finish_text
+        return plan.calls[done].text
 
 
 class ScriptedAdaptivePolicy(ScriptedPolicy):
@@ -259,8 +258,11 @@ class ScriptedAdaptivePolicy(ScriptedPolicy):
             return update
 
         if done >= len(plan.calls):
-            return candidate_text(plan.finish_thought, "Finish", {"answer": plan.answer})
-        name, args, thought = self._translated_call(plan.calls[done], successors)
+            return plan.finish_text
+        call = plan.calls[done]
+        if call.tool not in successors:
+            return call.text
+        name, args, thought = self._translated_call(call, successors)
         return candidate_text(thought, name, args)
 
 

@@ -28,6 +28,8 @@ SPANS = (
     "react.parse_action",
     "env.invoke",
     "mcts.expand",
+    "mcts.run_search",
+    "mcts.tree_to_json",
     "policy.propose",
 )
 

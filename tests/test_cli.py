@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import configparser
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -151,6 +152,34 @@ class TestSearchCommand:
         assert rows[0] == "setting,dataset,difficulty,tasks,solved,success_rate"
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_csv_summary_matches_the_written_trees(self, tmp_path, capsys, jobs):
+        manifest = write_manifest(tmp_path, setting="mutated_in", policy="scripted_semi_adaptive", sims=3, trees=2)
+        csv_path = tmp_path / "summary.csv"
+        args = ["search", "--manifest", manifest, "--csv", str(csv_path), "--jobs", jobs, "--no-self-reflection"]
+        assert main(args) == EXIT_OK
+        assert f"wrote 48 trees to {tmp_path / 'out' / 'trees'}" in capsys.readouterr().out
+        trees = [tree_from_json(p.read_text()) for p in sorted((tmp_path / "out" / "trees").glob("*.json"))]
+        assert len(trees) == 48
+        rows = cli.summarize(((t.task.id, bool(t.successful_leaves())) for t in trees), load_corpus(), "mutated_in")
+        assert {row["solved"] for row in rows} != {0}
+        with open(csv_path, newline="") as handle:
+            written = list(csv.DictReader(handle))
+        assert written == [{key: str(value) for key, value in row.items()} for row in rows]
+
+    def test_each_tree_is_written_before_the_next_search(self, tmp_path, capsys, monkeypatch):
+        searched = []
+
+        def checking_search(*args, tree_id, **kwargs):
+            trees = tmp_path / "out" / "trees"
+            assert sorted(p.stem for p in trees.glob("*.json")) == sorted(searched)
+            searched.append(tree_id)
+            return run_search(*args, tree_id=tree_id, **kwargs)
+
+        monkeypatch.setattr(cli, "run_search", checking_search)
+        assert main(["search", "--manifest", write_manifest(tmp_path, sims=2)]) == EXIT_OK
+        assert len(searched) == 24
+
     def test_jobs_parallelism_is_deterministic(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, sims=10)
         assert main(["search", "--manifest", manifest, "--jobs", "4"]) == EXIT_OK
@@ -275,6 +304,24 @@ class TestSearchCommand:
         assert "Q=7.5" in capsys.readouterr().err
         assert not list((tmp_path / "out" / "trees").glob("*.json"))
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_later_tree_that_breaks_an_invariant_leaves_the_earlier_ones(self, tmp_path, capsys, monkeypatch, jobs):
+        corpus = load_corpus()
+        bad = corpus.tasks[3].id
+
+        def broken_search(task, *args, **kwargs):
+            tree = run_search(task, *args, **kwargs)
+            if task.id == bad:
+                tree.node(1).q_value = 7.5
+            return tree
+
+        monkeypatch.setattr(cli, "run_search", broken_search)
+        manifest = write_manifest(tmp_path, sims=2)
+        assert main(["search", "--manifest", manifest, "--jobs", jobs]) == EXIT_INVARIANT
+        assert f"tree {bad}__t0" in capsys.readouterr().err
+        written = sorted(p.stem for p in (tmp_path / "out" / "trees").glob("*.json"))
+        assert written == sorted(f"{task.id}__t0" for task in corpus.tasks[:3])
+
     def test_unparseable_plan_is_config_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.ini"
         plan.write_text("seed = 5\n")
@@ -371,17 +418,33 @@ def small_tree_doc():
         SearchConfig(max_simulations=5, rng_seed=3), corpus.manual, corpus.demos,
     )
     doc = json.loads(tree_to_json(tree))
-    assert len(doc["nodes"]) > 3
+    assert len(doc["nodes"]["parent"]) > 3
     return doc
 
 
-def _set_parent(node_id, parent):
+def _set(column, node_id, value):
     def edit(doc):
-        doc["nodes"][node_id]["parent"] = parent
+        doc["nodes"][column][node_id] = value
     return edit
 
 
+def _set_parent(node_id, parent):
+    return _set("parent", node_id, parent)
+
+
+def _node_count(doc) -> int:
+    return len(doc["nodes"]["parent"])
+
+
+def _v3(doc):
+    """The same tree as format_version 3 wrote it: one object per node."""
+    doc["format_version"] = 3
+    columns = doc["nodes"]
+    doc["nodes"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def _v1(doc):
+    _v3(doc)
     doc["format_version"] = 1
     for i, node in enumerate(doc["nodes"]):
         node.update(id=i, depth=0, children=[j for j, n in enumerate(doc["nodes"]) if n["parent"] == i])
@@ -389,6 +452,7 @@ def _v1(doc):
 
 def _v2(doc):
     """The same tree as format_version 2 wrote it: each node holds its action."""
+    _v3(doc)
     doc["format_version"] = 2
     table = doc.pop("actions")
     for node in doc["nodes"][1:]:
@@ -400,26 +464,36 @@ MALFORMED_TREES = {
     "parent_forward": _set_parent(1, 2),
     "parent_cycle": lambda doc: (_set_parent(1, 2)(doc), _set_parent(2, 1)(doc)),
     "root_with_parent": _set_parent(0, 0),
-    "stale_children_list": lambda doc: doc["nodes"][1].update(children=[999]),
+    "stale_children_list": lambda doc: doc["nodes"].update(
+        children=[[999] if i == 1 else [] for i in range(_node_count(doc))]
+    ),
     "nodes_not_a_list": lambda doc: doc.update(nodes=5),
-    "node_not_an_object": lambda doc: doc["nodes"].append(5),
-    "no_nodes": lambda doc: doc.update(nodes=[]),
+    "node_not_an_object": lambda doc: _set("action", 1, doc["actions"][0])(doc),
+    "no_nodes": lambda doc: doc.update(nodes={column: [] for column in doc["nodes"]}),
     "format_v1": _v1,
-    "q_out_of_range": lambda doc: doc["nodes"][1].update(q_value=7.5),
-    "terminal_without_reward": lambda doc: doc["nodes"][2].update(terminal=True, reward=None),
-    "priors_do_not_sum": lambda doc: doc["nodes"][1].update(prior=0.9),
-    "prior_nan": lambda doc: doc["nodes"][1].update(prior=float("nan")),
+    "q_out_of_range": _set("q_value", 1, 7.5),
+    "terminal_without_reward": lambda doc: (_set("terminal", 2, True)(doc), _set("reward", 2, None)(doc)),
+    "priors_do_not_sum": _set("prior", 1, 0.9),
+    "prior_nan": _set("prior", 1, float("nan")),
     "c_puct_infinite": lambda doc: doc["config"].update(c_puct=float("inf")),
     "c_puct_nan": lambda doc: doc["config"].update(c_puct=float("nan")),
-    "action_index_out_of_range": lambda doc: doc["nodes"][1].update(action=len(doc["actions"])),
-    "action_index_negative": lambda doc: doc["nodes"][1].update(action=-1),
-    "action_index_true": lambda doc: doc["nodes"][1].update(action=True),
-    "action_index_float": lambda doc: doc["nodes"][1].update(action=0.0),
+    "action_index_out_of_range": lambda doc: _set("action", 1, len(doc["actions"]))(doc),
+    "action_index_negative": _set("action", 1, -1),
+    "action_index_true": _set("action", 1, True),
+    "action_index_float": _set("action", 1, 0.0),
     "action_entry_missing_key": lambda doc: doc["actions"][0].pop("kind"),
     "action_entry_extra_key": lambda doc: doc["actions"][0].update(extra=1),
     "actions_not_a_list": lambda doc: doc.update(actions={}),
     "action_entry_not_an_object": lambda doc: doc["actions"].__setitem__(0, 5),
     "format_v2": _v2,
+    "format_v3": _v3,
+    "column_too_short": lambda doc: doc["nodes"]["q_value"].pop(),
+    "column_too_long": lambda doc: doc["nodes"]["failure"].append(None),
+    "column_missing": lambda doc: doc["nodes"].pop("failure"),
+    "column_extra": lambda doc: doc["nodes"].update(depth=[0] * _node_count(doc)),
+    "column_not_a_list": lambda doc: doc["nodes"].update(visit_count=5),
+    "visit_count_true": _set("visit_count", 1, True),
+    "parent_true": _set_parent(2, True),
 }
 
 
@@ -453,22 +527,31 @@ _ODD_VALUES = st.sampled_from([None, True, 0, -1, 7, 1.5, "x", [], {}, [0], {"a"
 
 @given(data=st.data())
 def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
-    """One field of a real tree changed: inspect succeeds or reports exit 4."""
+    """One field or node cell of a real tree changed: inspect succeeds or
+    reports exit 4."""
     doc = json.loads(json.dumps(small_tree_doc))
-    index = data.draw(st.integers(0, len(doc["nodes"]) - 1), label="node")
-    node = doc["nodes"][index]
+    columns = doc["nodes"]
+    index = data.draw(st.integers(0, _node_count(doc) - 1), label="node")
+    column = data.draw(st.sampled_from(sorted(columns)), label="column")
     entry = data.draw(st.sampled_from(doc["actions"]), label="action entry")
-    target = data.draw(st.sampled_from([doc, doc["task"], doc["config"], node, entry]), label="object")
+    target = data.draw(st.sampled_from([doc, doc["task"], doc["config"], columns, entry]), label="object")
     key = data.draw(st.sampled_from(sorted(target)), label="key")
-    op = data.draw(st.sampled_from(["drop", "value", "forward_parent", "far_parent", "far_action"]), label="op")
+    op = data.draw(
+        st.sampled_from(["drop", "value", "drop_cell", "cell", "forward_parent", "far_parent", "far_action"]),
+        label="op",
+    )
     if op == "drop":
         del target[key]
     elif op == "value":
         target[key] = data.draw(_ODD_VALUES, label="value")
+    elif op == "drop_cell":
+        del columns[column][index]
+    elif op == "cell":
+        columns[column][index] = data.draw(_ODD_VALUES, label="value")
     elif op == "far_action":
-        node["action"] = len(doc["actions"]) + data.draw(st.integers(0, 5), label="past the end")
+        columns["action"][index] = len(doc["actions"]) + data.draw(st.integers(0, 5), label="past the end")
     else:
-        node["parent"] = index + 1 if op == "forward_parent" else len(doc["nodes"]) + 5
+        columns["parent"][index] = index + 1 if op == "forward_parent" else _node_count(doc) + 5
     with tempfile.TemporaryDirectory() as tmp:
         code = main(["inspect", _write_json(Path(tmp) / "t.json", doc)])
     assert code in (EXIT_OK, EXIT_INVARIANT)

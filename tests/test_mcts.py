@@ -534,6 +534,79 @@ def canonical_fields(tree: SearchTree) -> str:
     )
 
 
+@pytest.mark.parametrize("kind", ["scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive"])
+@pytest.mark.parametrize("ablation", ["full", "no_self_reflection", "no_tool_update"])
+def test_real_trees_round_trip(corpus, kind, ablation):
+    """A written tree loads back to the same text and the same fields."""
+    overrides = {} if ablation == "full" else {ablation: True}
+    registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+    policy = build_policy(PolicyConfig(kind=kind, emit_tool_updates=ablation != "no_tool_update"), corpus)
+    for task_id in ("coffee-hard-4", "agenda-hard-2"):
+        tree = run_search(
+            corpus.task(task_id), registry, policy, SearchConfig(rng_seed=5, **overrides), corpus.manual, corpus.demos
+        )
+        text = tree_to_json(tree)
+        loaded = tree_from_json(text)
+        assert tree_to_json(loaded) == text
+        assert canonical_fields(loaded) == canonical_fields(tree)
+
+
+WRONG_FINISH = 'Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'
+# Rollout rewards per simulation ("+" for +1) and the first 16 hex chars of
+# sha256 over ``canonical_fields`` of each tree that MixedPolicy grows with
+# cache_rollouts off at rng_seed 7 on the seed-7 mutated registry, as when
+# every rollout step was parsed and executed anew.
+UNCACHED_PINS = {
+    "coffee-hard-4": ("------------------------------", "686b056029d5c169"),
+    "agenda-easy-3": ("---------------+--------+--++-", "b554f333c96784e1"),
+}
+
+
+def test_uncached_rollouts_parse_each_distinct_text_once(corpus, monkeypatch):
+    """With cache_rollouts off, a rollout step takes its outcome from the
+    tree's candidate memo: parse_action runs at most once per distinct text of
+    a tree (a rollout parses only the text it follows), and the rewards and the
+    tree are what they were without the memo."""
+
+    class MixedPolicy:
+        """The adaptive step three times, a wrong Finish and an unparseable text."""
+
+        def __init__(self):
+            self.inner, self.texts = ScriptedAdaptivePolicy(corpus), set()
+
+        def propose(self, state, k):
+            good = self.inner.propose(state, 1)[0]
+            texts = [good, WRONG_FINISH, good, "no labels here", good]
+            self.texts.update(texts)
+            return texts
+
+    parsed, rewards = [], []
+    parse, simulate = mcts.parse_action, mcts.simulate_cached
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    def recording_simulate(*args):
+        rewards.append(simulate(*args))
+        return rewards[-1]
+
+    monkeypatch.setattr(mcts, "parse_action", counting_parse)
+    monkeypatch.setattr(mcts, "simulate_cached", recording_simulate)
+    registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+    for task_id, (expected_rewards, expected_digest) in UNCACHED_PINS.items():
+        parsed.clear()
+        rewards.clear()
+        policy = MixedPolicy()
+        tree = run_search(
+            corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7, cache_rollouts=False),
+            corpus.manual, corpus.demos,
+        )
+        assert len(parsed) == len(set(parsed)) and set(parsed) <= policy.texts
+        assert "".join("+" if r == 1 else "-" for r in rewards) == expected_rewards
+        assert hashlib.sha256(canonical_fields(tree).encode("utf-8")).hexdigest()[:16] == expected_digest
+
+
 # First 16 hex chars of sha256 over ``canonical_fields`` of coffee-hard-4 then
 # agenda-easy-3, searched at rng_seed 7 on the seed-7 mutated registry; each
 # tree also survives a write and a load unchanged. Any change to selection,

@@ -121,6 +121,19 @@ class TestScriptedPolicies:
         assert record.action_name == "Finish"
         assert record.action_input == {"answer": task.gold_answer}
 
+    @pytest.mark.parametrize("kind", ["scripted_adaptive", "scripted_rigid"])
+    def test_planned_steps_are_rendered_once(self, corpus, base_registry, kind):
+        """An unchanged planned call and the Finish step are the plan's stored
+        texts, rendered once rather than on every propose."""
+        policy = build_policy(PolicyConfig(kind=kind), corpus)
+        plan = corpus.plans["agenda-easy-1"]
+        done = executed(corpus, base_registry, "agenda-easy-1", [call.text for call in plan.calls])
+        for _ in range(2):
+            assert policy.propose(state_for(corpus, "agenda-easy-1"), 2) == [plan.calls[0].text] * 2
+            assert policy.propose(state_for(corpus, "agenda-easy-1"), 1)[0] is plan.calls[0].text
+            assert policy.propose(done, 1)[0] is plan.finish_text
+        assert parse_action(plan.finish_text).action_input == {"answer": plan.answer}
+
     def test_unknown_task_is_explicit_error(self, corpus):
         state = StateRecord(
             task=corpus.task("coffee-easy-1"),
