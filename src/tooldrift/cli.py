@@ -26,6 +26,9 @@ finishes, in run order (task, then tree index), and keeps only each tree's
 task id and outcome for the summary, so one tree at a time is held (plus
 those ``--jobs`` workers have finished ahead of it). A tree that breaks an
 invariant exits 4 unwritten; the trees written before it remain.
+
+``export`` reads the tree files one at a time, in name order, and holds only
+those with a reward-+1 leaf; a corrupt file exits 4 before any SFT is written.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import sys
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +49,7 @@ from .mcts import SearchConfig, SearchTree, run_search, tree_from_json, tree_to_
 from .mutation import (
     MutationError,
     MutationPlan,
+    draw,
     mutate_registry,
     plan_from_section,
     verify_mutation,
@@ -184,11 +187,6 @@ def cmd_mutate(args) -> int:
     return EXIT_INVARIANT
 
 
-def _derive_seed(base_seed: int, task_id: str, tree_index: int) -> int:
-    payload = f"{base_seed}:{task_id}:{tree_index}".encode("utf-8")
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
 def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base: ToolRegistry):
     plans = {}
     for name in MUTATION_SECTIONS:
@@ -251,7 +249,7 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
 
     def one(run_spec):
         task, index = run_spec
-        config = replace(search_cfg, rng_seed=_derive_seed(search_cfg.rng_seed, task.id, index))
+        config = replace(search_cfg, rng_seed=draw(search_cfg.rng_seed, task.id, str(index)))
         return run_search(
             task,
             registry,
@@ -350,18 +348,20 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _load_tree(path) -> SearchTree:
+    try:
+        return tree_from_json(_read_text(str(path)))
+    except ValueError as exc:
+        raise CliError(f"corrupt tree file {path}: {exc}", EXIT_INVARIANT) from exc
+
+
 def cmd_export(args) -> int:
     if args.max_per_task < 0:
         raise CliError(f"--max-per-task must be >= 0, not {args.max_per_task}", EXIT_CONFIG)
     tree_dir = Path(args.trees)
     if not tree_dir.is_dir():
         raise CliError(f"not a directory: {tree_dir}", EXIT_IO)
-    trees = []
-    for path in sorted(tree_dir.glob("*.json")):
-        try:
-            trees.append(tree_from_json(_read_text(str(path))))
-        except ValueError as exc:
-            raise CliError(f"corrupt tree file {path}: {exc}", EXIT_INVARIANT) from exc
+    trees = map(_load_tree, sorted(tree_dir.glob("*.json")))
     records = collect_from_trees(trees, max_per_task=args.max_per_task, seed=args.seed)
     try:
         count = export_sft(records, args.out)
@@ -371,7 +371,7 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _node_label(tree: SearchTree, node) -> str:
+def _node_label(node) -> str:
     if node.action is None:
         label = "root"
     else:
@@ -393,17 +393,14 @@ def _node_label(tree: SearchTree, node) -> str:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        tree = tree_from_json(_read_text(args.tree))
-    except ValueError as exc:
-        raise CliError(f"corrupt tree file {args.tree}: {exc}", EXIT_INVARIANT) from exc
+    tree = _load_tree(args.tree)
     print(f"tree {tree.tree_id} task={tree.task.id} generation={tree.registry_generation}")
 
     stack = [(tree.root_id, 0)]
     while stack:
         node_id, indent = stack.pop()
         node = tree.node(node_id)
-        print("  " * indent + _node_label(tree, node))
+        print("  " * indent + _node_label(node))
         stack.extend((child, indent + 1) for child in reversed(node.children))
     # tree_from_json has checked the invariants.
     print("invariants: ok")

@@ -3,6 +3,8 @@
 The world holds a coffee price table and a personal agenda table. Tasks are
 lookups and small computations whose gold answers are derived from the world
 at module load, so every answer is recomputable by an independent script.
+The few-shot demos take their observations from invoking the base registry,
+so a demo always shows what the tools return.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ import ast
 import functools
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .env import (
+    ANSWER_CORRECT_TEXT,
     TASK_TYPES,
     ApiSpec,
     Behavior,
@@ -21,6 +24,7 @@ from .env import (
     ParamSpec,
     TaskInstance,
     ToolRegistry,
+    invoke,
     typed_object,
 )
 from .react import ActionRecord, render_step
@@ -335,76 +339,23 @@ def _agenda_rows(world: dict, person: str, date: str) -> list[dict]:
     return [r for r in world["agenda"]["rows"] if r["Person"] == person and r["Date"] == date]
 
 
-def _lookup_plan(db: str, condition: str, column: str, answer: str, topic: str) -> TaskPlan:
-    return TaskPlan(
-        calls=(
-            PlannedCall(
-                tool="LoadDB",
-                args={"DBName": db},
-                thought=f"I should first load the {db} database containing {topic}.",
-            ),
-            PlannedCall(
-                tool="FilterDB",
-                args={"DBName": db, "FilterCondition": condition},
-                thought="Now I filter the rows that are relevant to the question.",
-            ),
-            PlannedCall(
-                tool="GetValue",
-                args={"DBName": db, "FilterCondition": condition, "ColumnName": column},
-                thought=f"I can read the {column} column from the filtered rows.",
-            ),
-        ),
-        answer=answer,
-    )
-
-
-def _calc_plan(db: str, condition: str, column_reads: list[str], expression: str, answer: str, topic: str) -> TaskPlan:
+def _plan(db: str, condition: str, topic: str, answer: str, reads: tuple[str, ...] = (), expression: str = "") -> TaskPlan:
+    """Load ``db`` and filter it by ``condition``, then read each column of
+    ``reads`` and, given an ``expression``, calculate it. A plan that reads
+    nothing answers with the filtered row count."""
+    where = {"DBName": db, "FilterCondition": condition}
+    filter_thought = ("Now I filter the rows that are relevant to the question." if reads
+                      else "Filtering tells me how many rows match.")
+    read_thought = ("I need the {} column of the matching row." if expression
+                    else "I can read the {} column from the filtered rows.")
     calls = [
-        PlannedCall(
-            tool="LoadDB",
-            args={"DBName": db},
-            thought=f"I should first load the {db} database containing {topic}.",
-        ),
-        PlannedCall(
-            tool="FilterDB",
-            args={"DBName": db, "FilterCondition": condition},
-            thought="Now I filter the rows that are relevant to the question.",
-        ),
+        PlannedCall("LoadDB", {"DBName": db}, f"I should first load the {db} database containing {topic}."),
+        PlannedCall("FilterDB", where, filter_thought),
+        *(PlannedCall("GetValue", {**where, "ColumnName": c}, read_thought.format(c)) for c in reads),
     ]
-    for column in column_reads:
-        calls.append(
-            PlannedCall(
-                tool="GetValue",
-                args={"DBName": db, "FilterCondition": condition, "ColumnName": column},
-                thought=f"I need the {column} column of the matching row.",
-            )
-        )
-    calls.append(
-        PlannedCall(
-            tool="Calculate",
-            args={"Expression": expression},
-            thought="With the values in hand, I can compute the result.",
-        )
-    )
+    if expression:
+        calls.append(PlannedCall("Calculate", {"Expression": expression}, "With the values in hand, I can compute the result."))
     return TaskPlan(calls=tuple(calls), answer=answer)
-
-
-def _count_plan(db: str, condition: str, answer: str, topic: str) -> TaskPlan:
-    return TaskPlan(
-        calls=(
-            PlannedCall(
-                tool="LoadDB",
-                args={"DBName": db},
-                thought=f"I should first load the {db} database containing {topic}.",
-            ),
-            PlannedCall(
-                tool="FilterDB",
-                args={"DBName": db, "FilterCondition": condition},
-                thought="Filtering tells me how many rows match.",
-            ),
-        ),
-        answer=answer,
-    )
 
 
 def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
@@ -434,7 +385,7 @@ def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
                 dataset="coffee",
                 difficulty="easy",
             ),
-            _lookup_plan("coffee", f"Date={date}", column, format_number(float(row[column])), coffee_topic),
+            _plan("coffee", f"Date={date}", coffee_topic, format_number(float(row[column])), (column,)),
         )
 
     range_dates = ["2000-01-03", "2012-03-09", "2022-09-06"]
@@ -450,7 +401,7 @@ def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
                 dataset="coffee",
                 difficulty="hard",
             ),
-            _calc_plan("coffee", f"Date={date}", ["High", "Low"], expr, format_number(spread), coffee_topic),
+            _plan("coffee", f"Date={date}", coffee_topic, format_number(spread), ("High", "Low"), expr),
         )
     pct_dates = ["2012-03-08", "2012-03-09", "2022-09-06"]
     for i, date in enumerate(pct_dates, start=len(range_dates) + 1):
@@ -465,7 +416,7 @@ def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
                 dataset="coffee",
                 difficulty="hard",
             ),
-            _calc_plan("coffee", f"Date={date}", ["Close", "Open"], expr, format_number(pct), coffee_topic),
+            _plan("coffee", f"Date={date}", coffee_topic, format_number(pct), ("Close", "Open"), expr),
         )
 
     agenda_topic = "agenda events"
@@ -491,7 +442,7 @@ def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
                 dataset="agenda",
                 difficulty="easy",
             ),
-            _lookup_plan("agenda", condition, column, _cell_text(rows[0][column]), agenda_topic),
+            _plan("agenda", condition, agenda_topic, _cell_text(rows[0][column]), (column,)),
         )
 
     duration_cases = [
@@ -517,7 +468,7 @@ def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
                 dataset="agenda",
                 difficulty="hard",
             ),
-            _calc_plan("agenda", condition, ["End_Hour", "Start_Hour"], expr, format_number(hours), agenda_topic),
+            _plan("agenda", condition, agenda_topic, format_number(hours), ("End_Hour", "Start_Hour"), expr),
         )
     count_cases = [("Sarah Chen", "2022-01-18"), ("Priya Patel", "2022-01-19")]
     for i, (person, date) in enumerate(count_cases, start=len(duration_cases) + 1):
@@ -531,128 +482,70 @@ def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
                 dataset="agenda",
                 difficulty="hard",
             ),
-            _count_plan("agenda", condition, str(n), agenda_topic),
+            _plan("agenda", condition, agenda_topic, str(n)),
         )
 
     return tasks, plans
 
 
-def _demo_block(question: str, steps: list[tuple[str, str, dict, str]]) -> str:
-    lines = [f"Question: {question}"]
-    for thought, action, action_input, observation in steps:
-        lines.append("")
-        lines.append(f"Thought: {thought}")
-        lines.append(f"Action: {action}")
-        lines.append(f"Action Input: {json.dumps(action_input)}")
-        lines.append(f"Observation: {observation}")
-    return "\n".join(lines)
-
-
-def build_demos() -> list[str]:
-    """Three fixed few-shot demonstrations using the base tool vocabulary."""
-    demo1 = _demo_block(
+# Few-shot demonstrations: a question and its (thought, tool, input) steps.
+DEMOS = (
+    (
         "What was the closing price of coffee on 2000-01-04?",
-        [
-            (
-                "To answer this question, I should first load the database containing coffee price information.",
-                "LoadDB",
-                {"DBName": "coffee"},
-                "We have successfully loaded the coffee database, including the following columns: "
-                "Date, Open, High, Low, Close, Volume, Currency.",
-            ),
-            (
-                "Now I filter the rows to the requested date.",
-                "FilterDB",
-                {"DBName": "coffee", "FilterCondition": "Date=2000-01-04"},
-                "We have filtered the database. The filtered data contains 1 rows.",
-            ),
-            (
-                "I can read the Close column from the filtered row.",
-                "GetValue",
-                {"DBName": "coffee", "FilterCondition": "Date=2000-01-04", "ColumnName": "Close"},
-                "The value of the Close column is: 116.25.",
-            ),
-            (
-                "I now know the final answer.",
-                "Finish",
-                {"answer": "116.25"},
-                "Answer is CORRECT",
-            ),
-        ],
-    )
-    demo2 = _demo_block(
+        (
+            ("To answer this question, I should first load the database containing coffee price information.",
+             "LoadDB", {"DBName": "coffee"}),
+            ("Now I filter the rows to the requested date.",
+             "FilterDB", {"DBName": "coffee", "FilterCondition": "Date=2000-01-04"}),
+            ("I can read the Close column from the filtered row.",
+             "GetValue", {"DBName": "coffee", "FilterCondition": "Date=2000-01-04", "ColumnName": "Close"}),
+            ("I now know the final answer.", "Finish", {"answer": "116.25"}),
+        ),
+    ),
+    (
         "Where does Priya Patel's piano lesson take place on 2022-01-19?",
-        [
-            (
-                "To answer this question, I should first load the database containing agenda events.",
-                "LoadDB",
-                {"DBName": "agenda"},
-                "We have successfully loaded the agenda database, including the following columns: "
-                "Date, Person, Event, Start_Hour, End_Hour, Location.",
-            ),
-            (
-                "Now I filter the agenda to Priya Patel's entry on that date.",
-                "FilterDB",
-                {"DBName": "agenda", "FilterCondition": "Person=Priya Patel, Date=2022-01-19"},
-                "We have filtered the database. The filtered data contains 1 rows.",
-            ),
-            (
-                "I can read the Location column from the filtered row.",
-                "GetValue",
-                {"DBName": "agenda", "FilterCondition": "Person=Priya Patel, Date=2022-01-19", "ColumnName": "Location"},
-                "The value of the Location column is: Harmony Studio.",
-            ),
-            (
-                "I now know the final answer.",
-                "Finish",
-                {"answer": "Harmony Studio"},
-                "Answer is CORRECT",
-            ),
-        ],
-    )
-    demo3 = _demo_block(
+        (
+            ("To answer this question, I should first load the database containing agenda events.",
+             "LoadDB", {"DBName": "agenda"}),
+            ("Now I filter the agenda to Priya Patel's entry on that date.",
+             "FilterDB", {"DBName": "agenda", "FilterCondition": "Person=Priya Patel, Date=2022-01-19"}),
+            ("I can read the Location column from the filtered row.",
+             "GetValue",
+             {"DBName": "agenda", "FilterCondition": "Person=Priya Patel, Date=2022-01-19", "ColumnName": "Location"}),
+            ("I now know the final answer.", "Finish", {"answer": "Harmony Studio"}),
+        ),
+    ),
+    (
         "What was the percentage change of the coffee price on 2012-03-08?",
-        [
-            (
-                "To answer this question, I should first load the database containing coffee price information.",
-                "LoadDB",
-                {"DBName": "coffee"},
-                "We have successfully loaded the coffee database, including the following columns: "
-                "Date, Open, High, Low, Close, Volume, Currency.",
-            ),
-            (
-                "Now I filter the rows to the requested date.",
-                "FilterDB",
-                {"DBName": "coffee", "FilterCondition": "Date=2012-03-08"},
-                "We have filtered the database. The filtered data contains 1 rows.",
-            ),
-            (
-                "I need the Close column of the matching row.",
-                "GetValue",
-                {"DBName": "coffee", "FilterCondition": "Date=2012-03-08", "ColumnName": "Close"},
-                "The value of the Close column is: 189.35.",
-            ),
-            (
-                "I need the Open column of the matching row.",
-                "GetValue",
-                {"DBName": "coffee", "FilterCondition": "Date=2012-03-08", "ColumnName": "Open"},
-                "The value of the Open column is: 189.7.",
-            ),
-            (
-                "With the opening and closing prices, I can compute the percentage change.",
-                "Calculate",
-                {"Expression": "(189.35 - 189.7) / 189.7 * 100"},
-                "The calculated result is: -0.18.",
-            ),
-            (
-                "I now know the final answer.",
-                "Finish",
-                {"answer": "-0.18"},
-                "Answer is CORRECT",
-            ),
-        ],
-    )
-    return [demo1, demo2, demo3]
+        (
+            ("To answer this question, I should first load the database containing coffee price information.",
+             "LoadDB", {"DBName": "coffee"}),
+            ("Now I filter the rows to the requested date.",
+             "FilterDB", {"DBName": "coffee", "FilterCondition": "Date=2012-03-08"}),
+            ("I need the Close column of the matching row.",
+             "GetValue", {"DBName": "coffee", "FilterCondition": "Date=2012-03-08", "ColumnName": "Close"}),
+            ("I need the Open column of the matching row.",
+             "GetValue", {"DBName": "coffee", "FilterCondition": "Date=2012-03-08", "ColumnName": "Open"}),
+            ("With the opening and closing prices, I can compute the percentage change.",
+             "Calculate", {"Expression": "(189.35 - 189.7) / 189.7 * 100"}),
+            ("I now know the final answer.", "Finish", {"answer": "-0.18"}),
+        ),
+    ),
+)
+
+
+def build_demos(registry: ToolRegistry) -> list[str]:
+    """The ``DEMOS`` as prompt text. A step's observation is what ``invoke``
+    returns for it on ``registry`` (the base registry), and a Finish step's
+    is the correct-answer text."""
+    demos = []
+    for question, steps in DEMOS:
+        text = f"Question: {question}"
+        for thought, tool, args in steps:
+            observation = ANSWER_CORRECT_TEXT if tool == "Finish" else invoke(registry, tool, args).text
+            text += "\n\n" + render_step(ActionRecord(thought, tool, args, observation))
+        demos.append(text)
+    return demos
 
 
 def load_corpus() -> Corpus:
@@ -663,14 +556,14 @@ def load_corpus() -> Corpus:
         world=world,
         base_registry=registry,
         manual=build_manual(registry),
-        demos=build_demos(),
+        demos=build_demos(registry),
         tasks=tasks,
         plans=plans,
     )
 
 
 def tasks_to_json(tasks: list[TaskInstance]) -> str:
-    doc = [{name: getattr(t, name) for name in TASK_TYPES} for t in tasks]
+    doc = [asdict(t) for t in tasks]
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 

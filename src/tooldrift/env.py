@@ -9,7 +9,7 @@ search can keep exploring through error states.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable
 
 INVOCATION_ERROR_TEXT = (
@@ -298,21 +298,8 @@ def _spec_from_json(doc, where: str) -> ApiSpec:
 def registry_to_json(registry: ToolRegistry) -> str:
     doc = {
         "generation": registry.generation,
-        "apis": [
-            {
-                **{f.name: getattr(spec, f.name) for f in fields(ApiSpec)},
-                "params": [{f.name: getattr(p, f.name) for f in fields(ParamSpec)} for p in spec.params],
-            }
-            for _, spec in sorted(registry.apis.items())
-        ],
-        "deprecated": {
-            old: {
-                "successor": e.successor,
-                "param_example": e.param_example,
-                "old_params": list(e.old_params),
-            }
-            for old, e in sorted(registry.deprecated.items())
-        },
+        "apis": [asdict(spec) for _, spec in sorted(registry.apis.items())],
+        "deprecated": {old: asdict(e) for old, e in sorted(registry.deprecated.items())},
     }
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from typing import Any
 
@@ -148,36 +148,20 @@ def puct_score(parent_visits: int, child: TreeNode, c_puct: float) -> float:
     return child.q_value + c_puct * child.prior * math.sqrt(parent_visits) / (1 + child.visit_count)
 
 
-def best_child(tree: SearchTree, parent_id: int, c_puct: float, allowed=None) -> int | None:
-    """Argmax of the PUCT score over visible, non-terminal children.
-
-    Ties break toward the smallest child index. ``allowed`` optionally
-    restricts the candidates (used by selection to skip dead subtrees).
-    """
+def best_child(tree: SearchTree, parent_id: int, c_puct: float) -> int | None:
+    """Argmax of the PUCT score over visible, non-terminal children; ties
+    break toward the smallest child index."""
     parent = tree.node(parent_id)
-    best_id: int | None = None
-    best_score = -math.inf
-    for child_id in parent.children:
-        child = tree.node(child_id)
-        if child.cached or child.terminal:
-            continue
-        if allowed is not None and child_id not in allowed:
-            continue
-        score = puct_score(parent.visit_count, child, c_puct)
-        if score > best_score:
-            best_id, best_score = child_id, score
-    return best_id
-
-
-def _visible_children(tree: SearchTree, node: TreeNode) -> list[int]:
-    return [c for c in node.children if not tree.node(c).cached]
+    candidates = [c for c in parent.children if not (tree.node(c).cached or tree.node(c).terminal)]
+    return max(candidates, key=lambda c: puct_score(parent.visit_count, tree.node(c), c_puct), default=None)
 
 
 def select_leaf(tree: SearchTree) -> int | None:
     """Walk from the root by PUCT to the best open leaf; None when exhausted.
 
     An open leaf is a visible, non-terminal node above ``max_depth`` with no
-    visible child.
+    visible child. Each step takes the argmax over the children that lead to
+    one, ties toward the smallest child index.
     """
     reachable: dict[int, bool] = {}
 
@@ -188,63 +172,47 @@ def select_leaf(tree: SearchTree) -> int | None:
             if node.cached or node.terminal:
                 known = False
             else:
-                visible = _visible_children(tree, node)
+                visible = [c for c in node.children if not tree.node(c).cached]
                 known = any(map(leads_to_open, visible)) if visible else node.depth < tree.config.max_depth
             reachable[node_id] = known
         return known
 
     if not leads_to_open(tree.root_id):
         return None
-    cur = tree.root_id
-    while allowed := {c for c in _visible_children(tree, tree.node(cur)) if leads_to_open(c)}:
-        cur = best_child(tree, cur, tree.config.c_puct, allowed=allowed)
-    return cur
-
-
-def _make_child(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> tuple:
-    """The (action, terminal, reward, failure) of the child that candidate
-    ``text`` makes from ``state``."""
-    try:
-        record = parse_action(text)
-    except ActionParseError as exc:
-        step = ActionRecord(
-            thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc)
-        )
-        return step, True, -1, str(exc)
-    outcome = execute_action(state, record, registry, tree.config.no_tool_update)
-    return outcome.step, outcome.terminal, outcome.reward, None
+    cur = tree.node(tree.root_id)
+    while open_children := [tree.node(c) for c in cur.children if leads_to_open(c)]:
+        visits = cur.visit_count
+        cur = max(open_children, key=lambda child: puct_score(visits, child, tree.config.c_puct))
+    return cur.id
 
 
 def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> tuple:
-    """``_make_child`` through the tree's memo: each distinct text is parsed and
-    executed once per tree and registry object, and every node it makes shares
-    that frozen record and outcome. They depend only on the text, the task and
-    the registry: ``invoke`` is pure in (registry, name, args), ``evaluate``
-    reads only the task, and ``no_tool_update`` changes only the state, which
-    is derived."""
+    """The (action, terminal, reward, failure) of the child that candidate
+    ``text`` makes from ``state``, through the tree's memo: each distinct text
+    is parsed and executed once per tree and registry object, and every node
+    it makes shares that frozen record and outcome. They depend only on the
+    text, the task and the registry: ``invoke`` is pure in (registry, name,
+    args), ``evaluate`` reads only the task, and ``no_tool_update`` changes
+    only the state, which is derived."""
     if tree._made[1] is None or tree._made[0] is not registry:
         tree._made = (registry, {})
     made = tree._made[1]
-    child = made.get(text)
-    if child is None:
-        child = made[text] = _make_child(tree, state, text, registry)
-    return child
-
-
-def _generate_children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> None:
-    """Add one hidden child per policy candidate, each with prior 1/len(texts)."""
-    state = tree.state(node.id)
-    texts = policy.propose(state, tree.config.k)
-    tree.stats["policy_calls"] += 1
-    prior = 1.0 / len(texts)
-    for text in texts:
-        action, terminal, reward, failure = _child_fields(tree, state, text, registry)
-        tree.add_node(node.id, action, prior=prior, cached=True, terminal=terminal, reward=reward, failure=failure)
+    if text not in made:
+        try:
+            record = parse_action(text)
+        except ActionParseError as exc:
+            step = ActionRecord(thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc))
+            made[text] = step, True, -1, str(exc)
+        else:
+            outcome = execute_action(state, record, registry, tree.config.no_tool_update)
+            made[text] = outcome.step, outcome.terminal, outcome.reward, None
+    return made[text]
 
 
 def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> list[int]:
-    """The node's children, generated hidden on first use; [] once the node is
-    a failed terminal, because the reflection gate stops it or the policy fails.
+    """The node's children: on first use, one hidden child per policy
+    candidate, each with prior 1/len(texts); [] once the node is a failed
+    terminal, because the reflection gate stops it or the policy fails.
 
     An error state passes the gate, so it expands with the error in context;
     under the self-reflection ablation an invocation-error node stops.
@@ -254,11 +222,17 @@ def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) 
         node.terminal, node.reward = True, -1
         return []
     if not node.children:
+        state = tree.state(node.id)
         try:
-            _generate_children(tree, node, policy, registry)
+            texts = policy.propose(state, tree.config.k)
         except PolicyError as exc:
             node.terminal, node.reward, node.failure = True, -1, str(exc)
             return []
+        tree.stats["policy_calls"] += 1
+        prior = 1.0 / len(texts)
+        for text in texts:
+            action, terminal, reward, failure = _child_fields(tree, state, text, registry)
+            tree.add_node(node.id, action, prior=prior, cached=True, terminal=terminal, reward=reward, failure=failure)
     return node.children
 
 
@@ -422,16 +396,6 @@ _NODE_COLUMNS = tuple(_NODE_TYPES)
 _CONFIG_TYPES = {float: (int, float), int: (int,), bool: (bool,)}
 
 
-def _action_to_json(action: ActionRecord) -> dict:
-    return {
-        "thought": action.thought,
-        "action_name": action.action_name,
-        "action_input": action.action_input,
-        "observation": action.observation,
-        "kind": action.kind,
-    }
-
-
 def _require_invariants(tree: SearchTree) -> None:
     problems = check_tree_invariants(tree)
     if problems:
@@ -454,7 +418,7 @@ def tree_to_json(tree: SearchTree) -> str:
         if action is None:
             return None
         if id(action) not in index_of:
-            entry = _action_to_json(action)
+            entry = asdict(action)
             key = json.dumps(entry, sort_keys=True, ensure_ascii=False)
             index_of[id(action)] = table.setdefault(key, (len(table), entry))[0]
         return index_of[id(action)]
@@ -466,8 +430,8 @@ def tree_to_json(tree: SearchTree) -> str:
         "format_version": TREE_FORMAT_VERSION,
         "tree_id": tree.tree_id,
         "registry_generation": tree.registry_generation,
-        "task": {name: getattr(tree.task, name) for name in TASK_TYPES},
-        "config": {f.name: getattr(tree.config, f.name) for f in fields(SearchConfig)},
+        "task": asdict(tree.task),
+        "config": asdict(tree.config),
         "manual": list(tree.manual),
         "demos": list(tree.demos),
         "stats": tree.stats,

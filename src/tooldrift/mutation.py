@@ -100,13 +100,14 @@ def split_words(name: str, special_chars: str = "".join(SPECIAL_CHARS)) -> list[
     return words
 
 
-def _draw(seed: int, *context: str) -> int:
+def draw(seed: int, *context: str) -> int:
+    """A 64-bit value drawn from SHA-256 of the seed and the context strings."""
     payload = ":".join((str(seed),) + context).encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
 def _choose(options: list[str], seed: int, *context: str) -> str:
-    return options[_draw(seed, *context) % len(options)]
+    return options[draw(seed, *context) % len(options)]
 
 
 def _substitute_words(words: list[str], plan: MutationPlan, *context: str) -> list[str]:

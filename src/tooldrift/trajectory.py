@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .mcts import SearchTree, TreeNode
@@ -57,7 +58,7 @@ def _record(tree: SearchTree, leaf: TreeNode) -> SftRecord:
     )
 
 
-def collect_from_trees(trees: list[SearchTree], max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:
+def collect_from_trees(trees: Iterable[SearchTree], max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:
     """Records of the reward-+1 root-to-leaf paths, at most max_per_task per task.
 
     The cap applies across all trees of one task, matching the data-budget
@@ -65,11 +66,13 @@ def collect_from_trees(trees: list[SearchTree], max_per_task: int = 4, seed: int
     through formerly cached (rollout-built) nodes count. Records come in task
     id order; within a task, a capped set is a seeded sample in (tree id,
     leaf id) order, and sampling comes before rendering, so only the kept
-    paths are rendered.
+    paths are rendered. A tree without a reward-+1 leaf is dropped as soon as
+    it is read, so ``trees`` may stream loaded files.
     """
     by_task: dict[str, list[tuple[SearchTree, TreeNode]]] = {}
     for tree in trees:
         by_task.setdefault(tree.task.id, []).extend((tree, leaf) for leaf in tree.successful_leaves())
+        del tree  # so a tree without a success is released before the next one is drawn
     out: list[SftRecord] = []
     for task_id in sorted(by_task):
         leaves = by_task[task_id]
@@ -80,23 +83,11 @@ def collect_from_trees(trees: list[SearchTree], max_per_task: int = 4, seed: int
     return out
 
 
-def record_to_json(record: SftRecord) -> dict:
-    return {
-        "format_version": SFT_FORMAT_VERSION,
-        "task_id": record.task_id,
-        "tree_id": record.tree_id,
-        "leaf_id": record.leaf_id,
-        "registry_generation": record.registry_generation,
-        "reward": record.reward,
-        "input": record.input,
-        "target": record.target,
-    }
-
-
 def export_sft(records: list[SftRecord], path: str | Path) -> int:
     """Write one JSON object per line; returns the record count."""
     path = Path(path)
-    lines = [json.dumps(record_to_json(r), sort_keys=True, ensure_ascii=False) for r in records]
+    docs = ({"format_version": SFT_FORMAT_VERSION, **asdict(r)} for r in records)
+    lines = [json.dumps(doc, sort_keys=True, ensure_ascii=False) for doc in docs]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return len(lines)
 

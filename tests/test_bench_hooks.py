@@ -27,8 +27,11 @@ SPANS = (
     "adapt.reflection_gate",
     "react.parse_action",
     "env.invoke",
+    "mcts.backpropagate",
     "mcts.expand",
     "mcts.run_search",
+    "mcts.select_leaf",
+    "mcts.simulate_cached",
     "mcts.tree_to_json",
     "policy.propose",
 )

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import configparser
 import csv
+import gc
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -359,6 +361,36 @@ class TestExportCommand:
             per_task[record["task_id"]] = per_task.get(record["task_id"], 0) + 1
         assert all(v <= 4 for v in per_task.values())
         capsys.readouterr()
+
+    def test_unsolved_tree_is_released_before_the_next_is_read(self, tmp_path, capsys, monkeypatch):
+        """Export streams the tree files: a tree without a reward-+1 leaf is
+        unreachable by the time the next file is read."""
+        manifest = write_manifest(tmp_path, setting="mutated_in", policy="scripted_rigid", sims=3)
+        assert main(["search", "--manifest", manifest]) == EXIT_OK
+        load, loaded, live_at_read = cli.tree_from_json, [], []
+
+        def tracked_load(text):
+            gc.collect()
+            live_at_read.append(sum(ref() is not None for ref in loaded))
+            tree = load(text)
+            loaded.append(weakref.ref(tree))
+            return tree
+
+        monkeypatch.setattr(cli, "tree_from_json", tracked_load)
+        out = tmp_path / "sft.jsonl"
+        assert main(["export", "--trees", str(tmp_path / "out" / "trees"), "--out", str(out)]) == EXIT_OK
+        assert "exported 0 records" in capsys.readouterr().out
+        assert live_at_read == [0] * 24
+
+    def test_corrupt_later_tree_is_invariant_error_and_writes_nothing(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, sims=5)
+        assert main(["search", "--manifest", manifest]) == EXIT_OK
+        trees_dir = tmp_path / "out" / "trees"
+        (trees_dir / "zz-corrupt.json").write_text('{"definitely": "not a tree"}')
+        out = tmp_path / "sft.jsonl"
+        assert main(["export", "--trees", str(trees_dir), "--out", str(out)]) == EXIT_INVARIANT
+        assert "corrupt tree file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_max_per_task_is_config_error(self, tmp_path, capsys):
         empty = tmp_path / "trees"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -264,6 +265,19 @@ class TestBuiltinCorpus:
     def test_every_dataset_difficulty_pair_present(self, corpus):
         pairs = {(t.dataset, t.difficulty) for t in corpus.tasks}
         assert pairs == {("coffee", "easy"), ("coffee", "hard"), ("agenda", "easy"), ("agenda", "hard")}
+
+    def test_plans_and_demos_are_pinned(self, corpus):
+        """First 16 hex chars of sha256 over every task's planned call texts and
+        Finish text (corpus order), then every demo, each ended by a NUL. A
+        change to a plan, a demo or a response text the demos show changes it."""
+        digest = hashlib.sha256()
+        for task in corpus.tasks:
+            plan = corpus.plans[task.id]
+            for text in [call.text for call in plan.calls] + [plan.finish_text]:
+                digest.update(text.encode("utf-8") + b"\0")
+        for demo in corpus.demos:
+            digest.update(demo.encode("utf-8") + b"\0")
+        assert digest.hexdigest()[:16] == "e5d4ba808473d525"
 
     def test_registry_serialization_round_trip(self, base_registry, corpus):
         text = registry_to_json(base_registry)

@@ -5,10 +5,9 @@ from dataclasses import replace
 import pytest
 
 from tooldrift.adapt import UPDATE_TOOL_OK_TEXT, execute_action
-from tooldrift.cli import _derive_seed
 from tooldrift.env import evaluate, invoke
 from tooldrift.mcts import SearchConfig, run_search
-from tooldrift.mutation import MutationPlan, mutate_registry
+from tooldrift.mutation import MutationPlan, draw, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
 from tooldrift.react import StateRecord, render_prompt
 from tooldrift.trajectory import (
@@ -96,7 +95,7 @@ class TestExtract:
         policy = ScriptedAdaptivePolicy(corpus)
         trees = [
             run_search(
-                task, registry, policy, SearchConfig(rng_seed=_derive_seed(7, task.id, 0)),
+                task, registry, policy, SearchConfig(rng_seed=draw(7, task.id, "0")),
                 corpus.manual, corpus.demos, tree_id=f"{task.id}__t0",
             )
             for task in corpus.tasks
