@@ -28,7 +28,7 @@ those ``--jobs`` workers have finished ahead of it). A tree that breaks an
 invariant exits 4 unwritten; the trees written before it remain.
 
 ``export`` reads the tree files one at a time, in name order, and holds only
-those with a reward-+1 leaf; a corrupt file exits 4 before any SFT is written.
+the reward-+1 paths of each; a corrupt file exits 4 before any SFT is written.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import ast
 import functools
 import json
 import operator
+import re
 from dataclasses import asdict, dataclass, field
 
 from .env import (
@@ -328,18 +329,10 @@ class Corpus:
         raise KeyError(task_id)
 
 
-def _coffee_row(world: dict, date: str) -> dict:
-    for row in world["coffee"]["rows"]:
-        if row["Date"] == date:
-            return row
-    raise KeyError(date)
+TOPICS = {"coffee": "coffee price information", "agenda": "agenda events"}
 
 
-def _agenda_rows(world: dict, person: str, date: str) -> list[dict]:
-    return [r for r in world["agenda"]["rows"] if r["Person"] == person and r["Date"] == date]
-
-
-def _plan(db: str, condition: str, topic: str, answer: str, reads: tuple[str, ...] = (), expression: str = "") -> TaskPlan:
+def _plan(db: str, condition: str, answer: str, reads: tuple[str, ...] = (), expression: str = "") -> TaskPlan:
     """Load ``db`` and filter it by ``condition``, then read each column of
     ``reads`` and, given an ``expression``, calculate it. A plan that reads
     nothing answers with the filtered row count."""
@@ -349,7 +342,7 @@ def _plan(db: str, condition: str, topic: str, answer: str, reads: tuple[str, ..
     read_thought = ("I need the {} column of the matching row." if expression
                     else "I can read the {} column from the filtered rows.")
     calls = [
-        PlannedCall("LoadDB", {"DBName": db}, f"I should first load the {db} database containing {topic}."),
+        PlannedCall("LoadDB", {"DBName": db}, f"I should first load the {db} database containing {TOPICS[db]}."),
         PlannedCall("FilterDB", where, filter_thought),
         *(PlannedCall("GetValue", {**where, "ColumnName": c}, read_thought.format(c)) for c in reads),
     ]
@@ -359,14 +352,20 @@ def _plan(db: str, condition: str, topic: str, answer: str, reads: tuple[str, ..
 
 
 def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
+    """The builtin tasks in id order, with their plans. Gold answers are
+    computed here from the world rows, never through a tool."""
     tasks: list[TaskInstance] = []
     plans: dict[str, TaskPlan] = {}
 
-    def add(task: TaskInstance, plan: TaskPlan) -> None:
-        tasks.append(task)
-        plans[task.id] = plan
+    def add(task_id: str, question: str, condition: str, answer: str, reads=(), expression: str = "") -> None:
+        dataset, difficulty, _ = task_id.split("-")
+        tasks.append(TaskInstance(task_id, question, answer, dataset, difficulty))
+        plans[task_id] = _plan(dataset, condition, answer, reads, expression)
 
-    coffee_topic = "coffee price information"
+    def row(db: str, condition: str) -> dict:
+        (only,) = filter_rows(world[db], condition)
+        return only
+
     easy_lookups = [
         ("2000-01-03", "Close", "closing price"),
         ("2000-01-04", "Open", "opening price"),
@@ -376,114 +375,48 @@ def _build_tasks(world: dict) -> tuple[list[TaskInstance], dict[str, TaskPlan]]:
         ("2022-09-06", "Close", "closing price"),
     ]
     for i, (date, column, label) in enumerate(easy_lookups, start=1):
-        row = _coffee_row(world, date)
-        add(
-            TaskInstance(
-                id=f"coffee-easy-{i}",
-                description=f"What was the {label} of coffee on {date}?",
-                gold_answer=format_number(float(row[column])),
-                dataset="coffee",
-                difficulty="easy",
-            ),
-            _plan("coffee", f"Date={date}", coffee_topic, format_number(float(row[column])), (column,)),
-        )
+        condition = f"Date={date}"
+        add(f"coffee-easy-{i}", f"What was the {label} of coffee on {date}?", condition,
+            _cell_text(row("coffee", condition)[column]), (column,))
+    for i, date in enumerate(["2000-01-03", "2012-03-09", "2022-09-06"], start=1):
+        r = row("coffee", f"Date={date}")
+        add(f"coffee-hard-{i}", f"By how much did the highest coffee price exceed the lowest on {date}?",
+            f"Date={date}", format_number(r["High"] - r["Low"]), ("High", "Low"), f"{r['High']} - {r['Low']}")
+    for i, date in enumerate(["2012-03-08", "2012-03-09", "2022-09-06"], start=4):
+        r = row("coffee", f"Date={date}")
+        add(f"coffee-hard-{i}", f"What was the percentage change of the coffee price on {date}?",
+            f"Date={date}", format_number((r["Close"] - r["Open"]) / r["Open"] * 100), ("Close", "Open"),
+            f"({r['Close']} - {r['Open']}) / {r['Open']} * 100")
 
-    range_dates = ["2000-01-03", "2012-03-09", "2022-09-06"]
-    for i, date in enumerate(range_dates, start=1):
-        row = _coffee_row(world, date)
-        spread = float(row["High"]) - float(row["Low"])
-        expr = f"{row['High']} - {row['Low']}"
-        add(
-            TaskInstance(
-                id=f"coffee-hard-{i}",
-                description=f"By how much did the highest coffee price exceed the lowest on {date}?",
-                gold_answer=format_number(spread),
-                dataset="coffee",
-                difficulty="hard",
-            ),
-            _plan("coffee", f"Date={date}", coffee_topic, format_number(spread), ("High", "Low"), expr),
-        )
-    pct_dates = ["2012-03-08", "2012-03-09", "2022-09-06"]
-    for i, date in enumerate(pct_dates, start=len(range_dates) + 1):
-        row = _coffee_row(world, date)
-        pct = (float(row["Close"]) - float(row["Open"])) / float(row["Open"]) * 100
-        expr = f"({row['Close']} - {row['Open']}) / {row['Open']} * 100"
-        add(
-            TaskInstance(
-                id=f"coffee-hard-{i}",
-                description=f"What was the percentage change of the coffee price on {date}?",
-                gold_answer=format_number(pct),
-                dataset="coffee",
-                difficulty="hard",
-            ),
-            _plan("coffee", f"Date={date}", coffee_topic, format_number(pct), ("Close", "Open"), expr),
-        )
-
-    agenda_topic = "agenda events"
     easy_agenda = [
-        ("Sarah Chen", "2022-01-18", "Event=Team standup", "Location", "Where does Sarah Chen's team standup take place on 2022-01-18?"),
-        ("Sarah Chen", "2022-01-18", "Event=Budget review", "Start_Hour", "At what hour does Sarah Chen's budget review start on 2022-01-18?"),
-        ("Miguel Santos", "2022-01-19", "", "Event", "What event does Miguel Santos have on 2022-01-19?"),
-        ("Priya Patel", "2022-01-19", "", "Location", "Where does Priya Patel's event on 2022-01-19 take place?"),
-        ("Miguel Santos", "2022-01-20", "", "End_Hour", "At what hour does Miguel Santos's event on 2022-01-20 end?"),
-        ("Priya Patel", "2022-01-20", "", "Event", "What event does Priya Patel have on 2022-01-20?"),
+        ("Person=Sarah Chen, Date=2022-01-18, Event=Team standup", "Location",
+         "Where does Sarah Chen's team standup take place on 2022-01-18?"),
+        ("Person=Sarah Chen, Date=2022-01-18, Event=Budget review", "Start_Hour",
+         "At what hour does Sarah Chen's budget review start on 2022-01-18?"),
+        ("Person=Miguel Santos, Date=2022-01-19", "Event", "What event does Miguel Santos have on 2022-01-19?"),
+        ("Person=Priya Patel, Date=2022-01-19", "Location", "Where does Priya Patel's event on 2022-01-19 take place?"),
+        ("Person=Miguel Santos, Date=2022-01-20", "End_Hour",
+         "At what hour does Miguel Santos's event on 2022-01-20 end?"),
+        ("Person=Priya Patel, Date=2022-01-20", "Event", "What event does Priya Patel have on 2022-01-20?"),
     ]
-    for i, (person, date, extra, column, question) in enumerate(easy_agenda, start=1):
-        condition = f"Person={person}, Date={date}"
-        if extra:
-            condition += f", {extra}"
-        rows = [r for r in filter_rows(world["agenda"], condition)]
-        assert len(rows) == 1, (person, date, extra)
-        add(
-            TaskInstance(
-                id=f"agenda-easy-{i}",
-                description=question,
-                gold_answer=_cell_text(rows[0][column]),
-                dataset="agenda",
-                difficulty="easy",
-            ),
-            _plan("agenda", condition, agenda_topic, _cell_text(rows[0][column]), (column,)),
-        )
-
-    duration_cases = [
-        ("Sarah Chen", "2022-01-18", "Event=Budget review"),
+    for i, (condition, column, question) in enumerate(easy_agenda, start=1):
+        add(f"agenda-easy-{i}", question, condition, _cell_text(row("agenda", condition)[column]), (column,))
+    durations = [
+        ("Sarah Chen", "2022-01-18", ", Event=Budget review"),
         ("Miguel Santos", "2022-01-20", ""),
         ("Sarah Chen", "2022-01-21", ""),
         ("Miguel Santos", "2022-01-21", ""),
     ]
-    for i, (person, date, extra) in enumerate(duration_cases, start=1):
+    for i, (person, date, extra) in enumerate(durations, start=1):
+        condition = f"Person={person}, Date={date}{extra}"
+        r = row("agenda", condition)
+        add(f"agenda-hard-{i}", f"How many hours does {person}'s event on {date} last?", condition,
+            format_number(r["End_Hour"] - r["Start_Hour"]), ("End_Hour", "Start_Hour"),
+            f"{r['End_Hour']} - {r['Start_Hour']}")
+    for i, (person, date) in enumerate([("Sarah Chen", "2022-01-18"), ("Priya Patel", "2022-01-19")], start=5):
         condition = f"Person={person}, Date={date}"
-        if extra:
-            condition += f", {extra}"
-        rows = filter_rows(world["agenda"], condition)
-        assert len(rows) == 1, (person, date, extra)
-        row = rows[0]
-        hours = float(row["End_Hour"]) - float(row["Start_Hour"])
-        expr = f"{row['End_Hour']} - {row['Start_Hour']}"
-        add(
-            TaskInstance(
-                id=f"agenda-hard-{i}",
-                description=f"How many hours does {person}'s event on {date} last?",
-                gold_answer=format_number(hours),
-                dataset="agenda",
-                difficulty="hard",
-            ),
-            _plan("agenda", condition, agenda_topic, format_number(hours), ("End_Hour", "Start_Hour"), expr),
-        )
-    count_cases = [("Sarah Chen", "2022-01-18"), ("Priya Patel", "2022-01-19")]
-    for i, (person, date) in enumerate(count_cases, start=len(duration_cases) + 1):
-        condition = f"Person={person}, Date={date}"
-        n = len(_agenda_rows(world, person, date))
-        add(
-            TaskInstance(
-                id=f"agenda-hard-{i}",
-                description=f"How many events does {person} have on {date}?",
-                gold_answer=str(n),
-                dataset="agenda",
-                difficulty="hard",
-            ),
-            _plan("agenda", condition, agenda_topic, str(n)),
-        )
+        add(f"agenda-hard-{i}", f"How many events does {person} have on {date}?", condition,
+            str(len(filter_rows(world["agenda"], condition))))
 
     return tasks, plans
 
@@ -562,14 +495,26 @@ def load_corpus() -> Corpus:
     )
 
 
+_TASK_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+
+
 def tasks_to_json(tasks: list[TaskInstance]) -> str:
     doc = [asdict(t) for t in tasks]
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def tasks_from_json(text: str) -> list[TaskInstance]:
-    """Tasks from a JSON list; any malformed document raises ValueError."""
+    """Tasks from a JSON list; any malformed document raises ValueError. A
+    task id names its tree files, so it must be a file-name token, and unique."""
     doc = json.loads(text)
     if not isinstance(doc, list):
         raise ValueError("tasks: expected a list")
-    return [TaskInstance(**typed_object(d, TASK_TYPES, f"task {i}")) for i, d in enumerate(doc)]
+    tasks = [TaskInstance(**typed_object(d, TASK_TYPES, f"task {i}")) for i, d in enumerate(doc)]
+    seen = set()
+    for task in tasks:
+        if not _TASK_ID_RE.fullmatch(task.id):
+            raise ValueError(f"task id {task.id!r} is not a file-name token")
+        if task.id in seen:
+            raise ValueError(f"task id {task.id!r} is repeated")
+        seen.add(task.id)
+    return tasks

@@ -148,14 +148,6 @@ def puct_score(parent_visits: int, child: TreeNode, c_puct: float) -> float:
     return child.q_value + c_puct * child.prior * math.sqrt(parent_visits) / (1 + child.visit_count)
 
 
-def best_child(tree: SearchTree, parent_id: int, c_puct: float) -> int | None:
-    """Argmax of the PUCT score over visible, non-terminal children; ties
-    break toward the smallest child index."""
-    parent = tree.node(parent_id)
-    candidates = [c for c in parent.children if not (tree.node(c).cached or tree.node(c).terminal)]
-    return max(candidates, key=lambda c: puct_score(parent.visit_count, tree.node(c), c_puct), default=None)
-
-
 def select_leaf(tree: SearchTree) -> int | None:
     """Walk from the root by PUCT to the best open leaf; None when exhausted.
 

@@ -111,7 +111,7 @@ def parse_deprecation_guidance(text: str | None) -> tuple[str, str, dict] | None
 
 
 def parse_update_desc(entry: str) -> tuple[str, str, dict] | None:
-    """Extract (successor, old name, example) from a manual entry, if it is one."""
+    """Extract (old name, successor, example) from a manual entry, if it is one."""
     match = _UPDATE_DESC_RE.match(entry)
     if match is None:
         return None

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .mcts import SearchTree, TreeNode
+from .mcts import SearchTree
 from .react import ActionRecord, parse_action, render_prompt, render_step
 
 SFT_FORMAT_VERSION = 1
@@ -46,18 +46,6 @@ def parse_target(target: str) -> list[ActionRecord]:
     return [parse_action(block) for block in _BLOCK_SPLIT_RE.split(target) if block.strip()]
 
 
-def _record(tree: SearchTree, leaf: TreeNode) -> SftRecord:
-    return SftRecord(
-        input=render_prompt(tree.state(tree.root_id)),
-        target=render_target(tuple(n.action for n in tree.path_to(leaf.id) if n.action is not None)),
-        task_id=tree.task.id,
-        tree_id=tree.tree_id,
-        leaf_id=leaf.id,
-        registry_generation=tree.registry_generation,
-        reward=leaf.reward or -1,
-    )
-
-
 def collect_from_trees(trees: Iterable[SearchTree], max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:
     """Records of the reward-+1 root-to-leaf paths, at most max_per_task per task.
 
@@ -66,20 +54,28 @@ def collect_from_trees(trees: Iterable[SearchTree], max_per_task: int = 4, seed:
     through formerly cached (rollout-built) nodes count. Records come in task
     id order; within a task, a capped set is a seeded sample in (tree id,
     leaf id) order, and sampling comes before rendering, so only the kept
-    paths are rendered. A tree without a reward-+1 leaf is dropped as soon as
-    it is read, so ``trees`` may stream loaded files.
+    paths are rendered. Of each tree only the root state and the actions of
+    its reward-+1 paths are kept, and the tree is released before the next is
+    drawn, so ``trees`` may stream loaded files.
     """
-    by_task: dict[str, list[tuple[SearchTree, TreeNode]]] = {}
+    by_task: dict[str, list[tuple]] = {}
     for tree in trees:
-        by_task.setdefault(tree.task.id, []).extend((tree, leaf) for leaf in tree.successful_leaves())
-        del tree  # so a tree without a success is released before the next one is drawn
+        root = tree.state(tree.root_id)
+        by_task.setdefault(tree.task.id, []).extend(
+            (tree.tree_id, leaf.id, root, tree.registry_generation, leaf.reward,
+             tuple(n.action for n in tree.path_to(leaf.id) if n.action is not None))
+            for leaf in tree.successful_leaves()
+        )
+        del tree  # so the tree is released before the next one is drawn
     out: list[SftRecord] = []
     for task_id in sorted(by_task):
-        leaves = by_task[task_id]
-        if len(leaves) > max_per_task:
-            chosen = random.Random(seed).sample(leaves, max_per_task)
-            leaves = sorted(chosen, key=lambda pair: (pair[0].tree_id, pair[1].id))
-        out.extend(_record(tree, leaf) for tree, leaf in leaves)
+        paths = by_task[task_id]
+        if len(paths) > max_per_task:
+            paths = sorted(random.Random(seed).sample(paths, max_per_task), key=lambda path: path[:2])
+        out.extend(
+            SftRecord(render_prompt(root), render_target(actions), task_id, tree_id, leaf_id, generation, reward)
+            for tree_id, leaf_id, root, generation, reward, actions in paths
+        )
     return out
 
 

@@ -23,9 +23,9 @@ from tooldrift.mcts import (
     SearchConfig,
     SearchTree,
     backpropagate,
-    best_child,
     puct_score,
     run_search,
+    select_leaf,
 )
 from tooldrift.mutation import MutationPlan, mutate_registry, split_words, verify_mutation
 from tooldrift.policy import (
@@ -102,10 +102,10 @@ class TestCriterion2Puct:
                     child.q_value = rng.choice((-1.0, -0.5, 0.0, 0.25, 0.25, 0.5, 1.0))
                     child.visit_count = rng.randint(0, 12)
                     child.prior = rng.choice((0.1, 0.2, 0.2, 0.25, 0.5))
-                got = best_child(tree, 0, 1.25)
+                got = select_leaf(tree)
                 expected, expected_score = None, -math.inf
                 for child_id in root.children:
-                    score = puct_score(root.visit_count, tree.node(child_id), 1.25)
+                    score = puct_score(root.visit_count, tree.node(child_id), tree.config.c_puct)
                     if score > expected_score:
                         expected, expected_score = child_id, score
                 assert got == expected

@@ -6,6 +6,7 @@ import gc
 import json
 import tempfile
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,26 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    def _search_corpus(self, tmp_path, ids):
+        """Search a corpus file holding coffee-easy-1 under each of ``ids``."""
+        task = load_corpus().task("coffee-easy-1")
+        tasks = tmp_path / "tasks.json"
+        tasks.write_text(tasks_to_json([replace(task, id=task_id) for task_id in ids]))
+        text = manifest_text(tmp_path, sims=2).replace("corpus = builtin", f"corpus = {tasks}")
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(text)
+        return main(["search", "--manifest", str(manifest)])
+
+    def test_corpus_task_id_that_is_not_a_file_name_is_config_error(self, tmp_path, capsys):
+        assert self._search_corpus(tmp_path, ["ok", "../escaped"]) == EXIT_CONFIG
+        assert "'../escaped' is not a file-name token" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_corpus_task_id_is_config_error(self, tmp_path, capsys):
+        assert self._search_corpus(tmp_path, ["dup", "other", "dup"]) == EXIT_CONFIG
+        assert "'dup' is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_endpoint_under_scripted_kind_is_no_endpoint(self, tmp_path, capsys):
         text = manifest_text(tmp_path, sims=5).replace("kind = scripted_adaptive", "kind = scripted_adaptive\nendpoint =")
         manifest = tmp_path / "run.ini"
@@ -362,10 +383,11 @@ class TestExportCommand:
         assert all(v <= 4 for v in per_task.values())
         capsys.readouterr()
 
-    def test_unsolved_tree_is_released_before_the_next_is_read(self, tmp_path, capsys, monkeypatch):
-        """Export streams the tree files: a tree without a reward-+1 leaf is
-        unreachable by the time the next file is read."""
-        manifest = write_manifest(tmp_path, setting="mutated_in", policy="scripted_rigid", sims=3)
+    @staticmethod
+    def _live_trees_at_each_read(tmp_path, monkeypatch, policy):
+        """Export the trees of a 24-task search; returns how many loaded trees
+        are still reachable each time the next file is read."""
+        manifest = write_manifest(tmp_path, setting="mutated_in", policy=policy, sims=3)
         assert main(["search", "--manifest", manifest]) == EXIT_OK
         load, loaded, live_at_read = cli.tree_from_json, [], []
 
@@ -379,8 +401,18 @@ class TestExportCommand:
         monkeypatch.setattr(cli, "tree_from_json", tracked_load)
         out = tmp_path / "sft.jsonl"
         assert main(["export", "--trees", str(tmp_path / "out" / "trees"), "--out", str(out)]) == EXIT_OK
+        return live_at_read
+
+    def test_unsolved_tree_is_released_before_the_next_is_read(self, tmp_path, capsys, monkeypatch):
+        """Export streams the tree files: a tree without a reward-+1 leaf is
+        unreachable by the time the next file is read."""
+        assert self._live_trees_at_each_read(tmp_path, monkeypatch, "scripted_rigid") == [0] * 24
         assert "exported 0 records" in capsys.readouterr().out
-        assert live_at_read == [0] * 24
+
+    def test_solved_tree_is_released_before_the_next_is_read(self, tmp_path, capsys, monkeypatch):
+        """Export keeps a solved tree's paths, not the tree."""
+        assert self._live_trees_at_each_read(tmp_path, monkeypatch, "scripted_adaptive") == [0] * 24
+        assert "exported 0 records" not in capsys.readouterr().out
 
     def test_corrupt_later_tree_is_invariant_error_and_writes_nothing(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, sims=5)

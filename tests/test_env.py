@@ -279,6 +279,12 @@ class TestBuiltinCorpus:
             digest.update(demo.encode("utf-8") + b"\0")
         assert digest.hexdigest()[:16] == "e5d4ba808473d525"
 
+    def test_tasks_are_pinned(self, corpus):
+        """First 16 hex chars of sha256 over ``tasks_to_json`` of the builtin
+        tasks: a change to an id, a question or a gold answer changes it."""
+        digest = hashlib.sha256(tasks_to_json(corpus.tasks).encode("utf-8"))
+        assert digest.hexdigest()[:16] == "10d4c2215b89e3f3"
+
     def test_registry_serialization_round_trip(self, base_registry, corpus):
         text = registry_to_json(base_registry)
         loaded = registry_from_json(text, base_registry)

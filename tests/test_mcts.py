@@ -18,7 +18,6 @@ from tooldrift.mcts import (
     SearchTree,
     TreeNode,
     backpropagate,
-    best_child,
     expand,
     puct_score,
     run_search,
@@ -134,7 +133,6 @@ class TestSelectLeaf:
         for _ in range(2):
             add_child(tree, parent=mid.id, prior=0.5, terminal=True)
         other = add_child(tree, q=-0.5, n=1, prior=0.5)
-        assert best_child(tree, 0, tree.config.c_puct) == mid.id
         assert select_leaf(tree) == other.id
 
 
@@ -153,10 +151,10 @@ class TestBestChild:
                     n=rng.randint(0, 9),
                     prior=rng.choice([0.1, 0.2, 0.2, 0.5]),
                 )
-            got = best_child(tree, 0, 1.25)
+            got = select_leaf(tree)
             best, best_score = None, -math.inf
             for cid in parent.children:
-                s = puct_score(parent.visit_count, tree.node(cid), 1.25)
+                s = puct_score(parent.visit_count, tree.node(cid), tree.config.c_puct)
                 if s > best_score:
                     best, best_score = cid, s
             assert got == best
