@@ -12,14 +12,23 @@ A run manifest (``search --manifest``) is an INI file. Every section and key
 is optional, and an absent key takes its default:
 
   [run]                         corpus, registry, setting, output_dir
-  [mutation], [mutation_in],    seed, kinds, special_char, synonyms
-  [mutation_ood]
+  [mutation], [mutation_in],    seed, kinds (comma-separated), special_char,
+  [mutation_ood]                synonyms (a JSON object of word -> words)
   [search]                      c_puct, max_depth, k, max_simulations,
                                 trees_per_task, rng_seed, cache_rollouts
   [policy]                      kind, endpoint, temperature, request_timeout
 
-Any other section or key exits 2. Only --no-self-reflection and
---no-tool-update set the ablations.
+Each key names a field of ``MutationPlan``, ``SearchConfig`` or
+``PolicyConfig`` and is read by the type of its default; the config checks
+its values when it is built. Any other section or key, or a bad value, exits
+2. Only --no-self-reflection and --no-tool-update set the ablations.
+
+The setting picks the registry searched: consistent the base one; mutated_in
+the plan of [mutation_in], else of [mutation]; mutated_ood the plan of
+[mutation_ood], else of [mutation] with seed + 1. A mutated setting with
+neither section exits 2, and every mutation section present is checked even
+when the setting does not use it. A scripted policy needs a plan for every
+task of the corpus; the first task without one exits 2.
 
 ``search`` writes each tree to ``<output_dir>/trees/<tree id>.json`` as it
 finishes, in run order (task, then tree index), and keeps only each tree's
@@ -36,25 +45,19 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import json
 import sys
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .corpus import Corpus, load_corpus, tasks_from_json
 from .env import ToolRegistry, registry_from_json, registry_to_json
 from .mcts import SearchConfig, SearchTree, run_search, tree_from_json, tree_to_json
-from .mutation import (
-    MutationError,
-    MutationPlan,
-    draw,
-    mutate_registry,
-    plan_from_section,
-    verify_mutation,
-)
-from .policy import PolicyConfig, build_policy
+from .mutation import MutationError, MutationPlan, draw, mutate_registry, verify_mutation
+from .policy import PolicyConfig, UnknownTaskError, build_policy
 from .trajectory import collect_from_trees, export_sft
 
 EXIT_OK = 0
@@ -65,9 +68,22 @@ EXIT_INVARIANT = 4
 SETTINGS = ("consistent", "mutated_in", "mutated_ood")
 RUN_KEYS = ("corpus", "registry", "setting", "output_dir")
 MUTATION_SECTIONS = ("mutation", "mutation_in", "mutation_ood")
-# The SectionProxy method that reads a [search] or [policy] value, by the type
-# of its field's default; other fields (a str, or the None endpoint) take text.
-_READERS = {bool: "getboolean", int: "getint", float: "getfloat"}
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# A section value's reader, by the type of its field's default; any other field
+# (a str, or the None endpoint) takes its text. Plain functions, not ConfigParser
+# converters, so a parser that a caller builds itself reads the same.
+_READERS = {
+    bool: _boolean, int: int, float: float, dict: json.loads,
+    frozenset: lambda text: frozenset(filter(None, map(str.strip, text.split(",")))),
+}
 
 
 class CliError(Exception):
@@ -113,7 +129,8 @@ def _load_corpus(value: str) -> Corpus:
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    """The INI file, its values taken as written: a ``%`` is not interpolated."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(_read_text(path))
     except configparser.Error as exc:
@@ -133,16 +150,16 @@ def _section(parser: configparser.ConfigParser, name: str, keys) -> configparser
 
 
 def _config(parser: configparser.ConfigParser, name: str, cls, **owned):
-    """A ``cls`` dataclass from the named section. Every field outside ``owned``
-    is set by the key of its name, read by the type of its default, so each
-    default is written once, in ``cls``; ``owned`` holds the fields that
-    command-line flags set."""
-    defaults = {f.name: f.default for f in fields(cls) if f.name not in owned}
-    section = _section(parser, name, defaults)
+    """A ``cls`` dataclass from the named section, which ``cls`` checks when it
+    is built. Every field outside ``owned`` is set by the key of its name, read
+    by the type of its default, so each default is written once, in ``cls``;
+    ``owned`` holds the fields that command-line flags set."""
+    defaults = {f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(cls)}
+    section = _section(parser, name, defaults.keys() - owned.keys())
     values = dict(owned)
     for key in section:
         try:
-            values[key] = getattr(section, _READERS.get(type(defaults[key]), "get"))(key)
+            values[key] = _READERS.get(type(defaults[key]), str)(section[key])
         except ValueError as exc:
             raise CliError(f"bad [{name}] {key}: {exc}", EXIT_CONFIG) from exc
     try:
@@ -154,16 +171,10 @@ def _config(parser: configparser.ConfigParser, name: str, cls, **owned):
 def _plan_from_args(args) -> MutationPlan:
     """The plan of ``--plan``'s [mutation] section, or the default plan; ``--seed``
     overrides its seed."""
-    section = {}
-    if args.plan:
-        parser = _read_config(args.plan)
-        if "mutation" not in parser:
-            raise CliError(f"{args.plan} has no [mutation] section", EXIT_CONFIG)
-        section = parser["mutation"]
-    try:
-        plan = plan_from_section(section)
-    except ValueError as exc:
-        raise CliError(f"bad mutation plan: {exc}", EXIT_CONFIG) from exc
+    parser = _read_config(args.plan) if args.plan else configparser.ConfigParser()
+    if args.plan and "mutation" not in parser:
+        raise CliError(f"{args.plan} has no [mutation] section", EXIT_CONFIG)
+    plan = _config(parser, "mutation", MutationPlan)
     return plan if args.seed is None else replace(plan, seed=args.seed)
 
 
@@ -188,13 +199,7 @@ def cmd_mutate(args) -> int:
 
 
 def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base: ToolRegistry):
-    plans = {}
-    for name in MUTATION_SECTIONS:
-        if name in parser:
-            try:
-                plans[name] = plan_from_section(parser[name])
-            except ValueError as exc:
-                raise CliError(f"bad [{name}] section: {exc}", EXIT_CONFIG) from exc
+    plans = {name: _config(parser, name, MutationPlan) for name in MUTATION_SECTIONS if name in parser}
     if setting == "consistent":
         return base
     section_name = {"mutated_in": "mutation_in", "mutated_ood": "mutation_ood"}[setting]
@@ -233,17 +238,17 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
 
     search_cfg = _config(parser, "search", SearchConfig, no_self_reflection=overrides.no_self_reflection,
                          no_tool_update=overrides.no_tool_update)
-    if overrides.sims is not None:
-        search_cfg.max_simulations = overrides.sims
-    if overrides.trees is not None:
-        search_cfg.trees_per_task = overrides.trees
+    flags = {"max_simulations": overrides.sims, "trees_per_task": overrides.trees}
     try:
-        search_cfg.validate()
+        search_cfg = replace(search_cfg, **{key: value for key, value in flags.items() if value is not None})
     except ValueError as exc:
-        raise CliError(f"bad search config: {exc}", EXIT_CONFIG) from exc
+        raise CliError(f"bad --sims or --trees: {exc}", EXIT_CONFIG) from exc
 
     policy_cfg = _config(parser, "policy", PolicyConfig, emit_tool_updates=not overrides.no_tool_update)
-    policy = build_policy(policy_cfg, corpus)
+    try:
+        policy = build_policy(policy_cfg, corpus)
+    except UnknownTaskError as exc:
+        raise CliError(f"[policy] kind {policy_cfg.kind}: {exc}", EXIT_CONFIG) from exc
 
     runs = [(task, index) for task in corpus.tasks for index in range(search_cfg.trees_per_task)]
 

@@ -33,9 +33,10 @@ from .react import ActionParseError, ActionRecord, StateRecord, parse_action
 FAILED_ACTION_NAME = "MalformedAction"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
-    """Search knobs; the defaults match the reference setup."""
+    """Search knobs; the defaults match the reference setup. A value out of
+    range raises ValueError when the config is built."""
 
     c_puct: float = 1.25
     max_depth: int = 15
@@ -47,7 +48,7 @@ class SearchConfig:
     no_self_reflection: bool = False
     no_tool_update: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.c_puct) and self.c_puct > 0):
             raise ValueError("c_puct must be a finite positive number")
         for name in ("max_depth", "k", "max_simulations", "trees_per_task"):
@@ -155,24 +156,34 @@ def select_leaf(tree: SearchTree) -> int | None:
     visible child. Each step takes the argmax over the children that lead to
     one, ties toward the smallest child index.
     """
+    nodes, max_depth = tree.nodes, tree.config.max_depth
     reachable: dict[int, bool] = {}
 
     def leads_to_open(node_id: int) -> bool:
-        known = reachable.get(node_id)
-        if known is None:
-            node = tree.node(node_id)
-            if node.cached or node.terminal:
-                known = False
-            else:
-                visible = [c for c in node.children if not tree.node(c).cached]
-                known = any(map(leads_to_open, visible)) if visible else node.depth < tree.config.max_depth
-            reachable[node_id] = known
-        return known
+        # Depth first over visible nodes with an explicit stack, so any depth is
+        # searched. A node stays stacked under its first unknown visible child
+        # until one child leads to an open leaf or all of them are known not to.
+        stack = [] if node_id in reachable else [node_id]
+        while stack:
+            node = nodes[stack[-1]]
+            known = False
+            if not node.terminal:
+                known = node.depth < max_depth
+                for child in node.children:
+                    if not nodes[child].cached:
+                        known = reachable.get(child)
+                        if known is not False:
+                            break
+                if known is None:
+                    stack.append(child)
+                    continue
+            reachable[stack.pop()] = known
+        return reachable[node_id]
 
     if not leads_to_open(tree.root_id):
         return None
-    cur = tree.node(tree.root_id)
-    while open_children := [tree.node(c) for c in cur.children if leads_to_open(c)]:
+    cur = nodes[tree.root_id]
+    while open_children := [nodes[c] for c in cur.children if not nodes[c].cached and leads_to_open(c)]:
         visits = cur.visit_count
         cur = max(open_children, key=lambda child: puct_score(visits, child, tree.config.c_puct))
     return cur.id
@@ -311,7 +322,6 @@ def run_search(
     tree_id: str | None = None,
 ) -> SearchTree:
     """Build one search tree for a task; every failure becomes a terminal node."""
-    config.validate()
     rng = random.Random(config.rng_seed)
     tree = SearchTree(
         task=task,
@@ -464,7 +474,6 @@ def tree_from_json(text: str) -> SearchTree:
     config = SearchConfig(**typed_object(
         doc["config"], {f.name: _CONFIG_TYPES[type(f.default)] for f in fields(SearchConfig)}, "config"
     ))
-    config.validate()
     if not all(isinstance(entry, str) for entry in doc["manual"] + doc["demos"]):
         raise ValueError("tree: manual and demos must be lists of strings")
     tree = SearchTree(

@@ -11,7 +11,6 @@ state, so outputs are stable across platforms and Python versions.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field, replace
 
@@ -74,7 +73,7 @@ class MutationPlan:
     seed: int = 0
     kinds: frozenset[str] = frozenset({"name_text", "param_text", "param_format"})
     special_char: str = "_"
-    synonym_table: dict[str, list[str]] = field(default_factory=lambda: dict(DEFAULT_SYNONYMS))
+    synonyms: dict[str, list[str]] = field(default_factory=lambda: dict(DEFAULT_SYNONYMS))
 
     def __post_init__(self) -> None:
         if not self.kinds:
@@ -84,7 +83,7 @@ class MutationPlan:
             raise MutationError(f"unknown mutation kinds: {sorted(unknown)}")
         if self.special_char not in SPECIAL_CHARS:
             raise MutationError(f"special_char must be one of {SPECIAL_CHARS}")
-        table = self.synonym_table
+        table = self.synonyms
         if not isinstance(table, dict) or not all(
             isinstance(words, list) and all(isinstance(w, str) for w in words) for words in table.values()
         ):
@@ -113,7 +112,7 @@ def _choose(options: list[str], seed: int, *context: str) -> str:
 def _substitute_words(words: list[str], plan: MutationPlan, *context: str) -> list[str]:
     out = []
     for i, word in enumerate(words):
-        options = plan.synonym_table.get(word)
+        options = plan.synonyms.get(word)
         if not options:
             raise MutationError(f"synonym table has no entry for word {word!r}")
         out.append(_choose(options, plan.seed, *context, f"word{i}", word))
@@ -284,26 +283,3 @@ def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> MutationReport
                 f"({base_obs.kind}/{mut_obs.kind})"
             )
     return report
-
-
-# ---------------------------------------------------------------------------
-# Plan reading: one keyed plain-text config section.
-# ---------------------------------------------------------------------------
-
-# Each ``[mutation]`` key: the MutationPlan field it sets and how its text is read.
-_PLAN_KEYS = {
-    "seed": ("seed", int),
-    "kinds": ("kinds", lambda text: frozenset(k.strip() for k in text.split(",") if k.strip())),
-    "special_char": ("special_char", str),
-    "synonyms": ("synonym_table", json.loads),
-}
-
-
-def plan_from_section(section) -> MutationPlan:
-    """The plan a ``[mutation]`` section (or any str mapping) describes; an
-    absent key takes the plan's default, and an unknown key or a bad value,
-    an empty ``kinds`` included, raises ValueError."""
-    unknown = sorted(set(section) - set(_PLAN_KEYS))
-    if unknown:
-        raise MutationError(f"unknown key {unknown[0]!r}")
-    return MutationPlan(**{_PLAN_KEYS[key][0]: _PLAN_KEYS[key][1](section[key]) for key in section})

@@ -149,10 +149,14 @@ def reads_as_error(text: str | None) -> bool:
 
 
 class ScriptedPolicy:
-    """Shared plumbing for the table-driven policies."""
+    """Shared plumbing for the table-driven policies. A corpus task without a
+    plan raises UnknownTaskError when the policy is built."""
 
     def __init__(self, corpus: Corpus | None = None):
         self.corpus = corpus if corpus is not None else load_corpus()
+        unplanned = [task.id for task in self.corpus.tasks if task.id not in self.corpus.plans]
+        if unplanned:
+            raise UnknownTaskError(f"no plan for task {unplanned[0]!r}")
 
     def propose(self, state: StateRecord, k: int) -> list[str]:
         if k < 1:
@@ -210,13 +214,13 @@ class ScriptedAdaptivePolicy(ScriptedPolicy):
         thought = f"{call.thought} The manual says {call.tool} was replaced by {new_name}, so I will use that."
         return new_name, args, thought
 
-    def _pending_update(self, state: StateRecord) -> str | None:
+    def _pending_update(self, state: StateRecord, successors: dict[str, tuple[str, dict]]) -> str | None:
         if not self.emit_tool_updates or not state.steps:
             return None
         last = state.steps[-1]
         if last.action_name == "UpdateTool" or reads_as_error(last.observation):
             return None
-        for old, (new, example) in successor_map(state).items():
+        for old, (new, example) in successors.items():
             if last.action_name != new:
                 continue
             desc = update_tool_desc(new, old, example)
@@ -253,7 +257,7 @@ class ScriptedAdaptivePolicy(ScriptedPolicy):
             )
             return candidate_text(thought, name, args)
 
-        update = self._pending_update(state)
+        update = self._pending_update(state, successors)
         if update is not None:
             return update
 

@@ -3,7 +3,8 @@
 ``bench/spans.py`` looks up every name it wraps when it installs, so a traced
 command that exits 0 shows that all of them still exist. ``bench/run.py``
 searches in process through ``cli.run_manifest`` with ``cli.build_policy``
-patched, for the reference outcomes of the remote workload.
+patched, for the reference outcomes of the remote workload, on a manifest read
+by a plain ``configparser.ConfigParser`` it builds itself.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from unittest import mock
 
 from tooldrift import cli
 from tooldrift.corpus import load_corpus
+from tooldrift.mutation import DEFAULT_SYNONYMS, MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +32,10 @@ setting = consistent
 [policy]
 kind = scripted_adaptive
 """
+
+OVERRIDES = argparse.Namespace(
+    setting=None, sims=None, trees=None, no_self_reflection=False, no_tool_update=False, jobs=1
+)
 
 SPANS = (
     "adapt.execute_action",
@@ -75,14 +81,34 @@ def test_run_manifest_searches_with_the_patched_policy():
 
     parser = configparser.ConfigParser()
     parser.read_string(MANIFEST + "\n[search]\nmax_simulations = 2\ntrees_per_task = 1\n")
-    overrides = argparse.Namespace(
-        setting=None, sims=None, trees=None, no_self_reflection=False, no_tool_update=False, jobs=1
-    )
     policy = CountingPolicy(load_corpus())
     with mock.patch.object(cli, "build_policy", lambda config, corpus: policy):
-        trees, corpus, _ = cli.run_manifest(parser, overrides)
+        trees, corpus, _ = cli.run_manifest(parser, OVERRIDES)
     tree_ids = [tree.tree_id for tree in trees]
     assert tree_ids == sorted(f"{task.id}__t0" for task in corpus.tasks)
     assert tree_ids != [f"{task.id}__t0" for task in corpus.tasks]
     assert len(calls) == sum(tree.stats["policy_calls"] for tree in trees) > 0
     assert set(calls) == {task.id for task in corpus.tasks}
+
+
+def test_run_manifest_reads_every_mutation_key_from_a_plain_parser():
+    """A mutated_in manifest whose [mutation] section holds what the bench's
+    does (seed, kinds, special_char) and a synonyms table: the search runs on
+    the registry of exactly that plan."""
+    synonyms = {word: options[:1] for word, options in DEFAULT_SYNONYMS.items()}
+    parser = configparser.ConfigParser()
+    parser.read_string(
+        MANIFEST.replace("consistent", "mutated_in")
+        + "\n[mutation]\nseed = 11\nkinds = name_text, param_text, param_format\nspecial_char = _\n"
+        + f"synonyms = {json.dumps(synonyms)}\n\n[search]\nmax_simulations = 2\ntrees_per_task = 1\n"
+    )
+    corpus = load_corpus()
+    with mock.patch.object(cli, "build_policy", lambda config, corpus: ScriptedAdaptivePolicy(corpus)):
+        trees, _, setting = cli.run_manifest(parser, OVERRIDES)
+    plan = MutationPlan(
+        seed=11, kinds=frozenset({"name_text", "param_text", "param_format"}), special_char="_", synonyms=synonyms
+    )
+    successors = set(mutate_registry(corpus.base_registry, plan).apis) - set(corpus.base_registry.apis)
+    used = {node.action.action_name for tree in trees for node in tree.nodes[1:]}
+    assert setting == "mutated_in" and {tree.registry_generation for tree in trees} == {"mutated-11"}
+    assert used - set(corpus.base_registry.apis) == successors

@@ -240,6 +240,7 @@ class TestSearchCommand:
             ("kinds = name_text, param_text, param_format", "kinds =", "[mutation]"),
             ("c_puct = 1.25", "c_puct = nan", "c_puct"),
             ("c_puct = 1.25", "c_puct = inf", "c_puct"),
+            ("c_puct = 1.25", "c_puct = 5%", "c_puct"),
             ("kind = scripted_adaptive", "kind = scripted_adaptive\ntemperature = nan", "temperature"),
             ("kind = scripted_adaptive", "kind = scripted_adaptive\nrequest_timeout = -5", "request_timeout"),
             ("kind = scripted_adaptive", "kind = scripted_adaptive\nrequest_timeout = inf", "request_timeout"),
@@ -260,6 +261,7 @@ class TestSearchCommand:
             "empty_kinds",
             "c_puct_nan",
             "c_puct_inf",
+            "c_puct_percent",
             "temperature_nan",
             "request_timeout_negative",
             "request_timeout_inf",
@@ -293,6 +295,36 @@ class TestSearchCommand:
         assert self._search_corpus(tmp_path, ["dup", "other", "dup"]) == EXIT_CONFIG
         assert "'dup' is repeated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_scripted_policy_without_a_plan_for_a_task_is_config_error(self, tmp_path, capsys):
+        assert self._search_corpus(tmp_path, ["coffee-easy-1", "custom-1", "custom-2"]) == EXIT_CONFIG
+        assert "no plan for task 'custom-1'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, field", [("--sims", "max_simulations"), ("--trees", "trees_per_task")])
+    def test_flag_below_one_is_config_error(self, tmp_path, capsys, flag, field):
+        manifest = write_manifest(tmp_path, sims=2)
+        assert main(["search", "--manifest", manifest, flag, "0"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_search_deeper_than_the_recursion_limit_finishes(self, tmp_path, capsys):
+        """With k = 1 every simulation unhides one more node of a single
+        chain, so selection walks a visible path 1,200 nodes deep."""
+        tasks = tmp_path / "tasks.json"
+        tasks.write_text(tasks_to_json([load_corpus().task("coffee-easy-1")]))
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(
+            f"[run]\ncorpus = {tasks}\nsetting = mutated_ood\n\n[mutation]\nseed = 11\n\n"
+            "[policy]\nkind = scripted_rigid\n\n"
+            "[search]\nk = 1\nmax_depth = 1200\nmax_simulations = 1200\ntrees_per_task = 1\n"
+        )
+        trees = tmp_path / "out" / "trees"
+        assert main(["search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+        tree = tree_from_json((trees / "coffee-easy-1__t0.json").read_text())
+        assert tree.stats["simulations"] == 1200
+        assert max(node.depth for node in tree.nodes if not node.cached) == 1200
 
     def test_empty_endpoint_under_scripted_kind_is_no_endpoint(self, tmp_path, capsys):
         text = manifest_text(tmp_path, sims=5).replace("kind = scripted_adaptive", "kind = scripted_adaptive\nendpoint =")

@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -447,6 +447,25 @@ class TestRunSearch:
             )
 
         assert visible_rewards(cached_tree) == visible_rewards(uncached_tree)
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c_puct", 0), ("c_puct", -1), ("c_puct", math.nan), ("c_puct", math.inf), ("max_depth", 0), ("k", 0),
+         ("max_simulations", 0), ("trees_per_task", 0)],
+    )
+    def test_value_out_of_range_is_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            replace(SearchConfig(), **{field: value})
+
+    def test_built_config_cannot_be_assigned(self):
+        config = SearchConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.max_simulations = 0
+        assert config == SearchConfig()
 
 
 class TestTreeSerialization:

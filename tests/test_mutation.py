@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from tooldrift import cli
 from tooldrift.corpus import build_world
 from tooldrift.env import ApiSpec, ParamSpec, ToolRegistry, invoke, registry_to_json
 from tooldrift.mutation import (
@@ -14,7 +15,6 @@ from tooldrift.mutation import (
     MutationError,
     MutationPlan,
     mutate_registry,
-    plan_from_section,
     split_words,
     verify_mutation,
 )
@@ -72,14 +72,14 @@ class TestMutateRegistry:
 
     def test_special_char_only_between_words(self, agenda_fetch_registry):
         base, synonyms = agenda_fetch_registry
-        plan = MutationPlan(seed=1, kinds=frozenset({"name_special_char"}), synonym_table=synonyms)
+        plan = MutationPlan(seed=1, kinds=frozenset({"name_special_char"}), synonyms=synonyms)
         mutated = mutate_registry(base, plan)
         assert mutated.deprecated["RetrieveAgenda"].successor == "Retrieve_Agenda"
 
     def test_text_plus_special_char(self, agenda_fetch_registry):
         base, synonyms = agenda_fetch_registry
         plan = MutationPlan(
-            seed=1, kinds=frozenset({"name_text", "name_special_char"}), synonym_table=synonyms
+            seed=1, kinds=frozenset({"name_text", "name_special_char"}), synonyms=synonyms
         )
         mutated = mutate_registry(base, plan)
         successor = mutated.deprecated["RetrieveAgenda"].successor
@@ -135,7 +135,7 @@ class TestMutateRegistry:
 
     def test_uncovered_word_is_an_explicit_error(self, base_registry):
         table = {k: v for k, v in DEFAULT_SYNONYMS.items() if k != "Load"}
-        plan = MutationPlan(seed=11, kinds=frozenset({"name_text"}), synonym_table=table)
+        plan = MutationPlan(seed=11, kinds=frozenset({"name_text"}), synonyms=table)
         with pytest.raises(MutationError, match="'Load'"):
             mutate_registry(base_registry, plan)
 
@@ -240,30 +240,45 @@ class TestVerifyMutation:
         assert (base_obs.kind, base_obs.text) == (mutated_obs.kind, mutated_obs.text)
 
 
-def _section(text: str):
+def _parser(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     parser.read_string(text)
-    return parser["mutation"]
+    return parser
 
 
 class TestPlanConfig:
+    """Mutation sections are read by the one section reader, ``cli._config``."""
+
     def test_section_reads_every_key(self):
         synonyms = {"Load": ["Open"], "DB": ["Store"]}
-        section = _section(
+        parser = _parser(
             "[mutation]\nseed = 7\nkinds = name_text, param_format\nspecial_char = -\n"
             f"synonyms = {json.dumps(synonyms)}\n"
         )
         plan = MutationPlan(
-            seed=7, kinds=frozenset({"name_text", "param_format"}), special_char="-", synonym_table=synonyms
+            seed=7, kinds=frozenset({"name_text", "param_format"}), special_char="-", synonyms=synonyms
         )
-        assert plan_from_section(section) == plan
+        assert cli._config(parser, "mutation", MutationPlan) == plan
 
     def test_empty_section_takes_defaults(self):
-        assert plan_from_section(_section("[mutation]\n")) == MutationPlan(seed=0)
+        assert cli._config(_parser("[mutation]\n"), "mutation", MutationPlan) == MutationPlan(seed=0)
 
     @pytest.mark.parametrize(
-        "line", ["sed = 5", "synonyms = [1]", 'synonyms = {"Load": "Open"}', "kinds =", "kinds = ,"]
+        "line",
+        ["sed = 5", "synonyms = [1]", 'synonyms = {"Load": "Open"}', "synonyms = {Load", "kinds =", "kinds = ,"],
     )
-    def test_bad_key_or_table_rejected(self, line):
-        with pytest.raises(MutationError):
-            plan_from_section(_section(f"[mutation]\n{line}\n"))
+    def test_bad_key_or_table_rejected(self, tmp_path, capsys, line):
+        """Through ``mutate --plan``, a mutated_in search, and a consistent
+        search whose [mutation_ood] section it would not use."""
+        plan = tmp_path / "plan.ini"
+        plan.write_text(f"[mutation]\n{line}\n")
+        assert cli.main(["mutate", "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == cli.EXIT_CONFIG
+        manifest = tmp_path / "run.ini"
+        out = ["--output-dir", str(tmp_path / "out")]
+        for setting, section in (("mutated_in", "mutation"), ("consistent", "mutation_ood")):
+            manifest.write_text(f"[run]\nsetting = {setting}\n\n[{section}]\n{line}\n")
+            assert cli.main(["search", "--manifest", str(manifest), *out]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert [message[:7] for message in err] == ["error: "] * 3
+        assert "[mutation]" in err[0] and "[mutation]" in err[1] and "[mutation_ood]" in err[2]
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
