@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration or parse problem, 3 I/O failure,
 4 invariant violation (a failed mutation check, or a tree that breaks an
-invariant when it is written or read).
+invariant when it is written or read). An input file that does not decode
+(not UTF-8, or JSON nested past the recursion limit) exits 2; a tree file, 4.
 
 ``mutate`` writes the registry of the default mutation plan, or of the
 [mutation] section of a ``--plan`` file (the keys of the manifest's mutation
@@ -45,18 +46,19 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import json
 import sys
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .corpus import Corpus, load_corpus, tasks_from_json
 from .env import ToolRegistry, registry_from_json, registry_to_json
 from .mcts import SearchConfig, SearchTree, run_search, tree_from_json, tree_to_json
-from .mutation import MutationError, MutationPlan, draw, mutate_registry, verify_mutation
+from .mutation import MutationPlan, draw, mutate_registry, verify_mutation
 from .policy import PolicyConfig, UnknownTaskError, build_policy
 from .trajectory import collect_from_trees, export_sft
 
@@ -92,49 +94,50 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_text(path: str) -> str:
+@contextmanager
+def _exits(code: int, what: str, errors=(ValueError, RecursionError)):
+    """Re-raise ``errors`` as the CliError "<what>: <error>" with exit ``code``.
+    By default those are what a loader or config raises on bad outside input:
+    a ValueError (a file that is not UTF-8 included), or the RecursionError of
+    a JSON document nested deeper than the interpreter's recursion limit."""
     try:
+        yield
+    except errors as exc:
+        raise CliError(f"{what}: {exc}", code) from exc
+
+
+def _read_text(path: str) -> str:
+    with _exits(EXIT_IO, f"cannot read {path}", OSError):
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
 
 
 def _write_text(path: str, text: str) -> None:
-    try:
+    """Write ``text`` as it is: no newline is translated."""
+    with _exits(EXIT_IO, f"cannot write {path}", OSError):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+        Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def _load_registry(value: str, corpus: Corpus) -> ToolRegistry:
     if value == "builtin":
         return corpus.base_registry
-    text = _read_text(value)
-    try:
-        return registry_from_json(text, corpus.base_registry)
-    except ValueError as exc:
-        raise CliError(f"cannot parse registry {value}: {exc}", EXIT_CONFIG) from exc
+    with _exits(EXIT_CONFIG, f"cannot parse registry {value}"):
+        return registry_from_json(_read_text(value), corpus.base_registry)
 
 
 def _load_corpus(value: str) -> Corpus:
     corpus = load_corpus()
     if value != "builtin":
-        text = _read_text(value)
-        try:
-            corpus.tasks = tasks_from_json(text)
-        except ValueError as exc:
-            raise CliError(f"cannot parse corpus {value}: {exc}", EXIT_CONFIG) from exc
+        with _exits(EXIT_CONFIG, f"cannot parse corpus {value}"):
+            corpus.tasks = tasks_from_json(_read_text(value))
     return corpus
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
     """The INI file, its values taken as written: a ``%`` is not interpolated."""
     parser = configparser.ConfigParser(interpolation=None)
-    try:
+    with _exits(EXIT_CONFIG, f"cannot parse {path}", (configparser.Error, ValueError)):
         parser.read_string(_read_text(path))
-    except configparser.Error as exc:
-        raise CliError(f"cannot parse {path}: {exc}", EXIT_CONFIG) from exc
     return parser
 
 
@@ -158,14 +161,10 @@ def _config(parser: configparser.ConfigParser, name: str, cls, **owned):
     section = _section(parser, name, defaults.keys() - owned.keys())
     values = dict(owned)
     for key in section:
-        try:
+        with _exits(EXIT_CONFIG, f"bad [{name}] {key}"):
             values[key] = _READERS.get(type(defaults[key]), str)(section[key])
-        except ValueError as exc:
-            raise CliError(f"bad [{name}] {key}: {exc}", EXIT_CONFIG) from exc
-    try:
+    with _exits(EXIT_CONFIG, f"bad [{name}] section"):
         return cls(**values)
-    except ValueError as exc:
-        raise CliError(f"bad [{name}] section: {exc}", EXIT_CONFIG) from exc
 
 
 def _plan_from_args(args) -> MutationPlan:
@@ -182,10 +181,8 @@ def cmd_mutate(args) -> int:
     corpus = _load_corpus("builtin")
     base = _load_registry(args.base, corpus)
     plan = _plan_from_args(args)
-    try:
+    with _exits(EXIT_CONFIG, "mutation failed"):
         mutated = mutate_registry(base, plan)
-    except MutationError as exc:
-        raise CliError(f"mutation failed: {exc}", EXIT_CONFIG) from exc
     _write_text(args.out, registry_to_json(mutated))
     report = verify_mutation(base, mutated)
     print(f"wrote {args.out} (generation {mutated.generation})")
@@ -211,10 +208,8 @@ def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base:
             plan = replace(plan, seed=plan.seed + 1)
     else:
         raise CliError(f"setting {setting} requires a [mutation] section", EXIT_CONFIG)
-    try:
+    with _exits(EXIT_CONFIG, "mutation failed"):
         return mutate_registry(base, plan)
-    except MutationError as exc:
-        raise CliError(f"mutation failed: {exc}", EXIT_CONFIG) from exc
 
 
 def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Iterator[SearchTree], Corpus, str]:
@@ -239,16 +234,12 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
     search_cfg = _config(parser, "search", SearchConfig, no_self_reflection=overrides.no_self_reflection,
                          no_tool_update=overrides.no_tool_update)
     flags = {"max_simulations": overrides.sims, "trees_per_task": overrides.trees}
-    try:
+    with _exits(EXIT_CONFIG, "bad --sims or --trees"):
         search_cfg = replace(search_cfg, **{key: value for key, value in flags.items() if value is not None})
-    except ValueError as exc:
-        raise CliError(f"bad --sims or --trees: {exc}", EXIT_CONFIG) from exc
 
     policy_cfg = _config(parser, "policy", PolicyConfig, emit_tool_updates=not overrides.no_tool_update)
-    try:
+    with _exits(EXIT_CONFIG, f"[policy] kind {policy_cfg.kind}", UnknownTaskError):
         policy = build_policy(policy_cfg, corpus)
-    except UnknownTaskError as exc:
-        raise CliError(f"[policy] kind {policy_cfg.kind}: {exc}", EXIT_CONFIG) from exc
 
     runs = [(task, index) for task in corpus.tasks for index in range(search_cfg.trees_per_task)]
 
@@ -329,35 +320,27 @@ def cmd_search(args) -> int:
     outcomes = []
     with closing(trees):
         for tree in trees:
-            try:
+            with _exits(EXIT_INVARIANT, f"tree {tree.tree_id}"):
                 text = tree_to_json(tree)
-            except ValueError as exc:
-                raise CliError(f"tree {tree.tree_id}: {exc}", EXIT_INVARIANT) from exc
             _write_text(str(tree_dir / f"{tree.tree_id}.json"), text)
             outcomes.append((tree.task.id, bool(tree.successful_leaves())))
     rows = summarize(outcomes, corpus, setting)
     print_summary(rows)
     if args.csv:
-        try:
-            Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-            with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.DictWriter(
-                    handle,
-                    fieldnames=["setting", "dataset", "difficulty", "tasks", "solved", "success_rate"],
-                )
-                writer.writeheader()
-                writer.writerows(rows)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.csv}: {exc}", EXIT_IO) from exc
+        table = io.StringIO()
+        writer = csv.DictWriter(
+            table, fieldnames=["setting", "dataset", "difficulty", "tasks", "solved", "success_rate"]
+        )
+        writer.writeheader()
+        writer.writerows(rows)
+        _write_text(args.csv, table.getvalue())
     print(f"wrote {len(outcomes)} trees to {tree_dir}")
     return EXIT_OK
 
 
 def _load_tree(path) -> SearchTree:
-    try:
+    with _exits(EXIT_INVARIANT, f"corrupt tree file {path}"):
         return tree_from_json(_read_text(str(path)))
-    except ValueError as exc:
-        raise CliError(f"corrupt tree file {path}: {exc}", EXIT_INVARIANT) from exc
 
 
 def cmd_export(args) -> int:
@@ -368,10 +351,8 @@ def cmd_export(args) -> int:
         raise CliError(f"not a directory: {tree_dir}", EXIT_IO)
     trees = map(_load_tree, sorted(tree_dir.glob("*.json")))
     records = collect_from_trees(trees, max_per_task=args.max_per_task, seed=args.seed)
-    try:
+    with _exits(EXIT_IO, f"cannot write {args.out}", OSError):
         count = export_sft(records, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
     print(f"exported {count} records to {args.out}")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import functools
 import json
+import math
 import operator
 import re
 from dataclasses import asdict, dataclass, field
@@ -192,8 +193,12 @@ def behavior_calculate(values: list, world: dict) -> str:
         raise BehaviorError("expression must be text")
     try:
         result = _eval_arith(ast.parse(expr, mode="eval"))
-    except (SyntaxError, ZeroDivisionError, ValueError) as exc:
+    except (SyntaxError, ArithmeticError, ValueError, RecursionError, MemoryError) as exc:
+        # RecursionError and MemoryError are how the parser rejects nesting
+        # past its limits, as in "1+1+...+1" or "--...-1".
         raise BehaviorError(str(exc)) from exc
+    if not math.isfinite(result):
+        raise BehaviorError("result is not a finite number")
     return f"The calculated result is: {format_number(result)}."
 
 

@@ -291,6 +291,9 @@ class RemotePolicy:
     Response: {"choices": [{"text": ...}, ...]} with exactly n choices. The
     stop sequence is the Observation label so the model never invents
     environment feedback. ``session`` defaults to a new ``requests.Session``.
+    A failed POST, or a reply that does not decode (one nested past the
+    recursion limit included) or has another shape, is retried MAX_RETRIES
+    times and then raises PolicyError.
     """
 
     STOP_SEQUENCES = ["Observation:"]
@@ -332,7 +335,7 @@ class RemotePolicy:
                 if len(texts) < k:
                     raise PolicyError(f"endpoint returned {len(texts)} candidates, wanted {k}")
                 return texts[:k]
-            except (requests.RequestException, ValueError) as exc:
+            except (requests.RequestException, ValueError, RecursionError) as exc:
                 last_error = exc
                 if attempt < self.MAX_RETRIES:
                     log.warning("remote policy attempt %d failed, retrying: %s", attempt + 1, exc)

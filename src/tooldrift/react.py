@@ -115,13 +115,14 @@ def _scan_braced_body(text: str, start: int) -> str:
 
 
 def _parse_input_body(body: str) -> dict[str, Any]:
+    """The body as a map of text values. Besides ActionParseError, a body the
+    decoders reject raises ValueError or SyntaxError, and one past their limits
+    (nested too deep, an integer too long to print) raises ValueError,
+    RecursionError or MemoryError."""
     try:
         parsed = json.loads(body, strict=False)
     except json.JSONDecodeError:
-        try:
-            parsed = ast.literal_eval(body)
-        except (ValueError, SyntaxError) as exc:
-            raise ActionParseError("Action Input", str(exc)) from None
+        parsed = ast.literal_eval(body)
     if not isinstance(parsed, dict):
         raise ActionParseError("Action Input", "not a key-value map")
     return {str(k): _coerce_value(v) for k, v in parsed.items()}
@@ -143,7 +144,12 @@ def parse_action(text: str) -> ActionRecord:
     if brace_start < 0:
         raise ActionParseError("Action Input", "no opening brace")
     body = _scan_braced_body(padded, brace_start)
-    action_input = _parse_input_body(body)
+    try:
+        action_input = _parse_input_body(body)
+    except ActionParseError:
+        raise
+    except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
+        raise ActionParseError("Action Input", str(exc) or type(exc).__name__) from None
     observation = None
     obs_match = _OBSERVATION_RE.search(padded, brace_start + len(body))
     if obs_match is not None:

@@ -56,10 +56,14 @@ def write_manifest(tmp_path, **kwargs):
     return str(path)
 
 
+# A JSON document nested deeper than the interpreter's recursion limit.
+TOO_DEEP = "[" * 100_000
+
 MALFORMED_REGISTRIES = {
     "apis_not_a_list": '{"apis": {"a": 1}}',
     "params_not_a_list": '{"apis": [{"name": "LoadDB", "params": 5}]}',
     "not_an_object": "[]",
+    "nested_too_deep": TOO_DEEP,
 }
 
 
@@ -106,10 +110,11 @@ class TestMutateCommand:
         code = main(["mutate", "--base", str(registry), "--out", str(tmp_path / "m.json"), "--seed", "1"])
         assert code == EXIT_CONFIG
         manifest = tmp_path / "run.ini"
-        manifest.write_text(f"[run]\nregistry = {registry}\n")
+        manifest.write_text(f"[run]\nregistry = {registry}\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: cannot parse registry") for line in err)
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
 
     def test_seed_flag_writes_the_default_plan(self, tmp_path, base_registry):
         plan = tmp_path / "plan.ini"
@@ -296,6 +301,17 @@ class TestSearchCommand:
         assert "'dup' is repeated" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", [TOO_DEEP.encode(), b"\xff\xfe"], ids=["nested_too_deep", "not_utf8"])
+    def test_undecodable_corpus_is_config_error(self, tmp_path, capsys, content):
+        tasks = tmp_path / "tasks.json"
+        tasks.write_bytes(content)
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(manifest_text(tmp_path).replace("corpus = builtin", f"corpus = {tasks}"))
+        assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot parse corpus {tasks}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_scripted_policy_without_a_plan_for_a_task_is_config_error(self, tmp_path, capsys):
         assert self._search_corpus(tmp_path, ["coffee-easy-1", "custom-1", "custom-2"]) == EXIT_CONFIG
         assert "no plan for task 'custom-1'" in capsys.readouterr().err
@@ -382,6 +398,17 @@ class TestSearchCommand:
         plan.write_text("seed = 5\n")
         assert main(["mutate", "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
         assert "cannot parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["search --manifest", "mutate --plan", "mutate --base"])
+def test_file_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[mutation]\nseed = 1\n\xff\n")
+    out = ["--out", str(tmp_path / "m.json")] if command.startswith("mutate") else ["--output-dir", str(tmp_path)]
+    assert main([*command.split(), str(bad), *out]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot parse ") and "utf-8" in err[0]
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "trees").exists()
 
 
 def serial_dir_mk(tmp_path, name) -> Path:
@@ -599,19 +626,24 @@ def _write_json(path: Path, doc) -> str:
 
 
 class TestMalformedTrees:
-    @pytest.mark.parametrize("case", sorted(MALFORMED_TREES))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TREES) + ["nested_too_deep"])
     def test_inspect_and_export_exit_4(self, tmp_path, capsys, small_tree_doc, case):
-        doc = json.loads(json.dumps(small_tree_doc))
-        MALFORMED_TREES[case](doc)
         trees = tmp_path / "trees"
         trees.mkdir()
-        path = _write_json(trees / "t.json", doc)
-        with pytest.raises(ValueError):
-            tree_from_json(Path(path).read_text())
-        assert main(["inspect", path]) == EXIT_INVARIANT
+        path = trees / "t.json"
+        if case in MALFORMED_TREES:
+            doc = json.loads(json.dumps(small_tree_doc))
+            MALFORMED_TREES[case](doc)
+            _write_json(path, doc)
+            with pytest.raises(ValueError):
+                tree_from_json(path.read_text())
+        else:
+            path.write_text(TOO_DEEP)
+        assert main(["inspect", str(path)]) == EXIT_INVARIANT
         assert main(["export", "--trees", str(trees), "--out", str(tmp_path / "sft.jsonl")]) == EXIT_INVARIANT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: corrupt tree file") for line in err)
+        assert not (tmp_path / "sft.jsonl").exists()
 
     def test_unmodified_doc_inspects_clean(self, tmp_path, capsys, small_tree_doc):
         assert main(["inspect", _write_json(tmp_path / "t.json", small_tree_doc)]) == EXIT_OK

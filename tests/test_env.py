@@ -129,6 +129,31 @@ class TestInvoke:
         assert obs.kind in ("response", "invocation_error", "deprecation_error")
         assert obs.reward is None
 
+    @pytest.mark.parametrize(
+        "expression",
+        ["1e308*10", "1e308*10 - 1e308*10", "1" + "0" * 400, "1+" * 100_000 + "1", "-" * 5_000 + "1"],
+        ids=["infinite", "nan", "too_large_for_a_float", "sum_too_deep", "negation_too_deep"],
+    )
+    def test_calculate_past_the_limits_is_filtered(self, base_registry, expression):
+        obs = invoke(base_registry, "Calculate", {"Expression": expression})
+        assert (obs.kind, obs.text) == ("invocation_error", INVOCATION_ERROR_TEXT)
+
+    @given(expression=st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789.eE+-*/() ", max_size=40),
+        st.recursive(
+            st.one_of(
+                st.integers().map(str), st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                st.sampled_from(["1e308", "1e400", "-0.0", "9" * 400, "-" * 5_000 + "1"]),
+            ),
+            lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({''.join(t)})"),
+            max_leaves=8,
+        ),
+    ))
+    def test_calculate_total_over_any_expression(self, expression):
+        obs = invoke(_SHARED_REGISTRY, "Calculate", {"Expression": expression})
+        assert obs.kind in ("response", "invocation_error")
+
 
 class TestEvaluate:
     def test_correct(self):

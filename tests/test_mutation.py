@@ -265,7 +265,10 @@ class TestPlanConfig:
 
     @pytest.mark.parametrize(
         "line",
-        ["sed = 5", "synonyms = [1]", 'synonyms = {"Load": "Open"}', "synonyms = {Load", "kinds =", "kinds = ,"],
+        [
+            "sed = 5", "synonyms = [1]", 'synonyms = {"Load": "Open"}', "synonyms = {Load", "kinds =", "kinds = ,",
+            pytest.param("synonyms = " + "[" * 100_000, id="synonyms_nested_too_deep"),
+        ],
     )
     def test_bad_key_or_table_rejected(self, tmp_path, capsys, line):
         """Through ``mutate --plan``, a mutated_in search, and a consistent

@@ -262,34 +262,35 @@ def completion_server():
 
 
 class _FakeResponse:
-    def __init__(self, reply):
-        self.reply = reply
+    def __init__(self, body):
+        self.body = body
 
     def raise_for_status(self):
         pass
 
     def json(self):
-        return self.reply
+        return json.loads(self.body)
 
 
 class _FakeSession:
-    """Answers every POST with the same decoded JSON reply."""
+    """Answers every POST with the same JSON reply body."""
 
-    def __init__(self, reply):
-        self.reply = reply
+    def __init__(self, body):
+        self.body = body
         self.posts = 0
 
     def post(self, url, json, timeout):
         self.posts += 1
-        return _FakeResponse(self.reply)
+        return _FakeResponse(self.body)
 
 
 BAD_REPLIES = {
-    "text_not_a_string": {"choices": [{"text": 5}] * 5},
-    "text_is_a_list": {"choices": [{"text": ["a"]}] * 5},
-    "choice_not_an_object": {"choices": [7] * 5},
-    "choices_not_a_list": {"choices": "Thought: t"},
-    "reply_is_a_list": [1, 2],
+    "text_not_a_string": json.dumps({"choices": [{"text": 5}] * 5}),
+    "text_is_a_list": json.dumps({"choices": [{"text": ["a"]}] * 5}),
+    "choice_not_an_object": json.dumps({"choices": [7] * 5}),
+    "choices_not_a_list": json.dumps({"choices": "Thought: t"}),
+    "reply_is_a_list": json.dumps([1, 2]),
+    "nested_too_deep": '{"choices": ' + "[" * 100_000,
 }
 
 

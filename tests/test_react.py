@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tooldrift.adapt import advance
 from tooldrift.env import TaskInstance
+from tooldrift.mcts import FAILED_ACTION_NAME, SearchConfig, run_search
 from tooldrift.react import (
     ActionParseError,
     ActionRecord,
@@ -39,6 +40,20 @@ UPDATE_TOOL_STEP = (
     "print(round(percentage_change, 2))'}.\"}\n"
     "Observation: The description for the new tool has been updated successfully."
 )
+
+
+# Action Input bodies past the decoders' limits: nested deeper than the
+# recursion limit, or a number too long to turn into text.
+PAST_THE_LIMITS = {
+    "json_nested_too_deep": '{"a": ' + "[" * 100_000 + "}",
+    "json_integer_too_long": '{"a": ' + "9" * 5_000 + "}",
+    "literal_sum_too_deep": "{'a': " + "1+" * 100_000 + "1}",
+    "literal_negation_too_deep": "{'a': " + "-" * 100_000 + "1}",
+}
+
+
+def calculate_step(body: str) -> str:
+    return f"Thought: t\nAction: Calculate\nAction Input: {body}\n"
 
 
 def make_state(steps=(), manual=("LoadDB[DBName]: loads a database.",)) -> StateRecord:
@@ -94,6 +109,49 @@ class TestParseAction:
     def test_numbers_coerced_to_text(self):
         record = parse_action('Thought: t\nAction: Finish\nAction Input: {"answer": 5}')
         assert record.action_input == {"answer": "5"}
+
+    @pytest.mark.parametrize("case", sorted(PAST_THE_LIMITS))
+    def test_input_past_the_decoders_limits_is_an_error(self, case):
+        with pytest.raises(ActionParseError) as err:
+            parse_action(calculate_step(PAST_THE_LIMITS[case]))
+        assert err.value.field == "Action Input"
+
+    @given(text=st.one_of(
+        st.text(),
+        st.text(alphabet="{}[]()'\",:-+*.0123456789eE aNTrueFalsn\\", max_size=40).map(lambda t: calculate_step("{" + t)),
+        st.builds(
+            lambda repeated, times, end: calculate_step('{"a": ' + repeated * times + end),
+            st.sampled_from(["[", '{"a": ', "-", "1+", "9", "(", "'x', "]),
+            st.sampled_from([0, 1, 2, 100, 5_000, 100_000]),
+            st.sampled_from(["1}", "}", "]}"]),
+        ),
+    ))
+    def test_any_text_is_a_record_or_an_error(self, text):
+        try:
+            record = parse_action(text)
+        except ActionParseError:
+            return
+        assert isinstance(record, ActionRecord)
+
+
+def test_search_over_inputs_past_the_limits_ends_in_malformed_actions(corpus, base_registry):
+    """A policy, such as a remote model, proposing such inputs: each becomes
+    a failed terminal node and the search finishes."""
+
+    class PastTheLimitsPolicy:
+        def propose(self, state, k):
+            return [calculate_step(PAST_THE_LIMITS[case]) for case in sorted(PAST_THE_LIMITS)]
+
+    tree = run_search(
+        corpus.task("coffee-easy-1"), base_registry, PastTheLimitsPolicy(), SearchConfig(k=4, max_simulations=3),
+        corpus.manual, corpus.demos,
+    )
+    children = [tree.node(i) for i in tree.node(tree.root_id).children]
+    assert len(children) == len(PAST_THE_LIMITS)
+    for node in children:
+        assert node.action.action_name == FAILED_ACTION_NAME
+        assert node.terminal and node.reward == -1
+        assert node.failure.startswith("could not parse field 'Action Input'")
 
 
 class TestRenderPrompt:
