@@ -31,14 +31,16 @@ neither section exits 2, and every mutation section present is checked even
 when the setting does not use it. A scripted policy needs a plan for every
 task of the corpus; the first task without one exits 2.
 
-``search`` writes each tree to ``<output_dir>/trees/<tree id>.json`` as it
-finishes, in run order (task, then tree index), and keeps only each tree's
-task id and outcome for the summary, so one tree at a time is held (plus
-those ``--jobs`` workers have finished ahead of it). A tree that breaks an
+``search`` draws each (task, tree index) run as it searches it and writes
+each tree to ``<output_dir>/trees/<tree id>.json`` as it finishes, in run
+order (task, then tree index). It keeps only each tree's task id and outcome
+for the summary, so one tree at a time is held, plus, with ``--jobs`` above 1,
+the trees of at most two searches per job submitted ahead of it. A tree that breaks an
 invariant exits 4 unwritten; the trees written before it remain.
 
 ``export`` reads the tree files one at a time, in name order, and holds only
 the reward-+1 paths of each; a corrupt file exits 4 before any SFT is written.
+It creates the directory of ``--out`` if it is missing.
 """
 
 from __future__ import annotations
@@ -49,10 +51,12 @@ import csv
 import io
 import json
 import sys
+from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, fields, replace
+from itertools import islice
 from pathlib import Path
 
 from .corpus import Corpus, load_corpus, tasks_from_json
@@ -217,7 +221,8 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
     each search as it is drawn and yields the trees in run order (task, then
     tree index), with the corpus and the setting. A bad manifest raises
     CliError before any search runs. With ``--jobs`` above 1 the searches run
-    in a thread pool; closing the iterator cancels those not yet started."""
+    in a thread pool, at most two per job submitted ahead of the tree last
+    yielded; closing the iterator cancels those not yet started."""
     if overrides.jobs < 1:
         raise CliError(f"--jobs must be a positive integer, not {overrides.jobs}", EXIT_CONFIG)
     unknown = sorted(set(parser.sections()) - {"run", "search", "policy", *MUTATION_SECTIONS})
@@ -241,8 +246,6 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
     with _exits(EXIT_CONFIG, f"[policy] kind {policy_cfg.kind}", UnknownTaskError):
         policy = build_policy(policy_cfg, corpus)
 
-    runs = [(task, index) for task in corpus.tasks for index in range(search_cfg.trees_per_task)]
-
     def one(run_spec):
         task, index = run_spec
         config = replace(search_cfg, rng_seed=draw(search_cfg.rng_seed, task.id, str(index)))
@@ -257,11 +260,19 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
         )
 
     def trees():
+        runs = ((task, index) for task in corpus.tasks for index in range(search_cfg.trees_per_task))
         if overrides.jobs == 1:
             yield from map(one, runs)
-        else:
-            with ThreadPoolExecutor(max_workers=overrides.jobs) as pool:
-                yield from pool.map(one, runs)
+            return
+        pool = ThreadPoolExecutor(max_workers=overrides.jobs)
+        try:
+            pending = deque(pool.submit(one, run) for run in islice(runs, 2 * overrides.jobs))
+            while pending:
+                tree = pending.popleft().result()
+                pending.extend(pool.submit(one, run) for run in islice(runs, 1))
+                yield tree
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     return trees(), corpus, setting
 
@@ -352,6 +363,7 @@ def cmd_export(args) -> int:
     trees = map(_load_tree, sorted(tree_dir.glob("*.json")))
     records = collect_from_trees(trees, max_per_task=args.max_per_task, seed=args.seed)
     with _exits(EXIT_IO, f"cannot write {args.out}", OSError):
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         count = export_sft(records, args.out)
     print(f"exported {count} records to {args.out}")
     return EXIT_OK

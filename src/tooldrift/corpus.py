@@ -262,9 +262,7 @@ def build_base_registry(world: dict | None = None) -> ToolRegistry:
             is_system_tool=True,
         ),
     }
-    registry = ToolRegistry(apis=apis, behaviors=dict(BASE_BEHAVIORS), world=world, generation="base")
-    registry.validate()
-    return registry
+    return ToolRegistry(apis=apis, behaviors=dict(BASE_BEHAVIORS), world=world, generation="base")
 
 
 def manual_entry(spec: ApiSpec) -> str:

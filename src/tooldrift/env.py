@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 INVOCATION_ERROR_TEXT = (
     "Your action is filtered due to some error in content. "
@@ -50,6 +50,20 @@ class ParamSpec:
     alt_kind: str | None = None
     alt_example: str | None = None
 
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("empty param name")
+        for kind, example in ((self.kind, self.example), (self.alt_kind, self.alt_example)):
+            if kind is not None and kind not in PARAM_KINDS:
+                raise ValueError(f"param {self.name}: unknown kind {kind!r}")
+            if kind == "map":
+                try:
+                    is_object = isinstance(json.loads(example or ""), dict)
+                except ValueError:
+                    is_object = False
+                if not is_object:
+                    raise ValueError(f"param {self.name}: a map example must be a JSON object")
+
     def example_value(self) -> Any:
         """Parsed example: a dict for map params, the raw text otherwise."""
         if self.kind == "map":
@@ -66,6 +80,14 @@ class ApiSpec:
     description: str = ""
     response_note: str = ""
     is_system_tool: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("empty API name")
+        names = self.param_names()
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"API {self.name} repeats param {name!r}")
 
     def param_names(self) -> list[str]:
         return [p.name for p in self.params]
@@ -87,6 +109,10 @@ class DeprecationEntry:
     successor: str
     param_example: dict[str, Any]
     old_params: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not all(isinstance(p, str) for p in self.old_params):
+            raise ValueError(f"the old params {self.successor} replaces must be strings")
 
 
 @dataclass(frozen=True)
@@ -130,11 +156,14 @@ class TaskInstance:
 Behavior = Callable[[list[Any], dict], str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolRegistry:
     """Deployed API surface: specs, behaviors, deprecation map, world data.
 
-    Immutable after deployment by convention; invoke() never mutates it.
+    Frozen, and checked when built: each key names its spec, each non-system
+    API has a behavior, and each deprecated name is retired (not deployed)
+    and points at a deployed successor. The dicts are not copied, so a
+    builder hands them over and changes them no more; invoke() only reads.
     ``generation`` tags which registry produced an artifact (base vs a
     seeded mutation) and travels with serialized trees and SFT records.
     """
@@ -145,9 +174,9 @@ class ToolRegistry:
     world: dict = field(default_factory=dict)
     generation: str = "base"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, spec in self.apis.items():
-            if not name or name != spec.name:
+            if name != spec.name:
                 raise ValueError(f"registry key {name!r} does not match spec name {spec.name!r}")
             if not spec.is_system_tool and name not in self.behaviors:
                 raise ValueError(f"non-system API {name} has no behavior")
@@ -162,11 +191,11 @@ class ToolRegistry:
         return [s for s in self.apis.values() if not s.is_system_tool]
 
 
-def deprecation_error_text(old_spec: ApiSpec, new_spec: ApiSpec) -> str:
+def deprecation_error_text(old_name: str, old_params: Iterable[str], new_spec: ApiSpec) -> str:
     """Render the fixed deprecation message naming the successor + example."""
     return DEPRECATION_ERROR_TEMPLATE.format(
-        old=old_spec.name,
-        old_params=", ".join(old_spec.param_names()),
+        old=old_name,
+        old_params=", ".join(old_params),
         new=new_spec.name,
         new_params=", ".join(new_spec.param_names()),
         example=json.dumps(new_spec.example_args()),
@@ -208,10 +237,8 @@ def invoke(registry: ToolRegistry, name: str, args: dict[str, Any]) -> Observati
     """
     entry = registry.deprecated.get(name)
     if entry is not None:
-        new_spec = registry.apis[entry.successor]
-        old_params = entry.old_params or tuple(entry.param_example)
-        old_spec = ApiSpec(name=name, params=tuple(ParamSpec(name=p) for p in old_params))
-        return Observation(kind="deprecation_error", text=deprecation_error_text(old_spec, new_spec))
+        text = deprecation_error_text(name, entry.old_params or entry.param_example, registry.apis[entry.successor])
+        return Observation(kind="deprecation_error", text=text)
     spec = registry.apis.get(name)
     if spec is None or spec.is_system_tool:
         return Observation(kind="invocation_error", text=INVOCATION_ERROR_TEXT)
@@ -272,27 +299,13 @@ def typed_object(doc, types: dict[str, tuple], where: str) -> dict:
     return doc
 
 
-def _param_from_json(doc, where: str) -> ParamSpec:
-    param = ParamSpec(**typed_object(doc, _PARAM_TYPES, where))
-    if not param.name:
-        raise ValueError(f"{where}: empty param name")
-    for kind, example in ((param.kind, param.example), (param.alt_kind, param.alt_example)):
-        if kind is not None and kind not in PARAM_KINDS:
-            raise ValueError(f"{where}: unknown param kind {kind!r}")
-        if kind == "map":
-            try:
-                is_object = isinstance(json.loads(example or ""), dict)
-            except ValueError:
-                is_object = False
-            if not is_object:
-                raise ValueError(f"{where}: a map example must be a JSON object")
-    return param
-
-
 def _spec_from_json(doc, where: str) -> ApiSpec:
     spec = typed_object(doc, _SPEC_TYPES, where)
-    params = tuple(_param_from_json(p, f"{where} param {i}") for i, p in enumerate(spec["params"]))
-    return ApiSpec(**{**spec, "params": params})
+    try:
+        params = tuple(ParamSpec(**typed_object(p, _PARAM_TYPES, f"param {i}")) for i, p in enumerate(spec["params"]))
+        return ApiSpec(**{**spec, "params": params})
+    except ValueError as exc:
+        raise ValueError(f"{where} {spec['name']!r}: {exc}") from None
 
 
 def registry_to_json(registry: ToolRegistry) -> str:
@@ -322,8 +335,6 @@ def registry_from_json(text: str, base: ToolRegistry) -> ToolRegistry:
     deprecated = {}
     for old, entry_doc in doc["deprecated"].items():
         entry = typed_object(entry_doc, _ENTRY_TYPES, f"deprecated {old}")
-        if not all(isinstance(p, str) for p in entry["old_params"]):
-            raise ValueError(f"deprecated {old}: old_params must be strings")
         deprecated[old] = DeprecationEntry(**{**entry, "old_params": tuple(entry["old_params"])})
     successor_to_old = {e.successor: old for old, e in deprecated.items()}
     behaviors: dict[str, Behavior] = {}
@@ -337,12 +348,10 @@ def registry_from_json(text: str, base: ToolRegistry) -> ToolRegistry:
         if len(spec.params) != len(origin.params):
             raise ValueError(f"API {name} takes {len(spec.params)} params, {lineage} {len(origin.params)}")
         behaviors[name] = base.behaviors[lineage]
-    registry = ToolRegistry(
+    return ToolRegistry(
         apis=apis,
         behaviors=behaviors,
         deprecated=deprecated,
         world=base.world,
         generation=doc["generation"],
     )
-    registry.validate()
-    return registry

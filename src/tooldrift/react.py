@@ -22,10 +22,13 @@ PROMPT_HEADER = (
     "the result. Use Finish[answer] to submit the final answer."
 )
 
-_THOUGHT_RE = re.compile(r"(?:^|\n)\s*Thought:\s*(.*?)\s*(?=\nAction:)", re.DOTALL)
+# No pattern nests quantifiers or ends a lazy group with a whitespace run, so
+# parse_action runs in linear time.
+_THOUGHT_LABEL_RE = re.compile(r"\n[^\S\n]*Thought:")
+_SPACE_RE = re.compile(r"\s*")
 _ACTION_RE = re.compile(r"\nAction:\s*([A-Za-z0-9_.\-]+)\s*(?=\n)")
 _INPUT_LABEL_RE = re.compile(r"\nAction\s+Input:\s*")
-_OBSERVATION_RE = re.compile(r"\nObservation:\s*(.*?)\s*$", re.DOTALL)
+_OBSERVATION_LABEL = "\nObservation:"
 
 
 class ActionParseError(ValueError):
@@ -128,13 +131,31 @@ def _parse_input_body(body: str) -> dict[str, Any]:
     return {str(k): _coerce_value(v) for k, v in parsed.items()}
 
 
+def _thought(padded: str) -> tuple[str, int]:
+    """The first labeled thought of ``padded`` and where the ``\\nAction:`` that
+    ends it starts. A ``Thought:`` label starts a line, after any spaces. Its
+    thought runs from the first non-space character after it to the first
+    ``\\nAction:`` after that character, right-stripped. Without one, only a
+    ``\\nAction:`` just before that character ends a label's thought, as "".
+    When the first label has no ``\\nAction:`` after it, no later label has one
+    either, so it is looked for once."""
+    action = None
+    for label in _THOUGHT_LABEL_RE.finditer(padded):
+        start = _SPACE_RE.match(padded, label.end()).end()
+        if action is None:
+            action = padded.find("\nAction:", start)
+        if action >= 0:
+            return padded[start:action].rstrip(), action
+        if padded.startswith("\nAction:", start - 1):
+            return "", start - 1
+    raise ActionParseError("Thought")
+
+
 def parse_action(text: str) -> ActionRecord:
     """Parse one REACT step; raises ActionParseError naming the failing field."""
     padded = "\n" + text.strip() + "\n"
-    thought_match = _THOUGHT_RE.search(padded)
-    if thought_match is None:
-        raise ActionParseError("Thought")
-    action_match = _ACTION_RE.search(padded, thought_match.end())
+    thought, action_start = _thought(padded)
+    action_match = _ACTION_RE.search(padded, action_start)
     if action_match is None:
         raise ActionParseError("Action")
     label_match = _INPUT_LABEL_RE.search(padded, action_match.end())
@@ -151,11 +172,11 @@ def parse_action(text: str) -> ActionRecord:
     except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
         raise ActionParseError("Action Input", str(exc) or type(exc).__name__) from None
     observation = None
-    obs_match = _OBSERVATION_RE.search(padded, brace_start + len(body))
-    if obs_match is not None:
-        observation = obs_match.group(1)
+    obs_start = padded.find(_OBSERVATION_LABEL, brace_start + len(body))
+    if obs_start >= 0:
+        observation = padded[obs_start + len(_OBSERVATION_LABEL):].strip()
     return ActionRecord(
-        thought=thought_match.group(1),
+        thought=thought,
         action_name=action_match.group(1),
         action_input=action_input,
         observation=observation,

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import configparser
 import csv
 import gc
 import json
 import tempfile
+import time
+import tracemalloc
 import weakref
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +22,7 @@ from tooldrift.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 from tooldrift.corpus import load_corpus, tasks_to_json
 from tooldrift.env import registry_to_json
 from tooldrift.mcts import SearchConfig, run_search, tree_from_json, tree_to_json
-from tooldrift.mutation import MutationPlan, mutate_registry
+from tooldrift.mutation import DEFAULT_SYNONYMS, MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
 
 MANIFEST = """
@@ -125,6 +129,22 @@ class TestMutateCommand:
         expected = registry_to_json(mutate_registry(base_registry, MutationPlan(seed=5)))
         assert by_seed.read_text() == by_plan.read_text() == expected
 
+    def test_plan_that_empties_a_param_name_is_config_error(self, tmp_path, capsys):
+        """Synonyms that turn ``Expression`` into "" fail the mutation, in
+        ``mutate --plan`` and in a mutated_in search, and nothing is written."""
+        synonyms = {**DEFAULT_SYNONYMS, "Name": [""], "Expression": [""]}
+        section = f"[mutation]\nsynonyms = {json.dumps(synonyms)}\n"
+        plan = tmp_path / "plan.ini"
+        plan.write_text(section)
+        assert main(["mutate", "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(f"[run]\nsetting = mutated_in\noutput_dir = {tmp_path / 'out'}\n\n{section}")
+        assert main(["search", "--manifest", str(manifest), "--sims", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("error: mutation failed") and "Calculate" in line for line in err)
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
+
     def test_plan_file(self, tmp_path):
         plan = tmp_path / "plan.ini"
         plan.write_text("[mutation]\nseed = 5\nkinds = name_special_char\nspecial_char = _\n")
@@ -187,6 +207,56 @@ class TestSearchCommand:
         monkeypatch.setattr(cli, "run_search", checking_search)
         assert main(["search", "--manifest", write_manifest(tmp_path, sims=2)]) == EXIT_OK
         assert len(searched) == 24
+
+    @staticmethod
+    def _one_task_manifest(tmp_path, trees_per_task) -> str:
+        tasks = tmp_path / "tasks.json"
+        tasks.write_text(tasks_to_json([load_corpus().task("coffee-easy-1")]))
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(
+            f"[run]\ncorpus = {tasks}\noutput_dir = {tmp_path / 'out'}\n\n[search]\ntrees_per_task = {trees_per_task}\n"
+        )
+        return str(manifest)
+
+    def test_runs_are_drawn_as_they_are_searched(self, tmp_path, monkeypatch):
+        """200,000 trees of one task: the first search starts before the runs
+        after it are drawn, so little memory is taken by then (tracemalloc)."""
+
+        class FirstSearch(Exception):
+            pass
+
+        def first_search(*args, **kwargs):
+            raise FirstSearch(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(cli, "run_search", first_search)
+        manifest = self._one_task_manifest(tmp_path, 200_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstSearch) as stop:
+                main(["search", "--manifest", manifest])
+        finally:
+            tracemalloc.stop()
+        assert stop.value.args[0] < 2_000_000
+
+    def test_parallel_searches_start_at_most_two_per_job_ahead(self, tmp_path, monkeypatch):
+        """Each time a tree is yielded, count the searches started after it;
+        the consumer dawdles over the first tree, so idle workers could run on."""
+        started = []
+        monkeypatch.setattr(cli, "run_search", lambda *args, tree_id, **kwargs: started.append(tree_id) or tree_id)
+        overrides = argparse.Namespace(
+            setting=None, sims=None, trees=None, no_self_reflection=False, no_tool_update=False, jobs=2
+        )
+        parser = cli._read_config(self._one_task_manifest(tmp_path, 1000))
+        trees, _, _ = cli.search_manifest(parser, overrides)
+        yielded, ahead = [], []
+        with closing(trees):
+            for tree_id in trees:
+                if not yielded:
+                    time.sleep(0.2)
+                yielded.append(tree_id)
+                ahead.append(len(started) - len(yielded))
+        assert yielded == [f"coffee-easy-1__t{index}" for index in range(1000)]
+        assert max(ahead) <= 2 * 2
 
     def test_jobs_parallelism_is_deterministic(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, sims=10)
@@ -490,6 +560,14 @@ class TestExportCommand:
         assert main(["export", "--trees", str(empty), "--out", str(out), "--max-per-task", "-1"]) == EXIT_CONFIG
         assert "--max-per-task" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_out_directory_is_created(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, sims=5)
+        assert main(["search", "--manifest", manifest]) == EXIT_OK
+        out = tmp_path / "new" / "dir" / "sft.jsonl"
+        assert main(["export", "--trees", str(tmp_path / "out" / "trees"), "--out", str(out)]) == EXIT_OK
+        records = out.read_text().splitlines()
+        assert records and f"exported {len(records)} records to {out}" in capsys.readouterr().out
 
     def test_missing_dir_is_io_error(self, tmp_path):
         assert main(["export", "--trees", str(tmp_path / "nope"), "--out", str(tmp_path / "x.jsonl")]) == EXIT_IO

@@ -329,21 +329,19 @@ class TestBuiltinCorpus:
         assert tasks_from_json(text) == corpus.tasks
 
     def test_validation_rejects_overlapping_deprecation(self, base_registry):
-        registry = ToolRegistry(
-            apis=dict(base_registry.apis),
-            behaviors=dict(base_registry.behaviors),
-            deprecated={"LoadDB": DeprecationEntry(successor="FilterDB", param_example={})},
-            world=base_registry.world,
-        )
         with pytest.raises(ValueError, match="overlap"):
-            registry.validate()
+            ToolRegistry(
+                apis=dict(base_registry.apis),
+                behaviors=dict(base_registry.behaviors),
+                deprecated={"LoadDB": DeprecationEntry(successor="FilterDB", param_example={})},
+                world=base_registry.world,
+            )
 
     def test_validation_rejects_missing_behavior(self, base_registry):
         behaviors = dict(base_registry.behaviors)
         del behaviors["Calculate"]
-        registry = ToolRegistry(apis=dict(base_registry.apis), behaviors=behaviors, world=base_registry.world)
         with pytest.raises(ValueError, match="behavior"):
-            registry.validate()
+            ToolRegistry(apis=dict(base_registry.apis), behaviors=behaviors, world=base_registry.world)
 
 
 def _api(doc, name):
@@ -360,6 +358,7 @@ MALFORMED_REGISTRY_EDITS = {
     "unknown_alt_kind": lambda doc: _param(doc, "LoadDB").update(alt_kind="x"),
     "alt_map_example_not_an_object": lambda doc: _param(doc, "FilterDB", 1).update(alt_example="x"),
     "empty_param_name": lambda doc: _param(doc, "LoadDB").update(name=""),
+    "repeated_param_name": lambda doc: _param(doc, "GetValue", 2).update(name="DBName"),
     "duplicate_api": lambda doc: doc["apis"].append(_api(doc, "LoadDB")),
     "unknown_lineage": lambda doc: _api(doc, "LoadDB").update(name="LoadEverything"),
     "stale_replaced_by_key": lambda doc: _api(doc, "LoadDB").update(replaced_by=None),

@@ -6,12 +6,16 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tooldrift import cli
 from tooldrift.corpus import build_world
-from tooldrift.env import ApiSpec, ParamSpec, ToolRegistry, invoke, registry_to_json
+from tooldrift.env import ApiSpec, ParamSpec, ToolRegistry, invoke, registry_from_json, registry_to_json
 from tooldrift.mutation import (
     DEFAULT_SYNONYMS,
+    MUTATION_KINDS,
+    SPECIAL_CHARS,
     MutationError,
     MutationPlan,
     mutate_registry,
@@ -163,6 +167,34 @@ class TestDeterminism:
         for seed in (11, 42):
             mutated = mutate_registry(base_registry, MutationPlan(seed=seed))
             assert verify_mutation(base_registry, mutated).ok
+
+
+# Words a drawn synonym table may use besides the default ones: the empty word,
+# and words that already occur in the base names, so renamed params can collide.
+_ODD_WORDS = ["", "DB", "Name", "Value", "Filter"]
+
+
+@given(
+    kinds=st.frozensets(st.sampled_from(MUTATION_KINDS), min_size=1),
+    special_char=st.sampled_from(SPECIAL_CHARS),
+    seed=st.integers(0, 2**32),
+    synonyms=st.fixed_dictionaries(
+        {
+            word: st.one_of(st.just(options), st.lists(st.sampled_from(_ODD_WORDS + options), min_size=1, max_size=3))
+            for word, options in DEFAULT_SYNONYMS.items()
+        }
+    ),
+)
+def test_every_registry_a_plan_builds_loads_back(base_registry, kinds, special_char, seed, synonyms):
+    """A plan either fails to mutate, or its registry's file loads back to the
+    same specs and deprecation map: one rule for a valid registry."""
+    plan = MutationPlan(seed=seed, kinds=kinds, special_char=special_char, synonyms=synonyms)
+    try:
+        mutated = mutate_registry(base_registry, plan)
+    except ValueError:
+        return
+    loaded = registry_from_json(registry_to_json(mutated), base_registry)
+    assert (loaded.apis, loaded.deprecated) == (mutated.apis, mutated.deprecated)
 
 
 class TestVerifyMutation:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import re
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tooldrift.adapt import advance
 from tooldrift.env import TaskInstance
+from tooldrift import react
 from tooldrift.mcts import FAILED_ACTION_NAME, SearchConfig, run_search
 from tooldrift.react import (
     ActionParseError,
@@ -132,6 +136,96 @@ class TestParseAction:
         except ActionParseError:
             return
         assert isinstance(record, ActionRecord)
+
+
+# The regular expressions parse_action took the thought and the observation
+# with before it ran in linear time; ``oracle_parse`` is that parser.
+_ORACLE_THOUGHT_RE = re.compile(r"(?:^|\n)\s*Thought:\s*(.*?)\s*(?=\nAction:)", re.DOTALL)
+_ORACLE_OBSERVATION_RE = re.compile(r"\nObservation:\s*(.*?)\s*$", re.DOTALL)
+
+
+def oracle_parse(text: str) -> ActionRecord:
+    padded = "\n" + text.strip() + "\n"
+    thought_match = _ORACLE_THOUGHT_RE.search(padded)
+    if thought_match is None:
+        raise ActionParseError("Thought")
+    action_match = react._ACTION_RE.search(padded, thought_match.end())
+    if action_match is None:
+        raise ActionParseError("Action")
+    label_match = react._INPUT_LABEL_RE.search(padded, action_match.end())
+    if label_match is None:
+        raise ActionParseError("Action Input")
+    brace_start = padded.find("{", label_match.end())
+    if brace_start < 0:
+        raise ActionParseError("Action Input", "no opening brace")
+    body = react._scan_braced_body(padded, brace_start)
+    try:
+        action_input = react._parse_input_body(body)
+    except ActionParseError:
+        raise
+    except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
+        raise ActionParseError("Action Input", str(exc) or type(exc).__name__) from None
+    obs_match = _ORACLE_OBSERVATION_RE.search(padded, brace_start + len(body))
+    return ActionRecord(
+        thought=thought_match.group(1),
+        action_name=action_match.group(1),
+        action_input=action_input,
+        observation=obs_match.group(1) if obs_match is not None else None,
+    )
+
+
+def _outcome(parse, text):
+    """The record, or the error's field and message (without the address of
+    any object that ``ast.literal_eval`` names in it)."""
+    try:
+        return parse(text)
+    except ActionParseError as exc:
+        return (exc.field, re.sub(r" at 0x[0-9a-f]+", "", str(exc)))
+
+
+_FRAGMENTS = st.sampled_from([
+    "Thought:", "Action:", "Action Input:", "Observation:", "Action", " Input:",
+    "\n", " ", "  ", "\t", "\r", "\x0b", "\x1c", "\u3000", "{", "}", "'", '"', "\\",
+    "x", "LoadDB", '{"a": "b"}', "{'a': 1}", ":",
+])
+
+
+class TestParseMatchesTheOracle:
+    @given(text=st.lists(_FRAGMENTS, max_size=30).map("".join))
+    def test_same_record_or_error(self, text):
+        assert _outcome(parse_action, text) == _outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize(
+        "text,thought,action",
+        [
+            ("Thought:\nAction: LoadDB\nAction: Finish\nAction Input: {}", "Action: LoadDB", "Finish"),
+            ("Thought: \nAction: LoadDB\nAction Input: {}", "", "LoadDB"),
+            ("Thought: a \n\nAction: LoadDB\nAction Input: {}", "a", "LoadDB"),
+            ("Thought: x\n  Thought: y\nAction: LoadDB\nAction Input: {}", "x\n  Thought: y", "LoadDB"),
+        ],
+        ids=["whitespace_only_then_two_actions", "whitespace_only", "blank_lines", "two_labels"],
+    )
+    def test_whitespace_edges(self, text, thought, action):
+        record = parse_action(text)
+        assert (record.thought, record.action_name) == (thought, action)
+        assert record == oracle_parse(text)
+
+
+# Inputs on which the oracle's patterns backtrack for seconds (cubic in the
+# spaces after the label, quadratic in the others).
+SLOW_FOR_THE_ORACLE = {
+    "spaces_after_thought_label": "Thought:" + " " * 800 + "x",
+    "spaces_inside_thought": "Thought: a" + " " * 20_000 + "b\nAction: LoadDB\nAction Input: {}",
+    "spaces_inside_observation": "Thought: a\nAction: LoadDB\nAction Input: {}\nObservation: a" + " " * 25_000 + "b",
+    "many_thought_lines": "Thought: x\n" * 3_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLOW_FOR_THE_ORACLE))
+def test_parse_time_is_linear(case):
+    start = time.perf_counter()
+    _outcome(parse_action, SLOW_FOR_THE_ORACLE[case])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_search_over_inputs_past_the_limits_ends_in_malformed_actions(corpus, base_registry):
