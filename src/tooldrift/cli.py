@@ -1,13 +1,17 @@
 """Batch front-end: mutate registries, run searches, export data, inspect trees.
 
-Exit codes: 0 success, 2 configuration or parse problem, 3 I/O failure,
-4 invariant violation (a failed mutation check, or a tree that breaks an
-invariant when it is written or read). An input file that does not decode
-(not UTF-8, or JSON nested past the recursion limit) exits 2; a tree file, 4.
+Exit codes: 0 success, 2 configuration or parse problem, 3 I/O failure (a
+closed stdout too), 4 invariant violation (a failed drift check, or a tree
+that breaks an invariant when it is written or read). An input file that does
+not decode (not UTF-8, or JSON nested past the recursion limit) exits 2; a
+tree file, 4.
 
 ``mutate`` writes the registry of the default mutation plan, or of the
 [mutation] section of a ``--plan`` file (the keys of the manifest's mutation
-sections below); ``--seed`` overrides the plan's seed.
+sections below); ``--seed`` overrides the plan's seed. It and a mutated search
+setting build the registry through one path, before anything is written: a
+plan that cannot be applied, or that deploys a name an Action line cannot
+spell, exits 2; a drift that fails ``verify_mutation`` exits 4.
 
 A run manifest (``search --manifest``) is an INI file. Every section and key
 is optional, and an absent key takes its default:
@@ -50,6 +54,7 @@ import configparser
 import csv
 import io
 import json
+import os
 import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -62,7 +67,7 @@ from pathlib import Path
 from .corpus import Corpus, load_corpus, tasks_from_json
 from .env import ToolRegistry, registry_from_json, registry_to_json
 from .mcts import SearchConfig, SearchTree, run_search, tree_from_json, tree_to_json
-from .mutation import MutationPlan, draw, mutate_registry, verify_mutation
+from .mutation import MutationError, MutationPlan, draw, mutate_registry, verify_mutation
 from .policy import PolicyConfig, UnknownTaskError, build_policy
 from .trajectory import collect_from_trees, export_sft
 
@@ -181,22 +186,24 @@ def _plan_from_args(args) -> MutationPlan:
     return plan if args.seed is None else replace(plan, seed=args.seed)
 
 
+def _mutated(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
+    """The registry ``plan`` derives from ``base``, once it has passed the drift
+    check: a plan that cannot be applied exits 2, a drifted API that answers
+    the probe unlike its base API exits 4."""
+    with _exits(EXIT_CONFIG, "mutation failed"):
+        mutated = mutate_registry(base, plan)
+    with _exits(EXIT_INVARIANT, "drift check failed", MutationError):
+        verify_mutation(base, mutated)
+    return mutated
+
+
 def cmd_mutate(args) -> int:
     corpus = _load_corpus("builtin")
     base = _load_registry(args.base, corpus)
-    plan = _plan_from_args(args)
-    with _exits(EXIT_CONFIG, "mutation failed"):
-        mutated = mutate_registry(base, plan)
+    mutated = _mutated(base, _plan_from_args(args))
     _write_text(args.out, registry_to_json(mutated))
-    report = verify_mutation(base, mutated)
     print(f"wrote {args.out} (generation {mutated.generation})")
-    if report.ok:
-        print("verify_mutation: ok (0 violations)")
-        return EXIT_OK
-    print(f"verify_mutation: {len(report.violations)} violation(s)")
-    for violation in report.violations:
-        print(f"  - {violation}")
-    return EXIT_INVARIANT
+    return EXIT_OK
 
 
 def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base: ToolRegistry):
@@ -212,8 +219,7 @@ def _registry_for_setting(setting: str, parser: configparser.ConfigParser, base:
             plan = replace(plan, seed=plan.seed + 1)
     else:
         raise CliError(f"setting {setting} requires a [mutation] section", EXIT_CONFIG)
-    with _exits(EXIT_CONFIG, "mutation failed"):
-        return mutate_registry(base, plan)
+    return _mutated(base, plan)
 
 
 def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Iterator[SearchTree], Corpus, str]:
@@ -449,10 +455,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader of stdout has gone; the flush at exit writes to nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ search can keep exploring through error states.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterable
 
@@ -24,6 +25,11 @@ ANSWER_CORRECT_TEXT = "Answer is CORRECT"
 ANSWER_INCORRECT_TEXT = "Answer is INCORRECT"
 
 PARAM_KINDS = ("text", "map", "number")
+SPECIAL_CHARS = ("_", "-", ".")
+
+# CamelCase words joined by single special characters. Each repetition starts
+# at a special character, so a match runs in linear time on any registry file.
+_NAME_RE = re.compile(r"[A-Z][A-Za-z0-9]*(?:[_.\-][A-Z][A-Za-z0-9]*)*")
 
 
 class BehaviorError(Exception):
@@ -73,7 +79,9 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ApiSpec:
-    """One tool's contract: name, ordered params, and descriptive text."""
+    """One tool's contract: name, ordered params, and descriptive text. A
+    non-system API's name and param names are CamelCase words joined by single
+    ``SPECIAL_CHARS``, so an Action line can spell each name a drift deploys."""
 
     name: str
     params: tuple[ParamSpec, ...] = ()
@@ -85,6 +93,10 @@ class ApiSpec:
         if not self.name:
             raise ValueError("empty API name")
         names = self.param_names()
+        if not self.is_system_tool:
+            for name in (self.name, *names):
+                if not _NAME_RE.fullmatch(name):
+                    raise ValueError(f"API {self.name}: {name!r} is not CamelCase words joined by _, - or .")
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"API {self.name} repeats param {name!r}")

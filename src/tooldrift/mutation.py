@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .corpus import remap_args
 from .env import (
+    SPECIAL_CHARS,
     ApiSpec,
     DeprecationEntry,
     ParamSpec,
@@ -31,7 +32,6 @@ MUTATION_KINDS = (
     "param_format",
     "response_format",
 )
-SPECIAL_CHARS = ("_", "-", ".")
 
 # Synonyms are CamelCase-compatible and exclude the original word, so a
 # touched name always differs from the one it replaces.
@@ -59,11 +59,11 @@ RESPONSE_NOTE_VARIANTS = [
 _CAMEL_WORD_RE = re.compile(
     r"[A-Z]+(?=[A-Z][a-z])|[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[0-9]+|[a-z][a-z0-9]*"
 )
-_CAMEL_SEGMENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 
 class MutationError(ValueError):
-    """Raised when a plan cannot be applied, e.g. an uncovered name word."""
+    """Raised when a plan cannot be applied, e.g. an uncovered name word, or
+    when its drift fails ``verify_mutation``."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,10 @@ class MutationPlan:
             raise MutationError("the synonym table must map each word to a list of words")
 
 
-def split_words(name: str, special_chars: str = "".join(SPECIAL_CHARS)) -> list[str]:
+def split_words(name: str) -> list[str]:
     """Split an API or parameter name into words at special chars and case humps."""
     words: list[str] = []
-    for segment in re.split(f"[{re.escape(special_chars)}]", name):
+    for segment in re.split(f"[{re.escape(''.join(SPECIAL_CHARS))}]", name):
         if segment:
             words.extend(_CAMEL_WORD_RE.findall(segment))
     return words
@@ -220,55 +220,16 @@ def mutate_registry(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MutationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str) -> None:
-        self.violations.append(message)
-
-
-def _check_identifier(report: MutationReport, owner: str, name: str) -> None:
-    chars = re.escape("".join(SPECIAL_CHARS))
-    for segment in re.split(f"[{chars}]", name):
-        if not segment:
-            report.add(f"{owner}: special character not between words in {name!r}")
-        elif not _CAMEL_SEGMENT_RE.match(segment) or not segment[0].isupper():
-            report.add(f"{owner}: special char inside word or non-CamelCase segment {segment!r} in {name!r}")
-
-
-def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> MutationReport:
-    """Check a mutated registry against the drift-construction constraints."""
-    report = MutationReport()
-    for spec in mutated.apis.values():
-        if spec.is_system_tool:
-            continue
-        _check_identifier(report, f"api {spec.name}", spec.name)
-        for p in spec.params:
-            _check_identifier(report, f"api {spec.name} param", p.name)
-    for name in ("Finish", "UpdateTool"):
-        if base.apis.get(name) != mutated.apis.get(name):
-            report.add(f"system tool {name} was modified")
+def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> None:
+    """Raise MutationError unless each successor in ``mutate_registry``'s
+    ``mutated`` answers its base API's example arguments, carried onto its
+    signature, as that API does. The rest of a valid drift holds by
+    construction (system tools, one hop, arity) or in ``ApiSpec`` (names)."""
     for spec in base.non_system_apis():
-        entry = mutated.deprecated.get(spec.name)
-        if entry is None:
-            report.add(f"base api {spec.name} has no deprecation entry")
-            continue
-        new_spec = mutated.apis[entry.successor]
-        if len(new_spec.params) != len(spec.params):
-            report.add(f"{entry.successor} changed arity relative to {spec.name}")
-            continue
+        entry = mutated.deprecated[spec.name]
         probe = spec.example_args()
         base_obs = invoke(base, spec.name, probe)
-        args = remap_args(probe, spec.param_names(), new_spec.example_args())
+        args = remap_args(probe, spec.param_names(), mutated.apis[entry.successor].example_args())
         mut_obs = invoke(mutated, entry.successor, args)
         if (base_obs.kind, base_obs.text) != (mut_obs.kind, mut_obs.text):
-            report.add(
-                f"behavior drift: {spec.name} -> {entry.successor} "
-                f"({base_obs.kind}/{mut_obs.kind})"
-            )
-    return report
+            raise MutationError(f"behavior drift: {spec.name} -> {entry.successor} ({base_obs.kind}/{mut_obs.kind})")

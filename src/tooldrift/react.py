@@ -119,13 +119,18 @@ def _scan_braced_body(text: str, start: int) -> str:
 
 def _parse_input_body(body: str) -> dict[str, Any]:
     """The body as a map of text values. Besides ActionParseError, a body the
-    decoders reject raises ValueError or SyntaxError, and one past their limits
-    (nested too deep, an integer too long to print) raises ValueError,
+    decoders reject raises SyntaxError, and one past their limits (nested too
+    deep, an integer too long to print) raises ValueError, SyntaxError,
     RecursionError or MemoryError."""
     try:
         parsed = json.loads(body, strict=False)
     except json.JSONDecodeError:
-        parsed = ast.literal_eval(body)
+        try:
+            parsed = ast.literal_eval(body)
+        except (ValueError, TypeError):
+            # A name, a call or an unhashable key. The decoder's message can
+            # hold a node's address, which differs between processes.
+            raise ActionParseError("Action Input", "not a JSON object or Python literal") from None
     if not isinstance(parsed, dict):
         raise ActionParseError("Action Input", "not a key-value map")
     return {str(k): _coerce_value(v) for k, v in parsed.items()}

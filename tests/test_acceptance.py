@@ -216,8 +216,7 @@ class TestCriterion6Mutation:
             for seed in range(100):
                 plan = MutationPlan(seed=seed)
                 mutated = mutate_registry(base_registry, plan)
-                report = verify_mutation(base_registry, mutated)
-                assert report.ok, (seed, report.violations)
+                verify_mutation(base_registry, mutated)  # raises MutationError on a behaviour drift
                 for spec in mutated.non_system_apis():
                     for identifier in [spec.name] + spec.param_names():
                         for segment in re.split(f"[{chars}]", identifier):

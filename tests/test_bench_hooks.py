@@ -52,20 +52,37 @@ SPANS = (
 )
 
 
-def test_traced_search_records_every_layer(tmp_path):
-    manifest = tmp_path / "run.ini"
-    manifest.write_text(MANIFEST, encoding="utf-8")
+def traced_span_names(tmp_path, *argv) -> set[str]:
+    """The names of the spans a traced ``tooldrift`` command records; it must exit 0."""
     spans = tmp_path / "spans.json"
-    command = [
-        sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans),
-        "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"),
-        "--trees", "1", "--sims", "2",
-    ]
+    command = [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans), *argv]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(command, env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    names = {span[2] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+    return {span[2] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+
+
+def test_traced_search_records_every_layer(tmp_path):
+    manifest = tmp_path / "run.ini"
+    manifest.write_text(MANIFEST, encoding="utf-8")
+    names = traced_span_names(
+        tmp_path, "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"),
+        "--trees", "1", "--sims", "2",
+    )
     assert set(SPANS) <= names
+
+
+def test_traced_mutate_and_mutated_search_record_the_drift_check(tmp_path):
+    """Both derive the mutated registry through the one path that calls
+    ``cli.verify_mutation``, the name the bench wraps."""
+    manifest = tmp_path / "run.ini"
+    manifest.write_text(MANIFEST.replace("consistent", "mutated_in") + "\n[mutation]\nseed = 7\n", encoding="utf-8")
+    mutate = traced_span_names(tmp_path, "mutate", "--seed", "7", "--out", str(tmp_path / "m.json"))
+    search = traced_span_names(
+        tmp_path, "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"),
+        "--trees", "1", "--sims", "1",
+    )
+    assert "mutation.verify_mutation" in mutate & search
 
 
 def test_run_manifest_searches_with_the_patched_policy():

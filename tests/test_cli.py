@@ -5,6 +5,9 @@ import configparser
 import csv
 import gc
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -20,10 +23,12 @@ from hypothesis import strategies as st
 from tooldrift import cli
 from tooldrift.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 from tooldrift.corpus import load_corpus, tasks_to_json
-from tooldrift.env import registry_to_json
+from tooldrift.env import SPECIAL_CHARS, registry_to_json
 from tooldrift.mcts import SearchConfig, run_search, tree_from_json, tree_to_json
-from tooldrift.mutation import DEFAULT_SYNONYMS, MutationPlan, mutate_registry
+from tooldrift.mutation import DEFAULT_SYNONYMS, MUTATION_KINDS, MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MANIFEST = """
 [run]
@@ -71,13 +76,38 @@ MALFORMED_REGISTRIES = {
 }
 
 
+def write_drift_base(tmp_path) -> str:
+    """A base registry file whose FilterDB takes its condition as a map with
+    two conditions in one entry. A param_format drift to the text form splits
+    them, so the drifted FilterDB answers the probe with other rows."""
+    doc = json.loads(registry_to_json(load_corpus().base_registry))
+    filter_db = next(spec for spec in doc["apis"] if spec["name"] == "FilterDB")
+    condition = "Person=Sarah Chen, Date=2022-01-18"
+    filter_db["params"][0]["example"] = "agenda"
+    filter_db["params"][1].update(
+        kind="map", example=json.dumps({"condition1": condition}), alt_kind="text", alt_example=condition
+    )
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# (synonyms over the default table, base from write_drift_base, exit code, error line)
+DRIFT_CASES = {
+    "name_no_action_line_can_spell": (
+        {"Load": ["Open Now"]}, False, EXIT_CONFIG, "error: mutation failed: mutated 'LoadDB': API Open Now"
+    ),
+    "behavior_drift": ({}, True, EXIT_INVARIANT, "error: drift check failed: behavior drift: FilterDB -> "),
+}
+
+
 class TestMutateCommand:
     def test_deterministic_output(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["mutate", "--out", str(out1), "--seed", "11"]) == EXIT_OK
         assert main(["mutate", "--out", str(out2), "--seed", "11"]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
-        assert "verify_mutation: ok" in capsys.readouterr().out
+        assert capsys.readouterr().out.count("wrote ") == 2
 
     def test_two_seeds_two_registries(self, tmp_path):
         out1, out2 = tmp_path / "in.json", tmp_path / "ood.json"
@@ -152,6 +182,30 @@ class TestMutateCommand:
         assert main(["mutate", "--plan", str(plan), "--out", str(out)]) == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["generation"] == "mutated-5"
+
+    @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+    def test_drift_that_fails_a_rule_exits_alike_and_writes_nothing(self, tmp_path, capsys, case):
+        """``mutate`` and a mutated_in search on the same base and plan."""
+        synonyms, drift_base, code, message = DRIFT_CASES[case]
+        section = f"[mutation]\nsynonyms = {json.dumps({**DEFAULT_SYNONYMS, **synonyms})}\n"
+        base = write_drift_base(tmp_path) if drift_base else "builtin"
+        plan = tmp_path / "plan.ini"
+        plan.write_text(section)
+        assert main(["mutate", "--base", base, "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == code
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(
+            f"[run]\nregistry = {base}\nsetting = mutated_in\noutput_dir = {tmp_path / 'out'}\n\n{section}"
+        )
+        assert main(["search", "--manifest", str(manifest), "--sims", "1"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith(message) for line in err)
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
+
+    def test_consistent_search_on_a_drifting_base_runs(self, tmp_path):
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(f"[run]\nregistry = {write_drift_base(tmp_path)}\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["search", "--manifest", str(manifest), "--sims", "1", "--trees", "1"]) == EXIT_OK
+        assert (tmp_path / "out" / "trees").is_dir()
 
 
 class TestSearchCommand:
@@ -786,6 +840,66 @@ def test_perturbed_registry_mutates_to_0_or_2(registry_docs, data):
         base = _write_json(Path(tmp) / "base.json", doc)
         code = main(["mutate", "--base", base, "--out", str(Path(tmp) / "out.json"), "--seed", "3"])
     assert code in (EXIT_OK, EXIT_CONFIG)
+
+
+# Words that fail a plan: the empty word, words no name may hold, and words
+# already in the base names, so renamed params can collide.
+_PLAN_ODD_WORDS = ["", "Open Now", "tch", "DB", "Name"]
+
+OVERRIDES = argparse.Namespace(
+    setting=None, sims=None, trees=None, no_self_reflection=False, no_tool_update=False, jobs=1
+)
+
+
+@given(
+    kinds=st.frozensets(st.sampled_from(MUTATION_KINDS), min_size=1),
+    special_char=st.sampled_from(SPECIAL_CHARS),
+    seed=st.integers(0, 2**32),
+    synonyms=st.fixed_dictionaries(
+        {
+            word: st.one_of(
+                st.just(options), st.lists(st.sampled_from(_PLAN_ODD_WORDS + options), min_size=1, max_size=2)
+            )
+            for word, options in DEFAULT_SYNONYMS.items()
+        }
+    ),
+)
+def test_mutate_and_a_mutated_search_exit_alike_on_every_plan(kinds, special_char, seed, synonyms):
+    """Both build the registry through one path. ``search_manifest`` builds it
+    before any search runs, so its exit code is that of the registry."""
+    section = (
+        f"[mutation]\nseed = {seed}\nkinds = {', '.join(sorted(kinds))}\nspecial_char = {special_char}\n"
+        f"synonyms = {json.dumps(synonyms)}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = Path(tmp) / "plan.ini"
+        plan.write_text(section)
+        mutate_code = main(["mutate", "--plan", str(plan), "--out", str(Path(tmp) / "m.json")])
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string("[run]\nsetting = mutated_in\n\n" + section)
+    try:
+        trees, _, _ = cli.search_manifest(parser, OVERRIDES)
+    except cli.CliError as exc:
+        search_code = exc.code
+    else:
+        trees.close()
+        search_code = EXIT_OK
+    assert mutate_code == search_code
+
+
+def test_closed_stdout_exits_3_without_a_traceback(tmp_path, small_tree_doc):
+    """``tooldrift inspect t.json | head -1``, with the reader gone before the
+    command writes."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tooldrift.cli", "inspect", _write_json(tmp_path / "t.json", small_tree_doc)],
+            stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_IO, b"error: stdout was closed\n")
 
 
 _MANIFEST_ODD_VALUES = st.sampled_from(

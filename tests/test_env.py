@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -344,6 +345,23 @@ class TestBuiltinCorpus:
             ToolRegistry(apis=dict(base_registry.apis), behaviors=behaviors, world=base_registry.world)
 
 
+class TestApiNames:
+    @pytest.mark.parametrize(
+        "name",
+        ["Fe_tch", "Open NowDatabase", "Load__DB", "_LoadDB", "LoadDB.", "LoadDB\n", "Load[DB]", "A" * 50_000 + "!"],
+        ids=["lowercase_word", "space", "two_chars", "leading_char", "trailing_char", "trailing_newline",
+             "bracket", "long_word_then_bang"],
+    )
+    def test_name_no_action_line_can_spell_is_rejected_fast(self, name):
+        """For the API and for a param, in time linear in the name."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="is not CamelCase words"):
+            ApiSpec(name=name)
+        with pytest.raises(ValueError, match="is not CamelCase words"):
+            ApiSpec(name="LoadDB", params=(ParamSpec(name=name),))
+        assert time.perf_counter() - start < 1.0
+
+
 def _api(doc, name):
     return next(spec for spec in doc["apis"] if spec["name"] == name)
 
@@ -358,6 +376,7 @@ MALFORMED_REGISTRY_EDITS = {
     "unknown_alt_kind": lambda doc: _param(doc, "LoadDB").update(alt_kind="x"),
     "alt_map_example_not_an_object": lambda doc: _param(doc, "FilterDB", 1).update(alt_example="x"),
     "empty_param_name": lambda doc: _param(doc, "LoadDB").update(name=""),
+    "param_name_not_camel_case": lambda doc: _param(doc, "LoadDB").update(name="dbName"),
     "repeated_param_name": lambda doc: _param(doc, "GetValue", 2).update(name="DBName"),
     "duplicate_api": lambda doc: doc["apis"].append(_api(doc, "LoadDB")),
     "unknown_lineage": lambda doc: _api(doc, "LoadDB").update(name="LoadEverything"),

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -54,6 +58,14 @@ PAST_THE_LIMITS = {
     "literal_sum_too_deep": "{'a': " + "1+" * 100_000 + "1}",
     "literal_negation_too_deep": "{'a': " + "-" * 100_000 + "1}",
 }
+
+
+# Bodies that ``ast.literal_eval`` rejects with a message naming a syntax-tree
+# node by its address (a name), or with a TypeError (an unhashable key).
+REJECTED_LITERALS = {"name": "{x}", "unhashable_key": "{[1]: 2}"}
+REJECTED_LITERAL_TEXT = "could not parse field 'Action Input': not a JSON object or Python literal"
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def calculate_step(body: str) -> str:
@@ -119,6 +131,28 @@ class TestParseAction:
         with pytest.raises(ActionParseError) as err:
             parse_action(calculate_step(PAST_THE_LIMITS[case]))
         assert err.value.field == "Action Input"
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_LITERALS))
+    def test_rejected_literal_is_an_error_with_a_fixed_text(self, case):
+        with pytest.raises(ActionParseError) as err:
+            parse_action(calculate_step(REJECTED_LITERALS[case]))
+        assert str(err.value) == REJECTED_LITERAL_TEXT
+
+    def test_rejected_literal_reads_the_same_in_every_process(self):
+        """The text reaches a tree's failure column, so two processes must agree."""
+        script = (
+            "import sys\nfrom tooldrift.react import ActionParseError, parse_action\n"
+            "try:\n    parse_action(sys.argv[1])\nexcept ActionParseError as exc:\n    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script, calculate_step(REJECTED_LITERALS["name"])],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outputs == [REJECTED_LITERAL_TEXT + "\n"] * 2
 
     @given(text=st.one_of(
         st.text(),
