@@ -249,36 +249,29 @@ def build_base_registry(world: dict | None = None) -> ToolRegistry:
             description="Evaluates an arithmetic expression.",
             response_note="Returns a sentence with the calculated result.",
         ),
-        "Finish": ApiSpec(
-            name="Finish",
-            params=(ParamSpec(name="answer", example="5"),),
-            description="Submits the final answer and ends the task.",
-            is_system_tool=True,
-        ),
-        "UpdateTool": ApiSpec(
-            name="UpdateTool",
-            params=(ParamSpec(name="newtool_desc", example="NewTool[Param], which is ..."),),
-            description="Appends a newly learned tool description to the tool manual.",
-            is_system_tool=True,
-        ),
     }
     return ToolRegistry(apis=apis, behaviors=dict(BASE_BEHAVIORS), world=world, generation="base")
+
+
+# The manual's lines for env.SYSTEM_ACTIONS, which are not registry tools.
+SYSTEM_ACTION_MANUAL = (
+    "Finish[answer]: Submits the final answer and ends the task.",
+    "UpdateTool[newtool_desc]: Appends a newly learned tool description to the tool manual.",
+)
 
 
 def manual_entry(spec: ApiSpec) -> str:
     text = f"{spec.signature()}: {spec.description}"
     if spec.response_note:
         text += f" {spec.response_note}"
-    if spec.params and not spec.is_system_tool:
+    if spec.params:
         text += f" For example, {json.dumps(spec.example_args())}."
     return text
 
 
 def build_manual(registry: ToolRegistry) -> list[str]:
-    order = ["LoadDB", "FilterDB", "GetValue", "Calculate", "Finish", "UpdateTool"]
-    names = [n for n in order if n in registry.apis]
-    names += [n for n in sorted(registry.apis) if n not in names]
-    return [manual_entry(registry.apis[n]) for n in names]
+    """The registry's APIs in order, then the two system actions."""
+    return [manual_entry(spec) for spec in registry.apis.values()] + list(SYSTEM_ACTION_MANUAL)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Dynamic tool environment: API registry, invocation, and answer scoring.
 
-The environment is everything outside the agent: a registry of deployed API
-behaviors, typed error feedback (invocation vs deprecation), and a +1/-1
-scorer for final answers. Errors are returned as data, never raised, so a
-search can keep exploring through error states.
+The environment is everything outside the agent: a registry of the drifting
+tools (the ReAct loop's own ``SYSTEM_ACTIONS`` are not in it), typed error
+feedback (invocation vs deprecation), and a +1/-1 scorer for final answers.
+Errors are returned as data, never raised, so a search can keep exploring
+through error states.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 INVOCATION_ERROR_TEXT = (
     "Your action is filtered due to some error in content. "
@@ -26,6 +27,9 @@ ANSWER_INCORRECT_TEXT = "Answer is INCORRECT"
 
 PARAM_KINDS = ("text", "map", "number")
 SPECIAL_CHARS = ("_", "-", ".")
+# Actions of the ReAct loop, not tools: adapt.execute_action handles them by
+# name and never asks a registry, so no API may take one of these names.
+SYSTEM_ACTIONS = ("Finish", "UpdateTool")
 
 # CamelCase words joined by single special characters. Each repetition starts
 # at a special character, so a match runs in linear time on any registry file.
@@ -79,24 +83,25 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ApiSpec:
-    """One tool's contract: name, ordered params, and descriptive text. A
-    non-system API's name and param names are CamelCase words joined by single
-    ``SPECIAL_CHARS``, so an Action line can spell each name a drift deploys."""
+    """One tool's contract: name, ordered params, and descriptive text. The
+    name and param names are CamelCase words joined by single
+    ``SPECIAL_CHARS``, so an Action line can spell each name a drift deploys,
+    and the name is not one of the ``SYSTEM_ACTIONS``."""
 
     name: str
     params: tuple[ParamSpec, ...] = ()
     description: str = ""
     response_note: str = ""
-    is_system_tool: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("empty API name")
+        if self.name in SYSTEM_ACTIONS:
+            raise ValueError(f"API {self.name}: the name is reserved for an action of the ReAct loop")
         names = self.param_names()
-        if not self.is_system_tool:
-            for name in (self.name, *names):
-                if not _NAME_RE.fullmatch(name):
-                    raise ValueError(f"API {self.name}: {name!r} is not CamelCase words joined by _, - or .")
+        for name in (self.name, *names):
+            if not _NAME_RE.fullmatch(name):
+                raise ValueError(f"API {self.name}: {name!r} is not CamelCase words joined by _, - or .")
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"API {self.name} repeats param {name!r}")
@@ -115,16 +120,12 @@ class ApiSpec:
 
 @dataclass(frozen=True)
 class DeprecationEntry:
-    """Where a retired API name points: successor, its param example, and the
-    retired signature's own param names (needed to render the error text)."""
+    """Where a retired API name points: its successor, and the retired
+    signature's param names, which the deprecation error shows. A registry
+    file stores only the successor; the loader reads the names off the base."""
 
     successor: str
-    param_example: dict[str, Any]
-    old_params: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not all(isinstance(p, str) for p in self.old_params):
-            raise ValueError(f"the old params {self.successor} replaces must be strings")
+    old_params: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -172,10 +173,11 @@ Behavior = Callable[[list[Any], dict], str]
 class ToolRegistry:
     """Deployed API surface: specs, behaviors, deprecation map, world data.
 
-    Frozen, and checked when built: each key names its spec, each non-system
-    API has a behavior, and each deprecated name is retired (not deployed)
-    and points at a deployed successor. The dicts are not copied, so a
-    builder hands them over and changes them no more; invoke() only reads.
+    Only drifting tools, never ``SYSTEM_ACTIONS``. Frozen, and checked when
+    built: each key names its spec, each API has a behavior, and each
+    deprecated name is retired (not deployed) and points at a deployed
+    successor. The dicts are not copied, so a builder hands them over and
+    changes them no more; invoke() only reads.
     ``generation`` tags which registry produced an artifact (base vs a
     seeded mutation) and travels with serialized trees and SFT records.
     """
@@ -190,28 +192,14 @@ class ToolRegistry:
         for name, spec in self.apis.items():
             if name != spec.name:
                 raise ValueError(f"registry key {name!r} does not match spec name {spec.name!r}")
-            if not spec.is_system_tool and name not in self.behaviors:
-                raise ValueError(f"non-system API {name} has no behavior")
+            if name not in self.behaviors:
+                raise ValueError(f"API {name} has no behavior")
         overlap = set(self.deprecated) & set(self.apis)
         if overlap:
             raise ValueError(f"deprecated names overlap deployed names: {sorted(overlap)}")
         for old, entry in self.deprecated.items():
             if entry.successor not in self.apis:
                 raise ValueError(f"deprecated {old} points at unknown successor {entry.successor}")
-
-    def non_system_apis(self) -> list[ApiSpec]:
-        return [s for s in self.apis.values() if not s.is_system_tool]
-
-
-def deprecation_error_text(old_name: str, old_params: Iterable[str], new_spec: ApiSpec) -> str:
-    """Render the fixed deprecation message naming the successor + example."""
-    return DEPRECATION_ERROR_TEMPLATE.format(
-        old=old_name,
-        old_params=", ".join(old_params),
-        new=new_spec.name,
-        new_params=", ".join(new_spec.param_names()),
-        example=json.dumps(new_spec.example_args()),
-    )
 
 
 def _value_matches_kind(value: Any, kind: str) -> bool:
@@ -249,12 +237,14 @@ def invoke(registry: ToolRegistry, name: str, args: dict[str, Any]) -> Observati
     """
     entry = registry.deprecated.get(name)
     if entry is not None:
-        text = deprecation_error_text(name, entry.old_params or entry.param_example, registry.apis[entry.successor])
+        new = registry.apis[entry.successor]
+        text = DEPRECATION_ERROR_TEMPLATE.format(
+            old=name, old_params=", ".join(entry.old_params), new=new.name,
+            new_params=", ".join(new.param_names()), example=json.dumps(new.example_args()),
+        )
         return Observation(kind="deprecation_error", text=text)
     spec = registry.apis.get(name)
-    if spec is None or spec.is_system_tool:
-        return Observation(kind="invocation_error", text=INVOCATION_ERROR_TEXT)
-    if not isinstance(args, dict) or not _args_conform(spec, args):
+    if spec is None or not isinstance(args, dict) or not _args_conform(spec, args):
         return Observation(kind="invocation_error", text=INVOCATION_ERROR_TEXT)
     values = [args[p.name] for p in spec.params]
     try:
@@ -292,11 +282,9 @@ def evaluate(task: TaskInstance, answer: str) -> Observation:
 # ---------------------------------------------------------------------------
 
 _REGISTRY_TYPES = {"generation": (str,), "apis": (list,), "deprecated": (dict,)}
-_SPEC_TYPES = {"name": (str,), "params": (list,), "description": (str,), "response_note": (str,),
-               "is_system_tool": (bool,)}
+_SPEC_TYPES = {"name": (str,), "params": (list,), "description": (str,), "response_note": (str,)}
 _PARAM_TYPES = {"name": (str,), "kind": (str,), "example": (str,),
                 "alt_kind": (str, type(None)), "alt_example": (str, type(None))}
-_ENTRY_TYPES = {"successor": (str,), "param_example": (dict,), "old_params": (list,)}
 TASK_TYPES = {f.name: (str,) for f in fields(TaskInstance)}
 
 
@@ -324,7 +312,7 @@ def registry_to_json(registry: ToolRegistry) -> str:
     doc = {
         "generation": registry.generation,
         "apis": [asdict(spec) for _, spec in sorted(registry.apis.items())],
-        "deprecated": {old: asdict(e) for old, e in sorted(registry.deprecated.items())},
+        "deprecated": {old: e.successor for old, e in sorted(registry.deprecated.items())},
     }
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
@@ -332,10 +320,10 @@ def registry_to_json(registry: ToolRegistry) -> str:
 def registry_from_json(text: str, base: ToolRegistry) -> ToolRegistry:
     """Rebuild a registry from JSON, re-binding behaviors through lineage.
 
-    A deployed API inherits the behavior of the base API it replaced (via
-    the deprecation map) or of its own name for unmutated generations, and
-    must take as many params as that API. The world is the base's. Any
-    malformed document raises ValueError.
+    ``deprecated`` maps each retired name, an API of ``base``, to the one
+    deployed API that replaced it, which inherits that API's behavior (an
+    unretired API keeps its own) and must take as many params. The world is
+    the base's. Any malformed document raises ValueError.
     """
     doc = typed_object(json.loads(text), _REGISTRY_TYPES, "registry")
     apis: dict[str, ApiSpec] = {}
@@ -344,18 +332,21 @@ def registry_from_json(text: str, base: ToolRegistry) -> ToolRegistry:
         if spec.name in apis:
             raise ValueError(f"api {index}: duplicate name {spec.name!r}")
         apis[spec.name] = spec
-    deprecated = {}
-    for old, entry_doc in doc["deprecated"].items():
-        entry = typed_object(entry_doc, _ENTRY_TYPES, f"deprecated {old}")
-        deprecated[old] = DeprecationEntry(**{**entry, "old_params": tuple(entry["old_params"])})
-    successor_to_old = {e.successor: old for old, e in deprecated.items()}
+    deprecated, successor_to_old = {}, {}
+    for old, successor in doc["deprecated"].items():
+        if type(successor) is not str:
+            raise ValueError(f"deprecated {old}: the successor is {type(successor).__name__}, not a string")
+        if old not in base.apis:
+            raise ValueError(f"deprecated {old} is not an API of the base registry")
+        if successor in successor_to_old:
+            raise ValueError(f"{successor} replaces both {successor_to_old[successor]} and {old}")
+        successor_to_old[successor] = old
+        deprecated[old] = DeprecationEntry(successor=successor, old_params=tuple(base.apis[old].param_names()))
     behaviors: dict[str, Behavior] = {}
     for name, spec in apis.items():
-        if spec.is_system_tool:
-            continue
         lineage = successor_to_old.get(name, name)
         origin = base.apis.get(lineage)
-        if origin is None or lineage not in base.behaviors:
+        if origin is None:
             raise ValueError(f"no behavior known for API {name} (lineage {lineage})")
         if len(spec.params) != len(origin.params):
             raise ValueError(f"API {name} takes {len(spec.params)} params, {lineage} {len(origin.params)}")

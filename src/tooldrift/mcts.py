@@ -83,9 +83,7 @@ class SearchTree:
     manual: tuple[str, ...] = ()
     demos: tuple[str, ...] = ()
     nodes: list[TreeNode] = field(default_factory=list)
-    stats: dict[str, int] = field(
-        default_factory=lambda: {"simulations": 0, "backprops": 0, "policy_calls": 0}
-    )
+    stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STATS_TYPES, 0))
     # (registry, text -> child fields) of _child_fields; not a field, so never written.
     _made = (None, None)
 
@@ -394,6 +392,8 @@ _NODE_TYPES = {
     "failure": (str, type(None)),
 }
 _NODE_COLUMNS = tuple(_NODE_TYPES)
+# The counters of SearchTree.stats, each a count >= 0.
+_STATS_TYPES = {"simulations": (int,), "backprops": (int,), "policy_calls": (int,)}
 # JSON types accepted for a SearchConfig field, keyed by its default's type.
 _CONFIG_TYPES = {float: (int, float), int: (int,), bool: (bool,)}
 
@@ -476,6 +476,9 @@ def tree_from_json(text: str) -> SearchTree:
     ))
     if not all(isinstance(entry, str) for entry in doc["manual"] + doc["demos"]):
         raise ValueError("tree: manual and demos must be lists of strings")
+    stats = typed_object(doc["stats"], _STATS_TYPES, "stats")
+    if min(stats.values()) < 0:
+        raise ValueError("stats: a count is negative")
     tree = SearchTree(
         task=task,
         config=config,
@@ -483,7 +486,7 @@ def tree_from_json(text: str) -> SearchTree:
         tree_id=doc["tree_id"],
         manual=tuple(doc["manual"]),
         demos=tuple(doc["demos"]),
-        stats=doc["stats"],
+        stats=stats,
     )
     actions = [
         ActionRecord(**typed_object(entry, _ACTION_TYPES, f"action {index}"))

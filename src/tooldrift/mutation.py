@@ -2,7 +2,7 @@
 
 Mutations rename tools and parameters (synonym substitution, special-character
 insertion between words), flip parameter formats between condition-string and
-keyed-map form, and swap response notes. System tools are never touched. The
+keyed-map form, and swap response notes. Every base API is retired. The
 same (base, plan) pair always serializes to identical bytes: all choices are
 drawn from a SHA-256 stream keyed by (seed, api, field), never from global RNG
 state, so outputs are stable across platforms and Python versions.
@@ -171,16 +171,13 @@ def _mutate_param(param: ParamSpec, plan: MutationPlan, api_name: str, index: in
 
 def mutate_registry(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
     """Derive a new registry generation; pure in (serialized base, plan)."""
-    if not base.non_system_apis():
-        raise MutationError("base registry has no non-system API to mutate")
+    if not base.apis:
+        raise MutationError("base registry has no API to mutate")
     apis: dict[str, ApiSpec] = {}
     behaviors = {}
     deprecated: dict[str, DeprecationEntry] = {}
     for name in sorted(base.apis):
         spec = base.apis[name]
-        if spec.is_system_tool:
-            apis[name] = spec
-            continue
         new_name = _rename(name, plan, "name_text", "name_special_char", True, name, "api")
         if new_name == name:
             raise MutationError(f"mutation left API name {name!r} unchanged")
@@ -201,11 +198,7 @@ def mutate_registry(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
             raise MutationError(f"mutated {name!r}: {exc}") from None
         apis[new_name] = new_spec
         behaviors[new_name] = base.behaviors[name]
-        deprecated[name] = DeprecationEntry(
-            successor=new_name,
-            param_example=new_spec.example_args(),
-            old_params=tuple(spec.param_names()),
-        )
+        deprecated[name] = DeprecationEntry(successor=new_name, old_params=tuple(spec.param_names()))
     return ToolRegistry(
         apis=apis,
         behaviors=behaviors,
@@ -224,8 +217,8 @@ def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> None:
     """Raise MutationError unless each successor in ``mutate_registry``'s
     ``mutated`` answers its base API's example arguments, carried onto its
     signature, as that API does. The rest of a valid drift holds by
-    construction (system tools, one hop, arity) or in ``ApiSpec`` (names)."""
-    for spec in base.non_system_apis():
+    construction (one hop, arity) or in ``ApiSpec`` (names)."""
+    for spec in base.apis.values():
         entry = mutated.deprecated[spec.name]
         probe = spec.example_args()
         base_obs = invoke(base, spec.name, probe)

@@ -333,7 +333,7 @@ class RemotePolicy:
                     raise ValueError('endpoint reply is not {"choices": [{"text": <string>}, ...]}')
                 texts = [c["text"] for c in choices]
                 if len(texts) < k:
-                    raise PolicyError(f"endpoint returned {len(texts)} candidates, wanted {k}")
+                    raise ValueError(f"endpoint returned {len(texts)} candidates, wanted {k}")
                 return texts[:k]
             except (requests.RequestException, ValueError, RecursionError) as exc:
                 last_error = exc

@@ -81,7 +81,7 @@ def _coerce_value(value: Any) -> Any:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
-        return format(value, "g") if isinstance(value, float) else str(value)
+        return repr(value) if isinstance(value, float) else str(value)
     if isinstance(value, dict):
         return {str(k): _coerce_value(v) for k, v in value.items()}
     raise ActionParseError("Action Input", f"unsupported value type {type(value).__name__}")

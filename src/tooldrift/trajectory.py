@@ -42,8 +42,18 @@ def render_target(steps: tuple[ActionRecord, ...]) -> str:
 
 
 def parse_target(target: str) -> list[ActionRecord]:
-    """Inverse of render_target; reconstructs the step list of a record."""
-    return [parse_action(block) for block in _BLOCK_SPLIT_RE.split(target) if block.strip()]
+    """Inverse of render_target; reconstructs the step list of a record. A
+    thought may hold ``\\n\\nThought: `` but never ``\\nAction:``, so a block
+    without one begins the next block's thought."""
+    steps, pending = [], ""
+    for block in _BLOCK_SPLIT_RE.split(target):
+        pending += block + "\n\n"
+        if "\nAction:" in block:
+            steps.append(parse_action(pending))
+            pending = ""
+    if pending.strip():
+        steps.append(parse_action(pending))
+    return steps
 
 
 def collect_from_trees(trees: Iterable[SearchTree], max_per_task: int = 4, seed: int = 0) -> list[SftRecord]:

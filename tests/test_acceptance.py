@@ -217,7 +217,7 @@ class TestCriterion6Mutation:
                 plan = MutationPlan(seed=seed)
                 mutated = mutate_registry(base_registry, plan)
                 verify_mutation(base_registry, mutated)  # raises MutationError on a behaviour drift
-                for spec in mutated.non_system_apis():
+                for spec in mutated.apis.values():
                     for identifier in [spec.name] + spec.param_names():
                         for segment in re.split(f"[{chars}]", identifier):
                             assert re.fullmatch(r"[A-Z][A-Za-z0-9]*", segment), identifier

@@ -20,6 +20,7 @@ from unittest import mock
 
 from tooldrift import cli
 from tooldrift.corpus import load_corpus
+from tooldrift.env import SYSTEM_ACTIONS
 from tooldrift.mutation import DEFAULT_SYNONYMS, MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
 
@@ -128,4 +129,4 @@ def test_run_manifest_reads_every_mutation_key_from_a_plain_parser():
     successors = set(mutate_registry(corpus.base_registry, plan).apis) - set(corpus.base_registry.apis)
     used = {node.action.action_name for tree in trees for node in tree.nodes[1:]}
     assert setting == "mutated_in" and {tree.registry_generation for tree in trees} == {"mutated-11"}
-    assert used - set(corpus.base_registry.apis) == successors
+    assert used - set(corpus.base_registry.apis) - set(SYSTEM_ACTIONS) == successors

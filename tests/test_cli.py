@@ -749,6 +749,10 @@ MALFORMED_TREES = {
     "column_not_a_list": lambda doc: doc["nodes"].update(visit_count=5),
     "visit_count_true": _set("visit_count", 1, True),
     "parent_true": _set_parent(2, True),
+    "stats_untyped": lambda doc: doc.update(stats={"x": [1, {"y": None}]}),
+    "stats_count_missing": lambda doc: doc["stats"].pop("backprops"),
+    "stats_count_negative": lambda doc: doc["stats"].update(simulations=-1),
+    "stats_count_true": lambda doc: doc["stats"].update(policy_calls=True),
 }
 
 
@@ -794,7 +798,9 @@ def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
     index = data.draw(st.integers(0, _node_count(doc) - 1), label="node")
     column = data.draw(st.sampled_from(sorted(columns)), label="column")
     entry = data.draw(st.sampled_from(doc["actions"]), label="action entry")
-    target = data.draw(st.sampled_from([doc, doc["task"], doc["config"], columns, entry]), label="object")
+    target = data.draw(
+        st.sampled_from([doc, doc["task"], doc["config"], doc["stats"], columns, entry]), label="object"
+    )
     key = data.draw(st.sampled_from(sorted(target)), label="key")
     op = data.draw(
         st.sampled_from(["drop", "value", "drop_cell", "cell", "forward_parent", "far_parent", "far_action"]),
@@ -829,7 +835,7 @@ def test_perturbed_registry_mutates_to_0_or_2(registry_docs, data):
     succeeds or reports exit 2."""
     doc = json.loads(json.dumps(data.draw(st.sampled_from(registry_docs), label="registry")))
     spec = data.draw(st.sampled_from(doc["apis"]), label="api")
-    containers = [doc, spec, *spec["params"], *doc["deprecated"].values()]
+    containers = [c for c in (doc, spec, *spec["params"], doc["deprecated"]) if c]
     target = data.draw(st.sampled_from(containers), label="object")
     key = data.draw(st.sampled_from(sorted(target)), label="key")
     if data.draw(st.booleans(), label="drop"):

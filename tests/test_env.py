@@ -56,11 +56,7 @@ def deprecated_loaddb_registry():
         apis=apis,
         behaviors={"InitializeDatabase": behavior_load_db},
         deprecated={
-            "LoadDB": DeprecationEntry(
-                successor="InitializeDatabase",
-                param_example={"DatabaseName": "flights"},
-                old_params=("DBName",),
-            )
+            "LoadDB": DeprecationEntry(successor="InitializeDatabase", old_params=("DBName",))
         },
         world=build_world(),
     )
@@ -264,7 +260,7 @@ class TestBuiltinCorpus:
 
     def test_registry_has_loaddb_with_dbname(self, base_registry):
         assert base_registry.apis["LoadDB"].param_names() == ["DBName"]
-        assert set(base_registry.apis) == {"LoadDB", "FilterDB", "GetValue", "Calculate", "Finish", "UpdateTool"}
+        assert list(base_registry.apis) == ["LoadDB", "FilterDB", "GetValue", "Calculate"]
 
     def test_gold_answers_recomputable(self, corpus):
         checked = 0
@@ -305,6 +301,12 @@ class TestBuiltinCorpus:
             digest.update(demo.encode("utf-8") + b"\0")
         assert digest.hexdigest()[:16] == "e5d4ba808473d525"
 
+    def test_manual_is_pinned(self, corpus):
+        """First 16 hex chars of sha256 over the manual's entries joined by NUL:
+        the four tools in registry order, then Finish and UpdateTool."""
+        digest = hashlib.sha256("\0".join(corpus.manual).encode("utf-8"))
+        assert digest.hexdigest()[:16] == "e018c1437f493173"
+
     def test_tasks_are_pinned(self, corpus):
         """First 16 hex chars of sha256 over ``tasks_to_json`` of the builtin
         tasks: a change to an id, a question or a gold answer changes it."""
@@ -334,7 +336,7 @@ class TestBuiltinCorpus:
             ToolRegistry(
                 apis=dict(base_registry.apis),
                 behaviors=dict(base_registry.behaviors),
-                deprecated={"LoadDB": DeprecationEntry(successor="FilterDB", param_example={})},
+                deprecated={"LoadDB": DeprecationEntry(successor="FilterDB", old_params=("DBName",))},
                 world=base_registry.world,
             )
 
@@ -384,10 +386,51 @@ MALFORMED_REGISTRY_EDITS = {
 }
 
 
+def _rename_successor(doc, old, name):
+    """Deploy ``old``'s successor under ``name``, keeping the file consistent."""
+    _api(doc, doc["deprecated"][old]).update(name=name)
+    doc["deprecated"][old] = name
+
+
+# Edits of a drifted registry's file, each with the error it must raise.
+MALFORMED_DRIFT_EDITS = {
+    "successor_not_a_string": (lambda doc: doc["deprecated"].update(LoadDB=5), "not a string"),
+    "entry_of_the_old_shape": (
+        lambda doc: doc["deprecated"].update(LoadDB={"successor": doc["deprecated"]["LoadDB"]}), "not a string",
+    ),
+    "retires_a_name_the_base_lacks": (
+        lambda doc: doc["deprecated"].update(Foo="Finish"), "Foo is not an API of the base registry",
+    ),
+    "successor_claimed_twice": (
+        lambda doc: doc["deprecated"].update(LoadDB=doc["deprecated"]["FilterDB"]), "replaces both",
+    ),
+    "api_named_finish": (lambda doc: _rename_successor(doc, "Calculate", "Finish"), "reserved"),
+    "api_named_update_tool": (lambda doc: _rename_successor(doc, "LoadDB", "UpdateTool"), "reserved"),
+    "leftover_is_system_tool_key": (
+        lambda doc: _api(doc, doc["deprecated"]["LoadDB"]).update(is_system_tool=False), "expected an object",
+    ),
+}
+
+
 class TestRegistryJson:
     @pytest.mark.parametrize("case", sorted(MALFORMED_REGISTRY_EDITS))
     def test_malformed_doc_raises_value_error(self, base_registry, case):
         doc = json.loads(registry_to_json(base_registry))
         MALFORMED_REGISTRY_EDITS[case](doc)
         with pytest.raises(ValueError):
+            registry_from_json(json.dumps(doc), base_registry)
+
+    def test_drifted_doc_maps_each_retired_name_to_its_successor(self, base_registry, mutated_registry):
+        doc = json.loads(registry_to_json(mutated_registry))
+        assert doc["deprecated"] == {old: e.successor for old, e in mutated_registry.deprecated.items()}
+        assert sorted(spec["name"] for spec in doc["apis"]) == sorted(mutated_registry.apis)
+        loaded = registry_from_json(json.dumps(doc), base_registry)
+        assert (loaded.apis, loaded.deprecated) == (mutated_registry.apis, mutated_registry.deprecated)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DRIFT_EDITS))
+    def test_malformed_drifted_doc_raises_value_error(self, base_registry, mutated_registry, case):
+        doc = json.loads(registry_to_json(mutated_registry))
+        edit, message = MALFORMED_DRIFT_EDITS[case]
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
             registry_from_json(json.dumps(doc), base_registry)

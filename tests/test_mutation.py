@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import configparser
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -45,8 +46,6 @@ def agenda_fetch_registry():
             params=(ParamSpec(name="Keyword", example="meeting"),),
             description="Retrieves agenda entries for a keyword.",
         ),
-        "Finish": ApiSpec(name="Finish", params=(ParamSpec(name="answer"),), is_system_tool=True),
-        "UpdateTool": ApiSpec(name="UpdateTool", params=(ParamSpec(name="newtool_desc"),), is_system_tool=True),
     }
     synonyms = dict(DEFAULT_SYNONYMS)
     synonyms["Keyword"] = ["SearchTerm", "QueryText"]
@@ -106,7 +105,7 @@ class TestMutateRegistry:
         params = {p.name: p for p in mutated.apis[successor].params}
         condition = [p for p in params.values() if p.kind == "map"]
         assert len(condition) == 1
-        example = mutated.deprecated["FilterDB"].param_example
+        example = mutated.apis[successor].example_args()
         map_values = [v for v in example.values() if isinstance(v, dict)]
         assert map_values and "condition1" in map_values[0]
 
@@ -124,8 +123,6 @@ class TestMutateRegistry:
                     ),
                 ),
             ),
-            "Finish": ApiSpec(name="Finish", is_system_tool=True),
-            "UpdateTool": ApiSpec(name="UpdateTool", is_system_tool=True),
         }
         base = ToolRegistry(apis=apis, behaviors={"FilterDB": _echo}, world=build_world())
         mutated = mutate_registry(base, MutationPlan(seed=4, kinds=frozenset({"param_format"})))
@@ -140,10 +137,16 @@ class TestMutateRegistry:
         successor = mutated.deprecated["Calculate"].successor
         assert mutated.apis[successor].response_note != base_registry.apis["Calculate"].response_note
 
-    def test_system_tools_untouched_and_never_deprecated(self, base_registry, mutated_registry):
-        for name in ("Finish", "UpdateTool"):
-            assert mutated_registry.apis[name] == base_registry.apis[name]
-            assert name not in mutated_registry.deprecated
+    @pytest.mark.parametrize(
+        "words", [{"Load": ["Update"], "DB": ["Tool"]}, {"Calculate": ["Finish"]}],
+        ids=["load_db_as_update_tool", "calculate_as_finish"],
+    )
+    def test_a_system_action_name_is_reserved(self, base_registry, words):
+        """A drift that would deploy LoadDB as UpdateTool, or Calculate as
+        Finish, is rejected: no API takes the name of a ReAct-loop action."""
+        plan = MutationPlan(seed=1, kinds=frozenset({"name_text"}), synonyms={**DEFAULT_SYNONYMS, **words})
+        with pytest.raises(MutationError, match="reserved for an action of the ReAct loop"):
+            mutate_registry(base_registry, plan)
 
     def test_uncovered_word_is_an_explicit_error(self, base_registry):
         table = {k: v for k, v in DEFAULT_SYNONYMS.items() if k != "Load"}
@@ -175,6 +178,23 @@ class TestDeterminism:
         for seed in (11, 42):
             verify_mutation(base_registry, mutate_registry(base_registry, MutationPlan(seed=seed)))
 
+    def test_deprecation_texts_are_pinned(self, base_registry):
+        """First 16 hex chars of sha256 over the text each base API's example
+        call reads on a drifted registry, each ended by a NUL: the default
+        plans of seeds 0-19, then the all-kinds plans of the same seeds; within
+        a plan, LoadDB, FilterDB, GetValue, Calculate. 160 deprecation errors,
+        each naming the retired signature and its successor's example."""
+        plans = [MutationPlan(seed=s) for s in range(20)]
+        plans += [MutationPlan(seed=s, kinds=frozenset(MUTATION_KINDS)) for s in range(20)]
+        digest = hashlib.sha256()
+        for plan in plans:
+            mutated = mutate_registry(base_registry, plan)
+            for api in ("LoadDB", "FilterDB", "GetValue", "Calculate"):
+                obs = invoke(mutated, api, base_registry.apis[api].example_args())
+                assert obs.kind == "deprecation_error"
+                digest.update(obs.text.encode("utf-8") + b"\0")
+        assert digest.hexdigest()[:16] == "32a17eea8eb9daaa"
+
 
 # Words a drawn synonym table may use besides the default ones: the empty word,
 # words no name may hold (a space, a lowercase start), and words that already
@@ -197,8 +217,9 @@ def test_every_registry_a_plan_builds_loads_back(base_registry, kinds, special_c
     """A plan either fails to mutate, or its registry's file loads back to the
     same specs and deprecation map: one rule for a valid registry. Such a
     registry passes the drift check, and holds by construction what the check
-    no longer looks at: system tools unchanged, one deprecation hop per base
-    API, the same arity; each deployed name is one an Action line can spell."""
+    no longer looks at: one deprecation hop per base API, each successor
+    deployed, the same arity; each deployed name is one an Action line can
+    spell."""
     plan = MutationPlan(seed=seed, kinds=kinds, special_char=special_char, synonyms=synonyms)
     try:
         mutated = mutate_registry(base_registry, plan)
@@ -207,10 +228,8 @@ def test_every_registry_a_plan_builds_loads_back(base_registry, kinds, special_c
     loaded = registry_from_json(registry_to_json(mutated), base_registry)
     assert (loaded.apis, loaded.deprecated) == (mutated.apis, mutated.deprecated)
     verify_mutation(base_registry, mutated)
-    system = {name: spec for name, spec in base_registry.apis.items() if spec.is_system_tool}
-    assert {name: spec for name, spec in mutated.apis.items() if spec.is_system_tool} == system
-    assert set(mutated.deprecated) == {spec.name for spec in base_registry.non_system_apis()}
-    assert {entry.successor for entry in mutated.deprecated.values()} == set(mutated.apis) - set(system)
+    assert set(mutated.deprecated) == set(base_registry.apis)
+    assert {entry.successor for entry in mutated.deprecated.values()} == set(mutated.apis)
     for old, entry in mutated.deprecated.items():
         assert len(mutated.apis[entry.successor].params) == len(base_registry.apis[old].params)
     for name in mutated.apis:

@@ -91,7 +91,7 @@ class TestScriptedPolicies:
 
     def test_adaptive_emits_update_tool_after_retry(self, corpus, mutated_registry):
         successor = mutated_registry.deprecated["LoadDB"].successor
-        example = mutated_registry.deprecated["LoadDB"].param_example
+        example = mutated_registry.apis[successor].example_args()
         state = executed(
             corpus,
             mutated_registry,
@@ -290,6 +290,7 @@ BAD_REPLIES = {
     "choice_not_an_object": json.dumps({"choices": [7] * 5}),
     "choices_not_a_list": json.dumps({"choices": "Thought: t"}),
     "reply_is_a_list": json.dumps([1, 2]),
+    "too_few_choices": json.dumps({"choices": [{"text": "Thought: t"}] * 4}),
     "nested_too_deep": '{"choices": ' + "[" * 100_000,
 }
 

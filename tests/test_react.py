@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tooldrift.adapt import advance
+from tooldrift.adapt import advance, execute_action
 from tooldrift.env import TaskInstance
 from tooldrift import react
 from tooldrift.mcts import FAILED_ACTION_NAME, SearchConfig, run_search
@@ -125,6 +125,16 @@ class TestParseAction:
     def test_numbers_coerced_to_text(self):
         record = parse_action('Thought: t\nAction: Finish\nAction Input: {"answer": 5}')
         assert record.action_input == {"answer": "5"}
+
+    @pytest.mark.parametrize("number", ["1234567.89", "123456789.0"])
+    def test_float_keeps_its_digits_and_a_finish_with_it_scores(self, number):
+        """A float reads back as its shortest round-trip text, so a Finish
+        with the gold answer as a number is correct."""
+        record = parse_action(f'Thought: t\nAction: Finish\nAction Input: {{"answer": {number}}}')
+        assert record.action_input == {"answer": repr(float(number))}
+        task = TaskInstance(id="t", description="What?", gold_answer=number, dataset="coffee", difficulty="easy")
+        state = StateRecord(task=task, tool_manual=())
+        assert execute_action(state, record, registry=None).reward == 1
 
     @pytest.mark.parametrize("case", sorted(PAST_THE_LIMITS))
     def test_input_past_the_decoders_limits_is_an_error(self, case):

@@ -3,13 +3,15 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tooldrift.adapt import UPDATE_TOOL_OK_TEXT, execute_action
 from tooldrift.env import evaluate, invoke
 from tooldrift.mcts import SearchConfig, run_search
 from tooldrift.mutation import MutationPlan, draw, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
-from tooldrift.react import StateRecord, render_prompt
+from tooldrift.react import ActionRecord, StateRecord, render_prompt
 from tooldrift.trajectory import (
     collect_from_trees,
     export_sft,
@@ -178,3 +180,53 @@ class TestExport:
         assert record.reward == 1
         assert record.target.startswith("Thought: ")
         assert record.target == render_target(path_steps(adaptive_tree, record))
+
+
+_words = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=20).filter(
+    lambda s: s.strip() == s
+)
+# A thought may itself hold "\n\nThought: ", as when a policy opens each step
+# with a thought of its own.
+_thoughts = st.lists(_words, min_size=1, max_size=3).map("\n\nThought: ".join)
+_steps = st.lists(
+    st.builds(
+        ActionRecord,
+        thought=_thoughts,
+        action_name=st.sampled_from(["LoadDB", "Filter_DB", "Finish", "UpdateTool"]),
+        action_input=st.dictionaries(_words, _words, max_size=2),
+        observation=_words,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(steps=_steps)
+@example(steps=[ActionRecord(
+    thought="Let me think.\n\nThought: load", action_name="LoadDB", action_input={"DBName": "coffee"}, observation="ok"
+)] * 2)
+def test_parse_target_inverts_render_target(steps):
+    assert parse_target(render_target(tuple(steps))) == steps
+
+
+class _ThinksFirst:
+    """The adaptive policy with each step opened by a thought of its own."""
+
+    def __init__(self, corpus):
+        self.inner = ScriptedAdaptivePolicy(corpus)
+
+    def propose(self, state, k):
+        return [f"Thought: Let me think.\n\n{text}" for text in self.inner.propose(state, k)]
+
+
+def test_records_of_a_policy_that_thinks_first_parse_back(corpus, mutated_registry):
+    tree = run_search(
+        corpus.task("coffee-hard-4"), mutated_registry, _ThinksFirst(corpus),
+        SearchConfig(max_simulations=30, rng_seed=7), corpus.manual, corpus.demos,
+    )
+    records = collect_from_trees([tree], max_per_task=4)
+    assert records
+    for record in records:
+        steps = tuple(parse_target(record.target))
+        assert steps == path_steps(tree, record)
+        assert all(step.thought.startswith("Let me think.\n\nThought: ") for step in steps)
