@@ -175,7 +175,7 @@ class ToolRegistry:
 
     Only drifting tools, never ``SYSTEM_ACTIONS``. Frozen, and checked when
     built: each key names its spec, each API has a behavior, and each
-    deprecated name is retired (not deployed) and points at a deployed
+    deprecated name is retired (not deployed) and points at its own deployed
     successor. The dicts are not copied, so a builder hands them over and
     changes them no more; invoke() only reads.
     ``generation`` tags which registry produced an artifact (base vs a
@@ -200,6 +200,16 @@ class ToolRegistry:
         for old, entry in self.deprecated.items():
             if entry.successor not in self.apis:
                 raise ValueError(f"deprecated {old} points at unknown successor {entry.successor}")
+        _retired_names(self.deprecated)
+
+
+def _retired_names(deprecated: dict[str, DeprecationEntry]) -> dict[str, str]:
+    """Each successor's retired name; a successor of two names raises ValueError."""
+    found: dict[str, str] = {}
+    for old, entry in deprecated.items():
+        if found.setdefault(entry.successor, old) != old:
+            raise ValueError(f"{entry.successor} replaces both {found[entry.successor]} and {old}")
+    return found
 
 
 def _value_matches_kind(value: Any, kind: str) -> bool:
@@ -332,16 +342,14 @@ def registry_from_json(text: str, base: ToolRegistry) -> ToolRegistry:
         if spec.name in apis:
             raise ValueError(f"api {index}: duplicate name {spec.name!r}")
         apis[spec.name] = spec
-    deprecated, successor_to_old = {}, {}
+    deprecated = {}
     for old, successor in doc["deprecated"].items():
         if type(successor) is not str:
             raise ValueError(f"deprecated {old}: the successor is {type(successor).__name__}, not a string")
         if old not in base.apis:
             raise ValueError(f"deprecated {old} is not an API of the base registry")
-        if successor in successor_to_old:
-            raise ValueError(f"{successor} replaces both {successor_to_old[successor]} and {old}")
-        successor_to_old[successor] = old
         deprecated[old] = DeprecationEntry(successor=successor, old_params=tuple(base.apis[old].param_names()))
+    successor_to_old = _retired_names(deprecated)
     behaviors: dict[str, Behavior] = {}
     for name, spec in apis.items():
         lineage = successor_to_old.get(name, name)

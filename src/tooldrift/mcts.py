@@ -5,7 +5,8 @@ A node stores only its executed action and statistics. Its state is derived:
 ``adapt.advance``, so search and loaded trees share one step rule. A child's
 action and outcome depend only on its candidate text, the task and the
 registry, so a tree parses and executes each distinct text once per registry
-object it is expanded under; that memo is never serialized.
+object it is expanded under, and asks a ``pure`` policy once per distinct path;
+neither memo is serialized.
 
 The frontier is a property of the node flags: an open leaf is a visible
 (not cached), non-terminal node above the depth limit with no visible child.
@@ -84,8 +85,7 @@ class SearchTree:
     demos: tuple[str, ...] = ()
     nodes: list[TreeNode] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STATS_TYPES, 0))
-    # (registry, text -> child fields) of _child_fields; not a field, so never written.
-    _made = (None, None)
+    _made = (None, None, None)  # (registry, text memo, path memo) of _memos; never written
 
     @property
     def root_id(self) -> int:
@@ -122,24 +122,19 @@ class SearchTree:
     def successful_leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes if n.terminal and n.reward == 1]
 
-    def path_to(self, node_id: int) -> list[TreeNode]:
-        path = []
-        cur: int | None = node_id
-        while cur is not None:
-            node = self.node(cur)
-            path.append(node)
-            cur = node.parent
-        return list(reversed(path))
-
-    def state(self, node_id: int) -> StateRecord:
-        """The node's state: the root state advanced by the actions on its path."""
+    def actions(self, node_id: int) -> tuple[ActionRecord, ...]:
+        """The actions on the node's path, root first."""
         actions = []
         node = self.nodes[node_id]
         while node.parent is not None:
             actions.append(node.action)
             node = self.nodes[node.parent]
+        return tuple(reversed(actions))
+
+    def state(self, node_id: int) -> StateRecord:
+        """The node's state: the root state advanced by the actions on its path."""
         root = StateRecord(task=self.task, tool_manual=self.manual, demos=self.demos)
-        return advance(root, reversed(actions), self.config.no_tool_update)
+        return advance(root, self.actions(node_id), self.config.no_tool_update)
 
 
 def puct_score(parent_visits: int, child: TreeNode, c_puct: float) -> float:
@@ -187,6 +182,12 @@ def select_leaf(tree: SearchTree) -> int | None:
     return cur.id
 
 
+def _memos(tree: SearchTree, registry: ToolRegistry) -> tuple[dict, dict]:
+    if tree._made[1] is None or tree._made[0] is not registry:
+        tree._made = (registry, {}, {})
+    return tree._made[1:]
+
+
 def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> tuple:
     """The (action, terminal, reward, failure) of the child that candidate
     ``text`` makes from ``state``, through the tree's memo: each distinct text
@@ -195,9 +196,7 @@ def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: Too
     text, the task and the registry: ``invoke`` is pure in (registry, name,
     args), ``evaluate`` reads only the task, and ``no_tool_update`` changes
     only the state, which is derived."""
-    if tree._made[1] is None or tree._made[0] is not registry:
-        tree._made = (registry, {})
-    made = tree._made[1]
+    made = _memos(tree, registry)[0]
     if text not in made:
         try:
             record = parse_action(text)
@@ -217,22 +216,32 @@ def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) 
 
     An error state passes the gate, so it expands with the error in context;
     under the self-reflection ablation an invocation-error node stops.
+
+    A policy marked ``pure`` proposes a function of the state, so its rows are
+    kept per registry object under the ids of the path's records, which nodes
+    hold, so no id is reused; equal records that are distinct objects only miss.
     """
     kind = node.action.kind if node.action is not None else None
     if reflection_gate(kind, tree.config.no_self_reflection):
         node.terminal, node.reward = True, -1
         return []
     if not node.children:
-        state = tree.state(node.id)
-        try:
-            texts = policy.propose(state, tree.config.k)
-        except PolicyError as exc:
-            node.terminal, node.reward, node.failure = True, -1, str(exc)
-            return []
-        tree.stats["policy_calls"] += 1
-        prior = 1.0 / len(texts)
-        for text in texts:
-            action, terminal, reward, failure = _child_fields(tree, state, text, registry)
+        key = tuple(map(id, tree.actions(node.id))) if getattr(policy, "pure", False) else None
+        expansions = _memos(tree, registry)[1]
+        rows = expansions.get(key)
+        if rows is None:
+            state = tree.state(node.id)
+            try:
+                texts = policy.propose(state, tree.config.k)
+            except PolicyError as exc:
+                node.terminal, node.reward, node.failure = True, -1, str(exc)
+                return []
+            tree.stats["policy_calls"] += 1
+            rows = [_child_fields(tree, state, text, registry) for text in texts]
+            if key is not None:
+                expansions[key] = rows
+        prior = 1.0 / len(rows)
+        for action, terminal, reward, failure in rows:
             tree.add_node(node.id, action, prior=prior, cached=True, terminal=terminal, reward=reward, failure=failure)
     return node.children
 

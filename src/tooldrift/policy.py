@@ -5,7 +5,8 @@ follows each task's reference tool plan, reads deprecation guidance out of
 observations, retries through successor APIs, and records what it learned
 with UpdateTool; the rigid one replays the base plan no matter what the
 environment says. Both are pure functions of the rendered state, which makes
-them usable as oracles in tests.
+them usable as oracles in tests; ``pure = True`` says so, and search asks them
+once per distinct path. ``RemotePolicy`` is not marked: an LLM samples.
 
 Framework decisions (the reflection gate, ``inspect``) read the typed
 ``Observation.kind`` on each step. The scripted agents, like an LLM, see only
@@ -151,6 +152,8 @@ def reads_as_error(text: str | None) -> bool:
 class ScriptedPolicy:
     """Shared plumbing for the table-driven policies. A corpus task without a
     plan raises UnknownTaskError when the policy is built."""
+
+    pure = True
 
     def __init__(self, corpus: Corpus | None = None):
         self.corpus = corpus if corpus is not None else load_corpus()

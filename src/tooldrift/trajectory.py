@@ -72,8 +72,7 @@ def collect_from_trees(trees: Iterable[SearchTree], max_per_task: int = 4, seed:
     for tree in trees:
         root = tree.state(tree.root_id)
         by_task.setdefault(tree.task.id, []).extend(
-            (tree.tree_id, leaf.id, root, tree.registry_generation, leaf.reward,
-             tuple(n.action for n in tree.path_to(leaf.id) if n.action is not None))
+            (tree.tree_id, leaf.id, root, tree.registry_generation, leaf.reward, tree.actions(leaf.id))
             for leaf in tree.successful_leaves()
         )
         del tree  # so the tree is released before the next one is drawn

@@ -141,7 +141,7 @@ class TestCriterion3Cache:
                 # (c) identical terminal rewards for the selection-visible tree
                 def rewards(tree):
                     return sorted(
-                        (tuple(n.action.action_name for n in tree.path_to(node.id)[1:]), node.reward)
+                        (tuple(a.action_name for a in tree.actions(node.id)), node.reward)
                         for node in tree.nodes
                         if node.terminal and not node.cached
                     )
@@ -282,9 +282,7 @@ class TestCriterion7FormatFidelity:
             export_sft(records, out)
             for record_doc, record in zip(load_sft(out), records):
                 # The SFT text never carries the observation kind.
-                path = tuple(
-                    replace(n.action, kind=None) for n in tree.path_to(record.leaf_id) if n.action is not None
-                )
+                path = tuple(replace(a, kind=None) for a in tree.actions(record.leaf_id))
                 assert tuple(parse_target(record_doc["target"])) == path
                 for entry in corpus.manual:
                     assert entry in record_doc["input"]

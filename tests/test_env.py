@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -339,6 +340,13 @@ class TestBuiltinCorpus:
                 deprecated={"LoadDB": DeprecationEntry(successor="FilterDB", old_params=("DBName",))},
                 world=base_registry.world,
             )
+
+    def test_validation_rejects_a_successor_of_two_names(self, mutated_registry):
+        """A registry with a map its file could not hold is not built either."""
+        deprecated = dict(mutated_registry.deprecated)
+        deprecated["Foo"] = DeprecationEntry(successor=deprecated["LoadDB"].successor, old_params=("DBName",))
+        with pytest.raises(ValueError, match="replaces both LoadDB and Foo"):
+            replace(mutated_registry, deprecated=deprecated)
 
     def test_validation_rejects_missing_behavior(self, base_registry):
         behaviors = dict(base_registry.behaviors)

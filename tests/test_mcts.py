@@ -28,7 +28,7 @@ from tooldrift.mcts import (
 )
 from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import PolicyConfig, PolicyError, ScriptedAdaptivePolicy, ScriptedRigidPolicy, build_policy
-from tooldrift.react import ActionRecord, StateRecord
+from tooldrift.react import ActionRecord, StateRecord, render_prompt
 
 
 def dummy_state() -> StateRecord:
@@ -286,10 +286,16 @@ class TestExpand:
         load = 'Thought: t\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'
 
         class LoadPolicy:
+            pure = True
+
+            def __init__(self):
+                self.calls = 0
+
             def propose(self, state, k):
+                self.calls += 1
                 return [load] * k
 
-        registries = []
+        policy, registries = LoadPolicy(), []
         execute = mcts.execute_action
 
         def counting(state, record, registry, *rest):
@@ -298,13 +304,19 @@ class TestExpand:
 
         monkeypatch.setattr(mcts, "execute_action", counting)
         tree = _root_tree(corpus, "coffee-easy-1")
-        first = expand(tree, 0, LoadPolicy(), base_registry)
+        first = expand(tree, 0, policy, base_registry)
         assert tree.node(first[0]).action.kind == "response"
-        second = expand(tree, first[0], LoadPolicy(), mutated_registry)
+        second = expand(tree, first[0], policy, mutated_registry)
         assert registries == [base_registry, mutated_registry]
         assert tree.node(second[0]).action.kind == "deprecation_error"
-        expand(tree, first[1], LoadPolicy(), base_registry)
-        assert registries == [base_registry, mutated_registry, base_registry]
+        # A sibling on the same path of records reuses the stored children
+        # under the same registry object, and is asked anew under another.
+        again = expand(tree, first[1], policy, mutated_registry)
+        assert (policy.calls, registries) == (2, [base_registry, mutated_registry])
+        assert [tree.node(i).action for i in again] == [tree.node(i).action for i in second]
+        third = expand(tree, first[2], policy, base_registry)
+        assert (policy.calls, registries) == (3, [base_registry, mutated_registry, base_registry])
+        assert tree.node(third[0]).action.kind == "response"
 
     def test_gate_marks_invocation_error_leaf_terminal(self, corpus, base_registry):
         config = SearchConfig(no_self_reflection=True)
@@ -441,7 +453,7 @@ class TestRunSearch:
 
         def visible_rewards(tree):
             return sorted(
-                (tuple(p.action.action_name for p in tree.path_to(n.id)[1:]), n.reward)
+                (tuple(a.action_name for a in tree.actions(n.id)), n.reward)
                 for n in tree.nodes
                 if n.terminal and not n.cached
             )
@@ -529,26 +541,26 @@ class TestTreeSerialization:
             tree_to_json(tree)
 
 
-def canonical_fields(tree: SearchTree) -> str:
-    """Every field ``tree_to_json`` writes, as canonical JSON built from the
-    tree object, so it does not depend on the file format."""
-    return json.dumps(
-        {
-            "tree_id": tree.tree_id,
-            "registry_generation": tree.registry_generation,
-            "task": asdict(tree.task),
-            "config": asdict(tree.config),
-            "stats": tree.stats,
-            "manual": tree.manual,
-            "demos": tree.demos,
-            "nodes": [
-                [n.parent, n.action and asdict(n.action), n.q_value, n.visit_count, n.prior,
-                 n.cached, n.terminal, n.reward, n.failure]
-                for n in tree.nodes
-            ],
-        },
-        sort_keys=True, ensure_ascii=False, separators=(",", ":"),
-    )
+def canonical_fields(tree: SearchTree, stats: bool = True) -> str:
+    """Every field ``tree_to_json`` writes (all but ``stats`` when ``stats`` is
+    false), as canonical JSON built from the tree object, so it does not depend
+    on the file format."""
+    doc = {
+        "tree_id": tree.tree_id,
+        "registry_generation": tree.registry_generation,
+        "task": asdict(tree.task),
+        "config": asdict(tree.config),
+        "manual": tree.manual,
+        "demos": tree.demos,
+        "nodes": [
+            [n.parent, n.action and asdict(n.action), n.q_value, n.visit_count, n.prior,
+             n.cached, n.terminal, n.reward, n.failure]
+            for n in tree.nodes
+        ],
+    }
+    if stats:
+        doc["stats"] = tree.stats
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("kind", ["scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive"])
@@ -624,30 +636,96 @@ def test_uncached_rollouts_parse_each_distinct_text_once(corpus, monkeypatch):
         assert hashlib.sha256(canonical_fields(tree).encode("utf-8")).hexdigest()[:16] == expected_digest
 
 
-# First 16 hex chars of sha256 over ``canonical_fields`` of coffee-hard-4 then
-# agenda-easy-3, searched at rng_seed 7 on the seed-7 mutated registry; each
-# tree also survives a write and a load unchanged. Any change to selection,
-# expansion, rollout or backprop order changes them.
+# First 16 hex chars of sha256 over ``canonical_fields`` without ``stats`` of
+# coffee-hard-4 then agenda-easy-3, searched at rng_seed 7 on the seed-7
+# mutated registry, and the policy calls of each tree; each tree also survives
+# a write and a load unchanged. Any change to selection, expansion, rollout or
+# backprop order changes the digest; asking a policy more or less often changes
+# the calls.
 SEARCH_PINS = {
-    "adaptive": ("scripted_adaptive", {}, "a9851a7f51aa47ff"),
-    "rigid": ("scripted_rigid", {}, "6065df5e7c289fd7"),
-    "semi_adaptive_no_self_reflection": ("scripted_semi_adaptive", {"no_self_reflection": True}, "aa96010725cd14a6"),
-    "rigid_max_depth_4": ("scripted_rigid", {"max_depth": 4}, "a2ad0f3b0f7d65cc"),
-    "adaptive_no_cache": ("scripted_adaptive", {"cache_rollouts": False}, "cb5937dac6a50a93"),
+    "adaptive": ("scripted_adaptive", {}, "48428ac5e61d8ed9", [14, 10]),
+    "rigid": ("scripted_rigid", {}, "fe0b987c2f16e3f2", [15, 15]),
+    "semi_adaptive_no_self_reflection": (
+        "scripted_semi_adaptive", {"no_self_reflection": True}, "ca9aa59f1bccee12", [14, 10],
+    ),
+    "rigid_max_depth_4": ("scripted_rigid", {"max_depth": 4}, "01cff7debded7d4b", [4, 4]),
+    "adaptive_no_cache": ("scripted_adaptive", {"cache_rollouts": False}, "5515ccd9a149cbc7", [227, 130]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_PINS))
 def test_search_output_is_pinned(corpus, case):
-    kind, overrides, expected = SEARCH_PINS[case]
+    kind, overrides, expected_digest, expected_calls = SEARCH_PINS[case]
     registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
     policy = build_policy(PolicyConfig(kind=kind), corpus)
-    digest = hashlib.sha256()
+    digest, calls = hashlib.sha256(), []
     for task_id in ("coffee-hard-4", "agenda-easy-3"):
         tree = run_search(
             corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7, **overrides), corpus.manual, corpus.demos
         )
-        text = canonical_fields(tree)
-        assert canonical_fields(tree_from_json(tree_to_json(tree))) == text
-        digest.update(text.encode("utf-8"))
-    assert digest.hexdigest()[:16] == expected
+        assert canonical_fields(tree_from_json(tree_to_json(tree))) == canonical_fields(tree)
+        digest.update(canonical_fields(tree, stats=False).encode("utf-8"))
+        calls.append(tree.stats["policy_calls"])
+    assert (digest.hexdigest()[:16], calls) == (expected_digest, expected_calls)
+
+
+def unmarked(policy):
+    """A copy of ``policy`` whose class is a subclass with ``pure = False``."""
+    copy = object.__new__(type("Unmarked", (type(policy),), {"pure": False}))
+    copy.__dict__.update(vars(policy))
+    return copy
+
+
+@pytest.mark.parametrize("cache_rollouts", [True, False])
+@pytest.mark.parametrize("ablation", ["full", "no_self_reflection", "no_tool_update"])
+@pytest.mark.parametrize("kind", ["scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive"])
+def test_a_pure_policy_grows_the_trees_of_an_unmarked_one(corpus, kind, ablation, cache_rollouts):
+    """Asking a pure policy once per distinct path changes nothing but the
+    number of policy calls."""
+    overrides = {} if ablation == "full" else {ablation: True}
+    config = SearchConfig(rng_seed=7, cache_rollouts=cache_rollouts, **overrides)
+    registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+    pure = build_policy(PolicyConfig(kind=kind, emit_tool_updates=ablation != "no_tool_update"), corpus)
+    assert pure.pure
+    for task_id in ("coffee-hard-4", "agenda-easy-3"):
+        trees = [
+            run_search(corpus.task(task_id), registry, policy, config, corpus.manual, corpus.demos)
+            for policy in (pure, unmarked(pure))
+        ]
+        assert canonical_fields(trees[0], stats=False) == canonical_fields(trees[1], stats=False)
+        assert trees[0].stats["policy_calls"] < trees[1].stats["policy_calls"]
+
+
+@pytest.mark.parametrize("kind", ["scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive"])
+def test_a_pure_policy_sees_each_prompt_once_per_tree(corpus, kind, monkeypatch):
+    policy = build_policy(PolicyConfig(kind=kind), corpus)
+    prompts = []
+    propose = policy.propose
+
+    def recording(state, k):
+        prompts.append(render_prompt(state))
+        return propose(state, k)
+
+    monkeypatch.setattr(policy, "propose", recording)
+    registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+    for task_id in ("coffee-hard-4", "agenda-easy-3"):
+        prompts.clear()
+        tree = run_search(corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7), corpus.manual, corpus.demos)
+        assert len(prompts) == len(set(prompts)) == tree.stats["policy_calls"] > 1
+
+
+def test_an_unmarked_policy_is_asked_once_per_expansion(corpus, mutated_registry):
+    class Unmarked:
+        def __init__(self):
+            self.inner, self.prompts = ScriptedAdaptivePolicy(corpus), []
+
+        def propose(self, state, k):
+            self.prompts.append(render_prompt(state))
+            return self.inner.propose(state, k)
+
+    policy = Unmarked()
+    tree = run_search(
+        corpus.task("coffee-hard-4"), mutated_registry, policy, SearchConfig(rng_seed=7), corpus.manual, corpus.demos
+    )
+    expanded = sum(1 for n in tree.nodes if n.children)
+    assert len(policy.prompts) == tree.stats["policy_calls"] == expanded > len(set(policy.prompts))

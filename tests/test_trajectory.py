@@ -23,7 +23,7 @@ from tooldrift.trajectory import (
 
 def path_steps(tree, record):
     """The record's path actions as the SFT text carries them: without kind."""
-    return tuple(replace(n.action, kind=None) for n in tree.path_to(record.leaf_id) if n.action is not None)
+    return tuple(replace(a, kind=None) for a in tree.actions(record.leaf_id))
 
 
 @pytest.fixture(scope="module")
