@@ -58,8 +58,11 @@ class ActionOutcome:
 
     state: StateRecord
     step: ActionRecord
-    terminal: bool = False
     reward: int | None = None
+
+    @property
+    def terminal(self) -> bool:
+        return self.reward is not None
 
 
 def execute_action(
@@ -72,7 +75,7 @@ def execute_action(
 
     Finish is scored, UpdateTool is acknowledged (an empty description is an
     invocation error), everything else is an API invocation. Only Finish
-    produces a terminal outcome.
+    has a reward, so only Finish produces a terminal outcome.
     """
     if record.action_name == "Finish":
         obs = evaluate(state.task, as_text(record.action_input.get("answer", "")))
@@ -84,12 +87,7 @@ def execute_action(
     else:
         obs = invoke(registry, record.action_name, record.action_input)
     executed = record.executed(obs)
-    return ActionOutcome(
-        state=advance(state, (executed,), no_tool_update),
-        step=executed,
-        terminal=record.action_name == "Finish",
-        reward=obs.reward,
-    )
+    return ActionOutcome(advance(state, (executed,), no_tool_update), executed, obs.reward)
 
 
 def reflection_gate(kind: str | None, no_self_reflection: bool = False) -> bool:

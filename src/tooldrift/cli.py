@@ -384,8 +384,7 @@ def _node_label(node) -> str:
     if node.cached:
         flags.append("[cached]")
     if node.terminal:
-        sign = "+1" if node.reward == 1 else "-1"
-        flags.append(f"[terminal r={sign}]")
+        flags.append(f"[terminal r={node.reward:+d}]")
     kind = node.action.kind if node.action is not None else None
     if kind is not None and kind.endswith("_error"):
         flags.append(f"[{kind}]")
@@ -398,7 +397,8 @@ def _node_label(node) -> str:
 
 def cmd_inspect(args) -> int:
     tree = _load_tree(args.tree)
-    print(f"tree {tree.tree_id} task={tree.task.id} generation={tree.registry_generation}")
+    print(f"tree {tree.tree_id} task={tree.task.id} generation={tree.registry_generation} "
+          f"simulations={tree.nodes[0].visit_count} policy_calls={tree.stats['policy_calls']}")
 
     stack = [(tree.root_id, 0)]
     while stack:

@@ -62,10 +62,10 @@ def build_world() -> dict:
 
 
 def format_number(x: float) -> str:
-    """Canonical number rendering: integers bare, fractions at 2 decimals."""
-    if abs(x - round(x)) < 1e-9:
-        return str(int(round(x)))
-    return f"{round(x, 2):g}"
+    """Canonical number rendering at 2 decimals, whatever the size, with
+    trailing zeros and a bare point dropped, so integers print bare."""
+    text = f"{x:.2f}".rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
 
 
 # ---------------------------------------------------------------------------

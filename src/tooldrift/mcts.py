@@ -1,6 +1,7 @@
 """Customized tree search: PUCT selection, policy expansion, cached rollouts.
 
-A node stores only its executed action and statistics. Its state is derived:
+A node stores only its executed action, its statistics and, once it ends, its
+reward; ``terminal`` is ``reward is not None``. Its state is derived:
 ``SearchTree.state`` replays the actions on the path from the root through
 ``adapt.advance``, so search and loaded trees share one step rule. A child's
 action and outcome depend only on its candidate text, the task and the
@@ -59,7 +60,7 @@ class SearchConfig:
 
 @dataclass(slots=True)
 class TreeNode:
-    """One search node; holds a single executed action and its statistics."""
+    """One search node: an executed action, its statistics and, once it ends, its reward."""
 
     id: int
     parent: int | None
@@ -70,9 +71,12 @@ class TreeNode:
     children: list[int] = field(default_factory=list)
     cached: bool = False
     depth: int = 0
-    terminal: bool = False
     reward: int | None = None
     failure: str | None = None
+
+    @property
+    def terminal(self) -> bool:
+        return self.reward is not None
 
 
 @dataclass
@@ -102,7 +106,6 @@ class SearchTree:
         visit_count: int = 0,
         prior: float = 1.0,
         cached: bool = False,
-        terminal: bool = False,
         reward: int | None = None,
         failure: str | None = None,
     ) -> TreeNode:
@@ -115,12 +118,12 @@ class SearchTree:
             above.children.append(node_id)
             depth = above.depth + 1
         # Positional, in TreeNode's field order: half the cost of keywords.
-        node = TreeNode(node_id, parent, action, q_value, visit_count, prior, [], cached, depth, terminal, reward, failure)
+        node = TreeNode(node_id, parent, action, q_value, visit_count, prior, [], cached, depth, reward, failure)
         self.nodes.append(node)
         return node
 
     def successful_leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes if n.terminal and n.reward == 1]
+        return [n for n in self.nodes if n.reward == 1]
 
     def actions(self, node_id: int) -> tuple[ActionRecord, ...]:
         """The actions on the node's path, root first."""
@@ -189,7 +192,7 @@ def _memos(tree: SearchTree, registry: ToolRegistry) -> tuple[dict, dict]:
 
 
 def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> tuple:
-    """The (action, terminal, reward, failure) of the child that candidate
+    """The (action, reward, failure) of the child that candidate
     ``text`` makes from ``state``, through the tree's memo: each distinct text
     is parsed and executed once per tree and registry object, and every node
     it makes shares that frozen record and outcome. They depend only on the
@@ -202,10 +205,10 @@ def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: Too
             record = parse_action(text)
         except ActionParseError as exc:
             step = ActionRecord(thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc))
-            made[text] = step, True, -1, str(exc)
+            made[text] = step, -1, str(exc)
         else:
             outcome = execute_action(state, record, registry, tree.config.no_tool_update)
-            made[text] = outcome.step, outcome.terminal, outcome.reward, None
+            made[text] = outcome.step, outcome.reward, None
     return made[text]
 
 
@@ -223,7 +226,7 @@ def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) 
     """
     kind = node.action.kind if node.action is not None else None
     if reflection_gate(kind, tree.config.no_self_reflection):
-        node.terminal, node.reward = True, -1
+        node.reward = -1
         return []
     if not node.children:
         key = tuple(map(id, tree.actions(node.id))) if getattr(policy, "pure", False) else None
@@ -234,15 +237,15 @@ def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) 
             try:
                 texts = policy.propose(state, tree.config.k)
             except PolicyError as exc:
-                node.terminal, node.reward, node.failure = True, -1, str(exc)
+                node.reward, node.failure = -1, str(exc)
                 return []
             tree.stats["policy_calls"] += 1
             rows = [_child_fields(tree, state, text, registry) for text in texts]
             if key is not None:
                 expansions[key] = rows
         prior = 1.0 / len(rows)
-        for action, terminal, reward, failure in rows:
-            tree.add_node(node.id, action, prior=prior, cached=True, terminal=terminal, reward=reward, failure=failure)
+        for action, reward, failure in rows:
+            tree.add_node(node.id, action, prior=prior, cached=True, reward=reward, failure=failure)
     return node.children
 
 
@@ -270,7 +273,7 @@ def simulate_cached(
     still unfinished at the depth limit count as failures.
     """
     cur = tree.node(node_id)
-    if not tree.config.cache_rollouts:
+    if not tree.config.cache_rollouts and not cur.terminal:
         return _transient_rollout(tree, cur, policy, registry, rng)
     while not cur.terminal and cur.depth < tree.config.max_depth:
         children = _children(tree, cur, policy, registry)
@@ -288,8 +291,6 @@ def _transient_rollout(
 ) -> int:
     """Cache-free rollout: walk states without adding nodes to the tree. Each
     step's outcome comes from the tree's candidate memo, like an expansion's."""
-    if start.terminal:
-        return start.reward or -1
     state, depth = tree.state(start.id), start.depth
     kind = start.action.kind if start.action is not None else None
     while depth < tree.config.max_depth:
@@ -300,9 +301,9 @@ def _transient_rollout(
         except PolicyError:
             return -1
         tree.stats["policy_calls"] += 1
-        action, terminal, reward, _ = _child_fields(tree, state, rng.choice(texts), registry)
-        if terminal:
-            return reward or -1
+        action, reward, _ = _child_fields(tree, state, rng.choice(texts), registry)
+        if reward is not None:
+            return reward
         state = advance(state, (action,), tree.config.no_tool_update)
         kind, depth = action.kind, depth + 1
     return -1
@@ -316,7 +317,6 @@ def backpropagate(tree: SearchTree, node_id: int, reward: int) -> None:
         node.q_value += (reward - node.q_value) / (node.visit_count + 1)
         node.visit_count += 1
         cur = node.parent
-    tree.stats["backprops"] += 1
 
 
 def run_search(
@@ -350,24 +350,26 @@ def run_search(
         else:
             chosen, reward = leaf_id, -1
         backpropagate(tree, chosen, reward)
-        tree.stats["simulations"] += 1
     return tree
 
 
 # ---------------------------------------------------------------------------
-# Serialization, tree JSON format_version 4, compact with sorted keys.
+# Serialization, tree JSON format_version 5, compact with sorted keys.
 # ``actions`` holds each distinct action (with its observation's ``kind``) once,
 # in order of first use. ``nodes`` is an object of columns, one list per node
-# field of ``_NODE_COLUMNS``, each indexed by node id and all of one length. In
-# the ``action`` column node 0 holds null and every other node an index into
-# ``actions``; the ``parent`` column (null for node 0, an earlier id otherwise)
-# is the only structural one. Children (in id order) and depth are rebuilt at
-# load; states are neither written nor rebuilt, since ``SearchTree.state``
-# derives them from ``manual``, ``demos`` and the path's actions. A loader of
-# version 4 reads no other version.
+# field of ``_NODE_COLUMNS`` (``parent``, ``action``, ``q_value``,
+# ``visit_count``, ``prior``, ``cached``, ``reward``, ``failure``), each indexed
+# by node id and all of one length. In the ``action`` column node 0 holds null
+# and every other node an index into ``actions``; the ``parent`` column (null
+# for node 0, an earlier id otherwise) is the only structural one. Children (in
+# id order) and depth are rebuilt at load, and ``terminal`` is derived; states
+# are neither written nor rebuilt, since ``SearchTree.state`` derives them from
+# ``manual``, ``demos`` and the path's actions. ``stats`` holds only
+# ``policy_calls``: the root's ``visit_count`` counts the simulations. A loader
+# of version 5 reads no other version.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT_VERSION = 4
+TREE_FORMAT_VERSION = 5
 
 _DOC_TYPES = {
     "format_version": (int,),
@@ -396,13 +398,12 @@ _NODE_TYPES = {
     "visit_count": (int,),
     "prior": (int, float),
     "cached": (bool,),
-    "terminal": (bool,),
     "reward": (int, type(None)),
     "failure": (str, type(None)),
 }
 _NODE_COLUMNS = tuple(_NODE_TYPES)
 # The counters of SearchTree.stats, each a count >= 0.
-_STATS_TYPES = {"simulations": (int,), "backprops": (int,), "policy_calls": (int,)}
+_STATS_TYPES = {"policy_calls": (int,)}
 # JSON types accepted for a SearchConfig field, keyed by its default's type.
 _CONFIG_TYPES = {float: (int, float), int: (int,), bool: (bool,)}
 
@@ -418,7 +419,7 @@ def _reject_constant(token: str):
 
 
 def tree_to_json(tree: SearchTree) -> str:
-    """The tree's format_version 4 text; a tree that breaks an invariant of
+    """The tree's format_version 5 text; a tree that breaks an invariant of
     ``check_tree_invariants`` raises ValueError instead."""
     _require_invariants(tree)
     # Canonical action JSON -> (index, entry); index_of skips shared ActionRecords.
@@ -469,7 +470,7 @@ def _node_columns(doc) -> dict[str, list]:
 
 
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 4 tree; any malformed document (a NaN or Infinity
+    """Load a format_version 5 tree; any malformed document (a NaN or Infinity
     token, a parent that is not an earlier node, or an action index that is
     not an int into ``actions``, included), or one that breaks an invariant of
     ``check_tree_invariants``, raises ValueError. Nodes that name one table
@@ -525,14 +526,12 @@ def check_tree_invariants(tree: SearchTree) -> list[str]:
     for node in nodes:
         if not -1.0 - 1e-9 <= node.q_value <= 1.0 + 1e-9:
             problems.append(f"node {node.id}: Q={node.q_value} outside [-1, 1]")
-        if node.terminal != (node.reward is not None):
-            problems.append(f"node {node.id}: terminal/reward mismatch")
         if node.visit_count < 0:
             problems.append(f"node {node.id}: negative visit count")
         if node.children:
             total = sum(nodes[c].prior for c in node.children)
             if not abs(total - 1.0) <= 1e-6:  # also true for a NaN prior
                 problems.append(f"node {node.id}: child priors sum to {total:.6f}")
-        if not node.cached and node.depth > max_depth:
+        if node.depth > max_depth:
             problems.append(f"node {node.id}: beyond depth limit")
     return problems

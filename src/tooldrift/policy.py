@@ -388,5 +388,5 @@ def run_greedy_episode(
         outcome = execute_action(state, record, registry, no_tool_update)
         state = outcome.state
         if outcome.terminal:
-            return EpisodeResult(reward=outcome.reward or -1, state=state)
+            return EpisodeResult(reward=outcome.reward, state=state)
     return EpisodeResult(reward=-1, state=state)

@@ -463,7 +463,7 @@ class TestSearchCommand:
         trees = tmp_path / "out" / "trees"
         assert main(["search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
         tree = tree_from_json((trees / "coffee-easy-1__t0.json").read_text())
-        assert tree.stats["simulations"] == 1200
+        assert tree.nodes[0].visit_count == 1200
         assert max(node.depth for node in tree.nodes if not node.cached) == 1200
 
     def test_empty_endpoint_under_scripted_kind_is_no_endpoint(self, tmp_path, capsys):
@@ -641,6 +641,14 @@ class TestInspectCommand:
         assert "invariants: ok" in out
         assert "[deprecation_error]" in out
 
+    def test_header_shows_the_simulations_and_policy_calls(self, tmp_path, capsys, small_tree_doc):
+        """The root's visit count is the number of simulations run."""
+        assert main(["inspect", _write_json(tmp_path / "t.json", small_tree_doc)]) == EXIT_OK
+        header = capsys.readouterr().out.splitlines()[0]
+        calls = small_tree_doc["stats"]["policy_calls"]
+        assert header.endswith(f"generation=base simulations=5 policy_calls={calls}")
+        assert calls > 0
+
     def test_corrupt_tree_is_invariant_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"definitely": "not a tree"}')
@@ -691,8 +699,29 @@ def _node_count(doc) -> int:
     return len(doc["nodes"]["parent"])
 
 
+def _cache_the_deepest_past_the_limit(doc):
+    """Hide the deepest nodes and lower max_depth to the depth above them:
+    every visible node keeps within the limit, and cached ones pass it."""
+    columns, depth = doc["nodes"], [0]
+    for parent in columns["parent"][1:]:
+        depth.append(depth[parent] + 1)
+    deepest = max(depth)
+    columns["cached"] = [cached or d == deepest for cached, d in zip(columns["cached"], depth)]
+    doc["config"]["max_depth"] = deepest - 1
+
+
+def _v4(doc):
+    """The same tree as format_version 4 wrote it: a stored ``terminal``
+    column and the run counters in ``stats``."""
+    doc["format_version"] = 4
+    columns = doc["nodes"]
+    columns["terminal"] = [reward is not None for reward in columns["reward"]]
+    doc["stats"].update(simulations=columns["visit_count"][0], backprops=columns["visit_count"][0])
+
+
 def _v3(doc):
     """The same tree as format_version 3 wrote it: one object per node."""
+    _v4(doc)
     doc["format_version"] = 3
     columns = doc["nodes"]
     doc["nodes"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
@@ -727,7 +756,6 @@ MALFORMED_TREES = {
     "no_nodes": lambda doc: doc.update(nodes={column: [] for column in doc["nodes"]}),
     "format_v1": _v1,
     "q_out_of_range": _set("q_value", 1, 7.5),
-    "terminal_without_reward": lambda doc: (_set("terminal", 2, True)(doc), _set("reward", 2, None)(doc)),
     "priors_do_not_sum": _set("prior", 1, 0.9),
     "prior_nan": _set("prior", 1, float("nan")),
     "c_puct_infinite": lambda doc: doc["config"].update(c_puct=float("inf")),
@@ -742,6 +770,8 @@ MALFORMED_TREES = {
     "action_entry_not_an_object": lambda doc: doc["actions"].__setitem__(0, 5),
     "format_v2": _v2,
     "format_v3": _v3,
+    "format_v4": _v4,
+    "cached_beyond_depth_limit": _cache_the_deepest_past_the_limit,
     "column_too_short": lambda doc: doc["nodes"]["q_value"].pop(),
     "column_too_long": lambda doc: doc["nodes"]["failure"].append(None),
     "column_missing": lambda doc: doc["nodes"].pop("failure"),
@@ -750,8 +780,8 @@ MALFORMED_TREES = {
     "visit_count_true": _set("visit_count", 1, True),
     "parent_true": _set_parent(2, True),
     "stats_untyped": lambda doc: doc.update(stats={"x": [1, {"y": None}]}),
-    "stats_count_missing": lambda doc: doc["stats"].pop("backprops"),
-    "stats_count_negative": lambda doc: doc["stats"].update(simulations=-1),
+    "stats_count_missing": lambda doc: doc["stats"].pop("policy_calls"),
+    "stats_count_negative": lambda doc: doc["stats"].update(policy_calls=-1),
     "stats_count_true": lambda doc: doc["stats"].update(policy_calls=True),
 }
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tooldrift.corpus import (
+    behavior_calculate,
     behavior_load_db,
     build_world,
     filter_rows,
@@ -151,6 +152,14 @@ class TestInvoke:
     def test_calculate_total_over_any_expression(self, expression):
         obs = invoke(_SHARED_REGISTRY, "Calculate", {"Expression": expression})
         assert obs.kind in ("response", "invocation_error")
+
+    @pytest.mark.parametrize(
+        "expression, result",
+        [("11233.5 + 0.25", "11233.75"), ("99999.99", "99999.99"), ("1234567.891", "1234567.89"),
+         ("10 / 4 * 4", "10"), ("1 / 3", "0.33"), ("-2.5 * 3", "-7.5"), ("0 - 0.001", "0")],
+    )
+    def test_calculate_keeps_two_decimals_at_any_size(self, expression, result):
+        assert behavior_calculate([expression], build_world()) == f"The calculated result is: {result}."
 
 
 class TestEvaluate:

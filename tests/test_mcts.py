@@ -45,14 +45,7 @@ def bare_tree(config: SearchConfig | None = None) -> SearchTree:
 
 def add_child(tree, parent=0, q=0.0, n=0, prior=0.2, cached=False, terminal=False, observation="fine"):
     action = ActionRecord(thought="x", action_name="Tool", action_input={}, observation=observation)
-    node = tree.add_node(
-        parent,
-        action=action,
-        prior=prior,
-        cached=cached,
-        terminal=terminal,
-        reward=-1 if terminal else None,
-    )
+    node = tree.add_node(parent, action=action, prior=prior, cached=cached, reward=-1 if terminal else None)
     node.q_value, node.visit_count = q, n
     return node
 
@@ -106,7 +99,7 @@ class TestSelectLeaf:
 
     def test_exhausted_tree_returns_none(self):
         tree = bare_tree()
-        tree.node(0).terminal, tree.node(0).reward = True, -1
+        tree.node(0).reward = -1
         assert select_leaf(tree) is None
 
     def test_walks_past_expanded_level(self):
@@ -123,7 +116,7 @@ class TestSelectLeaf:
         other = add_child(tree, q=-0.5, n=1, prior=0.5)
         assert deep.depth == 2
         assert select_leaf(tree) == other.id
-        other.terminal, other.reward = True, -1
+        other.reward = -1
         assert select_leaf(tree) is None
 
     def test_subtree_with_only_terminal_children_is_passed_over(self):
@@ -422,8 +415,7 @@ class TestRunSearch:
             corpus.manual, corpus.demos,
         )
         assert all(-1.0 <= n.q_value <= 1.0 for n in tree.nodes)
-        assert tree.node(0).visit_count == tree.stats["backprops"]
-        assert tree.stats["simulations"] == config.max_simulations
+        assert tree.node(0).visit_count == config.max_simulations
 
     def test_selection_never_returns_cached(self, search_setup, selected_leaves):
         corpus, registry, config = search_setup
@@ -581,13 +573,14 @@ def test_real_trees_round_trip(corpus, kind, ablation):
 
 
 WRONG_FINISH = 'Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'
-# Rollout rewards per simulation ("+" for +1) and the first 16 hex chars of
-# sha256 over ``canonical_fields`` of each tree that MixedPolicy grows with
-# cache_rollouts off at rng_seed 7 on the seed-7 mutated registry, as when
-# every rollout step was parsed and executed anew.
+# Rollout rewards per simulation ("+" for +1), the first 16 hex chars of
+# sha256 over ``canonical_fields`` without ``stats`` and the policy calls of
+# each tree that MixedPolicy grows with cache_rollouts off at rng_seed 7 on the
+# seed-7 mutated registry, as when every rollout step was parsed and executed
+# anew.
 UNCACHED_PINS = {
-    "coffee-hard-4": ("------------------------------", "686b056029d5c169"),
-    "agenda-easy-3": ("---------------+--------+--++-", "b554f333c96784e1"),
+    "coffee-hard-4": ("------------------------------", "414c7a89d85925d0", 86),
+    "agenda-easy-3": ("---------------+--------+--++-", "7723edae9f3ef1da", 81),
 }
 
 
@@ -623,7 +616,7 @@ def test_uncached_rollouts_parse_each_distinct_text_once(corpus, monkeypatch):
     monkeypatch.setattr(mcts, "parse_action", counting_parse)
     monkeypatch.setattr(mcts, "simulate_cached", recording_simulate)
     registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
-    for task_id, (expected_rewards, expected_digest) in UNCACHED_PINS.items():
+    for task_id, (expected_rewards, expected_digest, expected_calls) in UNCACHED_PINS.items():
         parsed.clear()
         rewards.clear()
         policy = MixedPolicy()
@@ -633,7 +626,8 @@ def test_uncached_rollouts_parse_each_distinct_text_once(corpus, monkeypatch):
         )
         assert len(parsed) == len(set(parsed)) and set(parsed) <= policy.texts
         assert "".join("+" if r == 1 else "-" for r in rewards) == expected_rewards
-        assert hashlib.sha256(canonical_fields(tree).encode("utf-8")).hexdigest()[:16] == expected_digest
+        assert hashlib.sha256(canonical_fields(tree, stats=False).encode("utf-8")).hexdigest()[:16] == expected_digest
+        assert tree.stats["policy_calls"] == expected_calls
 
 
 # First 16 hex chars of sha256 over ``canonical_fields`` without ``stats`` of
@@ -667,6 +661,29 @@ def test_search_output_is_pinned(corpus, case):
         digest.update(canonical_fields(tree, stats=False).encode("utf-8"))
         calls.append(tree.stats["policy_calls"])
     assert (digest.hexdigest()[:16], calls) == (expected_digest, expected_calls)
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_PINS))
+def test_the_root_visit_count_counts_the_simulations(corpus, case, monkeypatch):
+    """Each simulation backpropagates once, from its new child or its failed
+    leaf to the root, so the root's visits are the simulations run."""
+    kind, overrides, _, _ = SEARCH_PINS[case]
+    backprops = []
+    backpropagate = mcts.backpropagate
+
+    def counting(tree, node_id, reward):
+        backprops.append(node_id)
+        backpropagate(tree, node_id, reward)
+
+    monkeypatch.setattr(mcts, "backpropagate", counting)
+    registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+    policy = build_policy(PolicyConfig(kind=kind), corpus)
+    for task_id in ("coffee-hard-4", "agenda-easy-3"):
+        backprops.clear()
+        tree = run_search(
+            corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7, **overrides), corpus.manual, corpus.demos
+        )
+        assert len(backprops) == tree.nodes[0].visit_count > 0
 
 
 def unmarked(policy):
