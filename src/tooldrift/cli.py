@@ -375,37 +375,34 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _node_label(node) -> str:
-    if node.action is None:
-        label = "root"
-    else:
-        label = f"{node.action.action_name}"
+def _node_label(tree: SearchTree, node_id: int) -> str:
+    action, reward = tree.action[node_id], tree.reward[node_id]
+    label = "root" if action is None else action.action_name
     flags = []
-    if node.cached:
+    if tree.cached[node_id]:
         flags.append("[cached]")
-    if node.terminal:
-        flags.append(f"[terminal r={node.reward:+d}]")
-    kind = node.action.kind if node.action is not None else None
+    if reward is not None:
+        flags.append(f"[terminal r={reward:+d}]")
+    kind = action.kind if action is not None else None
     if kind is not None and kind.endswith("_error"):
         flags.append(f"[{kind}]")
     suffix = " " + " ".join(flags) if flags else ""
     return (
-        f"[{node.id}] {label} N={node.visit_count} Q={node.q_value:+.3f} "
-        f"P={node.prior:.2f} d={node.depth}{suffix}"
+        f"[{node_id}] {label} N={tree.visit_count[node_id]} Q={tree.q_value[node_id]:+.3f} "
+        f"P={tree.prior[node_id]:.2f} d={tree.depth[node_id]}{suffix}"
     )
 
 
 def cmd_inspect(args) -> int:
     tree = _load_tree(args.tree)
     print(f"tree {tree.tree_id} task={tree.task.id} generation={tree.registry_generation} "
-          f"simulations={tree.nodes[0].visit_count} policy_calls={tree.stats['policy_calls']}")
+          f"simulations={tree.visit_count[0]} policy_calls={tree.stats['policy_calls']}")
 
     stack = [(tree.root_id, 0)]
     while stack:
         node_id, indent = stack.pop()
-        node = tree.node(node_id)
-        print("  " * indent + _node_label(node))
-        stack.extend((child, indent + 1) for child in reversed(node.children))
+        print("  " * indent + _node_label(tree, node_id))
+        stack.extend((child, indent + 1) for child in reversed(tree.children[node_id]))
     # tree_from_json has checked the invariants.
     print("invariants: ok")
     return EXIT_OK
@@ -431,7 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--setting", choices=SETTINGS, default=None)
     p_search.add_argument("--output-dir", dest="output_dir", default=None)
     p_search.add_argument("--csv", default=None, help="also write the summary as CSV")
-    p_search.add_argument("--jobs", type=int, default=1)
+    p_search.add_argument(
+        "--jobs", type=int, default=1,
+        help="search threads; they overlap a remote policy's requests, and a scripted policy runs fastest at 1",
+    )
     p_search.add_argument("--trees", type=int, default=None, help="override trees per task")
     p_search.add_argument("--sims", type=int, default=None, help="override simulations per tree")
     p_search.add_argument("--no-tool-update", dest="no_tool_update", action="store_true")

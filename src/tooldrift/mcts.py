@@ -1,8 +1,10 @@
 """Customized tree search: PUCT selection, policy expansion, cached rollouts.
 
-A node stores only its executed action, its statistics and, once it ends, its
-reward; ``terminal`` is ``reward is not None``. Its state is derived:
-``SearchTree.state`` replays the actions on the path from the root through
+A tree is its columns: one list per node field, indexed by node id, which
+search and serialization read and write; an expansion appends its k children
+at once, so siblings have consecutive ids. A node holds its executed action,
+its statistics and, once it ends (is terminal), its reward. Its state is
+derived: ``SearchTree.state`` replays the path's actions through
 ``adapt.advance``, so search and loaded trees share one step rule. A child's
 action and outcome depend only on its candidate text, the task and the
 registry, so a tree parses and executes each distinct text once per registry
@@ -23,8 +25,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter
+from itertools import compress
 from typing import Any
 
 from .adapt import advance, execute_action, reflection_gate
@@ -58,80 +62,57 @@ class SearchConfig:
                 raise ValueError(f"{name} must be a positive integer")
 
 
-@dataclass(slots=True)
-class TreeNode:
-    """One search node: an executed action, its statistics and, once it ends, its reward."""
-
-    id: int
-    parent: int | None
-    action: ActionRecord | None = None
-    q_value: float = 0.0
-    visit_count: int = 0
-    prior: float = 1.0
-    children: list[int] = field(default_factory=list)
-    cached: bool = False
-    depth: int = 0
-    reward: int | None = None
-    failure: str | None = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.reward is not None
-
-
 @dataclass
 class SearchTree:
+    """A search tree as columns: entry i of each node list is node i's field.
+    A new tree holds only its root, node 0."""
+
     task: TaskInstance
     config: SearchConfig
     registry_generation: str = "base"
     tree_id: str = "tree"
     manual: tuple[str, ...] = ()
     demos: tuple[str, ...] = ()
-    nodes: list[TreeNode] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STATS_TYPES, 0))
+    # The columns of the tree JSON, in its order.
+    parent: list[int | None] = field(default_factory=lambda: [None])
+    action: list[ActionRecord | None] = field(default_factory=lambda: [None])
+    q_value: list[float] = field(default_factory=lambda: [0.0])
+    visit_count: list[int] = field(default_factory=lambda: [0])
+    prior: list[float] = field(default_factory=lambda: [1.0])
+    cached: list[bool] = field(default_factory=lambda: [False])
+    reward: list[int | None] = field(default_factory=lambda: [None])
+    failure: list[str | None] = field(default_factory=lambda: [None])
+    # Derived from ``parent``, so not compared: each node's children in id order, and its depth.
+    children: list[Sequence[int]] = field(default_factory=lambda: [()], compare=False)
+    depth: list[int] = field(default_factory=lambda: [0], compare=False)
+    # The (actions, rewards, failures) each node a pure policy expanded made its children from; never written.
+    _rows: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
     _made = (None, None, None)  # (registry, text memo, path memo) of _memos; never written
+    root_id = 0
+
+    def node(self, node_id: int) -> Node:
+        return Node(
+            node_id, *(getattr(self, name)[node_id] for name in _NODE_COLUMNS),
+            tuple(self.children[node_id]), self.depth[node_id], self.reward[node_id] is not None,
+        )
 
     @property
-    def root_id(self) -> int:
-        return 0
+    def nodes(self) -> tuple[Node, ...]:
+        """Every node's row, in id order, as it is now."""
+        columns = (getattr(self, name) for name in _NODE_COLUMNS)
+        terminal = [reward is not None for reward in self.reward]
+        return tuple(map(Node, range(len(self.parent)), *columns, map(tuple, self.children), self.depth, terminal))
 
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
-
-    def add_node(
-        self,
-        parent: int | None,
-        action: ActionRecord | None = None,
-        q_value: float = 0.0,
-        visit_count: int = 0,
-        prior: float = 1.0,
-        cached: bool = False,
-        reward: int | None = None,
-        failure: str | None = None,
-    ) -> TreeNode:
-        """Append the next node; the only way a node is made. The fields after
-        ``parent`` are in the order of the node columns of the tree JSON."""
-        node_id = len(self.nodes)
-        depth = 0
-        if parent is not None:
-            above = self.nodes[parent]
-            above.children.append(node_id)
-            depth = above.depth + 1
-        # Positional, in TreeNode's field order: half the cost of keywords.
-        node = TreeNode(node_id, parent, action, q_value, visit_count, prior, [], cached, depth, reward, failure)
-        self.nodes.append(node)
-        return node
-
-    def successful_leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes if n.reward == 1]
+    def successful_leaves(self) -> list[int]:
+        return [node_id for node_id, reward in enumerate(self.reward) if reward == 1]
 
     def actions(self, node_id: int) -> tuple[ActionRecord, ...]:
         """The actions on the node's path, root first."""
-        actions = []
-        node = self.nodes[node_id]
-        while node.parent is not None:
-            actions.append(node.action)
-            node = self.nodes[node.parent]
+        actions, parent = [], self.parent
+        while parent[node_id] is not None:
+            actions.append(self.action[node_id])
+            node_id = parent[node_id]
         return tuple(reversed(actions))
 
     def state(self, node_id: int) -> StateRecord:
@@ -140,9 +121,9 @@ class SearchTree:
         return advance(root, self.actions(node_id), self.config.no_tool_update)
 
 
-def puct_score(parent_visits: int, child: TreeNode, c_puct: float) -> float:
+def puct_score(parent_visits: int, q_value: float, prior: float, visit_count: int, c_puct: float) -> float:
     """Q(s,a) + c_puct * P(s,a) * sqrt(N(s)) / (1 + N(s,a))."""
-    return child.q_value + c_puct * child.prior * math.sqrt(parent_visits) / (1 + child.visit_count)
+    return q_value + c_puct * prior * math.sqrt(parent_visits) / (1 + visit_count)
 
 
 def select_leaf(tree: SearchTree) -> int | None:
@@ -152,7 +133,8 @@ def select_leaf(tree: SearchTree) -> int | None:
     visible child. Each step takes the argmax over the children that lead to
     one, ties toward the smallest child index.
     """
-    nodes, max_depth = tree.nodes, tree.config.max_depth
+    children, cached, reward, depth = tree.children, tree.cached, tree.reward, tree.depth
+    max_depth = tree.config.max_depth
     reachable: dict[int, bool] = {}
 
     def leads_to_open(node_id: int) -> bool:
@@ -161,12 +143,12 @@ def select_leaf(tree: SearchTree) -> int | None:
         # until one child leads to an open leaf or all of them are known not to.
         stack = [] if node_id in reachable else [node_id]
         while stack:
-            node = nodes[stack[-1]]
+            node = stack[-1]
             known = False
-            if not node.terminal:
-                known = node.depth < max_depth
-                for child in node.children:
-                    if not nodes[child].cached:
+            if reward[node] is None:
+                known = depth[node] < max_depth
+                for child in children[node]:
+                    if not cached[child]:
                         known = reachable.get(child)
                         if known is not False:
                             break
@@ -178,11 +160,12 @@ def select_leaf(tree: SearchTree) -> int | None:
 
     if not leads_to_open(tree.root_id):
         return None
-    cur = nodes[tree.root_id]
-    while open_children := [nodes[c] for c in cur.children if not nodes[c].cached and leads_to_open(c)]:
-        visits = cur.visit_count
-        cur = max(open_children, key=lambda child: puct_score(visits, child, tree.config.c_puct))
-    return cur.id
+    q_value, prior, visit_count, c_puct = tree.q_value, tree.prior, tree.visit_count, tree.config.c_puct
+    cur = tree.root_id
+    while open_children := [c for c in children[cur] if not cached[c] and leads_to_open(c)]:
+        visits = visit_count[cur]
+        cur = max(open_children, key=lambda c: puct_score(visits, q_value[c], prior[c], visit_count[c], c_puct))
+    return cur
 
 
 def _memos(tree: SearchTree, registry: ToolRegistry) -> tuple[dict, dict]:
@@ -212,50 +195,68 @@ def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: Too
     return made[text]
 
 
-def _children(tree: SearchTree, node: TreeNode, policy, registry: ToolRegistry) -> list[int]:
+def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) -> Sequence[int]:
     """The node's children: on first use, one hidden child per policy
-    candidate, each with prior 1/len(texts); [] once the node is a failed
-    terminal, because the reflection gate stops it or the policy fails.
+    candidate, each with prior 1/len(texts), appended in one step with
+    consecutive ids; () once the node is a failed terminal, because the
+    reflection gate stops it or the policy fails.
 
     An error state passes the gate, so it expands with the error in context;
     under the self-reflection ablation an invocation-error node stops.
 
     A policy marked ``pure`` proposes a function of the state, so its rows are
-    kept per registry object under the ids of the path's records, which nodes
-    hold, so no id is reused; equal records that are distinct objects only miss.
+    kept per registry object under a key of the path: the root's is (), and a
+    child's is the ids of the rows its parent was expanded from and of its
+    action. The tree holds both objects, so no id is reused, and equal keys
+    mean the same records on the path; equal records that are distinct
+    objects only miss, and so does a node whose parent no pure policy
+    expanded here (in a loaded or hand-built tree).
     """
-    kind = node.action.kind if node.action is not None else None
-    if reflection_gate(kind, tree.config.no_self_reflection):
-        node.reward = -1
-        return []
-    if not node.children:
-        key = tuple(map(id, tree.actions(node.id))) if getattr(policy, "pure", False) else None
-        expansions = _memos(tree, registry)[1]
-        rows = expansions.get(key)
-        if rows is None:
-            state = tree.state(node.id)
-            try:
-                texts = policy.propose(state, tree.config.k)
-            except PolicyError as exc:
-                node.reward, node.failure = -1, str(exc)
-                return []
-            tree.stats["policy_calls"] += 1
-            rows = [_child_fields(tree, state, text, registry) for text in texts]
-            if key is not None:
-                expansions[key] = rows
-        prior = 1.0 / len(rows)
-        for action, reward, failure in rows:
-            tree.add_node(node.id, action, prior=prior, cached=True, reward=reward, failure=failure)
-    return node.children
+    action = tree.action[node_id]
+    if reflection_gate(action.kind if action is not None else None, tree.config.no_self_reflection):
+        tree.reward[node_id] = -1
+        return ()
+    if tree.children[node_id]:
+        return tree.children[node_id]
+    parent, key = tree.parent[node_id], None
+    if getattr(policy, "pure", False) and (parent is None or parent in tree._rows):
+        key = () if parent is None else (id(tree._rows[parent]), id(action))
+    expansions = _memos(tree, registry)[1]
+    rows = expansions.get(key)
+    if rows is None:
+        state = tree.state(node_id)
+        try:
+            texts = policy.propose(state, tree.config.k)
+        except PolicyError as exc:
+            tree.reward[node_id], tree.failure[node_id] = -1, str(exc)
+            return ()
+        tree.stats["policy_calls"] += 1
+        rows = tuple(zip(*(_child_fields(tree, state, text, registry) for text in texts)))
+    if key is not None:
+        expansions[key] = tree._rows[node_id] = rows
+    actions, rewards, failures = rows
+    start, k = len(tree.parent), len(actions)
+    tree.parent += [node_id] * k
+    tree.action += actions
+    tree.q_value += [0.0] * k
+    tree.visit_count += [0] * k
+    tree.prior += [1.0 / k] * k
+    tree.cached += [True] * k
+    tree.reward += rewards
+    tree.failure += failures
+    tree.children += [()] * k
+    tree.depth += [tree.depth[node_id] + 1] * k
+    tree.children[node_id] = range(start, start + k)
+    return tree.children[node_id]
 
 
 def expand(tree: SearchTree, leaf_id: int, policy, registry: ToolRegistry) -> list[int]:
     """Unhide the leaf's children, reusing those an earlier rollout cached
     without a policy call; [] when the leaf became a failed terminal."""
-    children = _children(tree, tree.node(leaf_id), policy, registry)
+    children = _children(tree, leaf_id, policy, registry)
     for child_id in children:
-        tree.node(child_id).cached = False
-    return children
+        tree.cached[child_id] = False
+    return list(children)
 
 
 def simulate_cached(
@@ -272,27 +273,28 @@ def simulate_cached(
     repeat rollout over a stored subtree costs no policy calls. Episodes
     still unfinished at the depth limit count as failures.
     """
-    cur = tree.node(node_id)
-    if not tree.config.cache_rollouts and not cur.terminal:
-        return _transient_rollout(tree, cur, policy, registry, rng)
-    while not cur.terminal and cur.depth < tree.config.max_depth:
+    reward, depth, max_depth = tree.reward, tree.depth, tree.config.max_depth
+    if not tree.config.cache_rollouts and reward[node_id] is None:
+        return _transient_rollout(tree, node_id, policy, registry, rng)
+    cur = node_id
+    while reward[cur] is None and depth[cur] < max_depth:
         children = _children(tree, cur, policy, registry)
         if children:
-            cur = tree.node(rng.choice(children))
-    return cur.reward or -1
+            cur = rng.choice(children)
+    return -1 if reward[cur] is None else reward[cur]
 
 
 def _transient_rollout(
     tree: SearchTree,
-    start: TreeNode,
+    start: int,
     policy,
     registry: ToolRegistry,
     rng: random.Random,
 ) -> int:
     """Cache-free rollout: walk states without adding nodes to the tree. Each
     step's outcome comes from the tree's candidate memo, like an expansion's."""
-    state, depth = tree.state(start.id), start.depth
-    kind = start.action.kind if start.action is not None else None
+    state, depth, action = tree.state(start), tree.depth[start], tree.action[start]
+    kind = action.kind if action is not None else None
     while depth < tree.config.max_depth:
         if reflection_gate(kind, tree.config.no_self_reflection):
             return -1
@@ -311,12 +313,12 @@ def _transient_rollout(
 
 def backpropagate(tree: SearchTree, node_id: int, reward: int) -> None:
     """Apply the incremental-mean update from the node up to the root."""
+    q_value, visit_count, parent = tree.q_value, tree.visit_count, tree.parent
     cur: int | None = node_id
     while cur is not None:
-        node = tree.node(cur)
-        node.q_value += (reward - node.q_value) / (node.visit_count + 1)
-        node.visit_count += 1
-        cur = node.parent
+        q_value[cur] += (reward - q_value[cur]) / (visit_count[cur] + 1)
+        visit_count[cur] += 1
+        cur = parent[cur]
 
 
 def run_search(
@@ -338,7 +340,6 @@ def run_search(
         manual=tuple(manual),
         demos=tuple(demos),
     )
-    tree.add_node(parent=None)
     for _ in range(config.max_simulations):
         leaf_id = select_leaf(tree)
         if leaf_id is None:
@@ -356,17 +357,19 @@ def run_search(
 # ---------------------------------------------------------------------------
 # Serialization, tree JSON format_version 5, compact with sorted keys.
 # ``actions`` holds each distinct action (with its observation's ``kind``) once,
-# in order of first use. ``nodes`` is an object of columns, one list per node
-# field of ``_NODE_COLUMNS`` (``parent``, ``action``, ``q_value``,
-# ``visit_count``, ``prior``, ``cached``, ``reward``, ``failure``), each indexed
-# by node id and all of one length. In the ``action`` column node 0 holds null
-# and every other node an index into ``actions``; the ``parent`` column (null
-# for node 0, an earlier id otherwise) is the only structural one. Children (in
-# id order) and depth are rebuilt at load, and ``terminal`` is derived; states
-# are neither written nor rebuilt, since ``SearchTree.state`` derives them from
-# ``manual``, ``demos`` and the path's actions. ``stats`` holds only
-# ``policy_calls``: the root's ``visit_count`` counts the simulations. A loader
-# of version 5 reads no other version.
+# in order of first use. ``nodes`` is an object of columns: the node lists of
+# ``SearchTree`` named in ``_NODE_COLUMNS`` (``parent``, ``action``,
+# ``q_value``, ``visit_count``, ``prior``, ``cached``, ``reward``, ``failure``),
+# written as the tree holds them and kept as loaded once type-checked, each
+# indexed by node id and all of one length. In the ``action`` column node 0
+# holds null and every other node an index into ``actions``; the ``parent``
+# column (null for node 0, an earlier id otherwise) is the only structural one.
+# ``children`` (in id order; a searched tree's siblings are consecutive ids) and
+# ``depth`` are rebuilt at load, and ``terminal`` is derived; states are neither
+# written nor rebuilt, since ``SearchTree.state`` derives them from ``manual``,
+# ``demos`` and the path's actions. ``stats`` holds only ``policy_calls``: the
+# root's ``visit_count`` counts the simulations. A loader of version 5 reads no
+# other version.
 # ---------------------------------------------------------------------------
 
 TREE_FORMAT_VERSION = 5
@@ -390,7 +393,7 @@ _ACTION_TYPES = {
     "observation": (str, type(None)),
     "kind": (str, type(None)),
 }
-# The JSON types of each node column's entries, in the order of add_node's fields.
+# The JSON types of each node column's entries, in the order of Node's fields.
 _NODE_TYPES = {
     "parent": (int, type(None)),
     "action": (int, type(None)),
@@ -402,6 +405,8 @@ _NODE_TYPES = {
     "failure": (str, type(None)),
 }
 _NODE_COLUMNS = tuple(_NODE_TYPES)
+# A read-only snapshot of one node's row, for readers; search never builds one.
+Node = namedtuple("Node", ("id", *_NODE_COLUMNS, "children", "depth", "terminal"))
 # The counters of SearchTree.stats, each a count >= 0.
 _STATS_TYPES = {"policy_calls": (int,)}
 # JSON types accepted for a SearchConfig field, keyed by its default's type.
@@ -422,22 +427,17 @@ def tree_to_json(tree: SearchTree) -> str:
     """The tree's format_version 5 text; a tree that breaks an invariant of
     ``check_tree_invariants`` raises ValueError instead."""
     _require_invariants(tree)
-    # Canonical action JSON -> (index, entry); index_of skips shared ActionRecords.
+    # Canonical action JSON -> (index, entry), and each distinct record's id ->
+    # its index, taken in order of first use; the root's None maps to None.
     table: dict[str, tuple[int, dict]] = {}
-    index_of: dict[int, int] = {}
-
-    def action_index(action: ActionRecord | None) -> int | None:
-        if action is None:
-            return None
-        if id(action) not in index_of:
+    index_of: dict[int, int | None] = {id(None): None}
+    for action in dict(zip(map(id, tree.action), tree.action)).values():
+        if action is not None:
             entry = asdict(action)
             key = json.dumps(entry, sort_keys=True, ensure_ascii=False)
             index_of[id(action)] = table.setdefault(key, (len(table), entry))[0]
-        return index_of[id(action)]
-
-    nodes = tree.nodes
-    columns = {name: list(map(attrgetter(name), nodes)) for name in _NODE_COLUMNS if name != "action"}
-    columns["action"] = [action_index(n.action) for n in nodes]
+    columns = {name: getattr(tree, name) for name in _NODE_COLUMNS}
+    columns["action"] = list(map(index_of.__getitem__, map(id, tree.action)))
     doc: dict[str, Any] = {
         "format_version": TREE_FORMAT_VERSION,
         "tree_id": tree.tree_id,
@@ -489,15 +489,6 @@ def tree_from_json(text: str) -> SearchTree:
     stats = typed_object(doc["stats"], _STATS_TYPES, "stats")
     if min(stats.values()) < 0:
         raise ValueError("stats: a count is negative")
-    tree = SearchTree(
-        task=task,
-        config=config,
-        registry_generation=doc["registry_generation"],
-        tree_id=doc["tree_id"],
-        manual=tuple(doc["manual"]),
-        demos=tuple(doc["demos"]),
-        stats=stats,
-    )
     actions = [
         ActionRecord(**typed_object(entry, _ACTION_TYPES, f"action {index}"))
         for index, entry in enumerate(doc["actions"])
@@ -506,32 +497,36 @@ def tree_from_json(text: str) -> SearchTree:
     parents, indices = columns["parent"], columns["action"]
     if parents[0] is not None or indices[0] is not None:
         raise ValueError("node 0: the root has a parent or an action")
-    for index in range(1, len(parents)):
-        parent, action = parents[index], indices[index]
-        if parent is None or not 0 <= parent < index:
-            raise ValueError(f"node {index}: parent {parent!r} is not an earlier node")
+    children: list[list[int]] = [[] for _ in parents]
+    depth = [0] * len(parents)
+    for node_id in range(1, len(parents)):
+        parent, action = parents[node_id], indices[node_id]
+        if parent is None or not 0 <= parent < node_id:
+            raise ValueError(f"node {node_id}: parent {parent!r} is not an earlier node")
         if action is None or not 0 <= action < len(actions):
-            raise ValueError(f"node {index}: action {action!r} is not an index into actions")
-    columns["action"] = [None] + [actions[i] for i in indices[1:]]
-    for row in zip(*(columns[name] for name in _NODE_COLUMNS)):
-        tree.add_node(*row)
+            raise ValueError(f"node {node_id}: action {action!r} is not an index into actions")
+        children[parent].append(node_id)
+        depth[node_id] = depth[parent] + 1
+    columns["action"] = [None, *map(actions.__getitem__, indices[1:])]
+    tree = SearchTree(
+        task=task, config=config, registry_generation=doc["registry_generation"], tree_id=doc["tree_id"],
+        manual=tuple(doc["manual"]), demos=tuple(doc["demos"]), stats=stats, children=children, depth=depth, **columns,
+    )
     _require_invariants(tree)
     return tree
 
 
 def check_tree_invariants(tree: SearchTree) -> list[str]:
-    """The invariants ``tree`` breaks, one line each; empty for a sound tree."""
-    problems = []
-    nodes, max_depth = tree.nodes, tree.config.max_depth
-    for node in nodes:
-        if not -1.0 - 1e-9 <= node.q_value <= 1.0 + 1e-9:
-            problems.append(f"node {node.id}: Q={node.q_value} outside [-1, 1]")
-        if node.visit_count < 0:
-            problems.append(f"node {node.id}: negative visit count")
-        if node.children:
-            total = sum(nodes[c].prior for c in node.children)
-            if not abs(total - 1.0) <= 1e-6:  # also true for a NaN prior
-                problems.append(f"node {node.id}: child priors sum to {total:.6f}")
-        if node.depth > max_depth:
-            problems.append(f"node {node.id}: beyond depth limit")
-    return problems
+    """The invariants ``tree`` breaks, one line each, column by column; empty
+    for a sound tree. A NaN fails every bound, so it is reported."""
+    prior, reward, children, max_depth = tree.prior, tree.reward, tree.children, tree.config.max_depth
+    expanded = list(compress(range(len(children)), children))
+    totals = ((i, sum(map(prior.__getitem__, children[i]))) for i in expanded)
+    return [
+        *(f"node {i}: Q={q} outside [-1, 1]" for i, q in enumerate(tree.q_value) if not -1 - 1e-9 <= q <= 1 + 1e-9),
+        *(f"node {i}: negative visit count" for i, n in enumerate(tree.visit_count) if n < 0),
+        *(f"node {i}: child priors sum to {total:.6f}" for i, total in totals if not abs(total - 1.0) <= 1e-6),
+        *(f"node {i}: beyond depth limit" for i, d in enumerate(tree.depth) if d > max_depth),
+        *(f"node {i}: reward {r!r} is not -1 or +1" for i, r in enumerate(reward) if r not in (None, -1, 1)),
+        *(f"node {i}: terminal node has children" for i in expanded if reward[i] is not None),
+    ]

@@ -72,7 +72,7 @@ def collect_from_trees(trees: Iterable[SearchTree], max_per_task: int = 4, seed:
     for tree in trees:
         root = tree.state(tree.root_id)
         by_task.setdefault(tree.task.id, []).extend(
-            (tree.tree_id, leaf.id, root, tree.registry_generation, leaf.reward, tree.actions(leaf.id))
+            (tree.tree_id, leaf, root, tree.registry_generation, tree.reward[leaf], tree.actions(leaf))
             for leaf in tree.successful_leaves()
         )
         del tree  # so the tree is released before the next one is drawn

@@ -38,7 +38,7 @@ def selected_leaves(monkeypatch):
     def spy(tree):
         leaf = select(tree)
         if leaf is not None:
-            seen.append((leaf, tree.node(leaf).cached))
+            seen.append((leaf, tree.cached[leaf]))
         return leaf
 
     monkeypatch.setattr(mcts, "select_leaf", spy)

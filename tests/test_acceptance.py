@@ -62,27 +62,26 @@ class TestCriterion1Backprop:
             start = time.perf_counter()
             state = _dummy_state()
             for _ in range(1000):
-                tree = SearchTree(task=state.task, config=SearchConfig())
-                tree.add_node(parent=None)
                 n_nodes = rng.randint(2, 60)
-                for _ in range(n_nodes - 1):
-                    tree.add_node(parent=rng.randrange(len(tree.nodes)))
-                propagated: dict[int, list[int]] = {n.id: [] for n in tree.nodes}
+                # Only the columns backpropagate reads.
+                tree = SearchTree(task=state.task, config=SearchConfig(), q_value=[0.0] * n_nodes,
+                                  visit_count=[0] * n_nodes, parent=[None])
+                tree.parent += [rng.randrange(node_id) for node_id in range(1, n_nodes)]
+                propagated: dict[int, list[int]] = {node_id: [] for node_id in range(n_nodes)}
                 for _ in range(rng.randint(1, 60)):
-                    node_id = rng.randrange(len(tree.nodes))
+                    node_id = rng.randrange(n_nodes)
                     reward = rng.choice((-1, 1))
                     backpropagate(tree, node_id, reward)
                     cur = node_id
                     while cur is not None:
                         propagated[cur].append(reward)
-                        cur = tree.node(cur).parent
-                for node in tree.nodes:
-                    rewards = propagated[node.id]
-                    assert node.visit_count == len(rewards)
+                        cur = tree.parent[cur]
+                for node_id, rewards in propagated.items():
+                    assert tree.visit_count[node_id] == len(rewards)
                     if rewards:
-                        assert abs(node.q_value - sum(rewards) / len(rewards)) <= 1e-12
+                        assert abs(tree.q_value[node_id] - sum(rewards) / len(rewards)) <= 1e-12
                     else:
-                        assert node.q_value == 0.0
+                        assert tree.q_value[node_id] == 0.0
             elapsed = time.perf_counter() - start
             assert elapsed < 5.0, f"backprop oracle took {elapsed:.2f}s"
 
@@ -94,18 +93,23 @@ class TestCriterion2Puct:
             state = _dummy_state()
             start = time.perf_counter()
             for _ in range(10_000):
-                tree = SearchTree(task=state.task, config=SearchConfig())
-                root = tree.add_node(parent=None)
-                root.visit_count = rng.randint(0, 200)
-                for _ in range(rng.randint(1, 8)):
-                    child = tree.add_node(parent=0)
-                    child.q_value = rng.choice((-1.0, -0.5, 0.0, 0.25, 0.25, 0.5, 1.0))
-                    child.visit_count = rng.randint(0, 12)
-                    child.prior = rng.choice((0.1, 0.2, 0.2, 0.25, 0.5))
+                visits, m = rng.randint(0, 200), rng.randint(1, 8)
+                # A root with m children in one expansion, written column by column.
+                tree = SearchTree(
+                    task=state.task, config=SearchConfig(), parent=[None] + [0] * m, action=[None] * (1 + m),
+                    visit_count=[visits], q_value=[0.0], prior=[1.0], cached=[False] * (1 + m),
+                    reward=[None] * (1 + m), failure=[None] * (1 + m), children=[range(1, 1 + m)] + [()] * m,
+                    depth=[0] + [1] * m,
+                )
+                for _ in range(m):
+                    tree.q_value.append(rng.choice((-1.0, -0.5, 0.0, 0.25, 0.25, 0.5, 1.0)))
+                    tree.visit_count.append(rng.randint(0, 12))
+                    tree.prior.append(rng.choice((0.1, 0.2, 0.2, 0.25, 0.5)))
                 got = select_leaf(tree)
                 expected, expected_score = None, -math.inf
-                for child_id in root.children:
-                    score = puct_score(root.visit_count, tree.node(child_id), tree.config.c_puct)
+                for child_id in tree.children[0]:
+                    score = puct_score(tree.visit_count[0], tree.q_value[child_id], tree.prior[child_id],
+                                       tree.visit_count[child_id], tree.config.c_puct)
                     if score > expected_score:
                         expected, expected_score = child_id, score
                 assert got == expected

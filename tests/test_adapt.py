@@ -56,16 +56,20 @@ def expansion_stops(text, kind, no_self_reflection=False) -> bool:
         def propose(self, state, k):
             return ["no labels here"] * k
 
-    tree = SearchTree(task=make_state().task, config=SearchConfig(no_self_reflection=no_self_reflection))
-    tree.add_node(None)
     step = ActionRecord(
         thought="x", action_name="LoadDB", action_input={"DBName": "coffee"}, observation=text, kind=kind
     )
-    node = tree.add_node(0, action=step)
+    # A root whose one child took ``step``, written column by column.
+    tree = SearchTree(
+        task=make_state().task, config=SearchConfig(no_self_reflection=no_self_reflection), parent=[None, 0],
+        action=[None, step], q_value=[0.0] * 2, visit_count=[0] * 2, prior=[1.0] * 2, cached=[False] * 2,
+        reward=[None] * 2, failure=[None] * 2, children=[[1], ()], depth=[0, 1],
+    )
     # Malformed candidates never reach the registry.
-    children = expand(tree, node.id, MalformedPolicy(), registry=None)
-    assert node.terminal == (children == []) == reflection_gate(kind, no_self_reflection)
-    return node.terminal
+    children = expand(tree, 1, MalformedPolicy(), registry=None)
+    terminal = tree.reward[1] is not None
+    assert terminal == (children == []) == reflection_gate(kind, no_self_reflection)
+    return terminal
 
 
 class TestClassifyObservation:

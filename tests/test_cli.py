@@ -4,6 +4,7 @@ import argparse
 import configparser
 import csv
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -26,7 +27,7 @@ from tooldrift.corpus import load_corpus, tasks_to_json
 from tooldrift.env import SPECIAL_CHARS, registry_to_json
 from tooldrift.mcts import SearchConfig, run_search, tree_from_json, tree_to_json
 from tooldrift.mutation import DEFAULT_SYNONYMS, MUTATION_KINDS, MutationPlan, mutate_registry
-from tooldrift.policy import ScriptedAdaptivePolicy
+from tooldrift.policy import PolicyConfig, ScriptedAdaptivePolicy, build_policy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -490,7 +491,7 @@ class TestSearchCommand:
     def test_tree_that_breaks_an_invariant_exits_4_unwritten(self, tmp_path, capsys, monkeypatch):
         def broken_search(*args, **kwargs):
             tree = run_search(*args, **kwargs)
-            tree.node(1).q_value = 7.5
+            tree.q_value[1] = 7.5
             return tree
 
         monkeypatch.setattr(cli, "run_search", broken_search)
@@ -507,7 +508,7 @@ class TestSearchCommand:
         def broken_search(task, *args, **kwargs):
             tree = run_search(task, *args, **kwargs)
             if task.id == bad:
-                tree.node(1).q_value = 7.5
+                tree.q_value[1] = 7.5
             return tree
 
         monkeypatch.setattr(cli, "run_search", broken_search)
@@ -627,6 +628,14 @@ class TestExportCommand:
         assert main(["export", "--trees", str(tmp_path / "nope"), "--out", str(tmp_path / "x.jsonl")]) == EXIT_IO
 
 
+# First 16 hex chars of sha256 over ``inspect``'s output for the coffee-hard-4
+# tree that each policy kind grows at rng_seed 7 on the seed-7 mutated registry.
+INSPECT_PINS = {
+    "scripted_adaptive": "dad64a33acc8685e",
+    "scripted_rigid": "0712b6b3f4779d50",
+}
+
+
 class TestInspectCommand:
     def test_outline_marks_cached_and_update_tool(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, setting="mutated_in", sims=30)
@@ -648,6 +657,20 @@ class TestInspectCommand:
         calls = small_tree_doc["stats"]["policy_calls"]
         assert header.endswith(f"generation=base simulations=5 policy_calls={calls}")
         assert calls > 0
+
+    @pytest.mark.parametrize("kind", sorted(INSPECT_PINS))
+    def test_output_is_pinned(self, tmp_path, capsys, kind):
+        corpus = load_corpus()
+        registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+        tree = run_search(
+            corpus.task("coffee-hard-4"), registry, build_policy(PolicyConfig(kind=kind), corpus),
+            SearchConfig(rng_seed=7), corpus.manual, corpus.demos,
+        )
+        path = tmp_path / "t.json"
+        path.write_text(tree_to_json(tree), encoding="utf-8")
+        assert main(["inspect", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == INSPECT_PINS[kind]
 
     def test_corrupt_tree_is_invariant_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -697,6 +720,11 @@ def _set_parent(node_id, parent):
 
 def _node_count(doc) -> int:
     return len(doc["nodes"]["parent"])
+
+
+def _first_leaf(doc) -> int:
+    """The smallest id that is no node's parent."""
+    return min(set(range(_node_count(doc))).difference(doc["nodes"]["parent"]))
 
 
 def _cache_the_deepest_past_the_limit(doc):
@@ -783,6 +811,8 @@ MALFORMED_TREES = {
     "stats_count_missing": lambda doc: doc["stats"].pop("policy_calls"),
     "stats_count_negative": lambda doc: doc["stats"].update(policy_calls=-1),
     "stats_count_true": lambda doc: doc["stats"].update(policy_calls=True),
+    "reward_not_plus_or_minus_one": lambda doc: _set("reward", _first_leaf(doc), 5)(doc),
+    "reward_on_expanded_node": _set("reward", 0, 0),
 }
 
 

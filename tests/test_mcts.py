@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -11,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tooldrift import mcts
+from tooldrift.corpus import load_corpus
 from tooldrift.env import INVOCATION_ERROR_TEXT, TaskInstance
 from tooldrift.mcts import (
     FAILED_ACTION_NAME,
     SearchConfig,
     SearchTree,
-    TreeNode,
     backpropagate,
     expand,
     puct_score,
@@ -30,6 +31,9 @@ from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import PolicyConfig, PolicyError, ScriptedAdaptivePolicy, ScriptedRigidPolicy, build_policy
 from tooldrift.react import ActionRecord, StateRecord, render_prompt
 
+# The node lists of a SearchTree, in the order of append_node's row.
+NODE_LISTS = ("parent", "action", "q_value", "visit_count", "prior", "cached", "reward", "failure", "children", "depth")
+
 
 def dummy_state() -> StateRecord:
     task = TaskInstance(id="t", description="q", gold_answer="1", dataset="coffee", difficulty="easy")
@@ -38,30 +42,39 @@ def dummy_state() -> StateRecord:
 
 def bare_tree(config: SearchConfig | None = None) -> SearchTree:
     root = dummy_state()
-    tree = SearchTree(task=root.task, config=config or SearchConfig(), manual=root.tool_manual)
-    tree.add_node(parent=None)
-    return tree
+    return SearchTree(task=root.task, config=config or SearchConfig(), manual=root.tool_manual)
 
 
-def add_child(tree, parent=0, q=0.0, n=0, prior=0.2, cached=False, terminal=False, observation="fine"):
+def append_node(tree, parent, action=None, q=0.0, n=0, prior=1.0, cached=False, reward=None) -> int:
+    """Append one node to ``tree`` by writing its columns; returns its id."""
+    node_id = len(tree.parent)
+    row = (parent, action, q, n, prior, cached, reward, None, (), tree.depth[parent] + 1)
+    for column, value in zip(NODE_LISTS, row):
+        getattr(tree, column).append(value)
+    tree.children[parent] = [*tree.children[parent], node_id]
+    return node_id
+
+
+def add_child(tree, parent=0, q=0.0, n=0, prior=0.2, cached=False, terminal=False, observation="fine") -> int:
     action = ActionRecord(thought="x", action_name="Tool", action_input={}, observation=observation)
-    node = tree.add_node(parent, action=action, prior=prior, cached=cached, reward=-1 if terminal else None)
-    node.q_value, node.visit_count = q, n
-    return node
+    return append_node(tree, parent, action, q, n, prior, cached, -1 if terminal else None)
 
 
 class TestPuctScore:
     def test_reference_value(self):
-        child = TreeNode(id=1, parent=0, q_value=0.5, visit_count=1, prior=0.2)
-        assert puct_score(8, child, 1.25) == pytest.approx(0.8535533906, abs=1e-9)
+        assert puct_score(8, 0.5, 0.2, 1, 1.25) == pytest.approx(0.8535533906, abs=1e-9)
 
     def test_zero_parent_visits_reduces_to_q(self):
-        child = TreeNode(id=1, parent=0, q_value=0.37, visit_count=2, prior=0.9)
-        assert puct_score(0, child, 5.0) == 0.37
+        assert puct_score(0, 0.37, 0.9, 2, 5.0) == 0.37
 
     def test_fresh_child_pure_exploration(self):
-        child = TreeNode(id=1, parent=0, q_value=0.0, visit_count=0, prior=1.0)
-        assert puct_score(4, child, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert puct_score(4, 0.0, 1.0, 0, 1.0) == pytest.approx(2.0, abs=1e-12)
+
+
+def child_score(tree, child) -> float:
+    parent = tree.parent[child]
+    return puct_score(tree.visit_count[parent], tree.q_value[child], tree.prior[child], tree.visit_count[child],
+                      tree.config.c_puct)
 
 
 class TestSelectLeaf:
@@ -71,62 +84,59 @@ class TestSelectLeaf:
 
     def test_prefers_unvisited_sibling(self):
         tree = bare_tree()
-        tree.node(0).visit_count = 3
+        tree.visit_count[0] = 3
         first = add_child(tree, q=0.4, n=0, prior=0.5)
         second = add_child(tree, q=0.4, n=3, prior=0.5)
         chosen = select_leaf(tree)
         # exhaustive oracle over the two children
-        scores = {
-            c: puct_score(tree.node(0).visit_count, tree.node(c), tree.config.c_puct)
-            for c in (first.id, second.id)
-        }
-        assert scores[first.id] > scores[second.id]
-        assert chosen == first.id
+        scores = {c: child_score(tree, c) for c in (first, second)}
+        assert scores[first] > scores[second]
+        assert chosen == first
 
     def test_tie_breaks_to_smallest_index(self):
         tree = bare_tree()
-        tree.node(0).visit_count = 5
+        tree.visit_count[0] = 5
         a = add_child(tree, q=0.1, n=1, prior=0.5)
         b = add_child(tree, q=0.1, n=1, prior=0.5)
-        assert select_leaf(tree) == a.id
+        assert select_leaf(tree) == a
 
     def test_cached_best_child_is_skipped(self):
         tree = bare_tree()
-        tree.node(0).visit_count = 4
+        tree.visit_count[0] = 4
         hidden = add_child(tree, q=1.0, n=0, prior=0.9, cached=True)
         visible = add_child(tree, q=0.0, n=2, prior=0.1)
-        assert select_leaf(tree) == visible.id
+        assert select_leaf(tree) == visible
 
     def test_exhausted_tree_returns_none(self):
         tree = bare_tree()
-        tree.node(0).reward = -1
+        tree.reward[0] = -1
         assert select_leaf(tree) is None
 
     def test_walks_past_expanded_level(self):
         tree = bare_tree()
         mid = add_child(tree, q=0.9, n=1, prior=1.0)
-        deep = add_child(tree, parent=mid.id, q=0.0, n=0, prior=1.0)
-        assert select_leaf(tree) == deep.id
+        deep = add_child(tree, parent=mid, q=0.0, n=0, prior=1.0)
+        assert select_leaf(tree) == deep
 
     def test_leaf_at_max_depth_is_never_returned(self):
         tree = bare_tree(SearchConfig(max_depth=2))
-        tree.node(0).visit_count = 4
+        tree.visit_count[0] = 4
         mid = add_child(tree, q=0.9, n=1, prior=0.5)
-        deep = add_child(tree, parent=mid.id, prior=1.0)
+        deep = add_child(tree, parent=mid, prior=1.0)
         other = add_child(tree, q=-0.5, n=1, prior=0.5)
-        assert deep.depth == 2
-        assert select_leaf(tree) == other.id
-        other.reward = -1
+        assert tree.depth[deep] == 2
+        assert select_leaf(tree) == other
+        tree.reward[other] = -1
         assert select_leaf(tree) is None
 
     def test_subtree_with_only_terminal_children_is_passed_over(self):
         tree = bare_tree()
-        tree.node(0).visit_count = 4
+        tree.visit_count[0] = 4
         mid = add_child(tree, q=0.9, n=2, prior=0.5)
         for _ in range(2):
-            add_child(tree, parent=mid.id, prior=0.5, terminal=True)
+            add_child(tree, parent=mid, prior=0.5, terminal=True)
         other = add_child(tree, q=-0.5, n=1, prior=0.5)
-        assert select_leaf(tree) == other.id
+        assert select_leaf(tree) == other
 
 
 class TestBestChild:
@@ -134,8 +144,7 @@ class TestBestChild:
         rng = random.Random(1)
         for _ in range(300):
             tree = bare_tree()
-            parent = tree.node(0)
-            parent.visit_count = rng.randint(0, 50)
+            tree.visit_count[0] = rng.randint(0, 50)
             m = rng.randint(1, 8)
             for _ in range(m):
                 add_child(
@@ -146,8 +155,8 @@ class TestBestChild:
                 )
             got = select_leaf(tree)
             best, best_score = None, -math.inf
-            for cid in parent.children:
-                s = puct_score(parent.visit_count, tree.node(cid), tree.config.c_puct)
+            for cid in tree.children[0]:
+                s = child_score(tree, cid)
                 if s > best_score:
                     best, best_score = cid, s
             assert got == best
@@ -157,16 +166,16 @@ class TestBackpropagate:
     def test_first_update_sets_q_to_reward(self):
         tree = bare_tree()
         child = add_child(tree)
-        backpropagate(tree, child.id, 1)
-        assert (child.q_value, child.visit_count) == (1.0, 1)
-        assert (tree.node(0).q_value, tree.node(0).visit_count) == (1.0, 1)
+        backpropagate(tree, child, 1)
+        assert (tree.q_value[child], tree.visit_count[child]) == (1.0, 1)
+        assert (tree.q_value[0], tree.visit_count[0]) == (1.0, 1)
 
     def test_reference_second_update(self):
         tree = bare_tree()
         child = add_child(tree, q=1.0, n=1)
-        tree.node(0).q_value, tree.node(0).visit_count = 1.0, 1
-        backpropagate(tree, child.id, -1)
-        assert (child.q_value, child.visit_count) == (0.0, 2)
+        tree.q_value[0], tree.visit_count[0] = 1.0, 1
+        backpropagate(tree, child, -1)
+        assert (tree.q_value[child], tree.visit_count[child]) == (0.0, 2)
 
     @given(rewards=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=40))
     @settings(max_examples=60)
@@ -174,11 +183,11 @@ class TestBackpropagate:
         tree = bare_tree()
         child = add_child(tree)
         for r in rewards:
-            backpropagate(tree, child.id, r)
+            backpropagate(tree, child, r)
         mean = sum(rewards) / len(rewards)
-        assert abs(child.q_value - mean) <= 1e-12
-        assert abs(tree.node(0).q_value - mean) <= 1e-12
-        assert child.visit_count == len(rewards)
+        assert abs(tree.q_value[child] - mean) <= 1e-12
+        assert abs(tree.q_value[0] - mean) <= 1e-12
+        assert tree.visit_count[child] == len(rewards)
 
 
 @pytest.fixture()
@@ -203,7 +212,7 @@ class TestExpand:
         rng = random.Random(0)
         child = tree.node(tree.node(0).children[0])
         simulate_cached(tree, child.id, policy, base_registry, rng)
-        grandchildren = list(child.children)
+        grandchildren = list(tree.children[child.id])
         assert grandchildren and all(tree.node(g).cached for g in grandchildren)
         calls_before = tree.stats["policy_calls"]
         reused = expand(tree, child.id, policy, base_registry)
@@ -321,9 +330,9 @@ class TestExpand:
             observation=INVOCATION_ERROR_TEXT,
             kind="invocation_error",
         )
-        leaf = tree.add_node(0, action=bad, prior=1.0)
-        assert expand(tree, leaf.id, ScriptedAdaptivePolicy(corpus), base_registry) == []
-        assert leaf.terminal and leaf.reward == -1
+        leaf = append_node(tree, 0, action=bad)
+        assert expand(tree, leaf, ScriptedAdaptivePolicy(corpus), base_registry) == []
+        assert tree.node(leaf).terminal and tree.reward[leaf] == -1
 
     def test_policy_failure_marks_leaf_failed(self, corpus, base_registry):
         class FailingPolicy:
@@ -338,12 +347,10 @@ class TestExpand:
 
 
 def _root_tree(corpus, task_id, config=None):
-    tree = SearchTree(
+    return SearchTree(
         task=corpus.task(task_id), config=config or SearchConfig(),
         manual=tuple(corpus.manual), demos=tuple(corpus.demos),
     )
-    tree.add_node(parent=None)
-    return tree
 
 
 class TestSimulateCached:
@@ -356,9 +363,9 @@ class TestSimulateCached:
             record = ActionRecord(thought=call.thought, action_name=call.tool, action_input=call.args)
             outcome = execute_action(state, record, base_registry)
             state = outcome.state
-            leaf = tree.add_node(len(tree.nodes) - 1, action=outcome.step)
-        assert tree.state(leaf.id) == state
-        reward = simulate_cached(tree, leaf.id, ScriptedAdaptivePolicy(corpus), base_registry, random.Random(1))
+            leaf = append_node(tree, len(tree.parent) - 1, action=outcome.step)
+        assert tree.state(leaf) == state
+        reward = simulate_cached(tree, leaf, ScriptedAdaptivePolicy(corpus), base_registry, random.Random(1))
         assert reward == 1
 
     def test_repeat_simulation_is_free_and_identical(self, corpus, base_registry):
@@ -372,15 +379,22 @@ class TestSimulateCached:
 
     def test_depth_cutoff_counts_as_failure(self, corpus, base_registry):
         tree = _root_tree(corpus, "coffee-easy-1", SearchConfig(max_depth=15))
-        tree.node(0).depth = 15
+        tree.depth[0] = 15
         reward = simulate_cached(tree, 0, ScriptedAdaptivePolicy(corpus), base_registry, random.Random(0))
         assert reward == -1
 
     def test_terminal_node_returns_stored_reward(self, corpus, base_registry):
         tree = _root_tree(corpus, "coffee-easy-1")
         child = add_child(tree, terminal=True)
-        child.reward = 1
-        assert simulate_cached(tree, child.id, ScriptedAdaptivePolicy(corpus), base_registry, random.Random(0)) == 1
+        tree.reward[child] = 1
+        assert simulate_cached(tree, child, ScriptedAdaptivePolicy(corpus), base_registry, random.Random(0)) == 1
+
+
+    def test_a_stored_reward_is_returned_as_it_is(self, corpus, base_registry):
+        tree = _root_tree(corpus, "coffee-easy-1")
+        child = add_child(tree, terminal=True)
+        tree.reward[child] = 0
+        assert simulate_cached(tree, child, ScriptedAdaptivePolicy(corpus), base_registry, random.Random(0)) == 0
 
 
 class TestRunSearch:
@@ -514,7 +528,7 @@ class TestTreeSerialization:
             corpus.manual, corpus.demos,
         )
         loaded = tree_from_json(tree_to_json(tree))
-        parents = sorted({n.parent for n in tree.nodes[1:]}, key=lambda p: tree.node(p).children[0])
+        parents = sorted(set(tree.parent[1:]), key=lambda p: tree.children[p][0])
         assert len(parents) == len(policy.states) > 1
         assert [loaded.state(p) for p in parents] == policy.states
         grown = [s.tool_manual for s in policy.states if len(s.tool_manual) > len(corpus.manual)]
@@ -746,3 +760,63 @@ def test_an_unmarked_policy_is_asked_once_per_expansion(corpus, mutated_registry
     )
     expanded = sum(1 for n in tree.nodes if n.children)
     assert len(policy.prompts) == tree.stats["policy_calls"] == expanded > len(set(policy.prompts))
+
+
+@functools.cache
+def _registry(seed: int | None):
+    """The base registry for None, else the one MutationPlan(seed) drifts it to."""
+    base = load_corpus().base_registry
+    return base if seed is None else mutate_registry(base, MutationPlan(seed=seed))
+
+
+@given(
+    kind=st.sampled_from(["scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive"]),
+    registry_seed=st.sampled_from([None, 7, 8, 11]),
+    rng_seed=st.integers(0, 2**16),
+    sims=st.integers(1, 30),
+    max_depth=st.integers(1, 15),
+    cache_rollouts=st.booleans(),
+    ablation=st.sampled_from(["full", "no_self_reflection", "no_tool_update"]),
+    task_index=st.integers(0, 23),
+)
+@settings(max_examples=60)
+def test_searched_columns_load_back_and_siblings_are_consecutive(
+    kind, registry_seed, rng_seed, sims, max_depth, cache_rollouts, ablation, task_index
+):
+    corpus = load_corpus()
+    overrides = {} if ablation == "full" else {ablation: True}
+    config = SearchConfig(
+        rng_seed=rng_seed, max_simulations=sims, max_depth=max_depth, cache_rollouts=cache_rollouts, **overrides
+    )
+    policy = build_policy(PolicyConfig(kind=kind, emit_tool_updates=ablation != "no_tool_update"), corpus)
+    tree = run_search(
+        corpus.tasks[task_index], _registry(registry_seed), policy, config, corpus.manual, corpus.demos
+    )
+    loaded = tree_from_json(tree_to_json(tree))
+    assert loaded == tree  # every written column, and the fields around them
+    assert (list(map(list, loaded.children)), loaded.depth) == (list(map(list, tree.children)), tree.depth)
+    for node_id, children in enumerate(tree.children):
+        assert list(children) == [i for i, parent in enumerate(tree.parent) if parent == node_id]
+        if children:
+            assert list(children) == list(range(children[0], children[0] + len(children)))
+
+
+@pytest.mark.parametrize("kind", ["scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive"])
+def test_a_path_is_walked_only_on_a_memo_miss(corpus, kind, monkeypatch):
+    """With a pure policy, search walks a node's path (for its state) once per
+    policy call, and never to key the path memo."""
+    walks = []
+    actions = SearchTree.actions
+
+    def counting(tree, node_id):
+        walks.append(node_id)
+        return actions(tree, node_id)
+
+    monkeypatch.setattr(SearchTree, "actions", counting)
+    registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+    policy = build_policy(PolicyConfig(kind=kind), corpus)
+    assert policy.pure
+    for task_id in ("coffee-hard-4", "agenda-easy-3"):
+        walks.clear()
+        tree = run_search(corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7), corpus.manual, corpus.demos)
+        assert len(walks) == tree.stats["policy_calls"] > 1
