@@ -17,7 +17,9 @@ Every simulation selects the best open leaf by PUCT, expands it with k policy
 candidates (reusing rollout-built children when the cache holds them),
 simulates one new child to a terminal reward, and propagates the reward to the
 root with incremental-mean updates. Rollout-created nodes stay in the tree but
-are invisible to selection until an expansion unhides them.
+are invisible to selection until an expansion unhides them. The tree logs each
+simulation's leaf, chosen node and reward; the statistics and flags are a
+replay of that log, so a tree file stores the log instead of them.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields
-from itertools import compress
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import compress, zip_longest
 from typing import Any
 
 from .adapt import advance, execute_action, reflection_gate
@@ -74,7 +76,7 @@ class SearchTree:
     manual: tuple[str, ...] = ()
     demos: tuple[str, ...] = ()
     stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STATS_TYPES, 0))
-    # The columns of the tree JSON, in its order.
+    # The node columns; tree JSON writes parent, action, reward and failure, and replays the rest from the log.
     parent: list[int | None] = field(default_factory=lambda: [None])
     action: list[ActionRecord | None] = field(default_factory=lambda: [None])
     q_value: list[float] = field(default_factory=lambda: [0.0])
@@ -83,11 +85,15 @@ class SearchTree:
     cached: list[bool] = field(default_factory=lambda: [False])
     reward: list[int | None] = field(default_factory=lambda: [None])
     failure: list[str | None] = field(default_factory=lambda: [None])
+    # One [leaf, chosen, reward] entry per simulation run, in order.
+    simulations: list[list[int]] = field(default_factory=list)
     # Derived from ``parent``, so not compared: each node's children in id order, and its depth.
     children: list[Sequence[int]] = field(default_factory=lambda: [()], compare=False)
     depth: list[int] = field(default_factory=lambda: [0], compare=False)
     # The (actions, rewards, failures) each node a pure policy expanded made its children from; never written.
     _rows: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Whether each visible node leads to an open leaf, kept by select_leaf across calls; never written.
+    _reachable: dict[int, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
     _made = (None, None, None)  # (registry, text memo, path memo) of _memos; never written
     root_id = 0
 
@@ -132,10 +138,13 @@ def select_leaf(tree: SearchTree) -> int | None:
     An open leaf is a visible, non-terminal node above ``max_depth`` with no
     visible child. Each step takes the argmax over the children that lead to
     one, ties toward the smallest child index.
+
+    Which nodes lead to one is kept on the tree between calls, less the path
+    to the leaf returned: the caller changes only that leaf's subtree, whose
+    other nodes were hidden until the leaf is expanded.
     """
     children, cached, reward, depth = tree.children, tree.cached, tree.reward, tree.depth
-    max_depth = tree.config.max_depth
-    reachable: dict[int, bool] = {}
+    max_depth, reachable = tree.config.max_depth, tree._reachable
 
     def leads_to_open(node_id: int) -> bool:
         # Depth first over visible nodes with an explicit stack, so any depth is
@@ -165,6 +174,10 @@ def select_leaf(tree: SearchTree) -> int | None:
     while open_children := [c for c in children[cur] if not cached[c] and leads_to_open(c)]:
         visits = visit_count[cur]
         cur = max(open_children, key=lambda c: puct_score(visits, q_value[c], prior[c], visit_count[c], c_puct))
+    node: int | None = cur
+    while node is not None:
+        del reachable[node]
+        node = tree.parent[node]
     return cur
 
 
@@ -330,7 +343,8 @@ def run_search(
     demos: list[str] = (),
     tree_id: str | None = None,
 ) -> SearchTree:
-    """Build one search tree for a task; every failure becomes a terminal node."""
+    """Build one search tree for a task; every failure becomes a terminal
+    node, and each simulation is logged as it is backed up."""
     rng = random.Random(config.rng_seed)
     tree = SearchTree(
         task=task,
@@ -350,29 +364,32 @@ def run_search(
             reward = simulate_cached(tree, chosen, policy, registry, rng)
         else:
             chosen, reward = leaf_id, -1
+        tree.simulations.append([leaf_id, chosen, reward])
         backpropagate(tree, chosen, reward)
     return tree
 
 
 # ---------------------------------------------------------------------------
-# Serialization, tree JSON format_version 5, compact with sorted keys.
+# Serialization, tree JSON format_version 6, compact with sorted keys.
 # ``actions`` holds each distinct action (with its observation's ``kind``) once,
-# in order of first use. ``nodes`` is an object of columns: the node lists of
-# ``SearchTree`` named in ``_NODE_COLUMNS`` (``parent``, ``action``,
-# ``q_value``, ``visit_count``, ``prior``, ``cached``, ``reward``, ``failure``),
-# written as the tree holds them and kept as loaded once type-checked, each
-# indexed by node id and all of one length. In the ``action`` column node 0
-# holds null and every other node an index into ``actions``; the ``parent``
-# column (null for node 0, an earlier id otherwise) is the only structural one.
-# ``children`` (in id order; a searched tree's siblings are consecutive ids) and
-# ``depth`` are rebuilt at load, and ``terminal`` is derived; states are neither
-# written nor rebuilt, since ``SearchTree.state`` derives them from ``manual``,
-# ``demos`` and the path's actions. ``stats`` holds only ``policy_calls``: the
-# root's ``visit_count`` counts the simulations. A loader of version 5 reads no
-# other version.
+# in order of first use. ``nodes`` is an object of columns indexed by node id.
+# ``parent`` (null for node 0, an earlier id otherwise) and ``action`` (null
+# for node 0, an index into ``actions`` otherwise) hold one entry per node;
+# ``reward`` and ``failure`` hold one ``[id, value]`` pair per node whose value
+# is not null, ids strictly increasing. ``simulations`` is the search log:
+# one ``[leaf, chosen, reward]`` triple per simulation, where ``chosen`` is the
+# leaf's child its rollout started from, or the leaf itself when it became a
+# failed terminal. The statistics are not written: ``_replay`` rebuilds
+# ``q_value``, ``visit_count``, ``prior`` and ``cached`` from ``parent`` and
+# the log. ``children`` (in id order; a searched tree's siblings are
+# consecutive ids) and ``depth`` are rebuilt from ``parent``, and ``terminal``
+# is derived; states are neither written nor rebuilt, since
+# ``SearchTree.state`` derives them from ``manual``, ``demos`` and the path's
+# actions. ``stats`` holds only ``policy_calls``. A loader of version 6 reads
+# no other version.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT_VERSION = 5
+TREE_FORMAT_VERSION = 6
 
 _DOC_TYPES = {
     "format_version": (int,),
@@ -385,6 +402,7 @@ _DOC_TYPES = {
     "stats": (dict,),
     "actions": (list,),
     "nodes": (dict,),
+    "simulations": (list,),
 }
 _ACTION_TYPES = {
     "thought": (str,),
@@ -393,18 +411,14 @@ _ACTION_TYPES = {
     "observation": (str, type(None)),
     "kind": (str, type(None)),
 }
-# The JSON types of each node column's entries, in the order of Node's fields.
-_NODE_TYPES = {
-    "parent": (int, type(None)),
-    "action": (int, type(None)),
-    "q_value": (int, float),
-    "visit_count": (int,),
-    "prior": (int, float),
-    "cached": (bool,),
-    "reward": (int, type(None)),
-    "failure": (str, type(None)),
-}
-_NODE_COLUMNS = tuple(_NODE_TYPES)
+# The JSON types of a written column's entries: of every node's in a dense
+# column, and of each non-null value in a sparse one.
+_DENSE_TYPES = {"parent": (int, type(None)), "action": (int, type(None))}
+_SPARSE_TYPES = {"reward": (int,), "failure": (str,)}
+# The columns replayed from the simulation log, each with the label ``inspect`` shows it under.
+_REPLAYED = {"q_value": "Q", "visit_count": "N", "prior": "P", "cached": "cached"}
+# Every node column of SearchTree, in the order of Node's fields.
+_NODE_COLUMNS = ("parent", "action", "q_value", "visit_count", "prior", "cached", "reward", "failure")
 # A read-only snapshot of one node's row, for readers; search never builds one.
 Node = namedtuple("Node", ("id", *_NODE_COLUMNS, "children", "depth", "terminal"))
 # The counters of SearchTree.stats, each a count >= 0.
@@ -413,8 +427,7 @@ _STATS_TYPES = {"policy_calls": (int,)}
 _CONFIG_TYPES = {float: (int, float), int: (int,), bool: (bool,)}
 
 
-def _require_invariants(tree: SearchTree) -> None:
-    problems = check_tree_invariants(tree)
+def _require(problems: list[str]) -> None:
     if problems:
         raise ValueError(f"{len(problems)} invariant violation(s): {'; '.join(problems)}")
 
@@ -424,9 +437,10 @@ def _reject_constant(token: str):
 
 
 def tree_to_json(tree: SearchTree) -> str:
-    """The tree's format_version 5 text; a tree that breaks an invariant of
-    ``check_tree_invariants`` raises ValueError instead."""
-    _require_invariants(tree)
+    """The tree's format_version 6 text; a tree that breaks an invariant of
+    ``check_tree_invariants``, one whose statistics are not the replay of its
+    simulation log included, raises ValueError instead."""
+    _require(check_tree_invariants(tree))
     # Canonical action JSON -> (index, entry), and each distinct record's id ->
     # its index, taken in order of first use; the root's None maps to None.
     table: dict[str, tuple[int, dict]] = {}
@@ -436,8 +450,11 @@ def tree_to_json(tree: SearchTree) -> str:
             entry = asdict(action)
             key = json.dumps(entry, sort_keys=True, ensure_ascii=False)
             index_of[id(action)] = table.setdefault(key, (len(table), entry))[0]
-    columns = {name: getattr(tree, name) for name in _NODE_COLUMNS}
-    columns["action"] = list(map(index_of.__getitem__, map(id, tree.action)))
+    columns = {
+        "parent": tree.parent,
+        "action": list(map(index_of.__getitem__, map(id, tree.action))),
+        **{name: [[i, v] for i, v in enumerate(getattr(tree, name)) if v is not None] for name in _SPARSE_TYPES},
+    }
     doc: dict[str, Any] = {
         "format_version": TREE_FORMAT_VERSION,
         "tree_id": tree.tree_id,
@@ -449,32 +466,52 @@ def tree_to_json(tree: SearchTree) -> str:
         "stats": tree.stats,
         "actions": [entry for _, entry in table.values()],
         "nodes": columns,
+        "simulations": tree.simulations,
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _entries(items: list, types: tuple, what: str) -> list:
+    """``items``, once each is a list of ``len(types)`` values whose JSON
+    types are in ``types`` in turn; ValueError ``what`` otherwise."""
+    for item in items:
+        if type(item) is not list or len(item) != len(types) or any(type(v) not in t for v, t in zip(item, types)):
+            raise ValueError(what)
+    return items
+
+
 def _node_columns(doc) -> dict[str, list]:
-    """The ``nodes`` object's columns, once each is a list of one shared,
-    non-zero length whose entries have the column's JSON types."""
-    columns = typed_object(doc, {name: (list,) for name in _NODE_COLUMNS}, "nodes")
-    lengths = {len(column) for column in columns.values()}
+    """The ``nodes`` object's columns with one entry per node, once the dense
+    ones share one non-zero length, each sparse one holds [id, value] pairs
+    with ids strictly increasing within it, and every entry has its column's
+    JSON types; a sparse column is filled out with None."""
+    columns = typed_object(doc, dict.fromkeys([*_DENSE_TYPES, *_SPARSE_TYPES], (list,)), "nodes")
+    lengths = {len(columns[name]) for name in _DENSE_TYPES}
     if len(lengths) != 1:
         raise ValueError(f"nodes: columns differ in length {sorted(lengths)}")
     if lengths == {0}:
         raise ValueError("tree has no nodes")
-    for name, allowed in _NODE_TYPES.items():
+    for name, allowed in _DENSE_TYPES.items():
         odd = set(map(type, columns[name])).difference(allowed)
         if odd:
             raise ValueError(f"nodes: {name!r} holds {sorted(t.__name__ for t in odd)}")
+    n = len(columns["parent"])
+    for name, allowed in _SPARSE_TYPES.items():
+        pairs = _entries(columns[name], ((int,), allowed), f"nodes: {name!r} holds an entry that is not an [id, value]")
+        ids = [-1, *(i for i, _ in pairs), n]
+        if not all(map(int.__lt__, ids, ids[1:])):
+            raise ValueError(f"nodes: {name!r} ids do not increase strictly within [0, {n})")
+        columns[name] = list(map(dict(pairs).get, range(n)))
     return columns
 
 
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 5 tree; any malformed document (a NaN or Infinity
-    token, a parent that is not an earlier node, or an action index that is
-    not an int into ``actions``, included), or one that breaks an invariant of
-    ``check_tree_invariants``, raises ValueError. Nodes that name one table
-    entry share its ActionRecord."""
+    """Load a format_version 6 tree, its statistics replayed from its
+    simulation log; any malformed document (a NaN or Infinity token, a parent
+    that is not an earlier node, an action index that is not an int into
+    ``actions``, or a log entry that is not a triple of ints, included), or
+    one that breaks an invariant of ``check_tree_invariants``, raises
+    ValueError. Nodes that name one table entry share its ActionRecord."""
     doc = json.loads(text, parse_constant=_reject_constant)
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != TREE_FORMAT_VERSION or type(version) is not int:
@@ -508,25 +545,64 @@ def tree_from_json(text: str) -> SearchTree:
         children[parent].append(node_id)
         depth[node_id] = depth[parent] + 1
     columns["action"] = [None, *map(actions.__getitem__, indices[1:])]
+    log = _entries(doc["simulations"], ((int,),) * 3, "simulations: an entry is not a [leaf, chosen, reward] of ints")
     tree = SearchTree(
         task=task, config=config, registry_generation=doc["registry_generation"], tree_id=doc["tree_id"],
-        manual=tuple(doc["manual"]), demos=tuple(doc["demos"]), stats=stats, children=children, depth=depth, **columns,
+        manual=tuple(doc["manual"]), demos=tuple(doc["demos"]), stats=stats, simulations=log,
+        children=children, depth=depth, **columns,
     )
-    _require_invariants(tree)
+    _require(_stored_problems(tree))
+    return _replay(tree)
+
+
+def _replay(tree: SearchTree) -> SearchTree:
+    """``tree`` with the q_value, visit_count, prior and cached columns that
+    search leaves: a child's prior is 1/(its number of siblings and itself),
+    the root and each logged leaf's children are visible, and each logged
+    reward is backed up from its chosen node, in log order."""
+    n, children = len(tree.parent), tree.children
+    share = {node: 1.0 / count for node, count in Counter(tree.parent[1:]).items()}
+    tree.prior = [1.0, *map(share.__getitem__, tree.parent[1:])]
+    tree.cached = [False] + [True] * (n - 1)
+    tree.q_value, tree.visit_count = [0.0] * n, [0] * n
+    for leaf, chosen, reward in tree.simulations:
+        for child in children[leaf]:
+            tree.cached[child] = False
+        backpropagate(tree, chosen, reward)
     return tree
 
 
-def check_tree_invariants(tree: SearchTree) -> list[str]:
-    """The invariants ``tree`` breaks, one line each, column by column; empty
-    for a sound tree. A NaN fails every bound, so it is reported."""
-    prior, reward, children, max_depth = tree.prior, tree.reward, tree.children, tree.config.max_depth
+def _stored_problems(tree: SearchTree) -> list[str]:
+    """The invariants that the facts a tree file stores break: the log's, the
+    depths' and the rewards'."""
+    parent, reward, children, config, log = tree.parent, tree.reward, tree.children, tree.config, tree.simulations
+    problems = [f"{len(log)} simulations exceed max_simulations"] if len(log) > config.max_simulations else []
+    for i, (leaf, chosen, logged) in enumerate(log):
+        # A chosen node that is the leaf or its child makes the leaf a node too.
+        if not (0 <= chosen < len(parent) and leaf in (chosen, parent[chosen])):
+            problems.append(f"simulation {i}: chosen {chosen} is not node {leaf} or a child of it")
+        if logged not in (-1, 1):
+            problems.append(f"simulation {i}: reward {logged!r} is not -1 or +1")
     expanded = list(compress(range(len(children)), children))
-    totals = ((i, sum(map(prior.__getitem__, children[i]))) for i in expanded)
     return [
-        *(f"node {i}: Q={q} outside [-1, 1]" for i, q in enumerate(tree.q_value) if not -1 - 1e-9 <= q <= 1 + 1e-9),
-        *(f"node {i}: negative visit count" for i, n in enumerate(tree.visit_count) if n < 0),
-        *(f"node {i}: child priors sum to {total:.6f}" for i, total in totals if not abs(total - 1.0) <= 1e-6),
-        *(f"node {i}: beyond depth limit" for i, d in enumerate(tree.depth) if d > max_depth),
+        *problems,
+        *(f"node {i}: beyond depth limit" for i, d in enumerate(tree.depth) if d > config.max_depth),
         *(f"node {i}: reward {r!r} is not -1 or +1" for i, r in enumerate(reward) if r not in (None, -1, 1)),
         *(f"node {i}: terminal node has children" for i in expanded if reward[i] is not None),
     ]
+
+
+def check_tree_invariants(tree: SearchTree) -> list[str]:
+    """The invariants ``tree`` breaks, one line each; empty for a sound tree.
+    Once its log, depths and rewards are sound, each column the log replays
+    must equal its replay; the first node where one does not is named."""
+    problems = _stored_problems(tree)
+    if problems:
+        return problems
+    rebuilt = _replay(replace(tree))
+    for name, label in _REPLAYED.items():
+        stored, replayed = getattr(tree, name), getattr(rebuilt, name)
+        if stored != replayed:
+            node, value, expected = next((i, *p) for i, p in enumerate(zip_longest(stored, replayed)) if p[0] != p[1])
+            problems.append(f"node {node}: {label}={value} is not its replay {label}={expected}")
+    return problems

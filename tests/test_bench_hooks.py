@@ -86,6 +86,18 @@ def test_traced_mutate_and_mutated_search_record_the_drift_check(tmp_path):
     assert "mutation.verify_mutation" in mutate & search
 
 
+def test_traced_export_records_the_load_path(tmp_path):
+    """Export loads, collects and writes through the names the bench wraps
+    on the load path, so none of them is skipped unnoticed."""
+    manifest = tmp_path / "run.ini"
+    manifest.write_text(MANIFEST, encoding="utf-8")
+    trees = tmp_path / "out" / "trees"
+    search = ["search", "--manifest", str(manifest), "--output-dir", str(trees.parent), "--trees", "1", "--sims", "2"]
+    assert cli.main(search) == 0
+    names = traced_span_names(tmp_path, "export", "--trees", str(trees), "--out", str(tmp_path / "sft.jsonl"))
+    assert {"mcts.tree_from_json", "trajectory.collect_from_trees", "trajectory.export_sft"} <= names
+
+
 def test_run_manifest_searches_with_the_patched_policy():
     """The call ``bench/run.py``'s ``reference_outcomes`` makes, on a 2-sim
     manifest: the patched policy proposes every step, and the trees come

@@ -704,7 +704,8 @@ def small_tree_doc():
         SearchConfig(max_simulations=5, rng_seed=3), corpus.manual, corpus.demos,
     )
     doc = json.loads(tree_to_json(tree))
-    assert len(doc["nodes"]["parent"]) > 3
+    assert len(doc["nodes"]["parent"]) > 3 and len(doc["nodes"]["reward"]) > 1
+    assert len(doc["simulations"]) == doc["config"]["max_simulations"]
     return doc
 
 
@@ -718,29 +719,48 @@ def _set_parent(node_id, parent):
     return _set("parent", node_id, parent)
 
 
+def _set_logged(position, value):
+    """Set entry ``position`` (0 leaf, 1 chosen, 2 reward) of the first simulation."""
+    def edit(doc):
+        doc["simulations"][0][position] = value
+    return edit
+
+
 def _node_count(doc) -> int:
     return len(doc["nodes"]["parent"])
 
 
-def _first_leaf(doc) -> int:
-    """The smallest id that is no node's parent."""
-    return min(set(range(_node_count(doc))).difference(doc["nodes"]["parent"]))
+def _choose_beyond_the_child(doc):
+    """Log the first simulation's choice as a node that is neither its leaf
+    nor one of the leaf's children."""
+    leaf, parents = doc["simulations"][0][0], doc["nodes"]["parent"]
+    doc["simulations"][0][1] = next(i for i, p in enumerate(parents) if i != leaf and p not in (None, leaf))
 
 
-def _cache_the_deepest_past_the_limit(doc):
-    """Hide the deepest nodes and lower max_depth to the depth above them:
-    every visible node keeps within the limit, and cached ones pass it."""
-    columns, depth = doc["nodes"], [0]
-    for parent in columns["parent"][1:]:
+def _lower_max_depth_past_the_deepest(doc):
+    """Lower max_depth to the depth above the deepest nodes, which rollouts
+    built; a file stores no cached flag, so the limit holds for every node."""
+    depth = [0]
+    for parent in doc["nodes"]["parent"][1:]:
         depth.append(depth[parent] + 1)
-    deepest = max(depth)
-    columns["cached"] = [cached or d == deepest for cached, d in zip(columns["cached"], depth)]
-    doc["config"]["max_depth"] = deepest - 1
+    doc["config"]["max_depth"] = max(depth) - 1
+
+
+def _v5(doc):
+    """The same tree as format_version 5 wrote it: the statistics stored
+    instead of the simulation log, and one reward and failure per node."""
+    tree = tree_from_json(json.dumps(doc))
+    doc["format_version"] = 5
+    del doc["simulations"]
+    columns = doc["nodes"]
+    for column in ("q_value", "visit_count", "prior", "cached", "reward", "failure"):
+        columns[column] = getattr(tree, column)
 
 
 def _v4(doc):
     """The same tree as format_version 4 wrote it: a stored ``terminal``
     column and the run counters in ``stats``."""
+    _v5(doc)
     doc["format_version"] = 4
     columns = doc["nodes"]
     columns["terminal"] = [reward is not None for reward in columns["reward"]]
@@ -783,9 +803,11 @@ MALFORMED_TREES = {
     "node_not_an_object": lambda doc: _set("action", 1, doc["actions"][0])(doc),
     "no_nodes": lambda doc: doc.update(nodes={column: [] for column in doc["nodes"]}),
     "format_v1": _v1,
-    "q_out_of_range": _set("q_value", 1, 7.5),
-    "priors_do_not_sum": _set("prior", 1, 0.9),
-    "prior_nan": _set("prior", 1, float("nan")),
+    # A Q of 7.5 would take a logged reward of 7.5.
+    "q_out_of_range": _set_logged(2, 7.5),
+    # Priors are not written; a file that writes them is not version 6.
+    "priors_do_not_sum": lambda doc: doc["nodes"].update(prior=[1.0] + [0.9] * (_node_count(doc) - 1)),
+    "prior_nan": _set_logged(2, float("nan")),
     "c_puct_infinite": lambda doc: doc["config"].update(c_puct=float("inf")),
     "c_puct_nan": lambda doc: doc["config"].update(c_puct=float("nan")),
     "action_index_out_of_range": lambda doc: _set("action", 1, len(doc["actions"]))(doc),
@@ -799,20 +821,41 @@ MALFORMED_TREES = {
     "format_v2": _v2,
     "format_v3": _v3,
     "format_v4": _v4,
-    "cached_beyond_depth_limit": _cache_the_deepest_past_the_limit,
-    "column_too_short": lambda doc: doc["nodes"]["q_value"].pop(),
-    "column_too_long": lambda doc: doc["nodes"]["failure"].append(None),
+    "format_v5": _v5,
+    "cached_beyond_depth_limit": _lower_max_depth_past_the_deepest,
+    "column_too_short": lambda doc: doc["nodes"]["action"].pop(),
+    "column_too_long": lambda doc: doc["nodes"]["action"].append(0),
     "column_missing": lambda doc: doc["nodes"].pop("failure"),
     "column_extra": lambda doc: doc["nodes"].update(depth=[0] * _node_count(doc)),
-    "column_not_a_list": lambda doc: doc["nodes"].update(visit_count=5),
-    "visit_count_true": _set("visit_count", 1, True),
+    "column_not_a_list": lambda doc: doc["nodes"].update(reward=5),
+    "visit_count_true": _set_logged(0, True),
     "parent_true": _set_parent(2, True),
     "stats_untyped": lambda doc: doc.update(stats={"x": [1, {"y": None}]}),
     "stats_count_missing": lambda doc: doc["stats"].pop("policy_calls"),
     "stats_count_negative": lambda doc: doc["stats"].update(policy_calls=-1),
     "stats_count_true": lambda doc: doc["stats"].update(policy_calls=True),
-    "reward_not_plus_or_minus_one": lambda doc: _set("reward", _first_leaf(doc), 5)(doc),
-    "reward_on_expanded_node": _set("reward", 0, 0),
+    "reward_not_plus_or_minus_one": lambda doc: doc["nodes"]["reward"][0].__setitem__(1, 5),
+    "reward_on_expanded_node": lambda doc: doc["nodes"]["reward"].insert(0, [0, 0]),
+    "reward_pair_ids_out_of_order": lambda doc: doc["nodes"]["reward"].reverse(),
+    "reward_pair_id_repeated": lambda doc: doc["nodes"]["reward"].append(doc["nodes"]["reward"][-1]),
+    "reward_pair_id_out_of_range": lambda doc: doc["nodes"]["reward"].append([_node_count(doc), -1]),
+    "reward_pair_id_negative": lambda doc: doc["nodes"]["reward"].insert(0, [-1, -1]),
+    "reward_pair_not_a_pair": lambda doc: doc["nodes"]["reward"][0].append(1),
+    "reward_pair_value_null": lambda doc: doc["nodes"]["reward"][0].__setitem__(1, None),
+    "failure_pair_id_out_of_range": lambda doc: doc["nodes"]["failure"].append([_node_count(doc), "x"]),
+    "failure_pair_value_not_a_string": lambda doc: doc["nodes"]["failure"].append([1, 5]),
+    "simulations_missing": lambda doc: doc.pop("simulations"),
+    "simulations_not_a_list": lambda doc: doc.update(simulations={}),
+    "simulation_not_a_triple": lambda doc: doc["simulations"][0].pop(),
+    "simulation_not_a_list": lambda doc: doc["simulations"].__setitem__(0, 5),
+    "simulation_chosen_not_the_leaf_or_its_child": _choose_beyond_the_child,
+    "simulation_chosen_out_of_range": _set_logged(1, 999),
+    "simulation_leaf_out_of_range": lambda doc: _set_logged(0, _node_count(doc))(doc),
+    "simulation_leaf_negative": _set_logged(0, -1),
+    "simulation_reward_0": _set_logged(2, 0),
+    "simulation_reward_2": _set_logged(2, 2),
+    "simulation_reward_true": _set_logged(2, True),
+    "simulations_exceed_max_simulations": lambda doc: doc["simulations"].append(doc["simulations"][-1]),
 }
 
 
@@ -851,19 +894,26 @@ _ODD_VALUES = st.sampled_from([None, True, 0, -1, 7, 1.5, "x", [], {}, [0], {"a"
 
 @given(data=st.data())
 def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
-    """One field or node cell of a real tree changed: inspect succeeds or
-    reports exit 4."""
+    """One field, cell or log entry of a real tree changed: inspect succeeds
+    or reports exit 4."""
     doc = json.loads(json.dumps(small_tree_doc))
     columns = doc["nodes"]
-    index = data.draw(st.integers(0, _node_count(doc) - 1), label="node")
-    column = data.draw(st.sampled_from(sorted(columns)), label="column")
+    node = data.draw(st.integers(0, _node_count(doc) - 1), label="node")
+    # A column's cells or the log's entries; a sparse cell or a log entry is itself a list.
+    cells = data.draw(
+        st.sampled_from([*(columns[name] for name in sorted(columns) if columns[name]), doc["simulations"]]),
+        label="cells",
+    )
+    index = data.draw(st.integers(0, len(cells) - 1), label="index")
     entry = data.draw(st.sampled_from(doc["actions"]), label="action entry")
     target = data.draw(
         st.sampled_from([doc, doc["task"], doc["config"], doc["stats"], columns, entry]), label="object"
     )
     key = data.draw(st.sampled_from(sorted(target)), label="key")
     op = data.draw(
-        st.sampled_from(["drop", "value", "drop_cell", "cell", "forward_parent", "far_parent", "far_action"]),
+        st.sampled_from(
+            ["drop", "value", "drop_cell", "cell", "inner_cell", "forward_parent", "far_parent", "far_action"]
+        ),
         label="op",
     )
     if op == "drop":
@@ -871,13 +921,18 @@ def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
     elif op == "value":
         target[key] = data.draw(_ODD_VALUES, label="value")
     elif op == "drop_cell":
-        del columns[column][index]
+        del cells[index]
     elif op == "cell":
-        columns[column][index] = data.draw(_ODD_VALUES, label="value")
+        cells[index] = data.draw(_ODD_VALUES, label="value")
+    elif op == "inner_cell" and isinstance(cells[index], list):
+        inner = cells[index]
+        inner[data.draw(st.integers(0, len(inner) - 1), label="position")] = data.draw(
+            st.one_of(_ODD_VALUES, st.integers(-2, _node_count(doc) + 2)), label="value"
+        )
     elif op == "far_action":
-        columns["action"][index] = len(doc["actions"]) + data.draw(st.integers(0, 5), label="past the end")
-    else:
-        columns["parent"][index] = index + 1 if op == "forward_parent" else _node_count(doc) + 5
+        columns["action"][node] = len(doc["actions"]) + data.draw(st.integers(0, 5), label="past the end")
+    elif op in ("forward_parent", "far_parent"):
+        columns["parent"][node] = node + 1 if op == "forward_parent" else _node_count(doc) + 5
     with tempfile.TemporaryDirectory() as tmp:
         code = main(["inspect", _write_json(Path(tmp) / "t.json", doc)])
     assert code in (EXIT_OK, EXIT_INVARIANT)

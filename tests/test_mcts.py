@@ -31,8 +31,34 @@ from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import PolicyConfig, PolicyError, ScriptedAdaptivePolicy, ScriptedRigidPolicy, build_policy
 from tooldrift.react import ActionRecord, StateRecord, render_prompt
 
+from reference_search import ReferenceSearch
+
 # The node lists of a SearchTree, in the order of append_node's row.
 NODE_LISTS = ("parent", "action", "q_value", "visit_count", "prior", "cached", "reward", "failure", "children", "depth")
+
+
+LOAD = 'Thought: t\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'
+WRONG_FINISH = 'Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'
+
+
+class MixedPolicy:
+    """Two distinct calls twice each and an unparseable text, whatever the state."""
+
+    def propose(self, state, k):
+        return [LOAD, WRONG_FINISH, LOAD, "no labels here", WRONG_FINISH]
+
+
+class DistractedPolicy:
+    """The adaptive step three times, a wrong Finish and an unparseable text."""
+
+    def __init__(self, corpus):
+        self.inner, self.texts = ScriptedAdaptivePolicy(corpus), set()
+
+    def propose(self, state, k):
+        good = self.inner.propose(state, 1)[0]
+        texts = [good, WRONG_FINISH, good, "no labels here", good]
+        self.texts.update(texts)
+        return texts
 
 
 def dummy_state() -> StateRecord:
@@ -247,13 +273,6 @@ class TestExpand:
             assert node.action.action_name == FAILED_ACTION_NAME
 
     def test_each_distinct_candidate_is_parsed_and_executed_once(self, corpus, base_registry, monkeypatch):
-        load = 'Thought: t\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'
-        finish = 'Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'
-
-        class MixedPolicy:
-            def propose(self, state, k):
-                return [load, finish, load, "no labels here", finish]
-
         executed = []
         execute = mcts.execute_action
 
@@ -279,10 +298,17 @@ class TestExpand:
         assert [n.action for n in deeper] == [n.action for n in nodes]
         assert [(n.terminal, n.reward, n.failure) for n in deeper] == [(n.terminal, n.reward, n.failure) for n in nodes]
         assert all(n.depth == 2 for n in deeper)
-        # A loaded tree starts with an empty memo.
-        loaded = tree_from_json(tree_to_json(tree))
-        expand(loaded, ids[2], MixedPolicy(), base_registry)
+        # A searched tree has a memo of its own, and its loaded copy starts
+        # with an empty one.
+        searched = run_search(
+            corpus.task("coffee-easy-1"), base_registry, MixedPolicy(), SearchConfig(max_simulations=1),
+            corpus.manual, corpus.demos,
+        )
         assert executed == ["LoadDB", "Finish"] * 2
+        loaded = tree_from_json(tree_to_json(searched))
+        leaf = next(i for i, children in enumerate(loaded.children) if not children and loaded.reward[i] is None)
+        expand(loaded, leaf, MixedPolicy(), base_registry)
+        assert executed == ["LoadDB", "Finish"] * 3
 
     def test_a_second_registry_object_executes_anew(self, corpus, base_registry, mutated_registry, monkeypatch):
         load = 'Thought: t\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'
@@ -586,12 +612,11 @@ def test_real_trees_round_trip(corpus, kind, ablation):
         assert canonical_fields(loaded) == canonical_fields(tree)
 
 
-WRONG_FINISH = 'Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'
 # Rollout rewards per simulation ("+" for +1), the first 16 hex chars of
 # sha256 over ``canonical_fields`` without ``stats`` and the policy calls of
-# each tree that MixedPolicy grows with cache_rollouts off at rng_seed 7 on the
-# seed-7 mutated registry, as when every rollout step was parsed and executed
-# anew.
+# each tree that DistractedPolicy grows with cache_rollouts off at rng_seed 7
+# on the seed-7 mutated registry, as when every rollout step was parsed and
+# executed anew.
 UNCACHED_PINS = {
     "coffee-hard-4": ("------------------------------", "414c7a89d85925d0", 86),
     "agenda-easy-3": ("---------------+--------+--++-", "7723edae9f3ef1da", 81),
@@ -603,18 +628,6 @@ def test_uncached_rollouts_parse_each_distinct_text_once(corpus, monkeypatch):
     tree's candidate memo: parse_action runs at most once per distinct text of
     a tree (a rollout parses only the text it follows), and the rewards and the
     tree are what they were without the memo."""
-
-    class MixedPolicy:
-        """The adaptive step three times, a wrong Finish and an unparseable text."""
-
-        def __init__(self):
-            self.inner, self.texts = ScriptedAdaptivePolicy(corpus), set()
-
-        def propose(self, state, k):
-            good = self.inner.propose(state, 1)[0]
-            texts = [good, WRONG_FINISH, good, "no labels here", good]
-            self.texts.update(texts)
-            return texts
 
     parsed, rewards = [], []
     parse, simulate = mcts.parse_action, mcts.simulate_cached
@@ -633,7 +646,7 @@ def test_uncached_rollouts_parse_each_distinct_text_once(corpus, monkeypatch):
     for task_id, (expected_rewards, expected_digest, expected_calls) in UNCACHED_PINS.items():
         parsed.clear()
         rewards.clear()
-        policy = MixedPolicy()
+        policy = DistractedPolicy(corpus)
         tree = run_search(
             corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7, cache_rollouts=False),
             corpus.manual, corpus.demos,
@@ -820,3 +833,42 @@ def test_a_path_is_walked_only_on_a_memo_miss(corpus, kind, monkeypatch):
         walks.clear()
         tree = run_search(corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7), corpus.manual, corpus.demos)
         assert len(walks) == tree.stats["policy_calls"] > 1
+
+
+# The node columns and the log that ``ReferenceSearch.run`` returns.
+REFERENCE_FIELDS = ("parent", "action", "q_value", "visit_count", "prior", "cached", "reward", "failure", "simulations")
+
+
+@given(
+    kind=st.sampled_from(["scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive", "mixed", "distracted"]),
+    registry_seed=st.sampled_from([None, 7, 8, 11]),
+    rng_seed=st.integers(0, 2**16),
+    sims=st.integers(1, 30),
+    max_depth=st.integers(1, 15),
+    cache_rollouts=st.booleans(),
+    ablation=st.sampled_from(["full", "no_self_reflection", "no_tool_update"]),
+    task_index=st.integers(0, 23),
+)
+@settings(max_examples=40)
+def test_run_search_grows_the_reference_tree(
+    kind, registry_seed, rng_seed, sims, max_depth, cache_rollouts, ablation, task_index
+):
+    """``run_search`` and the plain reference grow the same columns and log,
+    Q values bit for bit, and so does the tree a written one loads back to;
+    only the number of policy calls differs, by design."""
+    corpus = load_corpus()
+    overrides = {} if ablation == "full" else {ablation: True}
+    config = SearchConfig(
+        rng_seed=rng_seed, max_simulations=sims, max_depth=max_depth, cache_rollouts=cache_rollouts, **overrides
+    )
+    if kind == "mixed":
+        policy = MixedPolicy()
+    elif kind == "distracted":
+        policy = DistractedPolicy(corpus)
+    else:
+        policy = build_policy(PolicyConfig(kind=kind, emit_tool_updates=ablation != "no_tool_update"), corpus)
+    args = (corpus.tasks[task_index], _registry(registry_seed), policy, config, corpus.manual, corpus.demos)
+    tree = run_search(*args)
+    expected = ReferenceSearch(*args).run()
+    for grown in (tree, tree_from_json(tree_to_json(tree))):
+        assert {name: getattr(grown, name) for name in REFERENCE_FIELDS} == expected
