@@ -20,7 +20,7 @@ is optional, and an absent key takes its default:
   [mutation], [mutation_in],    seed, kinds (comma-separated), special_char,
   [mutation_ood]                synonyms (a JSON object of word -> words)
   [search]                      c_puct, max_depth, k, max_simulations,
-                                trees_per_task, rng_seed, cache_rollouts
+                                trees_per_task, rng_seed
   [policy]                      kind, endpoint, temperature, request_timeout
 
 Each key names a field of ``MutationPlan``, ``SearchConfig`` or
@@ -81,18 +81,11 @@ RUN_KEYS = ("corpus", "registry", "setting", "output_dir")
 MUTATION_SECTIONS = ("mutation", "mutation_in", "mutation_ood")
 
 
-def _boolean(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 # A section value's reader, by the type of its field's default; any other field
 # (a str, or the None endpoint) takes its text. Plain functions, not ConfigParser
 # converters, so a parser that a caller builds itself reads the same.
 _READERS = {
-    bool: _boolean, int: int, float: float, dict: json.loads,
+    int: int, float: float, dict: json.loads,
     frozenset: lambda text: frozenset(filter(None, map(str.strip, text.split(",")))),
 }
 

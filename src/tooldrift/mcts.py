@@ -52,7 +52,6 @@ class SearchConfig:
     max_simulations: int = 30
     trees_per_task: int = 20
     rng_seed: int = 0
-    cache_rollouts: bool = True
     no_self_reflection: bool = False
     no_tool_update: bool = False
 
@@ -96,12 +95,6 @@ class SearchTree:
     _reachable: dict[int, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
     _made = (None, None, None)  # (registry, text memo, path memo) of _memos; never written
     root_id = 0
-
-    def node(self, node_id: int) -> Node:
-        return Node(
-            node_id, *(getattr(self, name)[node_id] for name in _NODE_COLUMNS),
-            tuple(self.children[node_id]), self.depth[node_id], self.reward[node_id] is not None,
-        )
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -281,47 +274,18 @@ def simulate_cached(
 ) -> int:
     """Roll out one episode from the node and return its terminal reward.
 
-    With caching on, every rollout step materializes (or reuses) the full
-    k-candidate set as hidden children and follows a seeded-random one; a
-    repeat rollout over a stored subtree costs no policy calls. Episodes
-    still unfinished at the depth limit count as failures.
+    Every rollout step materializes (or reuses) the full k-candidate set as
+    hidden children and follows a seeded-random one, so a repeat rollout over
+    a stored subtree costs no policy calls. Episodes still unfinished at the
+    depth limit count as failures.
     """
     reward, depth, max_depth = tree.reward, tree.depth, tree.config.max_depth
-    if not tree.config.cache_rollouts and reward[node_id] is None:
-        return _transient_rollout(tree, node_id, policy, registry, rng)
     cur = node_id
     while reward[cur] is None and depth[cur] < max_depth:
         children = _children(tree, cur, policy, registry)
         if children:
             cur = rng.choice(children)
     return -1 if reward[cur] is None else reward[cur]
-
-
-def _transient_rollout(
-    tree: SearchTree,
-    start: int,
-    policy,
-    registry: ToolRegistry,
-    rng: random.Random,
-) -> int:
-    """Cache-free rollout: walk states without adding nodes to the tree. Each
-    step's outcome comes from the tree's candidate memo, like an expansion's."""
-    state, depth, action = tree.state(start), tree.depth[start], tree.action[start]
-    kind = action.kind if action is not None else None
-    while depth < tree.config.max_depth:
-        if reflection_gate(kind, tree.config.no_self_reflection):
-            return -1
-        try:
-            texts = policy.propose(state, tree.config.k)
-        except PolicyError:
-            return -1
-        tree.stats["policy_calls"] += 1
-        action, reward, _ = _child_fields(tree, state, rng.choice(texts), registry)
-        if reward is not None:
-            return reward
-        state = advance(state, (action,), tree.config.no_tool_update)
-        kind, depth = action.kind, depth + 1
-    return -1
 
 
 def backpropagate(tree: SearchTree, node_id: int, reward: int) -> None:
@@ -370,7 +334,7 @@ def run_search(
 
 
 # ---------------------------------------------------------------------------
-# Serialization, tree JSON format_version 6, compact with sorted keys.
+# Serialization, tree JSON format_version 7, compact with sorted keys.
 # ``actions`` holds each distinct action (with its observation's ``kind``) once,
 # in order of first use. ``nodes`` is an object of columns indexed by node id.
 # ``parent`` (null for node 0, an earlier id otherwise) and ``action`` (null
@@ -385,11 +349,11 @@ def run_search(
 # consecutive ids) and ``depth`` are rebuilt from ``parent``, and ``terminal``
 # is derived; states are neither written nor rebuilt, since
 # ``SearchTree.state`` derives them from ``manual``, ``demos`` and the path's
-# actions. ``stats`` holds only ``policy_calls``. A loader of version 6 reads
+# actions. ``stats`` holds only ``policy_calls``. A loader of version 7 reads
 # no other version.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT_VERSION = 6
+TREE_FORMAT_VERSION = 7
 
 _DOC_TYPES = {
     "format_version": (int,),
@@ -437,7 +401,7 @@ def _reject_constant(token: str):
 
 
 def tree_to_json(tree: SearchTree) -> str:
-    """The tree's format_version 6 text; a tree that breaks an invariant of
+    """The tree's format_version 7 text; a tree that breaks an invariant of
     ``check_tree_invariants``, one whose statistics are not the replay of its
     simulation log included, raises ValueError instead."""
     _require(check_tree_invariants(tree))
@@ -506,7 +470,7 @@ def _node_columns(doc) -> dict[str, list]:
 
 
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 6 tree, its statistics replayed from its
+    """Load a format_version 7 tree, its statistics replayed from its
     simulation log; any malformed document (a NaN or Infinity token, a parent
     that is not an earlier node, an action index that is not an int into
     ``actions``, or a log entry that is not a triple of ints, included), or

@@ -112,32 +112,11 @@ class ReferenceSearch:
             node = best
 
     def rollout(self, node: RefNode) -> int:
-        if not self.config.cache_rollouts and node.reward is None:
-            return self.transient_rollout(node)
         while node.reward is None and node.depth < self.config.max_depth:
             children = self.children(node)
             if children:
                 node = self.rng.choice(children)
         return -1 if node.reward is None else node.reward
-
-    def transient_rollout(self, node: RefNode) -> int:
-        """A rollout that adds no node: each step follows one candidate."""
-        actions, depth = self.path(node), node.depth
-        kind = node.action.kind if node.action else None
-        while depth < self.config.max_depth:
-            if reflection_gate(kind, self.config.no_self_reflection):
-                return -1
-            state = self.state(actions)
-            try:
-                texts = self.policy.propose(state, self.config.k)
-            except PolicyError:
-                return -1
-            action, reward, _ = self.step(state, self.rng.choice(texts))
-            if reward is not None:
-                return reward
-            actions.append(action)
-            kind, depth = action.kind, depth + 1
-        return -1
 
     def backpropagate(self, node: RefNode | None, reward: int) -> None:
         while node is not None:

@@ -14,7 +14,7 @@ import time
 import tracemalloc
 import weakref
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -357,7 +357,7 @@ class TestSearchCommand:
         [
             ("[mutation]\nseed = 11", "[mutation]\nseed = x", "[mutation]"),
             ("k = 5", "k = five", "k"),
-            ("rng_seed = 7", "rng_seed = 7\ncache_rollouts = maybe", "cache_rollouts"),
+            ("rng_seed = 7", "rng_seed = 7\ncache_rollouts = false", "cache_rollouts"),
             ("kind = scripted_adaptive", "kind = scripted_adaptive\ntemperature = hot", "temperature"),
             ("max_simulations = 5", "max_simulation = 2", "max_simulation"),
             ("[mutation]\nseed = 11", "[mutation]\nsed = 5", "sed"),
@@ -378,7 +378,7 @@ class TestSearchCommand:
         ids=[
             "seed_x",
             "k_five",
-            "cache_rollouts_maybe",
+            "removed_cache_rollouts",
             "temperature_hot",
             "max_simulation",
             "sed",
@@ -405,6 +405,27 @@ class TestSearchCommand:
         assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_every_manifest_key_is_read_by_its_type(self, tmp_path, monkeypatch):
+        """Each field a manifest or plan key sets is read by the type of its
+        default: an int, float, dict or frozenset one through ``_READERS``,
+        and any other one takes the key's text, so its default must be a str
+        or None. A bool field has no reader and is set only by a flag."""
+        read = []
+        config = cli._config
+
+        def recording(parser, name, cls, **owned):
+            read.append((cls, owned.keys()))
+            return config(parser, name, cls, **owned)
+
+        monkeypatch.setattr(cli, "_config", recording)
+        assert main(["search", "--manifest", write_manifest(tmp_path, setting="mutated_in", sims=1)]) == EXIT_OK
+        assert {cls for cls, _ in read} == {MutationPlan, SearchConfig, PolicyConfig}
+        for cls, owned in read:
+            for field in fields(cls):
+                if field.name not in owned:
+                    default = field.default_factory() if field.default is MISSING else field.default
+                    assert type(default) in cli._READERS or default is None or type(default) is str, field.name
 
     def _search_corpus(self, tmp_path, ids):
         """Search a corpus file holding coffee-easy-1 under each of ``ids``."""
@@ -746,10 +767,18 @@ def _lower_max_depth_past_the_deepest(doc):
     doc["config"]["max_depth"] = max(depth) - 1
 
 
+def _v6(doc):
+    """The same tree as format_version 6 wrote it: its config holds
+    ``cache_rollouts``."""
+    doc["format_version"] = 6
+    doc["config"]["cache_rollouts"] = True
+
+
 def _v5(doc):
     """The same tree as format_version 5 wrote it: the statistics stored
     instead of the simulation log, and one reward and failure per node."""
     tree = tree_from_json(json.dumps(doc))
+    _v6(doc)
     doc["format_version"] = 5
     del doc["simulations"]
     columns = doc["nodes"]
@@ -822,6 +851,7 @@ MALFORMED_TREES = {
     "format_v3": _v3,
     "format_v4": _v4,
     "format_v5": _v5,
+    "format_v6": _v6,
     "cached_beyond_depth_limit": _lower_max_depth_past_the_deepest,
     "column_too_short": lambda doc: doc["nodes"]["action"].pop(),
     "column_too_long": lambda doc: doc["nodes"]["action"].append(0),
@@ -882,6 +912,8 @@ class TestMalformedTrees:
         assert main(["export", "--trees", str(trees), "--out", str(tmp_path / "sft.jsonl")]) == EXIT_INVARIANT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: corrupt tree file") for line in err)
+        if case.startswith("format_v"):
+            assert all(line.endswith(f"unsupported tree format_version {case[-1]}") for line in err)
         assert not (tmp_path / "sft.jsonl").exists()
 
     def test_unmodified_doc_inspects_clean(self, tmp_path, capsys, small_tree_doc):

@@ -52,13 +52,11 @@ class DistractedPolicy:
     """The adaptive step three times, a wrong Finish and an unparseable text."""
 
     def __init__(self, corpus):
-        self.inner, self.texts = ScriptedAdaptivePolicy(corpus), set()
+        self.inner = ScriptedAdaptivePolicy(corpus)
 
     def propose(self, state, k):
         good = self.inner.propose(state, 1)[0]
-        texts = [good, WRONG_FINISH, good, "no labels here", good]
-        self.texts.update(texts)
-        return texts
+        return [good, WRONG_FINISH, good, "no labels here", good]
 
 
 def dummy_state() -> StateRecord:
@@ -227,37 +225,37 @@ class TestExpand:
         tree = _root_tree(corpus, "coffee-easy-1")
         new_ids = expand(tree, 0, ScriptedAdaptivePolicy(corpus), base_registry)
         assert len(new_ids) == 5
-        assert all(tree.node(i).prior == pytest.approx(0.2) for i in new_ids)
-        assert sum(tree.node(i).prior for i in new_ids) == pytest.approx(1.0)
-        assert all(tree.node(i).depth == 1 for i in new_ids)
+        assert all(tree.prior[i] == pytest.approx(0.2) for i in new_ids)
+        assert sum(tree.prior[i] for i in new_ids) == pytest.approx(1.0)
+        assert all(tree.depth[i] == 1 for i in new_ids)
 
     def test_cache_reuse_skips_policy(self, corpus, base_registry):
         policy = ScriptedAdaptivePolicy(corpus)
         tree = _root_tree(corpus, "coffee-easy-1")
         expand(tree, 0, policy, base_registry)
         rng = random.Random(0)
-        child = tree.node(tree.node(0).children[0])
-        simulate_cached(tree, child.id, policy, base_registry, rng)
-        grandchildren = list(tree.children[child.id])
-        assert grandchildren and all(tree.node(g).cached for g in grandchildren)
+        child = tree.children[0][0]
+        simulate_cached(tree, child, policy, base_registry, rng)
+        grandchildren = list(tree.children[child])
+        assert grandchildren and all(tree.cached[g] for g in grandchildren)
         calls_before = tree.stats["policy_calls"]
-        reused = expand(tree, child.id, policy, base_registry)
+        reused = expand(tree, child, policy, base_registry)
         assert reused == grandchildren
         assert tree.stats["policy_calls"] == calls_before
-        assert all(not tree.node(g).cached for g in grandchildren)
+        assert not any(tree.cached[g] for g in grandchildren)
 
     def test_deprecation_leaf_expands_to_successor_invocation(self, search_setup):
         corpus, registry, _ = search_setup
         policy = ScriptedAdaptivePolicy(corpus)
         tree = _root_tree(corpus, "coffee-easy-1")
         first_level = expand(tree, 0, policy, registry)
-        leaf = tree.node(first_level[0])
-        assert leaf.action.kind == "deprecation_error"
-        children = expand(tree, leaf.id, policy, registry)
+        leaf = first_level[0]
+        assert tree.action[leaf].kind == "deprecation_error"
+        children = expand(tree, leaf, policy, registry)
         successor = registry.deprecated["LoadDB"].successor
-        child = tree.node(children[0])
-        assert child.action.action_name == successor
-        assert child.action.kind == "response"
+        child = tree.action[children[0]]
+        assert child.action_name == successor
+        assert child.kind == "response"
 
     def test_unparseable_candidates_become_failed_terminals(self, corpus, base_registry):
         class GibberishPolicy:
@@ -268,9 +266,8 @@ class TestExpand:
         ids = expand(tree, 0, GibberishPolicy(), base_registry)
         assert len(ids) == 5
         for nid in ids:
-            node = tree.node(nid)
-            assert node.terminal and node.reward == -1
-            assert node.action.action_name == FAILED_ACTION_NAME
+            assert tree.reward[nid] == -1
+            assert tree.action[nid].action_name == FAILED_ACTION_NAME
 
     def test_each_distinct_candidate_is_parsed_and_executed_once(self, corpus, base_registry, monkeypatch):
         executed = []
@@ -283,21 +280,22 @@ class TestExpand:
         monkeypatch.setattr(mcts, "execute_action", counting)
         tree = _root_tree(corpus, "coffee-easy-1")
         ids = expand(tree, 0, MixedPolicy(), base_registry)
-        nodes = [tree.node(i) for i in ids]
+        actions = [tree.action[i] for i in ids]
         assert executed == ["LoadDB", "Finish"]
-        assert [n.action.action_name for n in nodes] == ["LoadDB", "Finish", "LoadDB", FAILED_ACTION_NAME, "Finish"]
-        assert len(set(ids)) == 5 and all(n.prior == pytest.approx(0.2) for n in nodes)
-        assert nodes[0].action is nodes[2].action and nodes[1].action is nodes[4].action
-        assert (nodes[1].terminal, nodes[1].reward) == (nodes[4].terminal, nodes[4].reward) == (True, -1)
-        assert nodes[0].action is not nodes[1].action and not nodes[0].terminal
-        assert nodes[3].terminal and nodes[3].failure
+        assert [a.action_name for a in actions] == ["LoadDB", "Finish", "LoadDB", FAILED_ACTION_NAME, "Finish"]
+        assert len(set(ids)) == 5 and all(tree.prior[i] == pytest.approx(0.2) for i in ids)
+        assert actions[0] is actions[2] and actions[1] is actions[4]
+        assert tree.reward[ids[1]] == tree.reward[ids[4]] == -1
+        assert actions[0] is not actions[1] and tree.reward[ids[0]] is None
+        assert tree.reward[ids[3]] == -1 and tree.failure[ids[3]]
         # The memo lives for the whole tree: a later expansion elsewhere that
         # gets the same texts reuses the records and executes nothing new.
-        deeper = [tree.node(i) for i in expand(tree, ids[0], MixedPolicy(), base_registry)]
+        deeper = expand(tree, ids[0], MixedPolicy(), base_registry)
         assert executed == ["LoadDB", "Finish"]
-        assert [n.action for n in deeper] == [n.action for n in nodes]
-        assert [(n.terminal, n.reward, n.failure) for n in deeper] == [(n.terminal, n.reward, n.failure) for n in nodes]
-        assert all(n.depth == 2 for n in deeper)
+        assert [tree.action[i] for i in deeper] == actions
+        outcomes = [(tree.reward[i], tree.failure[i]) for i in ids]
+        assert [(tree.reward[i], tree.failure[i]) for i in deeper] == outcomes
+        assert all(tree.depth[i] == 2 for i in deeper)
         # A searched tree has a memo of its own, and its loaded copy starts
         # with an empty one.
         searched = run_search(
@@ -333,18 +331,18 @@ class TestExpand:
         monkeypatch.setattr(mcts, "execute_action", counting)
         tree = _root_tree(corpus, "coffee-easy-1")
         first = expand(tree, 0, policy, base_registry)
-        assert tree.node(first[0]).action.kind == "response"
+        assert tree.action[first[0]].kind == "response"
         second = expand(tree, first[0], policy, mutated_registry)
         assert registries == [base_registry, mutated_registry]
-        assert tree.node(second[0]).action.kind == "deprecation_error"
+        assert tree.action[second[0]].kind == "deprecation_error"
         # A sibling on the same path of records reuses the stored children
         # under the same registry object, and is asked anew under another.
         again = expand(tree, first[1], policy, mutated_registry)
         assert (policy.calls, registries) == (2, [base_registry, mutated_registry])
-        assert [tree.node(i).action for i in again] == [tree.node(i).action for i in second]
+        assert [tree.action[i] for i in again] == [tree.action[i] for i in second]
         third = expand(tree, first[2], policy, base_registry)
         assert (policy.calls, registries) == (3, [base_registry, mutated_registry, base_registry])
-        assert tree.node(third[0]).action.kind == "response"
+        assert tree.action[third[0]].kind == "response"
 
     def test_gate_marks_invocation_error_leaf_terminal(self, corpus, base_registry):
         config = SearchConfig(no_self_reflection=True)
@@ -358,7 +356,7 @@ class TestExpand:
         )
         leaf = append_node(tree, 0, action=bad)
         assert expand(tree, leaf, ScriptedAdaptivePolicy(corpus), base_registry) == []
-        assert tree.node(leaf).terminal and tree.reward[leaf] == -1
+        assert tree.reward[leaf] == -1
 
     def test_policy_failure_marks_leaf_failed(self, corpus, base_registry):
         class FailingPolicy:
@@ -367,9 +365,8 @@ class TestExpand:
 
         tree = _root_tree(corpus, "coffee-easy-1")
         assert expand(tree, 0, FailingPolicy(), base_registry) == []
-        root = tree.node(0)
-        assert root.terminal and root.reward == -1
-        assert "connection refused" in root.failure
+        assert tree.reward[0] == -1
+        assert "connection refused" in tree.failure[0]
 
 
 def _root_tree(corpus, task_id, config=None):
@@ -455,7 +452,7 @@ class TestRunSearch:
             corpus.manual, corpus.demos,
         )
         assert all(-1.0 <= n.q_value <= 1.0 for n in tree.nodes)
-        assert tree.node(0).visit_count == config.max_simulations
+        assert tree.visit_count[0] == config.max_simulations
 
     def test_selection_never_returns_cached(self, search_setup, selected_leaves):
         corpus, registry, config = search_setup
@@ -472,25 +469,6 @@ class TestRunSearch:
         one = run_search(*args, ScriptedAdaptivePolicy(corpus), config, corpus.manual, corpus.demos)
         two = run_search(*args, ScriptedAdaptivePolicy(corpus), config, corpus.manual, corpus.demos)
         assert tree_to_json(one) == tree_to_json(two)
-
-    def test_cache_reduces_policy_calls_with_same_outcomes(self, search_setup):
-        corpus, registry, config = search_setup
-        task = corpus.task("coffee-hard-4")
-        cached_tree = run_search(task, registry, ScriptedAdaptivePolicy(corpus), config, corpus.manual, corpus.demos)
-        uncached_tree = run_search(
-            task, registry, ScriptedAdaptivePolicy(corpus), replace(config, cache_rollouts=False),
-            corpus.manual, corpus.demos,
-        )
-        assert cached_tree.stats["policy_calls"] < uncached_tree.stats["policy_calls"]
-
-        def visible_rewards(tree):
-            return sorted(
-                (tuple(a.action_name for a in tree.actions(n.id)), n.reward)
-                for n in tree.nodes
-                if n.terminal and not n.cached
-            )
-
-        assert visible_rewards(cached_tree) == visible_rewards(uncached_tree)
 
 
 class TestSearchConfig:
@@ -612,51 +590,6 @@ def test_real_trees_round_trip(corpus, kind, ablation):
         assert canonical_fields(loaded) == canonical_fields(tree)
 
 
-# Rollout rewards per simulation ("+" for +1), the first 16 hex chars of
-# sha256 over ``canonical_fields`` without ``stats`` and the policy calls of
-# each tree that DistractedPolicy grows with cache_rollouts off at rng_seed 7
-# on the seed-7 mutated registry, as when every rollout step was parsed and
-# executed anew.
-UNCACHED_PINS = {
-    "coffee-hard-4": ("------------------------------", "414c7a89d85925d0", 86),
-    "agenda-easy-3": ("---------------+--------+--++-", "7723edae9f3ef1da", 81),
-}
-
-
-def test_uncached_rollouts_parse_each_distinct_text_once(corpus, monkeypatch):
-    """With cache_rollouts off, a rollout step takes its outcome from the
-    tree's candidate memo: parse_action runs at most once per distinct text of
-    a tree (a rollout parses only the text it follows), and the rewards and the
-    tree are what they were without the memo."""
-
-    parsed, rewards = [], []
-    parse, simulate = mcts.parse_action, mcts.simulate_cached
-
-    def counting_parse(text):
-        parsed.append(text)
-        return parse(text)
-
-    def recording_simulate(*args):
-        rewards.append(simulate(*args))
-        return rewards[-1]
-
-    monkeypatch.setattr(mcts, "parse_action", counting_parse)
-    monkeypatch.setattr(mcts, "simulate_cached", recording_simulate)
-    registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
-    for task_id, (expected_rewards, expected_digest, expected_calls) in UNCACHED_PINS.items():
-        parsed.clear()
-        rewards.clear()
-        policy = DistractedPolicy(corpus)
-        tree = run_search(
-            corpus.task(task_id), registry, policy, SearchConfig(rng_seed=7, cache_rollouts=False),
-            corpus.manual, corpus.demos,
-        )
-        assert len(parsed) == len(set(parsed)) and set(parsed) <= policy.texts
-        assert "".join("+" if r == 1 else "-" for r in rewards) == expected_rewards
-        assert hashlib.sha256(canonical_fields(tree, stats=False).encode("utf-8")).hexdigest()[:16] == expected_digest
-        assert tree.stats["policy_calls"] == expected_calls
-
-
 # First 16 hex chars of sha256 over ``canonical_fields`` without ``stats`` of
 # coffee-hard-4 then agenda-easy-3, searched at rng_seed 7 on the seed-7
 # mutated registry, and the policy calls of each tree; each tree also survives
@@ -664,13 +597,12 @@ def test_uncached_rollouts_parse_each_distinct_text_once(corpus, monkeypatch):
 # backprop order changes the digest; asking a policy more or less often changes
 # the calls.
 SEARCH_PINS = {
-    "adaptive": ("scripted_adaptive", {}, "48428ac5e61d8ed9", [14, 10]),
-    "rigid": ("scripted_rigid", {}, "fe0b987c2f16e3f2", [15, 15]),
+    "adaptive": ("scripted_adaptive", {}, "d4bef174e972b67f", [14, 10]),
+    "rigid": ("scripted_rigid", {}, "b7357c734c7921fb", [15, 15]),
     "semi_adaptive_no_self_reflection": (
-        "scripted_semi_adaptive", {"no_self_reflection": True}, "ca9aa59f1bccee12", [14, 10],
+        "scripted_semi_adaptive", {"no_self_reflection": True}, "2c7970cabc5df638", [14, 10],
     ),
-    "rigid_max_depth_4": ("scripted_rigid", {"max_depth": 4}, "01cff7debded7d4b", [4, 4]),
-    "adaptive_no_cache": ("scripted_adaptive", {"cache_rollouts": False}, "5515ccd9a149cbc7", [227, 130]),
+    "rigid_max_depth_4": ("scripted_rigid", {"max_depth": 4}, "592ad8684e9203a2", [4, 4]),
 }
 
 
@@ -720,14 +652,13 @@ def unmarked(policy):
     return copy
 
 
-@pytest.mark.parametrize("cache_rollouts", [True, False])
 @pytest.mark.parametrize("ablation", ["full", "no_self_reflection", "no_tool_update"])
 @pytest.mark.parametrize("kind", ["scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive"])
-def test_a_pure_policy_grows_the_trees_of_an_unmarked_one(corpus, kind, ablation, cache_rollouts):
+def test_a_pure_policy_grows_the_trees_of_an_unmarked_one(corpus, kind, ablation):
     """Asking a pure policy once per distinct path changes nothing but the
     number of policy calls."""
     overrides = {} if ablation == "full" else {ablation: True}
-    config = SearchConfig(rng_seed=7, cache_rollouts=cache_rollouts, **overrides)
+    config = SearchConfig(rng_seed=7, **overrides)
     registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
     pure = build_policy(PolicyConfig(kind=kind, emit_tool_updates=ablation != "no_tool_update"), corpus)
     assert pure.pure
@@ -788,19 +719,16 @@ def _registry(seed: int | None):
     rng_seed=st.integers(0, 2**16),
     sims=st.integers(1, 30),
     max_depth=st.integers(1, 15),
-    cache_rollouts=st.booleans(),
     ablation=st.sampled_from(["full", "no_self_reflection", "no_tool_update"]),
     task_index=st.integers(0, 23),
 )
 @settings(max_examples=60)
 def test_searched_columns_load_back_and_siblings_are_consecutive(
-    kind, registry_seed, rng_seed, sims, max_depth, cache_rollouts, ablation, task_index
+    kind, registry_seed, rng_seed, sims, max_depth, ablation, task_index
 ):
     corpus = load_corpus()
     overrides = {} if ablation == "full" else {ablation: True}
-    config = SearchConfig(
-        rng_seed=rng_seed, max_simulations=sims, max_depth=max_depth, cache_rollouts=cache_rollouts, **overrides
-    )
+    config = SearchConfig(rng_seed=rng_seed, max_simulations=sims, max_depth=max_depth, **overrides)
     policy = build_policy(PolicyConfig(kind=kind, emit_tool_updates=ablation != "no_tool_update"), corpus)
     tree = run_search(
         corpus.tasks[task_index], _registry(registry_seed), policy, config, corpus.manual, corpus.demos
@@ -845,22 +773,19 @@ REFERENCE_FIELDS = ("parent", "action", "q_value", "visit_count", "prior", "cach
     rng_seed=st.integers(0, 2**16),
     sims=st.integers(1, 30),
     max_depth=st.integers(1, 15),
-    cache_rollouts=st.booleans(),
     ablation=st.sampled_from(["full", "no_self_reflection", "no_tool_update"]),
     task_index=st.integers(0, 23),
 )
 @settings(max_examples=40)
 def test_run_search_grows_the_reference_tree(
-    kind, registry_seed, rng_seed, sims, max_depth, cache_rollouts, ablation, task_index
+    kind, registry_seed, rng_seed, sims, max_depth, ablation, task_index
 ):
     """``run_search`` and the plain reference grow the same columns and log,
     Q values bit for bit, and so does the tree a written one loads back to;
     only the number of policy calls differs, by design."""
     corpus = load_corpus()
     overrides = {} if ablation == "full" else {ablation: True}
-    config = SearchConfig(
-        rng_seed=rng_seed, max_simulations=sims, max_depth=max_depth, cache_rollouts=cache_rollouts, **overrides
-    )
+    config = SearchConfig(rng_seed=rng_seed, max_simulations=sims, max_depth=max_depth, **overrides)
     if kind == "mixed":
         policy = MixedPolicy()
     elif kind == "distracted":

@@ -308,9 +308,8 @@ class TestRemotePolicy:
             corpus.task("coffee-easy-1"), base_registry, policy, SearchConfig(max_simulations=3),
             corpus.manual, corpus.demos,
         )
-        root = tree.node(tree.root_id)
-        assert len(tree.nodes) == 1 and root.terminal and root.reward == -1
-        assert root.failure.startswith("remote policy failed")
+        assert len(tree.parent) == 1 and tree.reward[tree.root_id] == -1
+        assert tree.failure[tree.root_id].startswith("remote policy failed")
 
     def test_wire_format_and_arity(self, corpus, completion_server, caplog):
         url, handler = completion_server

@@ -284,12 +284,12 @@ def test_search_over_inputs_past_the_limits_ends_in_malformed_actions(corpus, ba
         corpus.task("coffee-easy-1"), base_registry, PastTheLimitsPolicy(), SearchConfig(k=4, max_simulations=3),
         corpus.manual, corpus.demos,
     )
-    children = [tree.node(i) for i in tree.node(tree.root_id).children]
+    children = tree.children[tree.root_id]
     assert len(children) == len(PAST_THE_LIMITS)
-    for node in children:
-        assert node.action.action_name == FAILED_ACTION_NAME
-        assert node.terminal and node.reward == -1
-        assert node.failure.startswith("could not parse field 'Action Input'")
+    for child in children:
+        assert tree.action[child].action_name == FAILED_ACTION_NAME
+        assert tree.reward[child] == -1
+        assert tree.failure[child].startswith("could not parse field 'Action Input'")
 
 
 class TestRenderPrompt:
