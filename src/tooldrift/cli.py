@@ -237,10 +237,6 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
 
     search_cfg = _config(parser, "search", SearchConfig, no_self_reflection=overrides.no_self_reflection,
                          no_tool_update=overrides.no_tool_update)
-    flags = {"max_simulations": overrides.sims, "trees_per_task": overrides.trees}
-    with _exits(EXIT_CONFIG, "bad --sims or --trees"):
-        search_cfg = replace(search_cfg, **{key: value for key, value in flags.items() if value is not None})
-
     policy_cfg = _config(parser, "policy", PolicyConfig, emit_tool_updates=not overrides.no_tool_update)
     with _exits(EXIT_CONFIG, f"[policy] kind {policy_cfg.kind}", UnknownTaskError):
         policy = build_policy(policy_cfg, corpus)
@@ -368,11 +364,12 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _node_label(tree: SearchTree, node_id: int) -> str:
-    action, reward = tree.action[node_id], tree.reward[node_id]
+def _node_label(node) -> str:
+    """One line of the outline for a row of ``SearchTree.nodes``."""
+    action, reward = node.action, node.reward
     label = "root" if action is None else action.action_name
     flags = []
-    if tree.cached[node_id]:
+    if node.cached:
         flags.append("[cached]")
     if reward is not None:
         flags.append(f"[terminal r={reward:+d}]")
@@ -380,10 +377,7 @@ def _node_label(tree: SearchTree, node_id: int) -> str:
     if kind is not None and kind.endswith("_error"):
         flags.append(f"[{kind}]")
     suffix = " " + " ".join(flags) if flags else ""
-    return (
-        f"[{node_id}] {label} N={tree.visit_count[node_id]} Q={tree.q_value[node_id]:+.3f} "
-        f"P={tree.prior[node_id]:.2f} d={tree.depth[node_id]}{suffix}"
-    )
+    return f"[{node.id}] {label} N={node.visit_count} Q={node.q_value:+.3f} P={node.prior:.2f} d={node.depth}{suffix}"
 
 
 def cmd_inspect(args) -> int:
@@ -391,11 +385,12 @@ def cmd_inspect(args) -> int:
     print(f"tree {tree.tree_id} task={tree.task.id} generation={tree.registry_generation} "
           f"simulations={tree.visit_count[0]} policy_calls={tree.stats['policy_calls']}")
 
-    stack = [(tree.root_id, 0)]
+    nodes = tree.nodes
+    stack = [(nodes[tree.root_id], 0)]
     while stack:
-        node_id, indent = stack.pop()
-        print("  " * indent + _node_label(tree, node_id))
-        stack.extend((child, indent + 1) for child in reversed(tree.children[node_id]))
+        node, indent = stack.pop()
+        print("  " * indent + _node_label(node))
+        stack.extend((nodes[child], indent + 1) for child in reversed(node.children))
     # tree_from_json has checked the invariants.
     print("invariants: ok")
     return EXIT_OK
@@ -425,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="search threads; they overlap a remote policy's requests, and a scripted policy runs fastest at 1",
     )
-    p_search.add_argument("--trees", type=int, default=None, help="override trees per task")
-    p_search.add_argument("--sims", type=int, default=None, help="override simulations per tree")
     p_search.add_argument("--no-tool-update", dest="no_tool_update", action="store_true")
     p_search.add_argument("--no-self-reflection", dest="no_self_reflection", action="store_true")
     p_search.set_defaults(func=cmd_search)

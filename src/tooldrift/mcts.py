@@ -11,15 +11,16 @@ registry, so a tree parses and executes each distinct text once per registry
 object it is expanded under, and asks a ``pure`` policy once per distinct path;
 neither memo is serialized.
 
-The frontier is a property of the node flags: an open leaf is a visible
-(not cached), non-terminal node above the depth limit with no visible child.
-Every simulation selects the best open leaf by PUCT, expands it with k policy
-candidates (reusing rollout-built children when the cache holds them),
+The frontier is a property of the expansions: a node is visible when it is
+the root or its parent has been expanded, and an open leaf is a visible,
+non-terminal node above the depth limit that is not expanded. Every simulation
+selects the best open leaf by PUCT, expands it with k policy candidates, each
+with prior 1/k (reusing the children a rollout built when it stored them),
 simulates one new child to a terminal reward, and propagates the reward to the
-root with incremental-mean updates. Rollout-created nodes stay in the tree but
-are invisible to selection until an expansion unhides them. The tree logs each
-simulation's leaf, chosen node and reward; the statistics and flags are a
-replay of that log, so a tree file stores the log instead of them.
+root with incremental-mean updates. Rollout-built nodes stay in the tree but
+are hidden from selection until their parent is expanded. The tree logs each
+simulation's leaf, chosen node and reward; the statistics and the expanded
+nodes are a replay of that log, so a tree file stores the log instead of them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import random
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import compress, zip_longest
+from itertools import compress, groupby, zip_longest
 from typing import Any
 
 from .adapt import advance, execute_action, reflection_gate
@@ -75,17 +76,17 @@ class SearchTree:
     manual: tuple[str, ...] = ()
     demos: tuple[str, ...] = ()
     stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STATS_TYPES, 0))
-    # The node columns; tree JSON writes parent, action, reward and failure, and replays the rest from the log.
+    # The node columns; tree JSON writes parent (per expansion), action, reward and failure, and replays the rest.
     parent: list[int | None] = field(default_factory=lambda: [None])
     action: list[ActionRecord | None] = field(default_factory=lambda: [None])
     q_value: list[float] = field(default_factory=lambda: [0.0])
     visit_count: list[int] = field(default_factory=lambda: [0])
-    prior: list[float] = field(default_factory=lambda: [1.0])
-    cached: list[bool] = field(default_factory=lambda: [False])
     reward: list[int | None] = field(default_factory=lambda: [None])
     failure: list[str | None] = field(default_factory=lambda: [None])
     # One [leaf, chosen, reward] entry per simulation run, in order.
     simulations: list[list[int]] = field(default_factory=list)
+    # The nodes ``expand`` has opened, whose children selection sees; the log's leaves.
+    expanded: set[int] = field(default_factory=set)
     # Derived from ``parent``, so not compared: each node's children in id order, and its depth.
     children: list[Sequence[int]] = field(default_factory=lambda: [()], compare=False)
     depth: list[int] = field(default_factory=lambda: [0], compare=False)
@@ -98,10 +99,17 @@ class SearchTree:
 
     @property
     def nodes(self) -> tuple[Node, ...]:
-        """Every node's row, in id order, as it is now."""
-        columns = (getattr(self, name) for name in _NODE_COLUMNS)
+        """Every node's row, in id order, as it is now: a child's prior is
+        1/(its number of siblings and itself), and it is cached until its
+        parent is expanded."""
+        parent, children, expanded = self.parent, self.children, self.expanded
+        prior = [1.0, *(1.0 / len(children[p]) for p in parent[1:])]
+        cached = [False, *(p not in expanded for p in parent[1:])]
         terminal = [reward is not None for reward in self.reward]
-        return tuple(map(Node, range(len(self.parent)), *columns, map(tuple, self.children), self.depth, terminal))
+        return tuple(map(
+            Node, range(len(parent)), parent, self.action, self.q_value, self.visit_count, prior, cached,
+            self.reward, self.failure, map(tuple, children), self.depth, terminal,
+        ))
 
     def successful_leaves(self) -> list[int]:
         return [node_id for node_id, reward in enumerate(self.reward) if reward == 1]
@@ -128,20 +136,21 @@ def puct_score(parent_visits: int, q_value: float, prior: float, visit_count: in
 def select_leaf(tree: SearchTree) -> int | None:
     """Walk from the root by PUCT to the best open leaf; None when exhausted.
 
-    An open leaf is a visible, non-terminal node above ``max_depth`` with no
-    visible child. Each step takes the argmax over the children that lead to
-    one, ties toward the smallest child index.
+    An open leaf is a visible, non-terminal node above ``max_depth`` that is
+    not expanded. Each step takes the argmax over the expanded node's children
+    that lead to one, each with prior 1/(number of children), ties toward the
+    smallest child index.
 
     Which nodes lead to one is kept on the tree between calls, less the path
     to the leaf returned: the caller changes only that leaf's subtree, whose
     other nodes were hidden until the leaf is expanded.
     """
-    children, cached, reward, depth = tree.children, tree.cached, tree.reward, tree.depth
+    children, expanded, reward, depth = tree.children, tree.expanded, tree.reward, tree.depth
     max_depth, reachable = tree.config.max_depth, tree._reachable
 
     def leads_to_open(node_id: int) -> bool:
         # Depth first over visible nodes with an explicit stack, so any depth is
-        # searched. A node stays stacked under its first unknown visible child
+        # searched. An expanded node stays stacked under its first unknown child
         # until one child leads to an open leaf or all of them are known not to.
         stack = [] if node_id in reachable else [node_id]
         while stack:
@@ -149,11 +158,10 @@ def select_leaf(tree: SearchTree) -> int | None:
             known = False
             if reward[node] is None:
                 known = depth[node] < max_depth
-                for child in children[node]:
-                    if not cached[child]:
-                        known = reachable.get(child)
-                        if known is not False:
-                            break
+                for child in children[node] if node in expanded else ():
+                    known = reachable.get(child)
+                    if known is not False:
+                        break
                 if known is None:
                     stack.append(child)
                     continue
@@ -162,11 +170,11 @@ def select_leaf(tree: SearchTree) -> int | None:
 
     if not leads_to_open(tree.root_id):
         return None
-    q_value, prior, visit_count, c_puct = tree.q_value, tree.prior, tree.visit_count, tree.config.c_puct
+    q_value, visit_count, c_puct = tree.q_value, tree.visit_count, tree.config.c_puct
     cur = tree.root_id
-    while open_children := [c for c in children[cur] if not cached[c] and leads_to_open(c)]:
-        visits = visit_count[cur]
-        cur = max(open_children, key=lambda c: puct_score(visits, q_value[c], prior[c], visit_count[c], c_puct))
+    while cur in expanded and (open_children := [c for c in children[cur] if leads_to_open(c)]):
+        visits, prior = visit_count[cur], 1.0 / len(children[cur])
+        cur = max(open_children, key=lambda c: puct_score(visits, q_value[c], prior, visit_count[c], c_puct))
     node: int | None = cur
     while node is not None:
         del reachable[node]
@@ -202,10 +210,10 @@ def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: Too
 
 
 def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) -> Sequence[int]:
-    """The node's children: on first use, one hidden child per policy
-    candidate, each with prior 1/len(texts), appended in one step with
-    consecutive ids; () once the node is a failed terminal, because the
-    reflection gate stops it or the policy fails.
+    """The node's children: on first use, one child per policy candidate,
+    appended in one step with consecutive ids and hidden from selection until
+    ``expand`` opens the node; () once the node is a failed terminal, because
+    the reflection gate stops it or the policy fails.
 
     An error state passes the gate, so it expands with the error in context;
     under the self-reflection ablation an invocation-error node stops.
@@ -246,8 +254,6 @@ def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) ->
     tree.action += actions
     tree.q_value += [0.0] * k
     tree.visit_count += [0] * k
-    tree.prior += [1.0 / k] * k
-    tree.cached += [True] * k
     tree.reward += rewards
     tree.failure += failures
     tree.children += [()] * k
@@ -257,11 +263,11 @@ def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) ->
 
 
 def expand(tree: SearchTree, leaf_id: int, policy, registry: ToolRegistry) -> list[int]:
-    """Unhide the leaf's children, reusing those an earlier rollout cached
-    without a policy call; [] when the leaf became a failed terminal."""
+    """Open the leaf: its children, reused without a policy call when an
+    earlier rollout stored them, become visible to selection; [] when the leaf
+    became a failed terminal."""
     children = _children(tree, leaf_id, policy, registry)
-    for child_id in children:
-        tree.cached[child_id] = False
+    tree.expanded.add(leaf_id)
     return list(children)
 
 
@@ -334,26 +340,26 @@ def run_search(
 
 
 # ---------------------------------------------------------------------------
-# Serialization, tree JSON format_version 7, compact with sorted keys.
+# Serialization, tree JSON format_version 8, compact with sorted keys.
 # ``actions`` holds each distinct action (with its observation's ``kind``) once,
-# in order of first use. ``nodes`` is an object of columns indexed by node id.
-# ``parent`` (null for node 0, an earlier id otherwise) and ``action`` (null
-# for node 0, an index into ``actions`` otherwise) hold one entry per node;
+# in order of first use. ``nodes`` holds four lists. ``expansions`` has one
+# ``[parent, count]`` pair per expansion, in id order: node 0 is the root, and
+# each expansion gives an earlier, unexpanded node ``count`` children, the next
+# ids. ``action`` holds one index into ``actions`` per node after the root.
 # ``reward`` and ``failure`` hold one ``[id, value]`` pair per node whose value
-# is not null, ids strictly increasing. ``simulations`` is the search log:
-# one ``[leaf, chosen, reward]`` triple per simulation, where ``chosen`` is the
+# is not null, ids strictly increasing. ``simulations`` is the search log: one
+# ``[leaf, chosen, reward]`` triple per simulation, where ``chosen`` is the
 # leaf's child its rollout started from, or the leaf itself when it became a
-# failed terminal. The statistics are not written: ``_replay`` rebuilds
-# ``q_value``, ``visit_count``, ``prior`` and ``cached`` from ``parent`` and
-# the log. ``children`` (in id order; a searched tree's siblings are
-# consecutive ids) and ``depth`` are rebuilt from ``parent``, and ``terminal``
-# is derived; states are neither written nor rebuilt, since
+# failed terminal. ``parent``, ``children`` (a range of ids) and ``depth`` are
+# rebuilt from the expansions, and ``_replay`` rebuilds ``q_value``,
+# ``visit_count`` and ``expanded`` from the log; a node's prior, visibility and
+# ``terminal`` are derived. States are neither written nor rebuilt, since
 # ``SearchTree.state`` derives them from ``manual``, ``demos`` and the path's
-# actions. ``stats`` holds only ``policy_calls``. A loader of version 7 reads
+# actions. ``stats`` holds only ``policy_calls``. A loader of version 8 reads
 # no other version.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT_VERSION = 7
+TREE_FORMAT_VERSION = 8
 
 _DOC_TYPES = {
     "format_version": (int,),
@@ -375,16 +381,13 @@ _ACTION_TYPES = {
     "observation": (str, type(None)),
     "kind": (str, type(None)),
 }
-# The JSON types of a written column's entries: of every node's in a dense
-# column, and of each non-null value in a sparse one.
-_DENSE_TYPES = {"parent": (int, type(None)), "action": (int, type(None))}
+# The JSON type of each non-null value of a sparse column.
 _SPARSE_TYPES = {"reward": (int,), "failure": (str,)}
+_NODES_TYPES = dict.fromkeys(("expansions", "action", *_SPARSE_TYPES), (list,))
 # The columns replayed from the simulation log, each with the label ``inspect`` shows it under.
-_REPLAYED = {"q_value": "Q", "visit_count": "N", "prior": "P", "cached": "cached"}
-# Every node column of SearchTree, in the order of Node's fields.
-_NODE_COLUMNS = ("parent", "action", "q_value", "visit_count", "prior", "cached", "reward", "failure")
+_REPLAYED = {"q_value": "Q", "visit_count": "N"}
 # A read-only snapshot of one node's row, for readers; search never builds one.
-Node = namedtuple("Node", ("id", *_NODE_COLUMNS, "children", "depth", "terminal"))
+Node = namedtuple("Node", "id parent action q_value visit_count prior cached reward failure children depth terminal")
 # The counters of SearchTree.stats, each a count >= 0.
 _STATS_TYPES = {"policy_calls": (int,)}
 # JSON types accepted for a SearchConfig field, keyed by its default's type.
@@ -400,8 +403,13 @@ def _reject_constant(token: str):
     raise ValueError(f"tree: non-finite number {token}")
 
 
+def _expansions(parent: list[int | None]) -> list[list[int]]:
+    """One [parent, count] per run of equal parents after the root's, in id order."""
+    return [[node, len(list(run))] for node, run in groupby(parent[1:])]
+
+
 def tree_to_json(tree: SearchTree) -> str:
-    """The tree's format_version 7 text; a tree that breaks an invariant of
+    """The tree's format_version 8 text; a tree that breaks an invariant of
     ``check_tree_invariants``, one whose statistics are not the replay of its
     simulation log included, raises ValueError instead."""
     _require(check_tree_invariants(tree))
@@ -415,8 +423,8 @@ def tree_to_json(tree: SearchTree) -> str:
             key = json.dumps(entry, sort_keys=True, ensure_ascii=False)
             index_of[id(action)] = table.setdefault(key, (len(table), entry))[0]
     columns = {
-        "parent": tree.parent,
-        "action": list(map(index_of.__getitem__, map(id, tree.action))),
+        "expansions": _expansions(tree.parent),
+        "action": list(map(index_of.__getitem__, map(id, tree.action[1:]))),
         **{name: [[i, v] for i, v in enumerate(getattr(tree, name)) if v is not None] for name in _SPARSE_TYPES},
     }
     doc: dict[str, Any] = {
@@ -444,38 +452,13 @@ def _entries(items: list, types: tuple, what: str) -> list:
     return items
 
 
-def _node_columns(doc) -> dict[str, list]:
-    """The ``nodes`` object's columns with one entry per node, once the dense
-    ones share one non-zero length, each sparse one holds [id, value] pairs
-    with ids strictly increasing within it, and every entry has its column's
-    JSON types; a sparse column is filled out with None."""
-    columns = typed_object(doc, dict.fromkeys([*_DENSE_TYPES, *_SPARSE_TYPES], (list,)), "nodes")
-    lengths = {len(columns[name]) for name in _DENSE_TYPES}
-    if len(lengths) != 1:
-        raise ValueError(f"nodes: columns differ in length {sorted(lengths)}")
-    if lengths == {0}:
-        raise ValueError("tree has no nodes")
-    for name, allowed in _DENSE_TYPES.items():
-        odd = set(map(type, columns[name])).difference(allowed)
-        if odd:
-            raise ValueError(f"nodes: {name!r} holds {sorted(t.__name__ for t in odd)}")
-    n = len(columns["parent"])
-    for name, allowed in _SPARSE_TYPES.items():
-        pairs = _entries(columns[name], ((int,), allowed), f"nodes: {name!r} holds an entry that is not an [id, value]")
-        ids = [-1, *(i for i, _ in pairs), n]
-        if not all(map(int.__lt__, ids, ids[1:])):
-            raise ValueError(f"nodes: {name!r} ids do not increase strictly within [0, {n})")
-        columns[name] = list(map(dict(pairs).get, range(n)))
-    return columns
-
-
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 7 tree, its statistics replayed from its
-    simulation log; any malformed document (a NaN or Infinity token, a parent
-    that is not an earlier node, an action index that is not an int into
-    ``actions``, or a log entry that is not a triple of ints, included), or
-    one that breaks an invariant of ``check_tree_invariants``, raises
-    ValueError. Nodes that name one table entry share its ActionRecord."""
+    """Load a format_version 8 tree, grown one expansion at a time, its
+    statistics replayed from its simulation log; a malformed document (a NaN or
+    Infinity token, or an expansion, action index or log entry that the format
+    above does not allow, included), or one that breaks an invariant of
+    ``check_tree_invariants``, raises ValueError. Nodes that name one table
+    entry share its ActionRecord."""
     doc = json.loads(text, parse_constant=_reject_constant)
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != TREE_FORMAT_VERSION or type(version) is not int:
@@ -494,51 +477,58 @@ def tree_from_json(text: str) -> SearchTree:
         ActionRecord(**typed_object(entry, _ACTION_TYPES, f"action {index}"))
         for index, entry in enumerate(doc["actions"])
     ]
-    columns = _node_columns(doc["nodes"])
-    parents, indices = columns["parent"], columns["action"]
-    if parents[0] is not None or indices[0] is not None:
-        raise ValueError("node 0: the root has a parent or an action")
-    children: list[list[int]] = [[] for _ in parents]
-    depth = [0] * len(parents)
-    for node_id in range(1, len(parents)):
-        parent, action = parents[node_id], indices[node_id]
-        if parent is None or not 0 <= parent < node_id:
-            raise ValueError(f"node {node_id}: parent {parent!r} is not an earlier node")
-        if action is None or not 0 <= action < len(actions):
-            raise ValueError(f"node {node_id}: action {action!r} is not an index into actions")
-        children[parent].append(node_id)
-        depth[node_id] = depth[parent] + 1
-    columns["action"] = [None, *map(actions.__getitem__, indices[1:])]
+    nodes = typed_object(doc["nodes"], _NODES_TYPES, "nodes")
+    indices = nodes["action"]
+    parent, children, depth = [None], [()], [0]
+    for node, count in _entries(nodes["expansions"], ((int,), (int,)), "nodes: an expansion is not a [parent, count]"):
+        start = len(parent)
+        if not 0 <= node < start:
+            raise ValueError(f"nodes: an expansion's parent {node} is not an earlier node")
+        if children[node]:
+            raise ValueError(f"nodes: node {node} is expanded twice")
+        if count < 1:
+            raise ValueError(f"nodes: node {node} is expanded with count {count}")
+        if start + count > len(indices) + 1:
+            raise ValueError(f"nodes: the expansions hold more nodes than {len(indices)} actions and the root")
+        parent += [node] * count
+        depth += [depth[node] + 1] * count
+        children += [()] * count
+        children[node] = range(start, start + count)
+    n, odd = len(parent), {*map(type, indices)} - {int}
+    if len(indices) != n - 1 or odd or indices and not 0 <= min(indices) <= max(indices) < len(actions):
+        raise ValueError(f"nodes: action does not hold one index into actions for each of {n - 1} non-root nodes")
+    columns = {"action": [None, *map(actions.__getitem__, indices)]}
+    for name, allowed in _SPARSE_TYPES.items():
+        pairs = _entries(nodes[name], ((int,), allowed), f"nodes: {name!r} holds an entry that is not an [id, value]")
+        ids = [-1, *(i for i, _ in pairs), n]
+        if not all(map(int.__lt__, ids, ids[1:])):
+            raise ValueError(f"nodes: {name!r} ids do not increase strictly within [0, {n})")
+        columns[name] = list(map(dict(pairs).get, range(n)))
     log = _entries(doc["simulations"], ((int,),) * 3, "simulations: an entry is not a [leaf, chosen, reward] of ints")
     tree = SearchTree(
         task=task, config=config, registry_generation=doc["registry_generation"], tree_id=doc["tree_id"],
         manual=tuple(doc["manual"]), demos=tuple(doc["demos"]), stats=stats, simulations=log,
-        children=children, depth=depth, **columns,
+        parent=parent, children=children, depth=depth, **columns,
     )
     _require(_stored_problems(tree))
     return _replay(tree)
 
 
 def _replay(tree: SearchTree) -> SearchTree:
-    """``tree`` with the q_value, visit_count, prior and cached columns that
-    search leaves: a child's prior is 1/(its number of siblings and itself),
-    the root and each logged leaf's children are visible, and each logged
-    reward is backed up from its chosen node, in log order."""
-    n, children = len(tree.parent), tree.children
-    share = {node: 1.0 / count for node, count in Counter(tree.parent[1:]).items()}
-    tree.prior = [1.0, *map(share.__getitem__, tree.parent[1:])]
-    tree.cached = [False] + [True] * (n - 1)
+    """``tree`` with the q_value, visit_count and expanded that search leaves:
+    each logged leaf is expanded, and each logged reward is backed up from its
+    chosen node, in log order."""
+    n = len(tree.parent)
     tree.q_value, tree.visit_count = [0.0] * n, [0] * n
-    for leaf, chosen, reward in tree.simulations:
-        for child in children[leaf]:
-            tree.cached[child] = False
+    tree.expanded = {leaf for leaf, _, _ in tree.simulations}
+    for _, chosen, reward in tree.simulations:
         backpropagate(tree, chosen, reward)
     return tree
 
 
 def _stored_problems(tree: SearchTree) -> list[str]:
     """The invariants that the facts a tree file stores break: the log's, the
-    depths' and the rewards'."""
+    siblings', the depths' and the rewards'."""
     parent, reward, children, config, log = tree.parent, tree.reward, tree.children, tree.config, tree.simulations
     problems = [f"{len(log)} simulations exceed max_simulations"] if len(log) > config.max_simulations else []
     for i, (leaf, chosen, logged) in enumerate(log):
@@ -547,19 +537,23 @@ def _stored_problems(tree: SearchTree) -> list[str]:
             problems.append(f"simulation {i}: chosen {chosen} is not node {leaf} or a child of it")
         if logged not in (-1, 1):
             problems.append(f"simulation {i}: reward {logged!r} is not -1 or +1")
-    expanded = list(compress(range(len(children)), children))
+    # A file stores one expansion per run of siblings, so each node's children are consecutive ids.
+    runs = Counter(node for node, _ in groupby(parent[1:]))
+    with_children = compress(range(len(children)), children)
     return [
         *problems,
+        *(f"node {node}: children are not consecutive ids" for node, count in runs.items() if count > 1),
         *(f"node {i}: beyond depth limit" for i, d in enumerate(tree.depth) if d > config.max_depth),
         *(f"node {i}: reward {r!r} is not -1 or +1" for i, r in enumerate(reward) if r not in (None, -1, 1)),
-        *(f"node {i}: terminal node has children" for i in expanded if reward[i] is not None),
+        *(f"node {i}: terminal node has children" for i in with_children if reward[i] is not None),
     ]
 
 
 def check_tree_invariants(tree: SearchTree) -> list[str]:
     """The invariants ``tree`` breaks, one line each; empty for a sound tree.
-    Once its log, depths and rewards are sound, each column the log replays
-    must equal its replay; the first node where one does not is named."""
+    Once its log, siblings, depths and rewards are sound, each column the log
+    replays, and the expanded nodes, must equal their replay; the first node
+    where one does not is named."""
     problems = _stored_problems(tree)
     if problems:
         return problems
@@ -569,4 +563,8 @@ def check_tree_invariants(tree: SearchTree) -> list[str]:
         if stored != replayed:
             node, value, expected = next((i, *p) for i, p in enumerate(zip_longest(stored, replayed)) if p[0] != p[1])
             problems.append(f"node {node}: {label}={value} is not its replay {label}={expected}")
+    if tree.expanded != rebuilt.expanded:
+        node = min(tree.expanded ^ rebuilt.expanded)
+        stored = node in tree.expanded
+        problems.append(f"node {node}: expanded={stored} is not its replay expanded={not stored}")
     return problems

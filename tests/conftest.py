@@ -38,7 +38,7 @@ def selected_leaves(monkeypatch):
     def spy(tree):
         leaf = select(tree)
         if leaf is not None:
-            seen.append((leaf, tree.cached[leaf]))
+            seen.append((leaf, tree.nodes[leaf].cached))
         return leaf
 
     monkeypatch.setattr(mcts, "select_leaf", spy)

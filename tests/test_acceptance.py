@@ -95,21 +95,20 @@ class TestCriterion2Puct:
             start = time.perf_counter()
             for _ in range(10_000):
                 visits, m = rng.randint(0, 200), rng.randint(1, 8)
-                # A root with m children in one expansion, written column by column.
+                # A root with m children in one expansion, written column by
+                # column; each child's prior is 1/m, so Q and N decide.
                 tree = SearchTree(
                     task=state.task, config=SearchConfig(), parent=[None] + [0] * m, action=[None] * (1 + m),
-                    visit_count=[visits], q_value=[0.0], prior=[1.0], cached=[False] * (1 + m),
-                    reward=[None] * (1 + m), failure=[None] * (1 + m), children=[range(1, 1 + m)] + [()] * m,
-                    depth=[0] + [1] * m,
+                    visit_count=[visits], q_value=[0.0], reward=[None] * (1 + m), failure=[None] * (1 + m),
+                    expanded={0}, children=[range(1, 1 + m)] + [()] * m, depth=[0] + [1] * m,
                 )
                 for _ in range(m):
                     tree.q_value.append(rng.choice((-1.0, -0.5, 0.0, 0.25, 0.25, 0.5, 1.0)))
                     tree.visit_count.append(rng.randint(0, 12))
-                    tree.prior.append(rng.choice((0.1, 0.2, 0.2, 0.25, 0.5)))
                 got = select_leaf(tree)
                 expected, expected_score = None, -math.inf
                 for child_id in tree.children[0]:
-                    score = puct_score(tree.visit_count[0], tree.q_value[child_id], tree.prior[child_id],
+                    score = puct_score(tree.visit_count[0], tree.q_value[child_id], 1.0 / m,
                                        tree.visit_count[child_id], tree.config.c_puct)
                     if score > expected_score:
                         expected, expected_score = child_id, score

@@ -62,8 +62,8 @@ def expansion_stops(text, kind, no_self_reflection=False) -> bool:
     # A root whose one child took ``step``, written column by column.
     tree = SearchTree(
         task=make_state().task, config=SearchConfig(no_self_reflection=no_self_reflection), parent=[None, 0],
-        action=[None, step], q_value=[0.0] * 2, visit_count=[0] * 2, prior=[1.0] * 2, cached=[False] * 2,
-        reward=[None] * 2, failure=[None] * 2, children=[[1], ()], depth=[0, 1],
+        action=[None, step], q_value=[0.0] * 2, visit_count=[0] * 2, reward=[None] * 2, failure=[None] * 2,
+        expanded={0}, children=[range(1, 2), ()], depth=[0, 1],
     )
     # Malformed candidates never reach the registry.
     children = expand(tree, 1, MalformedPolicy(), registry=None)

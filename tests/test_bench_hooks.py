@@ -4,13 +4,15 @@
 command that exits 0 shows that all of them still exist. ``bench/run.py``
 searches in process through ``cli.run_manifest`` with ``cli.build_policy``
 patched, for the reference outcomes of the remote workload, on a manifest read
-by a plain ``configparser.ConfigParser`` it builds itself.
+by a plain ``configparser.ConfigParser`` it builds itself, and it reads the
+tree files that ``search`` writes with a reader of its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,8 +36,11 @@ setting = consistent
 kind = scripted_adaptive
 """
 
+# One tree per task, of ``max_simulations`` simulations.
+SEARCH = "\n[search]\nmax_simulations = {}\ntrees_per_task = 1\n"
+
 OVERRIDES = argparse.Namespace(
-    setting=None, sims=None, trees=None, no_self_reflection=False, no_tool_update=False, jobs=1
+    setting=None, no_self_reflection=False, no_tool_update=False, jobs=1
 )
 
 SPANS = (
@@ -65,11 +70,8 @@ def traced_span_names(tmp_path, *argv) -> set[str]:
 
 def test_traced_search_records_every_layer(tmp_path):
     manifest = tmp_path / "run.ini"
-    manifest.write_text(MANIFEST, encoding="utf-8")
-    names = traced_span_names(
-        tmp_path, "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"),
-        "--trees", "1", "--sims", "2",
-    )
+    manifest.write_text(MANIFEST + SEARCH.format(2), encoding="utf-8")
+    names = traced_span_names(tmp_path, "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"))
     assert set(SPANS) <= names
 
 
@@ -77,12 +79,11 @@ def test_traced_mutate_and_mutated_search_record_the_drift_check(tmp_path):
     """Both derive the mutated registry through the one path that calls
     ``cli.verify_mutation``, the name the bench wraps."""
     manifest = tmp_path / "run.ini"
-    manifest.write_text(MANIFEST.replace("consistent", "mutated_in") + "\n[mutation]\nseed = 7\n", encoding="utf-8")
-    mutate = traced_span_names(tmp_path, "mutate", "--seed", "7", "--out", str(tmp_path / "m.json"))
-    search = traced_span_names(
-        tmp_path, "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"),
-        "--trees", "1", "--sims", "1",
+    manifest.write_text(
+        MANIFEST.replace("consistent", "mutated_in") + "\n[mutation]\nseed = 7\n" + SEARCH.format(1), encoding="utf-8"
     )
+    mutate = traced_span_names(tmp_path, "mutate", "--seed", "7", "--out", str(tmp_path / "m.json"))
+    search = traced_span_names(tmp_path, "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"))
     assert "mutation.verify_mutation" in mutate & search
 
 
@@ -90,12 +91,30 @@ def test_traced_export_records_the_load_path(tmp_path):
     """Export loads, collects and writes through the names the bench wraps
     on the load path, so none of them is skipped unnoticed."""
     manifest = tmp_path / "run.ini"
-    manifest.write_text(MANIFEST, encoding="utf-8")
+    manifest.write_text(MANIFEST + SEARCH.format(2), encoding="utf-8")
     trees = tmp_path / "out" / "trees"
-    search = ["search", "--manifest", str(manifest), "--output-dir", str(trees.parent), "--trees", "1", "--sims", "2"]
-    assert cli.main(search) == 0
+    assert cli.main(["search", "--manifest", str(manifest), "--output-dir", str(trees.parent)]) == 0
     names = traced_span_names(tmp_path, "export", "--trees", str(trees), "--out", str(tmp_path / "sft.jsonl"))
     assert {"mcts.tree_from_json", "trajectory.collect_from_trees", "trajectory.export_sft"} <= names
+
+
+def test_the_bench_reads_the_trees_search_writes(tmp_path, monkeypatch):
+    """``bench/run.py``'s ``tree_outcomes``, loaded as the bench runs it, on
+    the trees of a mutated_in search: every task solved on the drifted
+    generation, and no node records a policy transport failure."""
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    manifest = tmp_path / "run.ini"
+    manifest.write_text(
+        MANIFEST.replace("consistent", "mutated_in") + "\n[mutation]\nseed = 7\n" + SEARCH.format(10), encoding="utf-8"
+    )
+    assert cli.main(["search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out")]) == 0
+    solved, generations, transport_failures = run.tree_outcomes(tmp_path / "out" / "trees")
+    assert solved == {task.id: True for task in load_corpus().tasks}
+    assert (generations, transport_failures) == ({"mutated-7"}, 0)
 
 
 def test_run_manifest_searches_with_the_patched_policy():
@@ -110,7 +129,7 @@ def test_run_manifest_searches_with_the_patched_policy():
             return super().propose(state, k)
 
     parser = configparser.ConfigParser()
-    parser.read_string(MANIFEST + "\n[search]\nmax_simulations = 2\ntrees_per_task = 1\n")
+    parser.read_string(MANIFEST + SEARCH.format(2))
     policy = CountingPolicy(load_corpus())
     with mock.patch.object(cli, "build_policy", lambda config, corpus: policy):
         trees, corpus, _ = cli.run_manifest(parser, OVERRIDES)
@@ -130,7 +149,7 @@ def test_run_manifest_reads_every_mutation_key_from_a_plain_parser():
     parser.read_string(
         MANIFEST.replace("consistent", "mutated_in")
         + "\n[mutation]\nseed = 11\nkinds = name_text, param_text, param_format\nspecial_char = _\n"
-        + f"synonyms = {json.dumps(synonyms)}\n\n[search]\nmax_simulations = 2\ntrees_per_task = 1\n"
+        + f"synonyms = {json.dumps(synonyms)}\n" + SEARCH.format(2)
     )
     corpus = load_corpus()
     with mock.patch.object(cli, "build_policy", lambda config, corpus: ScriptedAdaptivePolicy(corpus)):

@@ -169,8 +169,11 @@ class TestMutateCommand:
         plan.write_text(section)
         assert main(["mutate", "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == EXIT_CONFIG
         manifest = tmp_path / "run.ini"
-        manifest.write_text(f"[run]\nsetting = mutated_in\noutput_dir = {tmp_path / 'out'}\n\n{section}")
-        assert main(["search", "--manifest", str(manifest), "--sims", "1"]) == EXIT_CONFIG
+        manifest.write_text(
+            f"[run]\nsetting = mutated_in\noutput_dir = {tmp_path / 'out'}\n\n"
+            f"[search]\nmax_simulations = 1\n\n{section}"
+        )
+        assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert all(line.startswith("error: mutation failed") and "Calculate" in line for line in err)
@@ -195,17 +198,21 @@ class TestMutateCommand:
         assert main(["mutate", "--base", base, "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == code
         manifest = tmp_path / "run.ini"
         manifest.write_text(
-            f"[run]\nregistry = {base}\nsetting = mutated_in\noutput_dir = {tmp_path / 'out'}\n\n{section}"
+            f"[run]\nregistry = {base}\nsetting = mutated_in\noutput_dir = {tmp_path / 'out'}\n\n"
+            f"[search]\nmax_simulations = 1\n\n{section}"
         )
-        assert main(["search", "--manifest", str(manifest), "--sims", "1"]) == code
+        assert main(["search", "--manifest", str(manifest)]) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith(message) for line in err)
         assert not (tmp_path / "m.json").exists() and not (tmp_path / "out").exists()
 
     def test_consistent_search_on_a_drifting_base_runs(self, tmp_path):
         manifest = tmp_path / "run.ini"
-        manifest.write_text(f"[run]\nregistry = {write_drift_base(tmp_path)}\noutput_dir = {tmp_path / 'out'}\n")
-        assert main(["search", "--manifest", str(manifest), "--sims", "1", "--trees", "1"]) == EXIT_OK
+        manifest.write_text(
+            f"[run]\nregistry = {write_drift_base(tmp_path)}\noutput_dir = {tmp_path / 'out'}\n\n"
+            "[search]\nmax_simulations = 1\ntrees_per_task = 1\n"
+        )
+        assert main(["search", "--manifest", str(manifest)]) == EXIT_OK
         assert (tmp_path / "out" / "trees").is_dir()
 
 
@@ -299,7 +306,7 @@ class TestSearchCommand:
         started = []
         monkeypatch.setattr(cli, "run_search", lambda *args, tree_id, **kwargs: started.append(tree_id) or tree_id)
         overrides = argparse.Namespace(
-            setting=None, sims=None, trees=None, no_self_reflection=False, no_tool_update=False, jobs=2
+            setting=None, no_self_reflection=False, no_tool_update=False, jobs=2
         )
         parser = cli._read_config(self._one_task_manifest(tmp_path, 1000))
         trees, _, _ = cli.search_manifest(parser, overrides)
@@ -374,6 +381,8 @@ class TestSearchCommand:
             ("kind = scripted_adaptive", "kind = scripted_adaptive\ntemperature = nan", "temperature"),
             ("kind = scripted_adaptive", "kind = scripted_adaptive\nrequest_timeout = -5", "request_timeout"),
             ("kind = scripted_adaptive", "kind = scripted_adaptive\nrequest_timeout = inf", "request_timeout"),
+            ("max_simulations = 5", "max_simulations = 0", "max_simulations"),
+            ("trees_per_task = 1", "trees_per_task = 0", "trees_per_task"),
         ],
         ids=[
             "seed_x",
@@ -395,6 +404,8 @@ class TestSearchCommand:
             "temperature_nan",
             "request_timeout_negative",
             "request_timeout_inf",
+            "max_simulations_0",
+            "trees_per_task_0",
         ],
     )
     def test_bad_manifest_value_is_config_error(self, tmp_path, capsys, old, new, named):
@@ -405,6 +416,7 @@ class TestSearchCommand:
         assert main(["search", "--manifest", str(manifest)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
 
     def test_every_manifest_key_is_read_by_its_type(self, tmp_path, monkeypatch):
         """Each field a manifest or plan key sets is read by the type of its
@@ -463,14 +475,6 @@ class TestSearchCommand:
         assert "no plan for task 'custom-1'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag, field", [("--sims", "max_simulations"), ("--trees", "trees_per_task")])
-    def test_flag_below_one_is_config_error(self, tmp_path, capsys, flag, field):
-        manifest = write_manifest(tmp_path, sims=2)
-        assert main(["search", "--manifest", manifest, flag, "0"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and flag in err and field in err
-        assert not (tmp_path / "out").exists()
-
     def test_search_deeper_than_the_recursion_limit_finishes(self, tmp_path, capsys):
         """With k = 1 every simulation unhides one more node of a single
         chain, so selection walks a visible path 1,200 nodes deep."""
@@ -497,17 +501,21 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("section", ["run", "search", "policy"])
     def test_absent_section_takes_defaults(self, tmp_path, capsys, section):
+        """On a one-task corpus, 1 tree of 5 simulations: without [run] the
+        builtin corpus is searched, and without [search] the default trees."""
+        tasks = tmp_path / "tasks.json"
+        tasks.write_text(tasks_to_json([load_corpus().task("coffee-easy-1")]))
         parser = configparser.ConfigParser()
-        parser.read_string(manifest_text(tmp_path, sims=5))
+        parser.read_string(manifest_text(tmp_path, sims=5).replace("corpus = builtin", f"corpus = {tasks}"))
         parser.remove_section(section)
         manifest = tmp_path / "run.ini"
         with open(manifest, "w") as handle:
             parser.write(handle)
         out = tmp_path / "out"
-        args = ["--manifest", str(manifest), "--output-dir", str(out), "--trees", "1", "--sims", "5"]
-        assert main(["search", *args]) == EXIT_OK
+        assert main(["search", "--manifest", str(manifest), "--output-dir", str(out)]) == EXIT_OK
         assert "100.0%" in capsys.readouterr().out
-        assert len(list((out / "trees").glob("*.json"))) == 24
+        expected = {"run": len(load_corpus().tasks), "search": SearchConfig().trees_per_task}.get(section, 1)
+        assert len(list((out / "trees").glob("*.json"))) == expected
 
     def test_tree_that_breaks_an_invariant_exits_4_unwritten(self, tmp_path, capsys, monkeypatch):
         def broken_search(*args, **kwargs):
@@ -725,19 +733,22 @@ def small_tree_doc():
         SearchConfig(max_simulations=5, rng_seed=3), corpus.manual, corpus.demos,
     )
     doc = json.loads(tree_to_json(tree))
-    assert len(doc["nodes"]["parent"]) > 3 and len(doc["nodes"]["reward"]) > 1
+    assert len(doc["nodes"]["expansions"]) > 2 and len(doc["nodes"]["reward"]) > 1
     assert len(doc["simulations"]) == doc["config"]["max_simulations"]
     return doc
 
 
-def _set(column, node_id, value):
+def _set(column, index, value):
     def edit(doc):
-        doc["nodes"][column][node_id] = value
+        doc["nodes"][column][index] = value
     return edit
 
 
-def _set_parent(node_id, parent):
-    return _set("parent", node_id, parent)
+def _set_expansion(index, position, value):
+    """Set entry ``position`` (0 parent, 1 count) of expansion ``index``."""
+    def edit(doc):
+        doc["nodes"]["expansions"][index][position] = value
+    return edit
 
 
 def _set_logged(position, value):
@@ -748,13 +759,29 @@ def _set_logged(position, value):
 
 
 def _node_count(doc) -> int:
-    return len(doc["nodes"]["parent"])
+    return 1 + len(doc["nodes"]["action"])
+
+
+def _parents(doc) -> list:
+    """Each node's parent, None for the root, as the expansions give them."""
+    return [None, *(node for node, count in doc["nodes"]["expansions"] for _ in range(count))]
+
+
+def _first_child(doc, index) -> int:
+    """The id of the first child that expansion ``index`` adds."""
+    return 1 + sum(count for _, count in doc["nodes"]["expansions"][:index])
+
+
+def _expand_each_other(doc):
+    """Put the first two expansions each under the other's first child."""
+    expansions = doc["nodes"]["expansions"]
+    expansions[0][0], expansions[1][0] = _first_child(doc, 1), _first_child(doc, 0)
 
 
 def _choose_beyond_the_child(doc):
     """Log the first simulation's choice as a node that is neither its leaf
     nor one of the leaf's children."""
-    leaf, parents = doc["simulations"][0][0], doc["nodes"]["parent"]
+    leaf, parents = doc["simulations"][0][0], _parents(doc)
     doc["simulations"][0][1] = next(i for i, p in enumerate(parents) if i != leaf and p not in (None, leaf))
 
 
@@ -762,14 +789,25 @@ def _lower_max_depth_past_the_deepest(doc):
     """Lower max_depth to the depth above the deepest nodes, which rollouts
     built; a file stores no cached flag, so the limit holds for every node."""
     depth = [0]
-    for parent in doc["nodes"]["parent"][1:]:
+    for parent in _parents(doc)[1:]:
         depth.append(depth[parent] + 1)
     doc["config"]["max_depth"] = max(depth) - 1
+
+
+def _v7(doc):
+    """The same tree as format_version 7 wrote it: one parent per node, and
+    the root's null action."""
+    doc["format_version"] = 7
+    columns = doc["nodes"]
+    columns["parent"] = _parents(doc)
+    del columns["expansions"]
+    columns["action"].insert(0, None)
 
 
 def _v6(doc):
     """The same tree as format_version 6 wrote it: its config holds
     ``cache_rollouts``."""
+    _v7(doc)
     doc["format_version"] = 6
     doc["config"]["cache_rollouts"] = True
 
@@ -777,13 +815,13 @@ def _v6(doc):
 def _v5(doc):
     """The same tree as format_version 5 wrote it: the statistics stored
     instead of the simulation log, and one reward and failure per node."""
-    tree = tree_from_json(json.dumps(doc))
+    rows = tree_from_json(json.dumps(doc)).nodes
     _v6(doc)
     doc["format_version"] = 5
     del doc["simulations"]
     columns = doc["nodes"]
     for column in ("q_value", "visit_count", "prior", "cached", "reward", "failure"):
-        columns[column] = getattr(tree, column)
+        columns[column] = [getattr(row, column) for row in rows]
 
 
 def _v4(doc):
@@ -821,20 +859,28 @@ def _v2(doc):
 
 
 MALFORMED_TREES = {
-    "parent_out_of_range": _set_parent(1, 999),
-    "parent_forward": _set_parent(1, 2),
-    "parent_cycle": lambda doc: (_set_parent(1, 2)(doc), _set_parent(2, 1)(doc)),
-    "root_with_parent": _set_parent(0, 0),
+    "parent_out_of_range": _set_expansion(1, 0, 999),
+    # The second expansion under its own first child.
+    "parent_forward": lambda doc: _set_expansion(1, 0, _first_child(doc, 1))(doc),
+    "parent_cycle": _expand_each_other,
+    "expansion_under_a_later_node": lambda doc: _set_expansion(0, 0, _node_count(doc) - 1)(doc),
+    "expansion_parent_negative": _set_expansion(1, 0, -1),
+    "node_expanded_twice": lambda doc: _set_expansion(1, 0, doc["nodes"]["expansions"][0][0])(doc),
+    "expansion_count_0": _set_expansion(0, 1, 0),
+    "expansion_count_negative": _set_expansion(0, 1, -1),
+    "expansion_count_true": _set_expansion(0, 1, True),
+    "expansion_count_past_the_actions": _set_expansion(0, 1, 10**12),
+    "expansion_not_a_pair": lambda doc: doc["nodes"]["expansions"][0].append(1),
+    "expansion_not_a_list": _set("expansions", 0, 5),
     "stale_children_list": lambda doc: doc["nodes"].update(
         children=[[999] if i == 1 else [] for i in range(_node_count(doc))]
     ),
     "nodes_not_a_list": lambda doc: doc.update(nodes=5),
     "node_not_an_object": lambda doc: _set("action", 1, doc["actions"][0])(doc),
-    "no_nodes": lambda doc: doc.update(nodes={column: [] for column in doc["nodes"]}),
     "format_v1": _v1,
     # A Q of 7.5 would take a logged reward of 7.5.
     "q_out_of_range": _set_logged(2, 7.5),
-    # Priors are not written; a file that writes them is not version 6.
+    # Priors are not written; a file that writes them is not version 8.
     "priors_do_not_sum": lambda doc: doc["nodes"].update(prior=[1.0] + [0.9] * (_node_count(doc) - 1)),
     "prior_nan": _set_logged(2, float("nan")),
     "c_puct_infinite": lambda doc: doc["config"].update(c_puct=float("inf")),
@@ -852,6 +898,7 @@ MALFORMED_TREES = {
     "format_v4": _v4,
     "format_v5": _v5,
     "format_v6": _v6,
+    "format_v7": _v7,
     "cached_beyond_depth_limit": _lower_max_depth_past_the_deepest,
     "column_too_short": lambda doc: doc["nodes"]["action"].pop(),
     "column_too_long": lambda doc: doc["nodes"]["action"].append(0),
@@ -859,7 +906,7 @@ MALFORMED_TREES = {
     "column_extra": lambda doc: doc["nodes"].update(depth=[0] * _node_count(doc)),
     "column_not_a_list": lambda doc: doc["nodes"].update(reward=5),
     "visit_count_true": _set_logged(0, True),
-    "parent_true": _set_parent(2, True),
+    "parent_true": _set_expansion(1, 0, True),
     "stats_untyped": lambda doc: doc.update(stats={"x": [1, {"y": None}]}),
     "stats_count_missing": lambda doc: doc["stats"].pop("policy_calls"),
     "stats_count_negative": lambda doc: doc["stats"].update(policy_calls=-1),
@@ -930,7 +977,6 @@ def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
     or reports exit 4."""
     doc = json.loads(json.dumps(small_tree_doc))
     columns = doc["nodes"]
-    node = data.draw(st.integers(0, _node_count(doc) - 1), label="node")
     # A column's cells or the log's entries; a sparse cell or a log entry is itself a list.
     cells = data.draw(
         st.sampled_from([*(columns[name] for name in sorted(columns) if columns[name]), doc["simulations"]]),
@@ -962,9 +1008,12 @@ def test_perturbed_tree_inspects_to_0_or_4(small_tree_doc, data):
             st.one_of(_ODD_VALUES, st.integers(-2, _node_count(doc) + 2)), label="value"
         )
     elif op == "far_action":
+        node = data.draw(st.integers(0, len(columns["action"]) - 1), label="node")
         columns["action"][node] = len(doc["actions"]) + data.draw(st.integers(0, 5), label="past the end")
     elif op in ("forward_parent", "far_parent"):
-        columns["parent"][node] = node + 1 if op == "forward_parent" else _node_count(doc) + 5
+        expansion = data.draw(st.integers(0, len(columns["expansions"]) - 1), label="expansion")
+        parent = _first_child(doc, expansion) if op == "forward_parent" else _node_count(doc) + 5
+        columns["expansions"][expansion][0] = parent
     with tempfile.TemporaryDirectory() as tmp:
         code = main(["inspect", _write_json(Path(tmp) / "t.json", doc)])
     assert code in (EXIT_OK, EXIT_INVARIANT)
@@ -1000,7 +1049,7 @@ def test_perturbed_registry_mutates_to_0_or_2(registry_docs, data):
 _PLAN_ODD_WORDS = ["", "Open Now", "tch", "DB", "Name"]
 
 OVERRIDES = argparse.Namespace(
-    setting=None, sims=None, trees=None, no_self_reflection=False, no_tool_update=False, jobs=1
+    setting=None, no_self_reflection=False, no_tool_update=False, jobs=1
 )
 
 
@@ -1087,5 +1136,5 @@ def test_perturbed_manifest_searches_to_0_2_3_or_4(data):
         if op == "rename":
             text = manifest.read_text().replace(f"[{section}]", f"[{data.draw(_SECTION_NAMES, label='to')}]")
             manifest.write_text(text)
-        argv = ["search", "--manifest", str(manifest), "--sims", "1", "--trees", "1", "--output-dir", str(tmp / "o")]
+        argv = ["search", "--manifest", str(manifest), "--output-dir", str(tmp / "o")]
         assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_INVARIANT)

@@ -34,7 +34,7 @@ from tooldrift.react import ActionRecord, StateRecord, render_prompt
 from reference_search import ReferenceSearch
 
 # The node lists of a SearchTree, in the order of append_node's row.
-NODE_LISTS = ("parent", "action", "q_value", "visit_count", "prior", "cached", "reward", "failure", "children", "depth")
+NODE_LISTS = ("parent", "action", "q_value", "visit_count", "reward", "failure", "children", "depth")
 
 
 LOAD = 'Thought: t\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'
@@ -69,19 +69,22 @@ def bare_tree(config: SearchConfig | None = None) -> SearchTree:
     return SearchTree(task=root.task, config=config or SearchConfig(), manual=root.tool_manual)
 
 
-def append_node(tree, parent, action=None, q=0.0, n=0, prior=1.0, cached=False, reward=None) -> int:
-    """Append one node to ``tree`` by writing its columns; returns its id."""
+def append_node(tree, parent, action=None, q=0.0, n=0, cached=False, reward=None) -> int:
+    """Append one node to ``tree`` by writing its columns; returns its id. The
+    parent counts as expanded, so its children are visible, unless ``cached``."""
     node_id = len(tree.parent)
-    row = (parent, action, q, n, prior, cached, reward, None, (), tree.depth[parent] + 1)
+    row = (parent, action, q, n, reward, None, (), tree.depth[parent] + 1)
     for column, value in zip(NODE_LISTS, row):
         getattr(tree, column).append(value)
     tree.children[parent] = [*tree.children[parent], node_id]
+    if not cached:
+        tree.expanded.add(parent)
     return node_id
 
 
-def add_child(tree, parent=0, q=0.0, n=0, prior=0.2, cached=False, terminal=False, observation="fine") -> int:
+def add_child(tree, parent=0, q=0.0, n=0, cached=False, terminal=False, observation="fine") -> int:
     action = ActionRecord(thought="x", action_name="Tool", action_input={}, observation=observation)
-    return append_node(tree, parent, action, q, n, prior, cached, -1 if terminal else None)
+    return append_node(tree, parent, action, q, n, cached, -1 if terminal else None)
 
 
 class TestPuctScore:
@@ -97,8 +100,8 @@ class TestPuctScore:
 
 def child_score(tree, child) -> float:
     parent = tree.parent[child]
-    return puct_score(tree.visit_count[parent], tree.q_value[child], tree.prior[child], tree.visit_count[child],
-                      tree.config.c_puct)
+    return puct_score(tree.visit_count[parent], tree.q_value[child], tree.nodes[child].prior,
+                      tree.visit_count[child], tree.config.c_puct)
 
 
 class TestSelectLeaf:
@@ -109,8 +112,8 @@ class TestSelectLeaf:
     def test_prefers_unvisited_sibling(self):
         tree = bare_tree()
         tree.visit_count[0] = 3
-        first = add_child(tree, q=0.4, n=0, prior=0.5)
-        second = add_child(tree, q=0.4, n=3, prior=0.5)
+        first = add_child(tree, q=0.4, n=0)
+        second = add_child(tree, q=0.4, n=3)
         chosen = select_leaf(tree)
         # exhaustive oracle over the two children
         scores = {c: child_score(tree, c) for c in (first, second)}
@@ -120,16 +123,20 @@ class TestSelectLeaf:
     def test_tie_breaks_to_smallest_index(self):
         tree = bare_tree()
         tree.visit_count[0] = 5
-        a = add_child(tree, q=0.1, n=1, prior=0.5)
-        b = add_child(tree, q=0.1, n=1, prior=0.5)
+        a = add_child(tree, q=0.1, n=1)
+        b = add_child(tree, q=0.1, n=1)
         assert select_leaf(tree) == a
 
     def test_cached_best_child_is_skipped(self):
+        """A rollout-built child stays hidden, however it scores, until its
+        parent is expanded: until then the parent is the open leaf."""
         tree = bare_tree()
         tree.visit_count[0] = 4
-        hidden = add_child(tree, q=1.0, n=0, prior=0.9, cached=True)
-        visible = add_child(tree, q=0.0, n=2, prior=0.1)
+        visible = add_child(tree, q=0.0, n=2)
+        hidden = add_child(tree, parent=visible, q=1.0, n=0, cached=True)
         assert select_leaf(tree) == visible
+        tree.expanded.add(visible)
+        assert select_leaf(tree) == hidden
 
     def test_exhausted_tree_returns_none(self):
         tree = bare_tree()
@@ -138,16 +145,16 @@ class TestSelectLeaf:
 
     def test_walks_past_expanded_level(self):
         tree = bare_tree()
-        mid = add_child(tree, q=0.9, n=1, prior=1.0)
-        deep = add_child(tree, parent=mid, q=0.0, n=0, prior=1.0)
+        mid = add_child(tree, q=0.9, n=1)
+        deep = add_child(tree, parent=mid, q=0.0, n=0)
         assert select_leaf(tree) == deep
 
     def test_leaf_at_max_depth_is_never_returned(self):
         tree = bare_tree(SearchConfig(max_depth=2))
         tree.visit_count[0] = 4
-        mid = add_child(tree, q=0.9, n=1, prior=0.5)
-        deep = add_child(tree, parent=mid, prior=1.0)
-        other = add_child(tree, q=-0.5, n=1, prior=0.5)
+        mid = add_child(tree, q=0.9, n=1)
+        deep = add_child(tree, parent=mid)
+        other = add_child(tree, q=-0.5, n=1)
         assert tree.depth[deep] == 2
         assert select_leaf(tree) == other
         tree.reward[other] = -1
@@ -156,10 +163,10 @@ class TestSelectLeaf:
     def test_subtree_with_only_terminal_children_is_passed_over(self):
         tree = bare_tree()
         tree.visit_count[0] = 4
-        mid = add_child(tree, q=0.9, n=2, prior=0.5)
+        mid = add_child(tree, q=0.9, n=2)
         for _ in range(2):
-            add_child(tree, parent=mid, prior=0.5, terminal=True)
-        other = add_child(tree, q=-0.5, n=1, prior=0.5)
+            add_child(tree, parent=mid, terminal=True)
+        other = add_child(tree, q=-0.5, n=1)
         assert select_leaf(tree) == other
 
 
@@ -175,7 +182,6 @@ class TestBestChild:
                     tree,
                     q=rng.choice([-1.0, -0.5, 0.0, 0.25, 0.25, 1.0]),
                     n=rng.randint(0, 9),
-                    prior=rng.choice([0.1, 0.2, 0.2, 0.5]),
                 )
             got = select_leaf(tree)
             best, best_score = None, -math.inf
@@ -225,8 +231,9 @@ class TestExpand:
         tree = _root_tree(corpus, "coffee-easy-1")
         new_ids = expand(tree, 0, ScriptedAdaptivePolicy(corpus), base_registry)
         assert len(new_ids) == 5
-        assert all(tree.prior[i] == pytest.approx(0.2) for i in new_ids)
-        assert sum(tree.prior[i] for i in new_ids) == pytest.approx(1.0)
+        nodes = tree.nodes
+        assert all(nodes[i].prior == pytest.approx(0.2) for i in new_ids)
+        assert sum(nodes[i].prior for i in new_ids) == pytest.approx(1.0)
         assert all(tree.depth[i] == 1 for i in new_ids)
 
     def test_cache_reuse_skips_policy(self, corpus, base_registry):
@@ -237,12 +244,12 @@ class TestExpand:
         child = tree.children[0][0]
         simulate_cached(tree, child, policy, base_registry, rng)
         grandchildren = list(tree.children[child])
-        assert grandchildren and all(tree.cached[g] for g in grandchildren)
+        assert grandchildren and all(tree.nodes[g].cached for g in grandchildren)
         calls_before = tree.stats["policy_calls"]
         reused = expand(tree, child, policy, base_registry)
         assert reused == grandchildren
         assert tree.stats["policy_calls"] == calls_before
-        assert not any(tree.cached[g] for g in grandchildren)
+        assert not any(tree.nodes[g].cached for g in grandchildren)
 
     def test_deprecation_leaf_expands_to_successor_invocation(self, search_setup):
         corpus, registry, _ = search_setup
@@ -283,7 +290,7 @@ class TestExpand:
         actions = [tree.action[i] for i in ids]
         assert executed == ["LoadDB", "Finish"]
         assert [a.action_name for a in actions] == ["LoadDB", "Finish", "LoadDB", FAILED_ACTION_NAME, "Finish"]
-        assert len(set(ids)) == 5 and all(tree.prior[i] == pytest.approx(0.2) for i in ids)
+        assert len(set(ids)) == 5 and all(tree.nodes[i].prior == pytest.approx(0.2) for i in ids)
         assert actions[0] is actions[2] and actions[1] is actions[4]
         assert tree.reward[ids[1]] == tree.reward[ids[4]] == -1
         assert actions[0] is not actions[1] and tree.reward[ids[0]] is None
@@ -546,9 +553,27 @@ class TestTreeSerialization:
 
     def test_tree_that_breaks_an_invariant_is_not_written(self):
         tree = bare_tree()
-        add_child(tree, q=7.5, n=1, prior=1.0)
+        add_child(tree, q=7.5, n=1)
         with pytest.raises(ValueError, match="Q=7.5"):
             tree_to_json(tree)
+
+    def test_siblings_that_are_not_consecutive_are_not_written(self):
+        """A file stores one [parent, count] per expansion, so a hand-built
+        tree whose root's children are nodes 1 and 3 cannot be written."""
+        tree = bare_tree()
+        first = add_child(tree)
+        add_child(tree, parent=first)
+        add_child(tree)
+        with pytest.raises(ValueError, match="node 0: children are not consecutive ids"):
+            tree_to_json(tree)
+
+    def test_an_expanded_node_that_the_log_did_not_expand_is_not_written(self):
+        tree = bare_tree()
+        add_child(tree)
+        with pytest.raises(ValueError, match="node 0: expanded=True is not its replay expanded=False"):
+            tree_to_json(tree)
+        tree.expanded.clear()
+        assert tree_from_json(tree_to_json(tree)) == tree
 
 
 def canonical_fields(tree: SearchTree, stats: bool = True) -> str:
@@ -763,8 +788,9 @@ def test_a_path_is_walked_only_on_a_memo_miss(corpus, kind, monkeypatch):
         assert len(walks) == tree.stats["policy_calls"] > 1
 
 
-# The node columns and the log that ``ReferenceSearch.run`` returns.
-REFERENCE_FIELDS = ("parent", "action", "q_value", "visit_count", "prior", "cached", "reward", "failure", "simulations")
+# The node fields that ``ReferenceSearch.run`` returns besides the log; prior
+# and cached are read off the rows of ``SearchTree.nodes``, which derive them.
+REFERENCE_FIELDS = ("parent", "action", "q_value", "visit_count", "prior", "cached", "reward", "failure")
 
 
 @given(
@@ -796,4 +822,6 @@ def test_run_search_grows_the_reference_tree(
     tree = run_search(*args)
     expected = ReferenceSearch(*args).run()
     for grown in (tree, tree_from_json(tree_to_json(tree))):
-        assert {name: getattr(grown, name) for name in REFERENCE_FIELDS} == expected
+        rows = grown.nodes
+        fields = {name: [getattr(row, name) for row in rows] for name in REFERENCE_FIELDS}
+        assert {**fields, "simulations": grown.simulations} == expected
