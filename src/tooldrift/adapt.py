@@ -8,9 +8,9 @@ UpdateTool grows the in-prompt manual of that path only, so sibling subtrees
 keep their own manuals. Search and loaded trees derive every state with it.
 
 The paper's two ablations are plain boolean arguments. ``reflection_gate``
-reads ``no_self_reflection``; ``advance`` reads ``no_tool_update``, which
-``execute_action`` only passes on, because an UpdateTool's observation does
-not depend on it.
+reads ``no_self_reflection``; ``advance`` alone reads ``no_tool_update``,
+because an UpdateTool's observation does not depend on it, so
+``execute_action`` does not take it.
 """
 
 from __future__ import annotations
@@ -60,22 +60,14 @@ class ActionOutcome:
     step: ActionRecord
     reward: int | None = None
 
-    @property
-    def terminal(self) -> bool:
-        return self.reward is not None
 
-
-def execute_action(
-    state: StateRecord,
-    record: ActionRecord,
-    registry: ToolRegistry,
-    no_tool_update: bool = False,
-) -> ActionOutcome:
+def execute_action(state: StateRecord, record: ActionRecord, registry: ToolRegistry) -> ActionOutcome:
     """Route an action to the environment and advance the state by the executed step.
 
     Finish is scored, UpdateTool is acknowledged (an empty description is an
     invocation error), everything else is an API invocation. Only Finish
-    has a reward, so only Finish produces a terminal outcome.
+    has a reward, so only Finish produces a terminal outcome. The state
+    ignores the tool-update ablation, which only ``advance`` applies.
     """
     if record.action_name == "Finish":
         obs = evaluate(state.task, as_text(record.action_input.get("answer", "")))
@@ -87,7 +79,7 @@ def execute_action(
     else:
         obs = invoke(registry, record.action_name, record.action_input)
     executed = record.executed(obs)
-    return ActionOutcome(advance(state, (executed,), no_tool_update), executed, obs.reward)
+    return ActionOutcome(advance(state, (executed,)), executed, obs.reward)
 
 
 def reflection_gate(kind: str | None, no_self_reflection: bool = False) -> bool:

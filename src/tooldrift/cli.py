@@ -27,6 +27,7 @@ Each key names a field of ``MutationPlan``, ``SearchConfig`` or
 ``PolicyConfig`` and is read by the type of its default; the config checks
 its values when it is built. Any other section or key, or a bad value, exits
 2. Only --no-self-reflection and --no-tool-update set the ablations.
+``[search] k = 1, max_simulations = 1`` is greedy decoding, ablations included.
 
 The setting picks the registry searched: consistent the base one; mutated_in
 the plan of [mutation_in], else of [mutation]; mutated_ood the plan of

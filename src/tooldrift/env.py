@@ -25,7 +25,7 @@ DEPRECATION_ERROR_TEMPLATE = (
 ANSWER_CORRECT_TEXT = "Answer is CORRECT"
 ANSWER_INCORRECT_TEXT = "Answer is INCORRECT"
 
-PARAM_KINDS = ("text", "map", "number")
+PARAM_KINDS = ("text", "map")
 SPECIAL_CHARS = ("_", "-", ".")
 # Actions of the ReAct loop, not tools: adapt.execute_action handles them by
 # name and never asks a registry, so no API may take one of these names.
@@ -219,16 +219,6 @@ def _value_matches_kind(value: Any, kind: str) -> bool:
         return isinstance(value, dict) and all(
             isinstance(k, str) and isinstance(v, str) for k, v in value.items()
         )
-    if kind == "number":
-        if isinstance(value, (int, float)):
-            return True
-        if isinstance(value, str):
-            try:
-                float(value)
-            except ValueError:
-                return False
-            return True
-        return False
     return False
 
 

@@ -204,7 +204,7 @@ def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: Too
             step = ActionRecord(thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc))
             made[text] = step, -1, str(exc)
         else:
-            outcome = execute_action(state, record, registry, tree.config.no_tool_update)
+            outcome = execute_action(state, record, registry)
             made[text] = outcome.step, outcome.reward, None
     return made[text]
 

@@ -1,5 +1,10 @@
 """Action proposers: deterministic scripted agents and a remote chat endpoint.
 
+A policy only proposes: given a state and k, it returns k candidate texts.
+Parsing and executing them, and the episode loop, belong to ``mcts.run_search``;
+greedy (ReAct-style) decoding is that search with k = 1 and one simulation,
+which follows each node's single candidate to a terminal or the depth limit.
+
 Scripted policies are table-driven stand-ins for an LLM. The adaptive one
 follows each task's reference tool plan, reads deprecation guidance out of
 observations, retries through successor APIs, and records what it learned
@@ -30,12 +35,11 @@ import logging
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .adapt import execute_action
 from .corpus import Corpus, PlannedCall, load_corpus, remap_args
-from .env import INVOCATION_ERROR_TEXT, TaskInstance, ToolRegistry
-from .react import ActionRecord, StateRecord, parse_action, render_prompt, render_step
+from .env import INVOCATION_ERROR_TEXT
+from .react import ActionRecord, StateRecord, render_prompt, render_step
 
 log = logging.getLogger(__name__)
 POLICY_KINDS = ("scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive", "remote")
@@ -355,38 +359,3 @@ def build_policy(config: PolicyConfig, corpus: Corpus | None = None):
         return ScriptedSemiAdaptivePolicy(corpus, emit_tool_updates=config.emit_tool_updates)
     return RemotePolicy(config)
 
-
-@dataclass
-class EpisodeResult:
-    reward: int
-    state: StateRecord
-    steps: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.steps = len(self.state.steps)
-
-
-def run_greedy_episode(
-    policy,
-    task: TaskInstance,
-    registry: ToolRegistry,
-    manual: list[str],
-    demos: list[str] = (),
-    max_steps: int = 15,
-    no_tool_update: bool = False,
-) -> EpisodeResult:
-    """Follow candidate 1 at every step until Finish or the step budget.
-
-    This is the tree-free closed loop used as the adaptation oracle: the
-    adaptive policy must end every builtin task with reward +1 here, on the
-    base registry and on any mutated generation.
-    """
-    state = StateRecord(task=task, tool_manual=tuple(manual), demos=tuple(demos))
-    for _ in range(max_steps):
-        text = policy.propose(state, 1)[0]
-        record = parse_action(text)
-        outcome = execute_action(state, record, registry, no_tool_update)
-        state = outcome.state
-        if outcome.terminal:
-            return EpisodeResult(reward=outcome.reward, state=state)
-    return EpisodeResult(reward=-1, state=state)

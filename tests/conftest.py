@@ -48,3 +48,17 @@ def selected_leaves(monkeypatch):
 @pytest.fixture(scope="session")
 def mutated_registry_alt(base_registry):
     return mutate_registry(base_registry, MutationPlan(seed=42))
+
+
+@pytest.fixture(scope="session")
+def greedy_episode():
+    """Greedy decoding, which is the one-simulation search with k = 1: a
+    function of (policy, task, registry, manual, demos, max_steps, ablations)
+    that returns the episode's reward and the state of its last node."""
+
+    def run(policy, task, registry, manual, demos=(), max_steps=15, **ablations):
+        config = mcts.SearchConfig(k=1, max_simulations=1, max_depth=max_steps, **ablations)
+        tree = mcts.run_search(task, registry, policy, config, manual, demos)
+        return tree.simulations[0][2], tree.state(len(tree.parent) - 1)
+
+    return run

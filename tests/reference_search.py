@@ -59,7 +59,7 @@ class ReferenceSearch:
         except ActionParseError as exc:
             failed = ActionRecord(thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc))
             return failed, -1, str(exc)
-        outcome = execute_action(state, record, self.registry, self.config.no_tool_update)
+        outcome = execute_action(state, record, self.registry)
         return outcome.step, outcome.reward, None
 
     def children(self, node: RefNode) -> list[RefNode]:

@@ -12,7 +12,7 @@ from tooldrift.corpus import load_corpus
 from tooldrift.env import INVOCATION_ERROR_TEXT, TaskInstance
 from tooldrift.mcts import SearchConfig, SearchTree, expand, run_search, tree_to_json
 from tooldrift.mutation import MutationPlan, mutate_registry
-from tooldrift.policy import ScriptedAdaptivePolicy, run_greedy_episode
+from tooldrift.policy import ScriptedAdaptivePolicy
 from tooldrift.react import ActionRecord, StateRecord, render_prompt
 
 KINDS = ("response", "invocation_error", "deprecation_error", "task_done")
@@ -134,16 +134,17 @@ class TestApplyUpdateTool:
         record = ActionRecord(thought="memo", action_name="UpdateTool", action_input={"newtool_desc": ""})
         outcome = execute_action(state, record, corpus.base_registry)
         assert (outcome.step.kind, outcome.step.observation) == ("invocation_error", INVOCATION_ERROR_TEXT)
-        assert outcome.state.tool_manual == state.tool_manual and not outcome.terminal
+        assert outcome.state.tool_manual == state.tool_manual and outcome.reward is None
         assert advance(state, (update_step(""),)).tool_manual == state.tool_manual
 
     def test_no_tool_update_ablation_freezes_manual(self, corpus):
         state = make_state()
         record = ActionRecord(thought="memo", action_name="UpdateTool", action_input={"newtool_desc": "N[x]: new."})
-        outcome = execute_action(state, record, corpus.base_registry, no_tool_update=True)
+        outcome = execute_action(state, record, corpus.base_registry)
         assert (outcome.step.kind, outcome.step.observation) == ("response", UPDATE_TOOL_OK_TEXT)
-        assert outcome.state.tool_manual == state.tool_manual
-        assert outcome.state.steps == (outcome.step,)
+        frozen = advance(state, (outcome.step,), no_tool_update=True)
+        assert frozen.tool_manual == state.tool_manual
+        assert frozen.steps == (outcome.step,)
 
     def test_scope_isolated_to_descendants(self):
         parent = make_state()
@@ -197,7 +198,7 @@ class TestExecuteAction:
         state = StateRecord(task=task, tool_manual=tuple(corpus.manual))
         record = ActionRecord(thought="done", action_name="Finish", action_input={"answer": task.gold_answer})
         outcome = execute_action(state, record, corpus.base_registry)
-        assert outcome.terminal and outcome.reward == 1
+        assert outcome.reward == 1
         assert outcome.step.observation == "Answer is CORRECT"
         assert outcome.step.kind == "task_done"
 
@@ -206,7 +207,7 @@ class TestExecuteAction:
         state = StateRecord(task=task, tool_manual=tuple(corpus.manual))
         record = ActionRecord(thought="memo", action_name="UpdateTool", action_input={"newtool_desc": "N[x]: new."})
         outcome = execute_action(state, record, corpus.base_registry)
-        assert not outcome.terminal
+        assert outcome.reward is None
         assert outcome.state.tool_manual[-1] == "N[x]: new."
         assert outcome.step.observation == UPDATE_TOOL_OK_TEXT
         assert outcome.step.kind == "response"
@@ -216,23 +217,23 @@ class TestExecuteAction:
         state = StateRecord(task=task, tool_manual=tuple(corpus.manual))
         record = ActionRecord(thought="load", action_name="LoadDB", action_input={"DBName": "coffee"})
         outcome = execute_action(state, record, corpus.base_registry)
-        assert not outcome.terminal
+        assert outcome.reward is None
         assert outcome.step.observation.startswith("We have successfully loaded")
         assert outcome.step.kind == "response"
         assert outcome.state.steps[-1] == outcome.step
 
 
 class TestManualMonotonicity:
-    def test_manual_grows_along_adaptive_episode(self, corpus, mutated_registry):
-        result = run_greedy_episode(
+    def test_manual_grows_along_adaptive_episode(self, corpus, mutated_registry, greedy_episode):
+        reward, final = greedy_episode(
             ScriptedAdaptivePolicy(corpus),
             corpus.task("coffee-hard-4"),
             mutated_registry,
             corpus.manual,
             corpus.demos,
         )
-        assert result.reward == 1
-        final_manual = result.state.tool_manual
+        assert reward == 1
+        final_manual = final.tool_manual
         assert len(final_manual) > len(corpus.manual)
         for entry in corpus.manual:
             assert entry in final_manual
@@ -243,7 +244,7 @@ class TestAdversarialWorldCells:
     """World data that reads like environment feedback must not steer the search."""
 
     @pytest.mark.parametrize("cell", ["Room is deprecated", "Answer is Room 4A"])
-    def test_cell_text_is_only_a_response(self, cell, tmp_path, capsys):
+    def test_cell_text_is_only_a_response(self, cell, tmp_path, capsys, greedy_episode):
         corpus = load_corpus()
         row = next(r for r in corpus.world["agenda"]["rows"] if r["Event"] == "Team standup")
         row["Location"] = cell
@@ -254,11 +255,11 @@ class TestAdversarialWorldCells:
         registry = mutate_registry(corpus.base_registry, MutationPlan(seed=11))
         policy = ScriptedAdaptivePolicy(corpus)
 
-        result = run_greedy_episode(policy, adversarial, registry, corpus.manual, corpus.demos)
-        assert result.reward == 1
-        index = next(i for i, s in enumerate(result.state.steps) if cell in (s.observation or ""))
-        assert result.state.steps[index].kind == "response"
-        assert not reflection_gate(result.state.steps[index].kind, no_self_reflection=True)
+        reward, final = greedy_episode(policy, adversarial, registry, corpus.manual, corpus.demos)
+        assert reward == 1
+        index = next(i for i, s in enumerate(final.steps) if cell in (s.observation or ""))
+        assert final.steps[index].kind == "response"
+        assert not reflection_gate(final.steps[index].kind, no_self_reflection=True)
 
         tree = run_search(adversarial, registry, policy, SearchConfig(), corpus.manual, corpus.demos)
         assert tree.successful_leaves()

@@ -344,6 +344,28 @@ class TestSearchCommand:
                     assert node.action.action_name != "UpdateTool"
                 assert tree.state(node.id).tool_manual == tree.manual
 
+    @pytest.mark.parametrize(
+        "policy, setting, flags, solved",
+        [
+            ("scripted_adaptive", "mutated_in", [], 24),
+            ("scripted_rigid", "consistent", [], 24),
+            ("scripted_rigid", "mutated_ood", [], 0),
+            ("scripted_semi_adaptive", "consistent", ["--no-self-reflection"], 0),
+        ],
+    )
+    def test_greedy_decoding_is_one_simulation_with_one_candidate(self, tmp_path, policy, setting, flags, solved):
+        """A manifest with ``k = 1`` and ``max_simulations = 1`` decodes greedily:
+        each tree is one simulation down a single child per node, and the
+        reflection gate applies as in any search."""
+        manifest = tmp_path / "run.ini"
+        manifest.write_text(manifest_text(tmp_path, setting=setting, policy=policy, sims=1).replace("k = 5", "k = 1"))
+        assert main(["search", "--manifest", str(manifest), *flags]) == EXIT_OK
+        docs = [json.loads(path.read_text()) for path in sorted((tmp_path / "out" / "trees").glob("*.json"))]
+        assert len(docs) == 24
+        assert all(len(doc["simulations"]) == 1 for doc in docs)
+        assert all(count == 1 for doc in docs for _, count in doc["nodes"]["expansions"])
+        assert sum(reward == 1 for doc in docs for _, _, reward in doc["simulations"]) == solved
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
         manifest = write_manifest(tmp_path, sims=2)

@@ -393,6 +393,7 @@ MALFORMED_REGISTRY_EDITS = {
     "params_dropped": lambda doc: _api(doc, "LoadDB").update(params=[]),
     "unknown_param_kind": lambda doc: _param(doc, "LoadDB").update(kind="x"),
     "unknown_alt_kind": lambda doc: _param(doc, "LoadDB").update(alt_kind="x"),
+    "number_param_kind": lambda doc: _param(doc, "LoadDB").update(kind="number"),
     "alt_map_example_not_an_object": lambda doc: _param(doc, "FilterDB", 1).update(alt_example="x"),
     "empty_param_name": lambda doc: _param(doc, "LoadDB").update(name=""),
     "param_name_not_camel_case": lambda doc: _param(doc, "LoadDB").update(name="dbName"),

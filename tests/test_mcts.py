@@ -8,7 +8,7 @@ import random
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tooldrift import mcts
@@ -42,21 +42,21 @@ WRONG_FINISH = 'Thought: t\nAction: Finish\nAction Input: {"answer": "x"}'
 
 
 class MixedPolicy:
-    """Two distinct calls twice each and an unparseable text, whatever the state."""
+    """The first k of two distinct calls twice each and an unparseable text, whatever the state."""
 
     def propose(self, state, k):
-        return [LOAD, WRONG_FINISH, LOAD, "no labels here", WRONG_FINISH]
+        return [LOAD, WRONG_FINISH, LOAD, "no labels here", WRONG_FINISH][:k]
 
 
 class DistractedPolicy:
-    """The adaptive step three times, a wrong Finish and an unparseable text."""
+    """The first k of the adaptive step three times, a wrong Finish and an unparseable text."""
 
     def __init__(self, corpus):
         self.inner = ScriptedAdaptivePolicy(corpus)
 
     def propose(self, state, k):
         good = self.inner.propose(state, 1)[0]
-        return [good, WRONG_FINISH, good, "no labels here", good]
+        return [good, WRONG_FINISH, good, "no labels here", good][:k]
 
 
 def dummy_state() -> StateRecord:
@@ -799,19 +799,23 @@ REFERENCE_FIELDS = ("parent", "action", "q_value", "visit_count", "prior", "cach
     rng_seed=st.integers(0, 2**16),
     sims=st.integers(1, 30),
     max_depth=st.integers(1, 15),
+    k=st.integers(1, 5),
     ablation=st.sampled_from(["full", "no_self_reflection", "no_tool_update"]),
     task_index=st.integers(0, 23),
 )
+# Greedy decoding: one simulation with one candidate per node.
+@example(kind="scripted_adaptive", registry_seed=7, rng_seed=0, sims=1, max_depth=15, k=1, ablation="full",
+         task_index=0)
 @settings(max_examples=40)
 def test_run_search_grows_the_reference_tree(
-    kind, registry_seed, rng_seed, sims, max_depth, ablation, task_index
+    kind, registry_seed, rng_seed, sims, max_depth, k, ablation, task_index
 ):
     """``run_search`` and the plain reference grow the same columns and log,
     Q values bit for bit, and so does the tree a written one loads back to;
     only the number of policy calls differs, by design."""
     corpus = load_corpus()
     overrides = {} if ablation == "full" else {ablation: True}
-    config = SearchConfig(rng_seed=rng_seed, max_simulations=sims, max_depth=max_depth, **overrides)
+    config = SearchConfig(rng_seed=rng_seed, max_simulations=sims, max_depth=max_depth, k=k, **overrides)
     if kind == "mixed":
         policy = MixedPolicy()
     elif kind == "distracted":

@@ -25,7 +25,6 @@ from tooldrift.policy import (
     UnknownTaskError,
     build_policy,
     parse_deprecation_guidance,
-    run_greedy_episode,
     update_tool_desc,
 )
 from tooldrift.react import StateRecord, parse_action
@@ -148,28 +147,30 @@ class TestScriptedPolicies:
         with pytest.raises(UnknownTaskError):
             ScriptedAdaptivePolicy(corpus).next_step(state)
 
-    def test_semi_adaptive_fumbles_then_recovers(self, corpus, base_registry):
+    def test_semi_adaptive_fumbles_then_recovers(self, corpus, base_registry, greedy_episode):
         policy = ScriptedSemiAdaptivePolicy(corpus)
         state = state_for(corpus, "coffee-easy-1")
         record = parse_action(policy.propose(state, 1)[0])
         assert "WrongDBName" in record.action_input
         obs = invoke(base_registry, record.action_name, record.action_input)
         assert obs.kind == "invocation_error"
-        result = run_greedy_episode(policy, corpus.task("coffee-easy-1"), base_registry, corpus.manual, corpus.demos)
-        assert result.reward == 1
-        kinds = [s.kind for s in result.state.steps]
+        reward, final = greedy_episode(policy, corpus.task("coffee-easy-1"), base_registry, corpus.manual, corpus.demos)
+        assert reward == 1
+        kinds = [s.kind for s in final.steps]
         assert "invocation_error" in kinds
 
 
 class TestClosedLoop:
-    def test_adaptive_succeeds_everywhere(self, corpus, base_registry, mutated_registry, mutated_registry_alt):
+    def test_adaptive_succeeds_everywhere(
+        self, corpus, base_registry, mutated_registry, mutated_registry_alt, greedy_episode
+    ):
         policy = ScriptedAdaptivePolicy(corpus)
         for registry in (base_registry, mutated_registry, mutated_registry_alt):
             for task in corpus.tasks:
-                result = run_greedy_episode(policy, task, registry, corpus.manual, corpus.demos)
-                assert result.reward == 1, (registry.generation, task.id)
+                reward, _ = greedy_episode(policy, task, registry, corpus.manual, corpus.demos)
+                assert reward == 1, (registry.generation, task.id)
 
-    def test_adaptive_succeeds_on_exotic_plans(self, corpus, base_registry):
+    def test_adaptive_succeeds_on_exotic_plans(self, corpus, base_registry, greedy_episode):
         plans = [
             MutationPlan(seed=5, kinds=frozenset({"name_special_char", "param_special_char"})),
             MutationPlan(seed=3, kinds=frozenset({"param_format"})),
@@ -182,14 +183,14 @@ class TestClosedLoop:
         for plan in plans:
             registry = mutate_registry(base_registry, plan)
             for task in corpus.tasks:
-                result = run_greedy_episode(policy, task, registry, corpus.manual, corpus.demos)
-                assert result.reward == 1, (plan.kinds, task.id)
+                reward, _ = greedy_episode(policy, task, registry, corpus.manual, corpus.demos)
+                assert reward == 1, (plan.kinds, task.id)
 
-    def test_rigid_splits_by_setting(self, corpus, base_registry, mutated_registry):
+    def test_rigid_splits_by_setting(self, corpus, base_registry, mutated_registry, greedy_episode):
         policy = ScriptedRigidPolicy(corpus)
         for task in corpus.tasks:
-            assert run_greedy_episode(policy, task, base_registry, corpus.manual, corpus.demos).reward == 1
-            assert run_greedy_episode(policy, task, mutated_registry, corpus.manual, corpus.demos).reward == -1
+            assert greedy_episode(policy, task, base_registry, corpus.manual, corpus.demos)[0] == 1
+            assert greedy_episode(policy, task, mutated_registry, corpus.manual, corpus.demos)[0] == -1
 
     def test_scripted_determinism(self, corpus, mutated_registry):
         policy = ScriptedAdaptivePolicy(corpus)

@@ -111,7 +111,7 @@ class TestExtract:
             for index, step in enumerate(steps):
                 outcome = execute_action(state, replace(step, observation=None), registry)
                 assert outcome.step.observation == step.observation
-                assert outcome.terminal == (index == len(steps) - 1)
+                assert (outcome.reward is not None) == (index == len(steps) - 1)
                 state = outcome.state
             assert outcome.reward == 1
 
