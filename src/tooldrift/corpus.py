@@ -309,9 +309,8 @@ class TaskPlan:
 
 @dataclass
 class Corpus:
-    """Built-in corpus bundle: world, base registry, prompt material, tasks."""
+    """Built-in corpus bundle: base registry (with its world), prompt material, tasks."""
 
-    world: dict
     base_registry: ToolRegistry
     manual: list[str]
     demos: list[str]
@@ -482,7 +481,6 @@ def load_corpus() -> Corpus:
     registry = build_base_registry(world)
     tasks, plans = _build_tasks(world)
     return Corpus(
-        world=world,
         base_registry=registry,
         manual=build_manual(registry),
         demos=build_demos(registry),

@@ -25,6 +25,8 @@ DEPRECATION_ERROR_TEMPLATE = (
 ANSWER_CORRECT_TEXT = "Answer is CORRECT"
 ANSWER_INCORRECT_TEXT = "Answer is INCORRECT"
 
+# The classes of environment feedback, each an Observation.kind.
+OBSERVATION_KINDS = ("response", "invocation_error", "deprecation_error", "task_done")
 PARAM_KINDS = ("text", "map")
 SPECIAL_CHARS = ("_", "-", ".")
 # Actions of the ReAct loop, not tools: adapt.execute_action handles them by
@@ -132,8 +134,8 @@ class DeprecationEntry:
 class Observation:
     """Environment feedback for one action.
 
-    kind is one of response, invocation_error, deprecation_error, task_done;
-    reward is present exactly when kind == task_done.
+    kind is one of the OBSERVATION_KINDS; reward is present exactly when
+    kind == task_done.
     """
 
     kind: str
@@ -141,6 +143,8 @@ class Observation:
     reward: int | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in OBSERVATION_KINDS:
+            raise ValueError(f"unknown observation kind {self.kind!r}")
         if (self.kind == "task_done") != (self.reward is not None):
             raise ValueError("reward must be present exactly when kind is task_done")
         if self.reward is not None and self.reward not in (-1, 1):

@@ -35,7 +35,7 @@ from itertools import compress, groupby, zip_longest
 from typing import Any
 
 from .adapt import advance, execute_action, reflection_gate
-from .env import TASK_TYPES, TaskInstance, ToolRegistry, typed_object
+from .env import OBSERVATION_KINDS, TASK_TYPES, TaskInstance, ToolRegistry, typed_object
 from .policy import PolicyError
 from .react import ActionParseError, ActionRecord, StateRecord, parse_action
 
@@ -341,22 +341,22 @@ def run_search(
 
 # ---------------------------------------------------------------------------
 # Serialization, tree JSON format_version 8, compact with sorted keys.
-# ``actions`` holds each distinct action (with its observation's ``kind``) once,
-# in order of first use. ``nodes`` holds four lists. ``expansions`` has one
-# ``[parent, count]`` pair per expansion, in id order: node 0 is the root, and
-# each expansion gives an earlier, unexpanded node ``count`` children, the next
-# ids. ``action`` holds one index into ``actions`` per node after the root.
-# ``reward`` and ``failure`` hold one ``[id, value]`` pair per node whose value
-# is not null, ids strictly increasing. ``simulations`` is the search log: one
-# ``[leaf, chosen, reward]`` triple per simulation, where ``chosen`` is the
-# leaf's child its rollout started from, or the leaf itself when it became a
-# failed terminal. ``parent``, ``children`` (a range of ids) and ``depth`` are
-# rebuilt from the expansions, and ``_replay`` rebuilds ``q_value``,
-# ``visit_count`` and ``expanded`` from the log; a node's prior, visibility and
-# ``terminal`` are derived. States are neither written nor rebuilt, since
-# ``SearchTree.state`` derives them from ``manual``, ``demos`` and the path's
-# actions. ``stats`` holds only ``policy_calls``. A loader of version 8 reads
-# no other version.
+# ``actions`` holds each distinct action (with its observation's ``kind``, one
+# of ``OBSERVATION_KINDS`` or null) once, in order of first use. ``nodes`` holds
+# four lists. ``expansions`` has one ``[parent, count]`` pair per expansion, in
+# id order: node 0 is the root, and each expansion gives an earlier, unexpanded
+# node ``count`` children, the next ids. ``action`` holds one index into
+# ``actions`` per node after the root. ``reward`` and ``failure`` hold one
+# ``[id, value]`` pair per node whose value is not null, ids strictly
+# increasing. ``simulations`` is the search log: one ``[leaf, chosen, reward]``
+# triple per simulation, where ``chosen`` is the leaf's child its rollout
+# started from, or the leaf itself when it became a failed terminal. ``parent``,
+# ``children`` (a range of ids) and ``depth`` are rebuilt from the expansions,
+# and ``_replay`` rebuilds ``q_value``, ``visit_count`` and ``expanded`` from
+# the log; a node's prior, visibility and ``terminal`` are derived. States are
+# neither written nor rebuilt, since ``SearchTree.state`` derives them from
+# ``manual``, ``demos`` and the path's actions. ``stats`` holds only
+# ``policy_calls``. A loader of version 8 reads no other version.
 # ---------------------------------------------------------------------------
 
 TREE_FORMAT_VERSION = 8
@@ -455,8 +455,8 @@ def _entries(items: list, types: tuple, what: str) -> list:
 def tree_from_json(text: str) -> SearchTree:
     """Load a format_version 8 tree, grown one expansion at a time, its
     statistics replayed from its simulation log; a malformed document (a NaN or
-    Infinity token, or an expansion, action index or log entry that the format
-    above does not allow, included), or one that breaks an invariant of
+    Infinity token, or an action kind, expansion, action index or log entry that
+    the format above does not allow, included), or one that breaks an invariant of
     ``check_tree_invariants``, raises ValueError. Nodes that name one table
     entry share its ActionRecord."""
     doc = json.loads(text, parse_constant=_reject_constant)
@@ -477,6 +477,8 @@ def tree_from_json(text: str) -> SearchTree:
         ActionRecord(**typed_object(entry, _ACTION_TYPES, f"action {index}"))
         for index, entry in enumerate(doc["actions"])
     ]
+    if not {action.kind for action in actions} <= {*OBSERVATION_KINDS, None}:
+        raise ValueError("actions: a kind is neither an observation class nor null")
     nodes = typed_object(doc["nodes"], _NODES_TYPES, "nodes")
     indices = nodes["action"]
     parent, children, depth = [None], [()], [0]

@@ -9,9 +9,12 @@ Scripted policies are table-driven stand-ins for an LLM. The adaptive one
 follows each task's reference tool plan, reads deprecation guidance out of
 observations, retries through successor APIs, and records what it learned
 with UpdateTool; the rigid one replays the base plan no matter what the
-environment says. Both are pure functions of the rendered state, which makes
-them usable as oracles in tests; ``pure = True`` says so, and search asks them
-once per distinct path. ``RemotePolicy`` is not marked: an LLM samples.
+environment says. Both read their path once (``read_path``) and learn the
+drift only from the deprecation errors on it: they never read their UpdateTool
+text back, and look in the manual only so as not to record an update twice.
+Both are pure functions of the rendered state, which makes them usable as
+oracles in tests; ``pure = True`` says so, and search asks them once per
+distinct path. ``RemotePolicy`` is not marked: an LLM samples.
 
 Framework decisions (the reflection gate, ``inspect``) read the typed
 ``Observation.kind`` on each step. The scripted agents, like an LLM, see only
@@ -47,11 +50,6 @@ POLICY_KINDS = ("scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive",
 _DEPRECATION_MSG_RE = re.compile(
     r"Error: ([A-Za-z0-9_.\-]+)\[.*?\] is deprecated\. "
     r"Please use ([A-Za-z0-9_.\-]+)\[.*?\], param example: (\{.*\}) instead\.",
-    re.DOTALL,
-)
-_UPDATE_DESC_RE = re.compile(
-    r"^([A-Za-z0-9_.\-]+)\[.*?\], which is an updated version of ([A-Za-z0-9_.\-]+)\. "
-    r"For example, (\{.*\})\.$",
     re.DOTALL,
 )
 
@@ -115,42 +113,20 @@ def parse_deprecation_guidance(text: str | None) -> tuple[str, str, dict] | None
     return old, new, example
 
 
-def parse_update_desc(entry: str) -> tuple[str, str, dict] | None:
-    """Extract (old name, successor, example) from a manual entry, if it is one."""
-    match = _UPDATE_DESC_RE.match(entry)
-    if match is None:
-        return None
-    new, old, example_json = match.groups()
-    try:
-        example = json.loads(example_json)
-    except json.JSONDecodeError:
-        return None
-    return old, new, example
-
-
-def successor_map(state: StateRecord) -> dict[str, tuple[str, dict]]:
-    """All old-name -> (successor, example) pairs visible from a state.
-
-    Learned tool descriptions in the manual are scanned first, then
-    deprecation errors along the step history; later guidance wins.
-    """
-    found: dict[str, tuple[str, dict]] = {}
-    for entry in state.tool_manual:
-        parsed = parse_update_desc(entry)
-        if parsed is not None:
-            old, new, example = parsed
-            found[old] = (new, example)
+def read_path(state: StateRecord) -> tuple[int, dict[str, tuple[str, dict]]]:
+    """One pass over the steps: the number of planned calls done (steps that
+    are neither an UpdateTool nor answered by an error message), and each old
+    name -> (successor, example) from the deprecation errors, later guidance
+    winning."""
+    done, successors = 0, {}
     for step in state.steps:
-        parsed = parse_deprecation_guidance(step.observation)
-        if parsed is not None:
-            old, new, example = parsed
-            found[old] = (new, example)
-    return found
-
-
-def reads_as_error(text: str | None) -> bool:
-    """Whether an observation text is one of the environment's error messages."""
-    return text == INVOCATION_ERROR_TEXT or parse_deprecation_guidance(text) is not None
+        guidance = parse_deprecation_guidance(step.observation)
+        if guidance is not None:
+            old, new, example = guidance
+            successors[old] = (new, example)
+        elif step.action_name != "UpdateTool" and step.observation != INVOCATION_ERROR_TEXT:
+            done += 1
+    return done, successors
 
 
 class ScriptedPolicy:
@@ -176,14 +152,6 @@ class ScriptedPolicy:
             raise UnknownTaskError(f"no plan for task {state.task.id!r}")
         return plan
 
-    @staticmethod
-    def _progress(state: StateRecord) -> int:
-        done = 0
-        for step in state.steps:
-            if step.action_name != "UpdateTool" and not reads_as_error(step.observation):
-                done += 1
-        return done
-
     def _base_param_order(self, tool: str) -> list[str]:
         return self.corpus.base_registry.apis[tool].param_names()
 
@@ -197,7 +165,7 @@ class ScriptedRigidPolicy(ScriptedPolicy):
 
     def next_step(self, state: StateRecord) -> str:
         plan = self._plan(state)
-        done = self._progress(state)
+        done, _ = read_path(state)
         if done >= len(plan.calls):
             return plan.finish_text
         return plan.calls[done].text
@@ -225,7 +193,9 @@ class ScriptedAdaptivePolicy(ScriptedPolicy):
         if not self.emit_tool_updates or not state.steps:
             return None
         last = state.steps[-1]
-        if last.action_name == "UpdateTool" or reads_as_error(last.observation):
+        if last.action_name == "UpdateTool" or last.observation == INVOCATION_ERROR_TEXT:
+            return None
+        if parse_deprecation_guidance(last.observation) is not None:
             return None
         for old, (new, example) in successors.items():
             if last.action_name != new:
@@ -241,9 +211,8 @@ class ScriptedAdaptivePolicy(ScriptedPolicy):
 
     def next_step(self, state: StateRecord) -> str:
         plan = self._plan(state)
-        done = self._progress(state)
-        successors = successor_map(state)
-        last = state.last_observation()
+        done, successors = read_path(state)
+        last = state.steps[-1].observation if state.steps else None
         guidance = parse_deprecation_guidance(last)
 
         if guidance is not None and done < len(plan.calls):

@@ -69,11 +69,6 @@ class StateRecord:
     demos: tuple[str, ...] = ()
     steps: tuple[ActionRecord, ...] = ()
 
-    def last_observation(self) -> str | None:
-        if not self.steps:
-            return None
-        return self.steps[-1].observation
-
 
 def _coerce_value(value: Any) -> Any:
     if isinstance(value, str):

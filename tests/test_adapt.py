@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from tooldrift.adapt import UPDATE_TOOL_OK_TEXT, advance, execute_action, reflection_gate
 from tooldrift.cli import main
 from tooldrift.corpus import load_corpus
-from tooldrift.env import INVOCATION_ERROR_TEXT, TaskInstance
+from tooldrift.env import INVOCATION_ERROR_TEXT, OBSERVATION_KINDS, TaskInstance
 from tooldrift.mcts import SearchConfig, SearchTree, expand, run_search, tree_to_json
 from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
 from tooldrift.react import ActionRecord, StateRecord, render_prompt
-
-KINDS = ("response", "invocation_error", "deprecation_error", "task_done")
 
 DEPRECATION_TEXT = (
     "Error: LoadDB[DBName] is deprecated. Please use InitializeDatabase[DatabaseName], "
@@ -101,7 +99,7 @@ class TestClassifyObservation:
         # Steps parsed back from prompt text carry no kind.
         assert not expansion_stops(DEPRECATION_TEXT, None, no_self_reflection=True)
 
-    @given(st.text(max_size=40), st.sampled_from(KINDS + (None,)), st.booleans())
+    @given(st.text(max_size=40), st.sampled_from(OBSERVATION_KINDS + (None,)), st.booleans())
     def test_total(self, text, kind, no_self_reflection):
         stops = expansion_stops(text, kind, no_self_reflection)
         assert stops == expansion_stops("", kind, no_self_reflection)
@@ -246,7 +244,7 @@ class TestAdversarialWorldCells:
     @pytest.mark.parametrize("cell", ["Room is deprecated", "Answer is Room 4A"])
     def test_cell_text_is_only_a_response(self, cell, tmp_path, capsys, greedy_episode):
         corpus = load_corpus()
-        row = next(r for r in corpus.world["agenda"]["rows"] if r["Event"] == "Team standup")
+        row = next(r for r in corpus.base_registry.world["agenda"]["rows"] if r["Event"] == "Team standup")
         row["Location"] = cell
         task = next(t for t in corpus.tasks if "team standup" in t.description)
         adversarial = replace(task, gold_answer=cell)

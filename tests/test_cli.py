@@ -912,6 +912,7 @@ MALFORMED_TREES = {
     "action_index_true": _set("action", 1, True),
     "action_index_float": _set("action", 1, 0.0),
     "action_entry_missing_key": lambda doc: doc["actions"][0].pop("kind"),
+    "action_kind_not_an_observation_class": lambda doc: doc["actions"][0].update(kind="banana"),
     "action_entry_extra_key": lambda doc: doc["actions"][0].update(extra=1),
     "actions_not_a_list": lambda doc: doc.update(actions={}),
     "action_entry_not_an_object": lambda doc: doc["actions"].__setitem__(0, 5),

@@ -196,6 +196,10 @@ class TestObservation:
         with pytest.raises(ValueError):
             Observation(kind="task_done", text="x")
 
+    def test_kind_is_an_observation_class(self):
+        with pytest.raises(ValueError, match="unknown observation kind"):
+            Observation(kind="banana", text="x")
+
 
 # ---------------------------------------------------------------------------
 # Built-in corpus
@@ -275,7 +279,7 @@ class TestBuiltinCorpus:
     def test_gold_answers_recomputable(self, corpus):
         checked = 0
         for task in corpus.tasks:
-            expected = independent_gold(task, corpus.world, corpus.plans)
+            expected = independent_gold(task, corpus.base_registry.world, corpus.plans)
             if expected is None:
                 continue
             checked += 1
@@ -286,7 +290,7 @@ class TestBuiltinCorpus:
         assert checked >= 14
 
     def test_agenda_lookup_answers_exist_in_rows(self, corpus):
-        rows = corpus.world["agenda"]["rows"]
+        rows = corpus.base_registry.world["agenda"]["rows"]
         cells = {str(v) for row in rows for v in row.values()} | {
             format_number(float(v)) for row in rows for v in row.values() if isinstance(v, (int, float))
         }

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from tooldrift import policy as policy_module
-from tooldrift.env import invoke
+from tooldrift.adapt import UPDATE_TOOL_OK_TEXT
+from tooldrift.env import DEPRECATION_ERROR_TEMPLATE, INVOCATION_ERROR_TEXT, invoke
 from tooldrift.mcts import SearchConfig, run_search
 from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import (
@@ -25,9 +26,10 @@ from tooldrift.policy import (
     UnknownTaskError,
     build_policy,
     parse_deprecation_guidance,
+    read_path,
     update_tool_desc,
 )
-from tooldrift.react import StateRecord, parse_action
+from tooldrift.react import ActionRecord, StateRecord, parse_action
 
 
 def state_for(corpus, task_id, steps=()):
@@ -203,15 +205,56 @@ class TestClosedLoop:
         assert policy.propose(state, 3) == policy.propose(state, 3)
 
 
+def deprecation_text(old, new, example):
+    return DEPRECATION_ERROR_TEMPLATE.format(
+        old=old, old_params="DBName", new=new, new_params=", ".join(example), example=json.dumps(example)
+    )
+
+
+def step(action_name, observation, kind=None):
+    return ActionRecord(thought="t", action_name=action_name, action_input={}, observation=observation, kind=kind)
+
+
+class TestReadPath:
+    """``read_path``: the planned calls done and the successors, in one pass."""
+
+    def test_updates_and_errors_are_not_done(self, corpus):
+        guidance = deprecation_text("LoadDB", "InitializeDatabase", {"DatabaseName": "coffee"})
+        steps = [
+            step("LoadDB", guidance, "deprecation_error"),
+            step("InitializeDatabase", INVOCATION_ERROR_TEXT, "invocation_error"),
+            step("InitializeDatabase", "We have successfully loaded the coffee database.", "response"),
+            step("UpdateTool", UPDATE_TOOL_OK_TEXT, "response"),
+            step("FilterDB", "We have filtered."),
+        ]
+        done, successors = read_path(state_for(corpus, "coffee-easy-1", steps))
+        assert done == 2
+        assert successors == {"LoadDB": ("InitializeDatabase", {"DatabaseName": "coffee"})}
+
+    def test_later_guidance_wins(self, corpus):
+        steps = [
+            step("LoadDB", deprecation_text("LoadDB", "InitializeDatabase", {"DatabaseName": "coffee"})),
+            step("LoadDB", deprecation_text("LoadDB", "Open_DB", {"Label": "coffee"})),
+        ]
+        assert read_path(state_for(corpus, "coffee-easy-1", steps)) == (0, {"LoadDB": ("Open_DB", {"Label": "coffee"})})
+
+    def test_a_response_that_contains_guidance_is_done(self, corpus):
+        """Guidance is the whole observation text, so a response that merely
+        quotes a deprecation message is a planned call done."""
+        quoted = "Row 1: " + deprecation_text("LoadDB", "InitializeDatabase", {"DatabaseName": "coffee"})
+        assert read_path(state_for(corpus, "coffee-easy-1", [step("GetValue", quoted)])) == (1, {})
+
+    def test_the_manual_teaches_no_successor(self, corpus):
+        """An update in the manual, with no deprecation error on the path, does
+        not change the call: the agent proposes the plan's own LoadDB step."""
+        registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
+        successor = registry.deprecated["LoadDB"].successor
+        manual = (*corpus.manual, update_tool_desc(successor, "LoadDB", registry.apis[successor].example_args()))
+        state = StateRecord(task=corpus.task("coffee-easy-1"), tool_manual=manual)
+        assert ScriptedAdaptivePolicy(corpus).propose(state, 1) == [corpus.plans["coffee-easy-1"].calls[0].text]
+
+
 class TestGuidanceParsing:
-    def test_round_trip_with_update_desc(self):
-        desc = update_tool_desc("Initialize_Database", "LoadDB", {"DatabaseName": "flights"})
-        from tooldrift.policy import parse_update_desc
-
-        old, new, example = parse_update_desc(desc)
-        assert (old, new) == ("LoadDB", "Initialize_Database")
-        assert example == {"DatabaseName": "flights"}
-
     def test_parse_deprecation_guidance(self):
         text = (
             "Error: LoadDB[DBName] is deprecated. Please use InitializeDatabase[DatabaseName], "
