@@ -21,7 +21,8 @@ is optional, and an absent key takes its default:
   [mutation_ood]                synonyms (a JSON object of word -> words)
   [search]                      c_puct, max_depth, k, max_simulations,
                                 trees_per_task, rng_seed
-  [policy]                      kind, endpoint, temperature, request_timeout
+  [policy]                      kind, endpoint (an http or https URL),
+                                temperature, request_timeout
 
 Each key names a field of ``MutationPlan``, ``SearchConfig`` or
 ``PolicyConfig`` and is read by the type of its default; the config checks

@@ -27,7 +27,7 @@ rebuilds the state that way still gets the same answers.
 The remote policy retries a failed request a fixed ``RemotePolicy.MAX_RETRIES``
 times. It has no request limit of its own: ``search --jobs`` shares one policy
 across its worker threads, so the number of jobs bounds the requests in flight.
-Only ``RemotePolicy`` loads ``requests``, so scripted runs never import it.
+Only ``RemotePolicy`` loads ``http.client``, so scripted runs never import it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ import json
 import logging
 import math
 import re
+import threading
 import time
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 from .corpus import Corpus, PlannedCall, load_corpus, remap_args
 from .env import INVOCATION_ERROR_TEXT
@@ -64,8 +66,8 @@ class UnknownTaskError(PolicyError):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """How to build a policy; a non-empty endpoint is required exactly for the
-    remote kind."""
+    """How to build a policy; a non-empty endpoint, an http or https URL with
+    a host, is required exactly for the remote kind."""
 
     kind: str = "scripted_adaptive"
     endpoint: str | None = None
@@ -78,6 +80,14 @@ class PolicyConfig:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if (self.kind == "remote") != bool(self.endpoint):
             raise ValueError("endpoint is required exactly when kind is remote")
+        if self.endpoint:
+            try:
+                url = urlsplit(self.endpoint)
+                valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+            except ValueError:  # an unbalanced IPv6 bracket, or a port that is not a number in range
+                valid = False
+            if not valid:
+                raise ValueError(f"endpoint {self.endpoint!r} is not an http or https URL with a host")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError("temperature must be a finite number >= 0")
         if not (math.isfinite(self.request_timeout) and self.request_timeout > 0):
@@ -266,24 +276,58 @@ class RemotePolicy:
     Request: {"prompt": text, "n": int, "temperature": float, "stop": [text]}.
     Response: {"choices": [{"text": ...}, ...]} with exactly n choices. The
     stop sequence is the Observation label so the model never invents
-    environment feedback. ``session`` defaults to a new ``requests.Session``.
-    A failed POST, or a reply that does not decode (one nested past the
-    recursion limit included) or has another shape, is retried MAX_RETRIES
-    times and then raises PolicyError.
+    environment feedback. Each thread POSTs over its own keep-alive
+    ``http.client`` connection, opened on first use and again after a reply
+    that closes it or a transport error; proxy variables and ``.netrc`` are
+    not read. A failed POST, a non-2xx status, or a reply that does not decode
+    (one nested past the recursion limit included) or has another shape, is
+    retried MAX_RETRIES times and then raises PolicyError.
     """
 
     STOP_SEQUENCES = ["Observation:"]
     MAX_RETRIES = 2
 
-    def __init__(self, config: PolicyConfig, session=None):
-        import requests
+    def __init__(self, config: PolicyConfig):
+        import http.client
         if config.kind != "remote":
             raise ValueError("RemotePolicy requires a remote PolicyConfig")
         self.config = config
-        self.session = session or requests.Session()
+        url = urlsplit(config.endpoint)
+        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        # Given no port, http.client would read a bare IPv6 host's last group as one.
+        port = url.port or connection.default_port
+        self._connect = functools.partial(connection, url.hostname, port, timeout=config.request_timeout)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._local = threading.local()
+        self._connections = []  # every thread's, for close()
+
+    def _post(self, body: bytes) -> bytes:
+        """POST ``body`` on this thread's connection and return the reply body.
+        A transport error closes the connection, so the next POST opens a
+        fresh one."""
+        import http.client
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+            self._connections.append(conn)
+        try:
+            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            raise
+        if not 200 <= response.status < 300:
+            raise http.client.HTTPException(f"{response.status} {response.reason} from {self.config.endpoint}")
+        return data
+
+    def close(self) -> None:
+        """Close every thread's connection; a later POST opens a new one."""
+        for conn in self._connections:
+            conn.close()
 
     def propose(self, state: StateRecord, k: int) -> list[str]:
-        import requests
+        import http.client
         if k < 1:
             raise ValueError("k must be >= 1")
         payload = {
@@ -292,16 +336,14 @@ class RemotePolicy:
             "temperature": self.config.temperature,
             "stop": self.STOP_SEQUENCES,
         }
+        body = json.dumps(payload).encode()
         last_error: Exception | None = None
         for attempt in range(self.MAX_RETRIES + 1):
             try:
                 start = time.perf_counter()
-                response = self.session.post(
-                    self.config.endpoint, json=payload, timeout=self.config.request_timeout
-                )
-                response.raise_for_status()
+                data = self._post(body)
                 log.debug("POST %s took %.1f ms", self.config.endpoint, 1000 * (time.perf_counter() - start))
-                reply = response.json()
+                reply = json.loads(data)
                 choices = reply.get("choices", []) if isinstance(reply, dict) else None
                 if not isinstance(choices, list) or not all(
                     isinstance(c, dict) and isinstance(c.get("text"), str) for c in choices
@@ -311,7 +353,7 @@ class RemotePolicy:
                 if len(texts) < k:
                     raise ValueError(f"endpoint returned {len(texts)} candidates, wanted {k}")
                 return texts[:k]
-            except (requests.RequestException, ValueError, RecursionError) as exc:
+            except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
                 last_error = exc
                 if attempt < self.MAX_RETRIES:
                     log.warning("remote policy attempt %d failed, retrying: %s", attempt + 1, exc)

@@ -396,6 +396,10 @@ class TestSearchCommand:
             ("kind = scripted_adaptive", "kind = scripted_adaptive\nemit_tool_updates = false", "emit_tool_updates"),
             ("[search]", "[serach]", "[serach]"),
             ("kind = scripted_adaptive", "kind = remote\nendpoint =", "endpoint"),
+            ("kind = scripted_adaptive", "kind = remote\nendpoint = localhost:8080", "endpoint"),
+            ("kind = scripted_adaptive", "kind = remote\nendpoint = ftp://localhost/complete", "endpoint"),
+            ("kind = scripted_adaptive", "kind = remote\nendpoint = http:///complete", "endpoint"),
+            ("kind = scripted_adaptive", "kind = remote\nendpoint = http://localhost:http/", "endpoint"),
             ("kinds = name_text, param_text, param_format", "kinds =", "[mutation]"),
             ("c_puct = 1.25", "c_puct = nan", "c_puct"),
             ("c_puct = 1.25", "c_puct = inf", "c_puct"),
@@ -419,6 +423,10 @@ class TestSearchCommand:
             "flag_owned_emit_tool_updates",
             "unknown_section",
             "remote_without_endpoint",
+            "remote_endpoint_without_scheme",
+            "remote_endpoint_not_http",
+            "remote_endpoint_without_host",
+            "remote_endpoint_port_not_a_number",
             "empty_kinds",
             "c_puct_nan",
             "c_puct_inf",

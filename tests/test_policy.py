@@ -268,26 +268,39 @@ class TestGuidanceParsing:
 
 
 class _CompletionHandler(BaseHTTPRequestHandler):
+    """Answers each POST with ``fail_with`` as its status, else the canned
+    ``reply`` body, else n Finish candidates. It records each request and the
+    client port it came from. HTTP/1.0 closes every connection after one reply;
+    set ``protocol_version`` to "HTTP/1.1" to keep them open, and
+    ``drop_after_reply`` to close them anyway without saying so."""
+
     fail_with = None
+    reply = None
+    drop_after_reply = False
     seen = []
+    ports = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         type(self).seen.append(payload)
+        type(self).ports.append(self.client_address[1])
+        status, body = 200, type(self).reply
         if type(self).fail_with is not None:
-            self.send_response(type(self).fail_with)
-            self.end_headers()
-            return
-        body = json.dumps(
-            {"choices": [{"text": f"Thought: t{i}\nAction: Finish\nAction Input: {{\"answer\": \"5\"}}"}
-                         for i in range(payload["n"])]}
-        ).encode()
-        self.send_response(200)
+            status, body = type(self).fail_with, ""
+        elif body is None:
+            body = json.dumps(
+                {"choices": [{"text": f"Thought: t{i}\nAction: Finish\nAction Input: {{\"answer\": \"5\"}}"}
+                             for i in range(payload["n"])]}
+            )
+        body = body.encode()
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        if type(self).drop_after_reply:
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -295,37 +308,20 @@ class _CompletionHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def completion_server():
+    _CompletionHandler.protocol_version = "HTTP/1.0"
     _CompletionHandler.fail_with = None
+    _CompletionHandler.reply = None
+    _CompletionHandler.drop_after_reply = False
     _CompletionHandler.seen = []
+    _CompletionHandler.ports = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CompletionHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/complete", _CompletionHandler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
-
-
-class _FakeResponse:
-    def __init__(self, body):
-        self.body = body
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return json.loads(self.body)
-
-
-class _FakeSession:
-    """Answers every POST with the same JSON reply body."""
-
-    def __init__(self, body):
-        self.body = body
-        self.posts = 0
-
-    def post(self, url, json, timeout):
-        self.posts += 1
-        return _FakeResponse(self.body)
+    assert not thread.is_alive()
 
 
 BAD_REPLIES = {
@@ -341,13 +337,16 @@ BAD_REPLIES = {
 
 class TestRemotePolicy:
     @pytest.mark.parametrize("shape", sorted(BAD_REPLIES))
-    def test_reply_of_the_wrong_shape_is_a_policy_error(self, corpus, base_registry, shape, monkeypatch):
+    def test_reply_of_the_wrong_shape_is_a_policy_error(
+        self, corpus, base_registry, completion_server, shape, monkeypatch
+    ):
         monkeypatch.setattr(policy_module.time, "sleep", lambda seconds: None)
-        session = _FakeSession(BAD_REPLIES[shape])
-        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint="http://localhost/complete"), session=session)
+        url, handler = completion_server
+        handler.reply = BAD_REPLIES[shape]
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url))
         with pytest.raises(PolicyError):
             policy.propose(state_for(corpus, "coffee-easy-1"), 5)
-        assert session.posts == 1 + RemotePolicy.MAX_RETRIES
+        assert len(handler.seen) == 1 + RemotePolicy.MAX_RETRIES
         tree = run_search(
             corpus.task("coffee-easy-1"), base_registry, policy, SearchConfig(max_simulations=3),
             corpus.manual, corpus.demos,
@@ -381,6 +380,57 @@ class TestRemotePolicy:
         assert len(retries) == RemotePolicy.MAX_RETRIES
         assert all(f"attempt {n} failed" in m and "500" in m for n, m in enumerate(retries, 1))
 
+    @pytest.mark.parametrize("protocol, connections", [("HTTP/1.1", 1), ("HTTP/1.0", 5)])
+    def test_each_thread_keeps_its_connection_while_the_server_does(
+        self, corpus, completion_server, caplog, protocol, connections
+    ):
+        """An HTTP/1.1 server keeps the connection open, so five POSTs share
+        it; an HTTP/1.0 one closes it after each reply, and the next POST opens
+        a new one without a retry."""
+        url, handler = completion_server
+        handler.protocol_version = protocol
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url))
+        with caplog.at_level(logging.WARNING, logger="tooldrift.policy"):
+            for _ in range(5):
+                assert len(policy.propose(state_for(corpus, "coffee-easy-1"), 2)) == 2
+        policy.close()
+        assert not caplog.records
+        assert len(handler.ports) == 5 and len(set(handler.ports)) == connections
+
+    def test_a_connection_the_server_dropped_is_reopened_by_the_retry(
+        self, corpus, completion_server, caplog, monkeypatch
+    ):
+        """The HTTP/1.1 server closes each connection after its reply without
+        saying so, as one does when a keep-alive connection idles too long."""
+        monkeypatch.setattr(policy_module.time, "sleep", lambda seconds: None)
+        url, handler = completion_server
+        handler.protocol_version = "HTTP/1.1"
+        handler.drop_after_reply = True
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url))
+        state = state_for(corpus, "coffee-easy-1")
+        assert len(policy.propose(state, 2)) == 2
+        with caplog.at_level(logging.WARNING, logger="tooldrift.policy"):
+            assert len(policy.propose(state, 2)) == 2
+        policy.close()
+        assert len(caplog.records) == 1 and "attempt 1 failed" in caplog.records[0].getMessage()
+        assert len(handler.ports) == 2 and len(set(handler.ports)) == 2
+
+    @pytest.mark.parametrize(
+        "endpoint, scheme, host, port, path",
+        [
+            ("http://127.0.0.1:8080/complete", "http", "127.0.0.1", 8080, "/complete"),
+            ("http://[::1]/complete", "http", "::1", 80, "/complete"),
+            ("https://Example.org/v1/complete?model=m", "https", "example.org", 443, "/v1/complete?model=m"),
+            ("http://localhost", "http", "localhost", 80, "/"),
+        ],
+    )
+    def test_endpoint_sets_the_connection_and_the_path(self, endpoint, scheme, host, port, path):
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=endpoint))
+        conn = policy._connect()
+        assert (type(conn).__name__, conn.host, conn.port, policy._path) == (
+            f"{scheme.upper()}Connection", host, port, path
+        )
+
     def test_config_requires_endpoint_for_remote(self):
         with pytest.raises(ValueError):
             PolicyConfig(kind="remote")
@@ -397,8 +447,9 @@ class TestRemotePolicy:
 
 
 def test_importing_the_cli_does_not_load_requests():
-    """Only RemotePolicy loads requests, so mutate, export, inspect and a
-    scripted search never pay for its import."""
+    """Nothing loads requests, and only RemotePolicy loads http.client (which
+    imports email and ssl), so mutate, export, inspect and a scripted search
+    never pay for either import."""
     env = {**os.environ, "PYTHONPATH": str(Path(policy_module.__file__).parents[1])}
-    code = "import sys, tooldrift.cli; sys.exit('requests' in sys.modules)"
+    code = "import sys, tooldrift.cli; sys.exit('requests' in sys.modules or 'http.client' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
