@@ -47,31 +47,62 @@ invariant exits 4 unwritten; the trees written before it remain.
 ``export`` reads the tree files one at a time, in name order, and holds only
 the reward-+1 paths of each; a corrupt file exits 4 before any SFT is written.
 It creates the directory of ``--out`` if it is missing.
+
+Each command imports only the modules it runs, since every interpreter start
+pays for them: ``mutate`` loads ``corpus`` and ``mutation``; ``search`` those,
+``mcts`` and ``policy``, and ``concurrent.futures`` only with ``--jobs`` above
+1; ``export`` loads ``mcts`` and ``trajectory``; ``inspect``, ``mcts``. The
+names cli uses from those modules (``_LAZY``) are still ``cli`` attributes:
+reading one binds it, and a command binds what it needs without replacing a
+name that a caller has already set, so a patched or wrapped name is the one
+the command calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import io
 import json
 import os
 import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, fields, replace
 from itertools import islice
 from pathlib import Path
 
-from .corpus import Corpus, load_corpus, tasks_from_json
 from .env import ToolRegistry, registry_from_json, registry_to_json
-from .mcts import SearchConfig, SearchTree, run_search, tree_from_json, tree_to_json
-from .mutation import MutationError, MutationPlan, draw, mutate_registry, verify_mutation
-from .policy import PolicyConfig, UnknownTaskError, build_policy
-from .trajectory import collect_from_trees, export_sft
+
+# Each module cli loads only when a command runs it -> the names cli uses from it.
+_LAZY = {
+    "corpus": ("Corpus", "load_corpus", "tasks_from_json"),
+    "mcts": ("SearchConfig", "SearchTree", "run_search", "tree_from_json", "tree_to_json"),
+    "mutation": ("MutationError", "MutationPlan", "draw", "mutate_registry", "verify_mutation"),
+    "policy": ("PolicyConfig", "UnknownTaskError", "build_policy"),
+    "trajectory": ("collect_from_trees", "export_sft"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind the names cli uses from them; a name that is
+    already bound, a patched one included, is kept."""
+    for module in modules:
+        path = f"{__package__}.{module}"
+        __import__(path)  # importlib.import_module would be missing from -X importtime
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(sys.modules[path], name))
+
+
+def __getattr__(name: str):
+    """A ``_LAZY`` name read before a command has bound it (PEP 562)."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -193,6 +224,7 @@ def _mutated(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
 
 
 def cmd_mutate(args) -> int:
+    _bind("corpus", "mutation")
     corpus = _load_corpus("builtin")
     base = _load_registry(args.base, corpus)
     mutated = _mutated(base, _plan_from_args(args))
@@ -224,6 +256,7 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
     CliError before any search runs. With ``--jobs`` above 1 the searches run
     in a thread pool, at most two per job submitted ahead of the tree last
     yielded; closing the iterator cancels those not yet started."""
+    _bind("corpus", "mcts", "mutation", "policy")
     if overrides.jobs < 1:
         raise CliError(f"--jobs must be a positive integer, not {overrides.jobs}", EXIT_CONFIG)
     unknown = sorted(set(parser.sections()) - {"run", "search", "policy", *MUTATION_SECTIONS})
@@ -261,6 +294,8 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
         if overrides.jobs == 1:
             yield from map(one, runs)
             return
+        from concurrent.futures import ThreadPoolExecutor
+
         pool = ThreadPoolExecutor(max_workers=overrides.jobs)
         try:
             pending = deque(pool.submit(one, run) for run in islice(runs, 2 * overrides.jobs))
@@ -335,6 +370,8 @@ def cmd_search(args) -> int:
     rows = summarize(outcomes, corpus, setting)
     print_summary(rows)
     if args.csv:
+        import csv
+
         table = io.StringIO()
         writer = csv.DictWriter(
             table, fieldnames=["setting", "dataset", "difficulty", "tasks", "solved", "success_rate"]
@@ -347,6 +384,7 @@ def cmd_search(args) -> int:
 
 
 def _load_tree(path) -> SearchTree:
+    _bind("mcts")
     with _exits(EXIT_INVARIANT, f"corrupt tree file {path}"):
         return tree_from_json(_read_text(str(path)))
 
@@ -357,6 +395,7 @@ def cmd_export(args) -> int:
     tree_dir = Path(args.trees)
     if not tree_dir.is_dir():
         raise CliError(f"not a directory: {tree_dir}", EXIT_IO)
+    _bind("trajectory")
     trees = map(_load_tree, sorted(tree_dir.glob("*.json")))
     records = collect_from_trees(trees, max_per_task=args.max_per_task, seed=args.seed)
     with _exits(EXIT_IO, f"cannot write {args.out}", OSError):

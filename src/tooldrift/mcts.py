@@ -36,8 +36,7 @@ from typing import Any
 
 from .adapt import advance, execute_action, reflection_gate
 from .env import OBSERVATION_KINDS, TASK_TYPES, TaskInstance, ToolRegistry, typed_object
-from .policy import PolicyError
-from .react import ActionParseError, ActionRecord, StateRecord, parse_action
+from .react import ActionParseError, ActionRecord, PolicyError, StateRecord, parse_action
 
 FAILED_ACTION_NAME = "MalformedAction"
 
@@ -419,7 +418,7 @@ def tree_to_json(tree: SearchTree) -> str:
     index_of: dict[int, int | None] = {id(None): None}
     for action in dict(zip(map(id, tree.action), tree.action)).values():
         if action is not None:
-            entry = asdict(action)
+            entry = dict(vars(action))  # a shallow copy: asdict would deep-copy each action_input
             key = json.dumps(entry, sort_keys=True, ensure_ascii=False)
             index_of[id(action)] = table.setdefault(key, (len(table), entry))[0]
     columns = {
@@ -445,10 +444,12 @@ def tree_to_json(tree: SearchTree) -> str:
 
 def _entries(items: list, types: tuple, what: str) -> list:
     """``items``, once each is a list of ``len(types)`` values whose JSON
-    types are in ``types`` in turn; ValueError ``what`` otherwise."""
-    for item in items:
-        if type(item) is not list or len(item) != len(types) or any(type(v) not in t for v, t in zip(item, types)):
-            raise ValueError(what)
+    types are in ``types`` in turn; ValueError ``what`` otherwise. Checked a
+    column at a time: the items' shapes, then the types in each position."""
+    if {*map(type, items)} - {list} or {*map(len, items)} - {len(types)}:
+        raise ValueError(what)
+    if any({*map(type, column)} - {*allowed} for column, allowed in zip(zip(*items), types)):
+        raise ValueError(what)
     return items
 
 

@@ -27,14 +27,14 @@ rebuilds the state that way still gets the same answers.
 The remote policy retries a failed request a fixed ``RemotePolicy.MAX_RETRIES``
 times. It has no request limit of its own: ``search --jobs`` shares one policy
 across its worker threads, so the number of jobs bounds the requests in flight.
-Only ``RemotePolicy`` loads ``http.client``, so scripted runs never import it.
+Only ``RemotePolicy`` loads ``http.client`` and ``logging`` (its retries and
+latency go to the ``tooldrift.policy`` logger), so scripted runs import neither.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import logging
 import math
 import re
 import threading
@@ -44,9 +44,8 @@ from urllib.parse import urlsplit
 
 from .corpus import Corpus, PlannedCall, load_corpus, remap_args
 from .env import INVOCATION_ERROR_TEXT
-from .react import ActionRecord, StateRecord, render_prompt, render_step
+from .react import ActionRecord, PolicyError, StateRecord, render_prompt, render_step
 
-log = logging.getLogger(__name__)
 POLICY_KINDS = ("scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive", "remote")
 
 _DEPRECATION_MSG_RE = re.compile(
@@ -54,10 +53,6 @@ _DEPRECATION_MSG_RE = re.compile(
     r"Please use ([A-Za-z0-9_.\-]+)\[.*?\], param example: (\{.*\}) instead\.",
     re.DOTALL,
 )
-
-
-class PolicyError(RuntimeError):
-    """A policy could not produce candidates (transport failure, bad task)."""
 
 
 class UnknownTaskError(PolicyError):
@@ -289,6 +284,7 @@ class RemotePolicy:
 
     def __init__(self, config: PolicyConfig):
         import http.client
+        import logging
         if config.kind != "remote":
             raise ValueError("RemotePolicy requires a remote PolicyConfig")
         self.config = config
@@ -300,6 +296,7 @@ class RemotePolicy:
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._local = threading.local()
         self._connections = []  # every thread's, for close()
+        self._log = logging.getLogger(__name__)
 
     def _post(self, body: bytes) -> bytes:
         """POST ``body`` on this thread's connection and return the reply body.
@@ -342,7 +339,7 @@ class RemotePolicy:
             try:
                 start = time.perf_counter()
                 data = self._post(body)
-                log.debug("POST %s took %.1f ms", self.config.endpoint, 1000 * (time.perf_counter() - start))
+                self._log.debug("POST %s took %.1f ms", self.config.endpoint, 1000 * (time.perf_counter() - start))
                 reply = json.loads(data)
                 choices = reply.get("choices", []) if isinstance(reply, dict) else None
                 if not isinstance(choices, list) or not all(
@@ -356,7 +353,7 @@ class RemotePolicy:
             except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
                 last_error = exc
                 if attempt < self.MAX_RETRIES:
-                    log.warning("remote policy attempt %d failed, retrying: %s", attempt + 1, exc)
+                    self._log.warning("remote policy attempt %d failed, retrying: %s", attempt + 1, exc)
                     time.sleep(0.05 * (attempt + 1))
         raise PolicyError(f"remote policy failed after retries: {last_error}")
 

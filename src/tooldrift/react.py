@@ -42,6 +42,12 @@ class ActionParseError(ValueError):
         super().__init__(message)
 
 
+class PolicyError(RuntimeError):
+    """A policy could not produce candidates (transport failure, bad task).
+    Defined here, not in ``policy``, so that search catches it without
+    loading the policies."""
+
+
 @dataclass(frozen=True)
 class ActionRecord:
     """One executed or proposed step of the dialogue.

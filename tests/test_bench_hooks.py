@@ -77,14 +77,16 @@ def test_traced_search_records_every_layer(tmp_path):
 
 def test_traced_mutate_and_mutated_search_record_the_drift_check(tmp_path):
     """Both derive the mutated registry through the one path that calls
-    ``cli.verify_mutation``, the name the bench wraps."""
+    ``cli.verify_mutation``, the name the bench wraps, from the corpus and
+    the drift that ``cli.load_corpus`` and ``cli.mutate_registry`` give. The
+    wrappers are installed before ``cli`` binds these names, and still run."""
     manifest = tmp_path / "run.ini"
     manifest.write_text(
         MANIFEST.replace("consistent", "mutated_in") + "\n[mutation]\nseed = 7\n" + SEARCH.format(1), encoding="utf-8"
     )
     mutate = traced_span_names(tmp_path, "mutate", "--seed", "7", "--out", str(tmp_path / "m.json"))
     search = traced_span_names(tmp_path, "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"))
-    assert "mutation.verify_mutation" in mutate & search
+    assert {"corpus.load_corpus", "mutation.mutate_registry", "mutation.verify_mutation"} <= mutate & search
 
 
 def test_traced_export_records_the_load_path(tmp_path):
