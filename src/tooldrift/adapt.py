@@ -2,10 +2,11 @@
 
 Every executed step carries the environment's class for its observation
 (``Observation.kind``), and the reflection gate decides from that class
-alone, so no observation text can steer the search. ``advance`` is the one
-rule for how executed steps change a state: it appends them, and each
-UpdateTool grows the in-prompt manual of that path only, so sibling subtrees
-keep their own manuals. Search and loaded trees derive every state with it.
+alone, so no observation text can steer the search; it is asked once, when a
+node is made. ``advance`` is the one rule for how executed steps change a
+state: it appends them, and each UpdateTool grows the in-prompt manual of that
+path only, so sibling subtrees keep their own manuals. Search and loaded trees
+derive every state with it.
 
 The paper's two ablations are plain boolean arguments. ``reflection_gate``
 reads ``no_self_reflection``; ``advance`` alone reads ``no_tool_update``,
@@ -58,16 +59,15 @@ class ActionOutcome:
 
     state: StateRecord
     step: ActionRecord
-    reward: int | None = None
 
 
 def execute_action(state: StateRecord, record: ActionRecord, registry: ToolRegistry) -> ActionOutcome:
     """Route an action to the environment and advance the state by the executed step.
 
     Finish is scored, UpdateTool is acknowledged (an empty description is an
-    invocation error), everything else is an API invocation. Only Finish
-    has a reward, so only Finish produces a terminal outcome. The state
-    ignores the tool-update ablation, which only ``advance`` applies.
+    invocation error), everything else is an API invocation; a node's reward
+    is read off the step (``mcts.step_reward``). The state ignores the
+    tool-update ablation, which only ``advance`` applies.
     """
     if record.action_name == "Finish":
         obs = evaluate(state.task, as_text(record.action_input.get("answer", "")))
@@ -79,11 +79,11 @@ def execute_action(state: StateRecord, record: ActionRecord, registry: ToolRegis
     else:
         obs = invoke(registry, record.action_name, record.action_input)
     executed = record.executed(obs)
-    return ActionOutcome(advance(state, (executed,)), executed, obs.reward)
+    return ActionOutcome(advance(state, (executed,)), executed)
 
 
 def reflection_gate(kind: str | None, no_self_reflection: bool = False) -> bool:
-    """Whether a node whose last observation has class ``kind`` stops (None at the root).
+    """Whether a node whose action observed class ``kind`` stops when it is made (None at the root).
 
     Error states expand reflectively (the error stays in context) rather than
     being pruned; with the self-reflection ablation, invocation errors stop

@@ -417,6 +417,8 @@ def _node_label(node) -> str:
     kind = action.kind if action is not None else None
     if kind is not None and kind.endswith("_error"):
         flags.append(f"[{kind}]")
+    if node.failure is not None:
+        flags.append("[policy_error]")
     suffix = " " + " ".join(flags) if flags else ""
     return f"[{node.id}] {label} N={node.visit_count} Q={node.q_value:+.3f} P={node.prior:.2f} d={node.depth}{suffix}"
 

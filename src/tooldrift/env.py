@@ -2,9 +2,9 @@
 
 The environment is everything outside the agent: a registry of the drifting
 tools (the ReAct loop's own ``SYSTEM_ACTIONS`` are not in it), typed error
-feedback (invocation vs deprecation), and a +1/-1 scorer for final answers.
-Errors are returned as data, never raised, so a search can keep exploring
-through error states.
+feedback (invocation vs deprecation), and an answer-text scorer for final
+answers. Errors are returned as data, never raised, so a search can keep
+exploring through error states.
 """
 
 from __future__ import annotations
@@ -132,23 +132,15 @@ class DeprecationEntry:
 
 @dataclass(frozen=True)
 class Observation:
-    """Environment feedback for one action.
-
-    kind is one of the OBSERVATION_KINDS; reward is present exactly when
-    kind == task_done.
-    """
+    """Environment feedback for one action: its class, one of the
+    OBSERVATION_KINDS, and its text (for task_done, one of the answer texts)."""
 
     kind: str
     text: str
-    reward: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in OBSERVATION_KINDS:
             raise ValueError(f"unknown observation kind {self.kind!r}")
-        if (self.kind == "task_done") != (self.reward is not None):
-            raise ValueError("reward must be present exactly when kind is task_done")
-        if self.reward is not None and self.reward not in (-1, 1):
-            raise ValueError("reward must be -1 or +1")
 
 
 @dataclass(frozen=True)
@@ -274,10 +266,9 @@ def answers_match(answer: str, gold: str, tol: float = 1e-9) -> bool:
 
 
 def evaluate(task: TaskInstance, answer: str) -> Observation:
-    """Score a final answer against the task's gold answer with reward +1/-1."""
-    if answers_match(answer, task.gold_answer):
-        return Observation(kind="task_done", text=ANSWER_CORRECT_TEXT, reward=1)
-    return Observation(kind="task_done", text=ANSWER_INCORRECT_TEXT, reward=-1)
+    """Score a final answer against the task's gold answer: the correct or the incorrect answer text."""
+    correct = answers_match(answer, task.gold_answer)
+    return Observation(kind="task_done", text=ANSWER_CORRECT_TEXT if correct else ANSWER_INCORRECT_TEXT)
 
 
 # ---------------------------------------------------------------------------

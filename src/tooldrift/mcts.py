@@ -3,13 +3,14 @@
 A tree is its columns: one list per node field, indexed by node id, which
 search and serialization read and write; an expansion appends its k children
 at once, so siblings have consecutive ids. A node holds its executed action,
-its statistics and, once it ends (is terminal), its reward. Its state is
-derived: ``SearchTree.state`` replays the path's actions through
+its statistics and, once it ends (is terminal), its reward: its action's
+``step_reward``, fixed when the node is made, or -1 once its expansion fails.
+Its state is derived: ``SearchTree.state`` replays the path's actions through
 ``adapt.advance``, so search and loaded trees share one step rule. A child's
-action and outcome depend only on its candidate text, the task and the
-registry, so a tree parses and executes each distinct text once per registry
-object it is expanded under, and asks a ``pure`` policy once per distinct path;
-neither memo is serialized.
+action and reward depend only on its candidate text, the task, the registry
+and the config, so a tree parses and executes each distinct text once per
+registry object it is expanded under, and asks a ``pure`` policy once per
+distinct path; neither memo is serialized.
 
 The frontier is a property of the expansions: a node is visible when it is
 the root or its parent has been expanded, and an open leaf is a visible,
@@ -35,7 +36,8 @@ from itertools import compress, groupby, zip_longest
 from typing import Any
 
 from .adapt import advance, execute_action, reflection_gate
-from .env import OBSERVATION_KINDS, TASK_TYPES, TaskInstance, ToolRegistry, typed_object
+from .env import ANSWER_CORRECT_TEXT, ANSWER_INCORRECT_TEXT, OBSERVATION_KINDS, TASK_TYPES, typed_object
+from .env import TaskInstance, ToolRegistry
 from .react import ActionParseError, ActionRecord, PolicyError, StateRecord, parse_action
 
 FAILED_ACTION_NAME = "MalformedAction"
@@ -75,7 +77,7 @@ class SearchTree:
     manual: tuple[str, ...] = ()
     demos: tuple[str, ...] = ()
     stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STATS_TYPES, 0))
-    # The node columns; tree JSON writes parent (per expansion), action, reward and failure, and replays the rest.
+    # The node columns; tree JSON writes parent (per expansion), action and failure, and rebuilds the rest.
     parent: list[int | None] = field(default_factory=lambda: [None])
     action: list[ActionRecord | None] = field(default_factory=lambda: [None])
     q_value: list[float] = field(default_factory=lambda: [0.0])
@@ -89,7 +91,7 @@ class SearchTree:
     # Derived from ``parent``, so not compared: each node's children in id order, and its depth.
     children: list[Sequence[int]] = field(default_factory=lambda: [()], compare=False)
     depth: list[int] = field(default_factory=lambda: [0], compare=False)
-    # The (actions, rewards, failures) each node a pure policy expanded made its children from; never written.
+    # The (actions, rewards) each node a pure policy expanded made its children from; never written.
     _rows: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
     # Whether each visible node leads to an open leaf, kept by select_leaf across calls; never written.
     _reachable: dict[int, bool] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -187,12 +189,21 @@ def _memos(tree: SearchTree, registry: ToolRegistry) -> tuple[dict, dict]:
     return tree._made[1:]
 
 
+def step_reward(step: ActionRecord, no_self_reflection: bool) -> int | None:
+    """The reward fixed when ``step`` makes its node: a Finish scores +1 on the
+    correct answer text and -1 otherwise; an unparsed candidate (no kind) and a
+    step the reflection gate stops score -1; any other step leaves it open."""
+    if step.kind == "task_done":
+        return 1 if step.observation == ANSWER_CORRECT_TEXT else -1
+    return -1 if step.kind is None or reflection_gate(step.kind, no_self_reflection) else None
+
+
 def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: ToolRegistry) -> tuple:
-    """The (action, reward, failure) of the child that candidate
-    ``text`` makes from ``state``, through the tree's memo: each distinct text
-    is parsed and executed once per tree and registry object, and every node
-    it makes shares that frozen record and outcome. They depend only on the
-    text, the task and the registry: ``invoke`` is pure in (registry, name,
+    """The (action, reward) of the child that candidate ``text`` makes from
+    ``state``, through the tree's memo: each distinct text is parsed and
+    executed once per tree and registry object, and every node it makes
+    shares that frozen record and reward. They depend only on the text, the
+    task, the registry and the config: ``invoke`` is pure in (registry, name,
     args), ``evaluate`` reads only the task, and ``no_tool_update`` changes
     only the state, which is derived."""
     made = _memos(tree, registry)[0]
@@ -201,21 +212,17 @@ def _child_fields(tree: SearchTree, state: StateRecord, text: str, registry: Too
             record = parse_action(text)
         except ActionParseError as exc:
             step = ActionRecord(thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc))
-            made[text] = step, -1, str(exc)
         else:
-            outcome = execute_action(state, record, registry)
-            made[text] = outcome.step, outcome.reward, None
+            step = execute_action(state, record, registry).step
+        made[text] = step, step_reward(step, tree.config.no_self_reflection)
     return made[text]
 
 
 def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) -> Sequence[int]:
     """The node's children: on first use, one child per policy candidate,
-    appended in one step with consecutive ids and hidden from selection until
-    ``expand`` opens the node; () once the node is a failed terminal, because
-    the reflection gate stops it or the policy fails.
-
-    An error state passes the gate, so it expands with the error in context;
-    under the self-reflection ablation an invocation-error node stops.
+    appended in one step with consecutive ids, each with its reward, and
+    hidden from selection until ``expand`` opens the node; () once the policy
+    fails, which ends the node with reward -1 and the failure's message.
 
     A policy marked ``pure`` proposes a function of the state, so its rows are
     kept per registry object under a key of the path: the root's is (), and a
@@ -225,15 +232,11 @@ def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) ->
     objects only miss, and so does a node whose parent no pure policy
     expanded here (in a loaded or hand-built tree).
     """
-    action = tree.action[node_id]
-    if reflection_gate(action.kind if action is not None else None, tree.config.no_self_reflection):
-        tree.reward[node_id] = -1
-        return ()
     if tree.children[node_id]:
         return tree.children[node_id]
     parent, key = tree.parent[node_id], None
     if getattr(policy, "pure", False) and (parent is None or parent in tree._rows):
-        key = () if parent is None else (id(tree._rows[parent]), id(action))
+        key = () if parent is None else (id(tree._rows[parent]), id(tree.action[node_id]))
     expansions = _memos(tree, registry)[1]
     rows = expansions.get(key)
     if rows is None:
@@ -247,14 +250,14 @@ def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) ->
         rows = tuple(zip(*(_child_fields(tree, state, text, registry) for text in texts)))
     if key is not None:
         expansions[key] = tree._rows[node_id] = rows
-    actions, rewards, failures = rows
+    actions, rewards = rows
     start, k = len(tree.parent), len(actions)
     tree.parent += [node_id] * k
     tree.action += actions
     tree.q_value += [0.0] * k
     tree.visit_count += [0] * k
     tree.reward += rewards
-    tree.failure += failures
+    tree.failure += [None] * k
     tree.children += [()] * k
     tree.depth += [tree.depth[node_id] + 1] * k
     tree.children[node_id] = range(start, start + k)
@@ -263,8 +266,8 @@ def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) ->
 
 def expand(tree: SearchTree, leaf_id: int, policy, registry: ToolRegistry) -> list[int]:
     """Open the leaf: its children, reused without a policy call when an
-    earlier rollout stored them, become visible to selection; [] when the leaf
-    became a failed terminal."""
+    earlier rollout stored them, become visible to selection; [] when the
+    leaf's expansion failed."""
     children = _children(tree, leaf_id, policy, registry)
     tree.expanded.add(leaf_id)
     return list(children)
@@ -339,26 +342,27 @@ def run_search(
 
 
 # ---------------------------------------------------------------------------
-# Serialization, tree JSON format_version 8, compact with sorted keys.
-# ``actions`` holds each distinct action (with its observation's ``kind``, one
-# of ``OBSERVATION_KINDS`` or null) once, in order of first use. ``nodes`` holds
-# four lists. ``expansions`` has one ``[parent, count]`` pair per expansion, in
-# id order: node 0 is the root, and each expansion gives an earlier, unexpanded
-# node ``count`` children, the next ids. ``action`` holds one index into
-# ``actions`` per node after the root. ``reward`` and ``failure`` hold one
-# ``[id, value]`` pair per node whose value is not null, ids strictly
-# increasing. ``simulations`` is the search log: one ``[leaf, chosen, reward]``
-# triple per simulation, where ``chosen`` is the leaf's child its rollout
-# started from, or the leaf itself when it became a failed terminal. ``parent``,
-# ``children`` (a range of ids) and ``depth`` are rebuilt from the expansions,
-# and ``_replay`` rebuilds ``q_value``, ``visit_count`` and ``expanded`` from
-# the log; a node's prior, visibility and ``terminal`` are derived. States are
-# neither written nor rebuilt, since ``SearchTree.state`` derives them from
-# ``manual``, ``demos`` and the path's actions. ``stats`` holds only
-# ``policy_calls``. A loader of version 8 reads no other version.
+# Serialization, tree JSON format_version 9, compact, keys in field order (so
+# an action's input keeps its policy's order). ``actions`` holds each distinct
+# action (with its observation's ``kind``, one of ``OBSERVATION_KINDS`` or null;
+# a ``task_done`` observation is an answer text) once, in order of first use.
+# ``nodes`` holds three lists. ``expansions`` has one ``[parent, count]`` pair
+# per expansion, in id order: node 0 is the root, and each expansion gives an
+# earlier, unexpanded node ``count`` children, the next ids. ``action`` holds
+# one index into ``actions`` per node after the root. ``failure`` holds one
+# ``[id, message]`` pair per failed expansion, ids strictly increasing, on
+# nodes no action ends. ``simulations`` is the search log: one ``[leaf, chosen,
+# reward]`` triple per simulation, where ``chosen`` is the leaf's child its
+# rollout started from, or the leaf itself when its expansion failed.
+# ``parent``, ``children`` (a range of ids) and ``depth`` are rebuilt from the
+# expansions, ``reward`` from the actions and failures, and ``_replay`` rebuilds
+# ``q_value``, ``visit_count`` and ``expanded`` from the log; a node's prior,
+# visibility and ``terminal`` are derived. States are not written: they derive
+# from ``manual``, ``demos`` and the path's actions (``SearchTree.state``).
+# ``stats`` holds only ``policy_calls``. A loader of version 9 reads no other.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT_VERSION = 8
+TREE_FORMAT_VERSION = 9
 
 _DOC_TYPES = {
     "format_version": (int,),
@@ -380,9 +384,7 @@ _ACTION_TYPES = {
     "observation": (str, type(None)),
     "kind": (str, type(None)),
 }
-# The JSON type of each non-null value of a sparse column.
-_SPARSE_TYPES = {"reward": (int,), "failure": (str,)}
-_NODES_TYPES = dict.fromkeys(("expansions", "action", *_SPARSE_TYPES), (list,))
+_NODES_TYPES = dict.fromkeys(("expansions", "action", "failure"), (list,))
 # The columns replayed from the simulation log, each with the label ``inspect`` shows it under.
 _REPLAYED = {"q_value": "Q", "visit_count": "N"}
 # A read-only snapshot of one node's row, for readers; search never builds one.
@@ -407,25 +409,41 @@ def _expansions(parent: list[int | None]) -> list[list[int]]:
     return [[node, len(list(run))] for node, run in groupby(parent[1:])]
 
 
+def _rewards(actions: list, indices: list[int], failures: list, no_self_reflection: bool) -> tuple[list, list[str]]:
+    """Each node's reward as a tree file gives it: each action table entry's
+    ``step_reward`` mapped through ``indices``, then -1 at each failure; and
+    a problem for each failure on a node its action already ends."""
+    table = [step_reward(action, no_self_reflection) for action in actions]
+    reward = [None, *map(table.__getitem__, indices)]
+    problems = [f"node {node}: failed to expand, but its action ends it" for node, _ in failures if reward[node]]
+    for node, _ in failures:
+        reward[node] = -1
+    return reward, problems
+
+
 def tree_to_json(tree: SearchTree) -> str:
-    """The tree's format_version 8 text; a tree that breaks an invariant of
-    ``check_tree_invariants``, one whose statistics are not the replay of its
-    simulation log included, raises ValueError instead."""
+    """The tree's format_version 9 text; a tree that breaks an invariant of
+    ``check_tree_invariants``, or whose rewards are not the ones a load would
+    derive, raises ValueError instead."""
     _require(check_tree_invariants(tree))
-    # Canonical action JSON -> (index, entry), and each distinct record's id ->
+    # Action JSON -> (index, entry, record), and each distinct record's id ->
     # its index, taken in order of first use; the root's None maps to None.
-    table: dict[str, tuple[int, dict]] = {}
+    table: dict[str, tuple[int, dict, ActionRecord]] = {}
     index_of: dict[int, int | None] = {id(None): None}
     for action in dict(zip(map(id, tree.action), tree.action)).values():
         if action is not None:
             entry = dict(vars(action))  # a shallow copy: asdict would deep-copy each action_input
-            key = json.dumps(entry, sort_keys=True, ensure_ascii=False)
-            index_of[id(action)] = table.setdefault(key, (len(table), entry))[0]
-    columns = {
-        "expansions": _expansions(tree.parent),
-        "action": list(map(index_of.__getitem__, map(id, tree.action[1:]))),
-        **{name: [[i, v] for i, v in enumerate(getattr(tree, name)) if v is not None] for name in _SPARSE_TYPES},
-    }
+            key = json.dumps(entry, ensure_ascii=False)
+            index_of[id(action)] = table.setdefault(key, (len(table), entry, action))[0]
+    indices = list(map(index_of.__getitem__, map(id, tree.action[1:])))
+    if None in indices:
+        raise ValueError(f"node {indices.index(None) + 1}: a node after the root has no action")
+    failures = [[i, message] for i, message in enumerate(tree.failure) if message is not None]
+    reward, problems = _rewards([a for _, _, a in table.values()], indices, failures, tree.config.no_self_reflection)
+    if reward != tree.reward:
+        node, value, expected = next((i, *p) for i, p in enumerate(zip_longest(tree.reward, reward)) if p[0] != p[1])
+        problems.append(f"node {node}: reward={value} is not the reward={expected} its action and failure give")
+    _require(problems)
     doc: dict[str, Any] = {
         "format_version": TREE_FORMAT_VERSION,
         "tree_id": tree.tree_id,
@@ -435,11 +453,11 @@ def tree_to_json(tree: SearchTree) -> str:
         "manual": list(tree.manual),
         "demos": list(tree.demos),
         "stats": tree.stats,
-        "actions": [entry for _, entry in table.values()],
-        "nodes": columns,
+        "actions": [entry for _, entry, _ in table.values()],
+        "nodes": {"expansions": _expansions(tree.parent), "action": indices, "failure": failures},
         "simulations": tree.simulations,
     }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 def _entries(items: list, types: tuple, what: str) -> list:
@@ -454,12 +472,12 @@ def _entries(items: list, types: tuple, what: str) -> list:
 
 
 def tree_from_json(text: str) -> SearchTree:
-    """Load a format_version 8 tree, grown one expansion at a time, its
-    statistics replayed from its simulation log; a malformed document (a NaN or
-    Infinity token, or an action kind, expansion, action index or log entry that
-    the format above does not allow, included), or one that breaks an invariant of
-    ``check_tree_invariants``, raises ValueError. Nodes that name one table
-    entry share its ActionRecord."""
+    """Load a format_version 9 tree, grown one expansion at a time, its
+    rewards and statistics rebuilt; a malformed document (a NaN or Infinity
+    token, or an action kind or answer text, expansion, action index, failure
+    or log entry that the format above does not allow, included), or one that
+    breaks an invariant of ``check_tree_invariants``, raises ValueError. Nodes
+    that name one table entry share its ActionRecord."""
     doc = json.loads(text, parse_constant=_reject_constant)
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != TREE_FORMAT_VERSION or type(version) is not int:
@@ -480,6 +498,8 @@ def tree_from_json(text: str) -> SearchTree:
     ]
     if not {action.kind for action in actions} <= {*OBSERVATION_KINDS, None}:
         raise ValueError("actions: a kind is neither an observation class nor null")
+    if not {a.observation for a in actions if a.kind == "task_done"} <= {ANSWER_CORRECT_TEXT, ANSWER_INCORRECT_TEXT}:
+        raise ValueError("actions: a task_done observation is neither answer text")
     nodes = typed_object(doc["nodes"], _NODES_TYPES, "nodes")
     indices = nodes["action"]
     parent, children, depth = [None], [()], [0]
@@ -500,20 +520,19 @@ def tree_from_json(text: str) -> SearchTree:
     n, odd = len(parent), {*map(type, indices)} - {int}
     if len(indices) != n - 1 or odd or indices and not 0 <= min(indices) <= max(indices) < len(actions):
         raise ValueError(f"nodes: action does not hold one index into actions for each of {n - 1} non-root nodes")
-    columns = {"action": [None, *map(actions.__getitem__, indices)]}
-    for name, allowed in _SPARSE_TYPES.items():
-        pairs = _entries(nodes[name], ((int,), allowed), f"nodes: {name!r} holds an entry that is not an [id, value]")
-        ids = [-1, *(i for i, _ in pairs), n]
-        if not all(map(int.__lt__, ids, ids[1:])):
-            raise ValueError(f"nodes: {name!r} ids do not increase strictly within [0, {n})")
-        columns[name] = list(map(dict(pairs).get, range(n)))
+    pairs = _entries(nodes["failure"], ((int,), (str,)), "nodes: 'failure' holds an entry that is not an [id, message]")
+    ids = [-1, *(i for i, _ in pairs), n]
+    if not all(map(int.__lt__, ids, ids[1:])):
+        raise ValueError(f"nodes: 'failure' ids do not increase strictly within [0, {n})")
     log = _entries(doc["simulations"], ((int,),) * 3, "simulations: an entry is not a [leaf, chosen, reward] of ints")
     tree = SearchTree(
         task=task, config=config, registry_generation=doc["registry_generation"], tree_id=doc["tree_id"],
-        manual=tuple(doc["manual"]), demos=tuple(doc["demos"]), stats=stats, simulations=log,
-        parent=parent, children=children, depth=depth, **columns,
+        manual=tuple(doc["manual"]), demos=tuple(doc["demos"]), stats=stats, simulations=log, parent=parent,
+        action=[None, *map(actions.__getitem__, indices)], failure=list(map(dict(pairs).get, range(n))),
+        children=children, depth=depth,
     )
-    _require(_stored_problems(tree))
+    tree.reward, problems = _rewards(actions, indices, pairs, config.no_self_reflection)
+    _require(problems or _stored_problems(tree))
     return _replay(tree)
 
 
@@ -531,7 +550,7 @@ def _replay(tree: SearchTree) -> SearchTree:
 
 def _stored_problems(tree: SearchTree) -> list[str]:
     """The invariants that the facts a tree file stores break: the log's, the
-    siblings', the depths' and the rewards'."""
+    siblings', the depths' and the terminal nodes'."""
     parent, reward, children, config, log = tree.parent, tree.reward, tree.children, tree.config, tree.simulations
     problems = [f"{len(log)} simulations exceed max_simulations"] if len(log) > config.max_simulations else []
     for i, (leaf, chosen, logged) in enumerate(log):
@@ -547,16 +566,15 @@ def _stored_problems(tree: SearchTree) -> list[str]:
         *problems,
         *(f"node {node}: children are not consecutive ids" for node, count in runs.items() if count > 1),
         *(f"node {i}: beyond depth limit" for i, d in enumerate(tree.depth) if d > config.max_depth),
-        *(f"node {i}: reward {r!r} is not -1 or +1" for i, r in enumerate(reward) if r not in (None, -1, 1)),
         *(f"node {i}: terminal node has children" for i in with_children if reward[i] is not None),
     ]
 
 
 def check_tree_invariants(tree: SearchTree) -> list[str]:
     """The invariants ``tree`` breaks, one line each; empty for a sound tree.
-    Once its log, siblings, depths and rewards are sound, each column the log
-    replays, and the expanded nodes, must equal their replay; the first node
-    where one does not is named."""
+    Once its log, siblings, depths and terminal nodes are sound, each column
+    the log replays, and the expanded nodes, must equal their replay; the
+    first node where one does not is named."""
     problems = _stored_problems(tree)
     if problems:
         return problems

@@ -1,8 +1,8 @@
 """Deterministic API mutation: derive drifted registry generations from a base.
 
 Mutations rename tools and parameters (synonym substitution, special-character
-insertion between words), flip parameter formats between condition-string and
-keyed-map form, and swap response notes. Every base API is retired. The
+insertion between words), and flip parameter formats between condition-string
+and keyed-map form. Every base API is retired. The
 same (base, plan) pair always serializes to identical bytes: all choices are
 drawn from a SHA-256 stream keyed by (seed, api, field), never from global RNG
 state, so outputs are stable across platforms and Python versions.
@@ -30,7 +30,6 @@ MUTATION_KINDS = (
     "param_text",
     "param_special_char",
     "param_format",
-    "response_format",
 )
 
 # Synonyms are CamelCase-compatible and exclude the original word, so a
@@ -49,12 +48,6 @@ DEFAULT_SYNONYMS: dict[str, list[str]] = {
     "Retrieve": ["Fetch", "Collect", "Gather"],
     "Agenda": ["Schedule", "Calendar", "AgendaData"],
 }
-
-RESPONSE_NOTE_VARIANTS = [
-    "The response is returned as a plain-text sentence.",
-    "The response is returned as a JSON object with a single result field.",
-    "The response is returned as a list of lines, one item per line.",
-]
 
 _CAMEL_WORD_RE = re.compile(
     r"[A-Z]+(?=[A-Z][a-z])|[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[0-9]+|[a-z][a-z0-9]*"
@@ -183,16 +176,11 @@ def mutate_registry(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
             raise MutationError(f"mutation left API name {name!r} unchanged")
         if new_name in apis or new_name in base.apis:
             raise MutationError(f"mutated name collision on {new_name!r}")
-        response_note = spec.response_note
-        if "response_format" in plan.kinds:
-            options = [v for v in RESPONSE_NOTE_VARIANTS if v != spec.response_note]
-            response_note = _choose(options, plan.seed, name, "response_note")
         try:
             new_spec = replace(
                 spec,
                 name=new_name,
                 params=tuple(_mutate_param(p, plan, name, i) for i, p in enumerate(spec.params)),
-                response_note=response_note,
             )
         except ValueError as exc:
             raise MutationError(f"mutated {name!r}: {exc}") from None

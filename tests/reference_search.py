@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from tooldrift.adapt import advance, execute_action, reflection_gate
+from tooldrift.env import ANSWER_CORRECT_TEXT
 from tooldrift.mcts import FAILED_ACTION_NAME, SearchConfig
 from tooldrift.policy import PolicyError
 from tooldrift.react import ActionParseError, ActionRecord, StateRecord, parse_action
@@ -52,22 +53,23 @@ class ReferenceSearch:
     def state(self, actions) -> StateRecord:
         return advance(self.root_state, actions, self.config.no_tool_update)
 
-    def step(self, state: StateRecord, text: str) -> tuple[ActionRecord, int | None, str | None]:
-        """The (action, reward, failure) of following candidate ``text``."""
+    def step(self, state: StateRecord, text: str) -> tuple[ActionRecord, int | None]:
+        """The (action, reward) of following candidate ``text``: a Finish is
+        scored by its answer text, and an unparsed candidate, or a step the
+        reflection gate stops, ends the child when it is made."""
         try:
             record = parse_action(text)
         except ActionParseError as exc:
             failed = ActionRecord(thought=text, action_name=FAILED_ACTION_NAME, action_input={}, observation=str(exc))
-            return failed, -1, str(exc)
-        outcome = execute_action(state, record, self.registry)
-        return outcome.step, outcome.reward, None
+            return failed, -1
+        step = execute_action(state, record, self.registry).step
+        if step.kind == "task_done":
+            return step, 1 if step.observation == ANSWER_CORRECT_TEXT else -1
+        return step, -1 if reflection_gate(step.kind, self.config.no_self_reflection) else None
 
     def children(self, node: RefNode) -> list[RefNode]:
         """The node's children, made from a fresh policy call on first use;
-        [] once the reflection gate or a policy failure ends the node."""
-        if reflection_gate(node.action.kind if node.action else None, self.config.no_self_reflection):
-            node.reward = -1
-            return []
+        [] once a policy failure ends the node."""
         if node.children:
             return node.children
         state = self.state(self.path(node))
@@ -77,8 +79,8 @@ class ReferenceSearch:
             node.reward, node.failure = -1, str(exc)
             return []
         for text in texts:
-            action, reward, failure = self.step(state, text)
-            child = RefNode(len(self.nodes), node, action, node.depth + 1, 1.0 / len(texts), True, reward, failure)
+            action, reward = self.step(state, text)
+            child = RefNode(len(self.nodes), node, action, node.depth + 1, 1.0 / len(texts), True, reward)
             node.children.append(child)
             self.nodes.append(child)
         return node.children

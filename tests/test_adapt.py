@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tooldrift.adapt import UPDATE_TOOL_OK_TEXT, advance, execute_action, reflection_gate
+from tooldrift import mcts
+from tooldrift.adapt import UPDATE_TOOL_OK_TEXT, ActionOutcome, advance, execute_action, reflection_gate
 from tooldrift.cli import main
 from tooldrift.corpus import load_corpus
-from tooldrift.env import INVOCATION_ERROR_TEXT, OBSERVATION_KINDS, TaskInstance
-from tooldrift.mcts import SearchConfig, SearchTree, expand, run_search, tree_to_json
+from tooldrift.env import (
+    ANSWER_CORRECT_TEXT, ANSWER_INCORRECT_TEXT, INVOCATION_ERROR_TEXT, OBSERVATION_KINDS, TaskInstance,
+)
+from tooldrift.mcts import SearchConfig, SearchTree, expand, run_search, step_reward, tree_to_json
 from tooldrift.mutation import MutationPlan, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
 from tooldrift.react import ActionRecord, StateRecord, render_prompt
@@ -46,28 +50,30 @@ def update_step(desc) -> ActionRecord:
     )
 
 
-def expansion_stops(text, kind, no_self_reflection=False) -> bool:
-    """Whether expanding a node whose action observed ``text`` of class ``kind``
-    stops it; the gate's answer for ``kind`` must agree."""
+def child_reward(text, kind, no_self_reflection=False) -> int | None:
+    """The reward of the child that a root expansion makes from an action
+    that observed ``text`` of class ``kind``, set when the child is made; the
+    environment's answer is stubbed through the name search calls it by."""
 
-    class MalformedPolicy:
+    class LoadPolicy:
         def propose(self, state, k):
-            return ["no labels here"] * k
+            return ['Thought: x\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'] * k
 
     step = ActionRecord(
         thought="x", action_name="LoadDB", action_input={"DBName": "coffee"}, observation=text, kind=kind
     )
-    # A root whose one child took ``step``, written column by column.
-    tree = SearchTree(
-        task=make_state().task, config=SearchConfig(no_self_reflection=no_self_reflection), parent=[None, 0],
-        action=[None, step], q_value=[0.0] * 2, visit_count=[0] * 2, reward=[None] * 2, failure=[None] * 2,
-        expanded={0}, children=[range(1, 2), ()], depth=[0, 1],
-    )
-    # Malformed candidates never reach the registry.
-    children = expand(tree, 1, MalformedPolicy(), registry=None)
-    terminal = tree.reward[1] is not None
-    assert terminal == (children == []) == reflection_gate(kind, no_self_reflection)
-    return terminal
+    tree = SearchTree(task=make_state().task, config=SearchConfig(k=1, no_self_reflection=no_self_reflection))
+    with mock.patch.object(mcts, "execute_action", lambda state, record, registry: ActionOutcome(state, step)):
+        [child] = expand(tree, 0, LoadPolicy(), registry=None)
+    assert tree.action[child] is step and not tree.children[child]
+    if kind not in ("task_done", None):
+        assert (tree.reward[child] == -1) == reflection_gate(kind, no_self_reflection)
+    return tree.reward[child]
+
+
+def expansion_stops(text, kind, no_self_reflection=False) -> bool:
+    """Whether the child an action of class ``kind`` makes is terminal when it is made."""
+    return child_reward(text, kind, no_self_reflection) is not None
 
 
 class TestClassifyObservation:
@@ -92,14 +98,18 @@ class TestClassifyObservation:
         assert not expansion_stops(text, "response", no_self_reflection=True)
 
     def test_task_done(self):
-        assert not expansion_stops("Answer is CORRECT", "task_done", no_self_reflection=True)
-        assert not expansion_stops("Answer is INCORRECT", "task_done", no_self_reflection=True)
+        """A Finish child is scored by its answer text, under either setting."""
+        for no_self_reflection in (False, True):
+            assert child_reward(ANSWER_CORRECT_TEXT, "task_done", no_self_reflection) == 1
+            assert child_reward(ANSWER_INCORRECT_TEXT, "task_done", no_self_reflection) == -1
 
     def test_none_is_ok(self):
-        # Steps parsed back from prompt text carry no kind.
-        assert not expansion_stops(DEPRECATION_TEXT, None, no_self_reflection=True)
+        # The gate passes a step with no kind; only a candidate that did not
+        # parse has none, and that ends its child.
+        assert not reflection_gate(None, no_self_reflection=True)
+        assert child_reward(DEPRECATION_TEXT, None) == -1
 
-    @given(st.text(max_size=40), st.sampled_from(OBSERVATION_KINDS + (None,)), st.booleans())
+    @given(st.text(max_size=40), st.sampled_from([k for k in OBSERVATION_KINDS if k != "task_done"]), st.booleans())
     def test_total(self, text, kind, no_self_reflection):
         stops = expansion_stops(text, kind, no_self_reflection)
         assert stops == expansion_stops("", kind, no_self_reflection)
@@ -132,7 +142,7 @@ class TestApplyUpdateTool:
         record = ActionRecord(thought="memo", action_name="UpdateTool", action_input={"newtool_desc": ""})
         outcome = execute_action(state, record, corpus.base_registry)
         assert (outcome.step.kind, outcome.step.observation) == ("invocation_error", INVOCATION_ERROR_TEXT)
-        assert outcome.state.tool_manual == state.tool_manual and outcome.reward is None
+        assert outcome.state.tool_manual == state.tool_manual and step_reward(outcome.step, False) is None
         assert advance(state, (update_step(""),)).tool_manual == state.tool_manual
 
     def test_no_tool_update_ablation_freezes_manual(self, corpus):
@@ -196,7 +206,7 @@ class TestExecuteAction:
         state = StateRecord(task=task, tool_manual=tuple(corpus.manual))
         record = ActionRecord(thought="done", action_name="Finish", action_input={"answer": task.gold_answer})
         outcome = execute_action(state, record, corpus.base_registry)
-        assert outcome.reward == 1
+        assert step_reward(outcome.step, False) == 1
         assert outcome.step.observation == "Answer is CORRECT"
         assert outcome.step.kind == "task_done"
 
@@ -205,7 +215,7 @@ class TestExecuteAction:
         state = StateRecord(task=task, tool_manual=tuple(corpus.manual))
         record = ActionRecord(thought="memo", action_name="UpdateTool", action_input={"newtool_desc": "N[x]: new."})
         outcome = execute_action(state, record, corpus.base_registry)
-        assert outcome.reward is None
+        assert step_reward(outcome.step, False) is None
         assert outcome.state.tool_manual[-1] == "N[x]: new."
         assert outcome.step.observation == UPDATE_TOOL_OK_TEXT
         assert outcome.step.kind == "response"
@@ -215,7 +225,7 @@ class TestExecuteAction:
         state = StateRecord(task=task, tool_manual=tuple(corpus.manual))
         record = ActionRecord(thought="load", action_name="LoadDB", action_input={"DBName": "coffee"})
         outcome = execute_action(state, record, corpus.base_registry)
-        assert outcome.reward is None
+        assert step_reward(outcome.step, False) is None
         assert outcome.step.observation.startswith("We have successfully loaded")
         assert outcome.step.kind == "response"
         assert outcome.state.steps[-1] == outcome.step

@@ -23,8 +23,9 @@ from unittest import mock
 from tooldrift import cli
 from tooldrift.corpus import load_corpus
 from tooldrift.env import SYSTEM_ACTIONS
+from tooldrift.mcts import SearchConfig, run_search, tree_to_json
 from tooldrift.mutation import DEFAULT_SYNONYMS, MutationPlan, mutate_registry
-from tooldrift.policy import ScriptedAdaptivePolicy
+from tooldrift.policy import PolicyError, ScriptedAdaptivePolicy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,15 +101,21 @@ def test_traced_export_records_the_load_path(tmp_path):
     assert {"mcts.tree_from_json", "trajectory.collect_from_trees", "trajectory.export_sft"} <= names
 
 
-def test_the_bench_reads_the_trees_search_writes(tmp_path, monkeypatch):
-    """``bench/run.py``'s ``tree_outcomes``, loaded as the bench runs it, on
-    the trees of a mutated_in search: every task solved on the drifted
-    generation, and no node records a policy transport failure."""
+def bench_run(monkeypatch):
+    """``bench/run.py``, loaded as the bench runs it."""
     monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
     spec.loader.exec_module(run)
+    return run
+
+
+def test_the_bench_reads_the_trees_search_writes(tmp_path, monkeypatch):
+    """``bench/run.py``'s ``tree_outcomes``, loaded as the bench runs it, on
+    the trees of a mutated_in search: every task solved on the drifted
+    generation, and no node records a policy transport failure."""
+    run = bench_run(monkeypatch)
     manifest = tmp_path / "run.ini"
     manifest.write_text(
         MANIFEST.replace("consistent", "mutated_in") + "\n[mutation]\nseed = 7\n" + SEARCH.format(10), encoding="utf-8"
@@ -117,6 +124,28 @@ def test_the_bench_reads_the_trees_search_writes(tmp_path, monkeypatch):
     solved, generations, transport_failures = run.tree_outcomes(tmp_path / "out" / "trees")
     assert solved == {task.id: True for task in load_corpus().tasks}
     assert (generations, transport_failures) == ({"mutated-7"}, 0)
+
+
+def test_the_bench_counts_failed_expansions_not_malformed_candidates(tmp_path, monkeypatch):
+    """A tree file stores a failure only for a failed expansion: a root whose
+    remote expansion failed is one transport failure, and a candidate that
+    did not parse, whose message is its action's observation, is none."""
+
+    class Unreachable:
+        def propose(self, state, k):
+            raise PolicyError("remote policy failed: connection refused")
+
+    class Malformed:
+        def propose(self, state, k):
+            return ["no labels here"] * k
+
+    run, corpus = bench_run(monkeypatch), load_corpus()
+    for policy, expected in ((Unreachable(), 1), (Malformed(), 0)):
+        trees = tmp_path / type(policy).__name__
+        trees.mkdir()
+        tree = run_search(corpus.task("coffee-easy-1"), corpus.base_registry, policy, SearchConfig(), corpus.manual)
+        (trees / "t.json").write_text(tree_to_json(tree), encoding="utf-8")
+        assert run.tree_outcomes(trees) == ({"coffee-easy-1": False}, {"base"}, expected)
 
 
 def test_run_manifest_searches_with_the_patched_policy():

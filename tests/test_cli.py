@@ -27,7 +27,7 @@ from tooldrift.corpus import load_corpus, tasks_to_json
 from tooldrift.env import SPECIAL_CHARS, registry_to_json
 from tooldrift.mcts import SearchConfig, run_search, tree_from_json, tree_to_json
 from tooldrift.mutation import DEFAULT_SYNONYMS, MUTATION_KINDS, MutationPlan, mutate_registry
-from tooldrift.policy import PolicyConfig, ScriptedAdaptivePolicy, build_policy
+from tooldrift.policy import PolicyConfig, PolicyError, ScriptedAdaptivePolicy, build_policy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -755,15 +755,34 @@ class TestPipelineReproducibility:
         assert digests[0] == digests[1]
 
 
+class FailingOncePolicy(ScriptedAdaptivePolicy):
+    """The adaptive agent, but the first state with two steps that it is
+    shown fails to expand, as a remote policy's transport can."""
+
+    pure = False
+
+    def __init__(self, corpus):
+        super().__init__(corpus)
+        self.failed = False
+
+    def propose(self, state, k):
+        if len(state.steps) == 2 and not self.failed:
+            self.failed = True
+            raise PolicyError("remote policy failed: connection refused")
+        return super().propose(state, k)
+
+
 @pytest.fixture(scope="module")
 def small_tree_doc():
     corpus = load_corpus()
     tree = run_search(
-        corpus.task("coffee-easy-1"), corpus.base_registry, ScriptedAdaptivePolicy(corpus),
+        corpus.task("coffee-easy-1"), corpus.base_registry, FailingOncePolicy(corpus),
         SearchConfig(max_simulations=5, rng_seed=3), corpus.manual, corpus.demos,
     )
     doc = json.loads(tree_to_json(tree))
-    assert len(doc["nodes"]["expansions"]) > 2 and len(doc["nodes"]["reward"]) > 1
+    # Rewards are read off the Finish entries, and the one failed expansion is stored.
+    assert len(doc["nodes"]["expansions"]) > 2 and len(doc["nodes"]["failure"]) == 1
+    assert {"response", "task_done"} <= {entry["kind"] for entry in doc["actions"]}
     assert len(doc["simulations"]) == doc["config"]["max_simulations"]
     return doc
 
@@ -824,9 +843,43 @@ def _lower_max_depth_past_the_deepest(doc):
     doc["config"]["max_depth"] = max(depth) - 1
 
 
+def _node_of_kind(doc, kind) -> int:
+    """The first node that is not expanded and whose action has class ``kind``."""
+    expanded = {node for node, _ in doc["nodes"]["expansions"]}
+    kinds = [None, *(doc["actions"][index]["kind"] for index in doc["nodes"]["action"])]
+    return next(i for i, node_kind in enumerate(kinds) if i not in expanded and node_kind == kind)
+
+
+def _fail(node, message="x"):
+    """Add a failed expansion at ``node``, a function of the document, keeping the ids in order."""
+    def edit(doc):
+        doc["nodes"]["failure"] = sorted([*doc["nodes"]["failure"], [node(doc), message]])
+    return edit
+
+
+def _fail_out_of_order(doc):
+    """A second failed expansion, at an open leaf, then both pairs in reverse id order."""
+    _fail(lambda doc: _node_of_kind(doc, "response"))(doc)
+    doc["nodes"]["failure"].reverse()
+
+
+def _set_finish_observation(text):
+    def edit(doc):
+        next(entry for entry in doc["actions"] if entry["kind"] == "task_done")["observation"] = text
+    return edit
+
+
+def _v8(doc):
+    """The same tree as format_version 8 wrote it: with a sparse reward column."""
+    rewards = tree_from_json(json.dumps(doc)).reward
+    doc["format_version"] = 8
+    doc["nodes"]["reward"] = [[i, reward] for i, reward in enumerate(rewards) if reward is not None]
+
+
 def _v7(doc):
     """The same tree as format_version 7 wrote it: one parent per node, and
     the root's null action."""
+    _v8(doc)
     doc["format_version"] = 7
     columns = doc["nodes"]
     columns["parent"] = _parents(doc)
@@ -930,26 +983,31 @@ MALFORMED_TREES = {
     "format_v5": _v5,
     "format_v6": _v6,
     "format_v7": _v7,
+    "format_v8": _v8,
     "cached_beyond_depth_limit": _lower_max_depth_past_the_deepest,
     "column_too_short": lambda doc: doc["nodes"]["action"].pop(),
     "column_too_long": lambda doc: doc["nodes"]["action"].append(0),
     "column_missing": lambda doc: doc["nodes"].pop("failure"),
     "column_extra": lambda doc: doc["nodes"].update(depth=[0] * _node_count(doc)),
-    "column_not_a_list": lambda doc: doc["nodes"].update(reward=5),
+    "column_not_a_list": lambda doc: doc["nodes"].update(failure=5),
     "visit_count_true": _set_logged(0, True),
     "parent_true": _set_expansion(1, 0, True),
     "stats_untyped": lambda doc: doc.update(stats={"x": [1, {"y": None}]}),
     "stats_count_missing": lambda doc: doc["stats"].pop("policy_calls"),
     "stats_count_negative": lambda doc: doc["stats"].update(policy_calls=-1),
     "stats_count_true": lambda doc: doc["stats"].update(policy_calls=True),
-    "reward_not_plus_or_minus_one": lambda doc: doc["nodes"]["reward"][0].__setitem__(1, 5),
-    "reward_on_expanded_node": lambda doc: doc["nodes"]["reward"].insert(0, [0, 0]),
-    "reward_pair_ids_out_of_order": lambda doc: doc["nodes"]["reward"].reverse(),
-    "reward_pair_id_repeated": lambda doc: doc["nodes"]["reward"].append(doc["nodes"]["reward"][-1]),
-    "reward_pair_id_out_of_range": lambda doc: doc["nodes"]["reward"].append([_node_count(doc), -1]),
-    "reward_pair_id_negative": lambda doc: doc["nodes"]["reward"].insert(0, [-1, -1]),
-    "reward_pair_not_a_pair": lambda doc: doc["nodes"]["reward"][0].append(1),
-    "reward_pair_value_null": lambda doc: doc["nodes"]["reward"][0].__setitem__(1, None),
+    # A node's reward is read off its action, so a Finish observation must be
+    # an answer text; the one reward a file stores is a failure pair's -1.
+    "reward_not_plus_or_minus_one": _set_finish_observation(None),
+    "task_done_text_neither_answer": _set_finish_observation("Answer is correct"),
+    "reward_on_expanded_node": _fail(lambda doc: 0),
+    "failure_on_a_finish_node": _fail(lambda doc: _node_of_kind(doc, "task_done")),
+    "reward_pair_ids_out_of_order": _fail_out_of_order,
+    "reward_pair_id_repeated": lambda doc: doc["nodes"]["failure"].append(doc["nodes"]["failure"][-1]),
+    "reward_pair_id_out_of_range": lambda doc: doc["nodes"]["failure"].append([10**12, "x"]),
+    "reward_pair_id_negative": lambda doc: doc["nodes"]["failure"].insert(0, [-1, "x"]),
+    "reward_pair_not_a_pair": lambda doc: doc["nodes"]["failure"][0].append("x"),
+    "reward_pair_value_null": lambda doc: doc["nodes"]["failure"][0].__setitem__(1, None),
     "failure_pair_id_out_of_range": lambda doc: doc["nodes"]["failure"].append([_node_count(doc), "x"]),
     "failure_pair_value_not_a_string": lambda doc: doc["nodes"]["failure"].append([1, 5]),
     "simulations_missing": lambda doc: doc.pop("simulations"),
@@ -996,7 +1054,11 @@ class TestMalformedTrees:
 
     def test_unmodified_doc_inspects_clean(self, tmp_path, capsys, small_tree_doc):
         assert main(["inspect", _write_json(tmp_path / "t.json", small_tree_doc)]) == EXIT_OK
-        assert capsys.readouterr().out.rstrip().endswith("invariants: ok")
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("invariants: ok")
+        # Its one failed expansion is named as such.
+        [failed] = [line for line in out.splitlines() if "[policy_error]" in line]
+        assert f"[{small_tree_doc['nodes']['failure'][0][0]}] " in failed and "[terminal r=-1]" in failed
 
 
 _ODD_VALUES = st.sampled_from([None, True, 0, -1, 7, 1.5, "x", [], {}, [0], {"a": 1}])

@@ -24,6 +24,7 @@ from tooldrift.env import (
     ANSWER_CORRECT_TEXT,
     ANSWER_INCORRECT_TEXT,
     INVOCATION_ERROR_TEXT,
+    OBSERVATION_KINDS,
     ApiSpec,
     DeprecationEntry,
     Observation,
@@ -35,6 +36,8 @@ from tooldrift.env import (
     registry_from_json,
     registry_to_json,
 )
+from tooldrift.mcts import step_reward
+from tooldrift.react import ActionRecord
 
 
 def make_task(gold: str) -> TaskInstance:
@@ -126,7 +129,6 @@ class TestInvoke:
     def test_total_over_arbitrary_calls(self, name, args):
         obs = invoke(_SHARED_REGISTRY, name, args)
         assert obs.kind in ("response", "invocation_error", "deprecation_error")
-        assert obs.reward is None
 
     @pytest.mark.parametrize(
         "expression",
@@ -165,36 +167,38 @@ class TestInvoke:
 class TestEvaluate:
     def test_correct(self):
         obs = evaluate(make_task("5"), "5")
-        assert (obs.kind, obs.reward, obs.text) == ("task_done", 1, ANSWER_CORRECT_TEXT)
+        assert (obs.kind, obs.text) == ("task_done", ANSWER_CORRECT_TEXT)
 
     def test_incorrect(self):
         obs = evaluate(make_task("5"), "7")
-        assert (obs.kind, obs.reward, obs.text) == ("task_done", -1, ANSWER_INCORRECT_TEXT)
+        assert (obs.kind, obs.text) == ("task_done", ANSWER_INCORRECT_TEXT)
 
     def test_decimal_normalization(self):
-        obs = evaluate(make_task("-0.18"), "-0.180")
-        assert obs.reward == 1
+        assert evaluate(make_task("-0.18"), "-0.180").text == ANSWER_CORRECT_TEXT
 
     def test_case_fold_and_trim(self):
-        assert evaluate(make_task("Harmony Studio"), "  harmony studio ").reward == 1
+        assert evaluate(make_task("Harmony Studio"), "  harmony studio ").text == ANSWER_CORRECT_TEXT
 
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_numeric_tolerance(self, x):
-        assert evaluate(make_task(repr(x)), f"{x:.12f}").reward == 1
+        assert evaluate(make_task(repr(x)), f"{x:.12f}").text == ANSWER_CORRECT_TEXT
 
     @given(st.text(max_size=20))
     def test_reward_closure(self, answer):
         obs = evaluate(make_task("42"), answer)
         assert obs.kind == "task_done"
-        assert obs.reward in (-1, 1)
+        assert obs.text in (ANSWER_CORRECT_TEXT, ANSWER_INCORRECT_TEXT)
 
 
 class TestObservation:
     def test_reward_only_with_task_done(self):
-        with pytest.raises(ValueError):
-            Observation(kind="response", text="x", reward=1)
-        with pytest.raises(ValueError):
-            Observation(kind="task_done", text="x")
+        """An observation carries no reward: a node's reward is read off an
+        answer text only when its class is task_done."""
+        with pytest.raises(TypeError):
+            Observation(kind="task_done", text=ANSWER_CORRECT_TEXT, reward=1)
+        for kind in OBSERVATION_KINDS:
+            step = ActionRecord("t", "Tool", {}, observation=ANSWER_CORRECT_TEXT, kind=kind)
+            assert step_reward(step, no_self_reflection=False) == (1 if kind == "task_done" else None)
 
     def test_kind_is_an_observation_class(self):
         with pytest.raises(ValueError, match="unknown observation kind"):

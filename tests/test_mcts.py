@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tooldrift import mcts
 from tooldrift.corpus import load_corpus
-from tooldrift.env import INVOCATION_ERROR_TEXT, TaskInstance
+from tooldrift.env import ANSWER_INCORRECT_TEXT, TaskInstance
 from tooldrift.mcts import (
     FAILED_ACTION_NAME,
     SearchConfig,
@@ -82,8 +82,13 @@ def append_node(tree, parent, action=None, q=0.0, n=0, cached=False, reward=None
     return node_id
 
 
-def add_child(tree, parent=0, q=0.0, n=0, cached=False, terminal=False, observation="fine") -> int:
-    action = ActionRecord(thought="x", action_name="Tool", action_input={}, observation=observation)
+def add_child(tree, parent=0, q=0.0, n=0, cached=False, terminal=False) -> int:
+    """Append a child whose action gives the reward it is set: a wrong Finish
+    when ``terminal``, else a tool response."""
+    if terminal:
+        action = ActionRecord("x", "Finish", {"answer": "x"}, observation=ANSWER_INCORRECT_TEXT, kind="task_done")
+    else:
+        action = ActionRecord("x", "Tool", {}, observation="fine", kind="response")
     return append_node(tree, parent, action, q, n, cached, -1 if terminal else None)
 
 
@@ -294,7 +299,10 @@ class TestExpand:
         assert actions[0] is actions[2] and actions[1] is actions[4]
         assert tree.reward[ids[1]] == tree.reward[ids[4]] == -1
         assert actions[0] is not actions[1] and tree.reward[ids[0]] is None
-        assert tree.reward[ids[3]] == -1 and tree.failure[ids[3]]
+        # A parse failure's message is its action's observation; the failure
+        # column holds only failed expansions.
+        assert tree.reward[ids[3]] == -1 and tree.failure[ids[3]] is None
+        assert actions[3].observation.startswith("could not parse")
         # The memo lives for the whole tree: a later expansion elsewhere that
         # gets the same texts reuses the records and executes nothing new.
         deeper = expand(tree, ids[0], MixedPolicy(), base_registry)
@@ -352,18 +360,21 @@ class TestExpand:
         assert tree.action[third[0]].kind == "response"
 
     def test_gate_marks_invocation_error_leaf_terminal(self, corpus, base_registry):
-        config = SearchConfig(no_self_reflection=True)
-        tree = _root_tree(corpus, "coffee-easy-1", config)
-        bad = ActionRecord(
-            thought="x",
-            action_name="LoadDB",
-            action_input={"Nope": "coffee"},
-            observation=INVOCATION_ERROR_TEXT,
-            kind="invocation_error",
-        )
-        leaf = append_node(tree, 0, action=bad)
-        assert expand(tree, leaf, ScriptedAdaptivePolicy(corpus), base_registry) == []
-        assert tree.reward[leaf] == -1
+        """Under the self-reflection ablation an invocation-error child is
+        terminal when it is made, so selection never visits it."""
+
+        class BadCallPolicy:
+            def propose(self, state, k):
+                return ['Thought: x\nAction: LoadDB\nAction Input: {"Nope": "coffee"}'] * k
+
+        for no_self_reflection in (False, True):
+            tree = _root_tree(corpus, "coffee-easy-1", SearchConfig(no_self_reflection=no_self_reflection))
+            children = expand(tree, 0, BadCallPolicy(), base_registry)
+            assert {tree.action[i].kind for i in children} == {"invocation_error"}
+            rewards = {tree.reward[i] for i in children}
+            assert rewards == ({-1} if no_self_reflection else {None})
+            assert (select_leaf(tree) is None) == no_self_reflection
+            assert tree.stats["policy_calls"] == 1
 
     def test_policy_failure_marks_leaf_failed(self, corpus, base_registry):
         class FailingPolicy:
@@ -565,6 +576,12 @@ class TestTreeSerialization:
         add_child(tree, parent=first)
         add_child(tree)
         with pytest.raises(ValueError, match="node 0: children are not consecutive ids"):
+            tree_to_json(tree)
+
+    def test_a_node_after_the_root_without_an_action_is_not_written(self):
+        tree = bare_tree()
+        append_node(tree, 0, cached=True)
+        with pytest.raises(ValueError, match="node 1: a node after the root has no action"):
             tree_to_json(tree)
 
     def test_an_expanded_node_that_the_log_did_not_expand_is_not_written(self):

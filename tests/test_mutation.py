@@ -131,12 +131,6 @@ class TestMutateRegistry:
         assert param.kind == "text"
         assert param.example == "Date=2022-09-05"
 
-    def test_response_format_changes_note_only(self, base_registry):
-        plan = MutationPlan(seed=8, kinds=frozenset({"response_format"}))
-        mutated = mutate_registry(base_registry, plan)
-        successor = mutated.deprecated["Calculate"].successor
-        assert mutated.apis[successor].response_note != base_registry.apis["Calculate"].response_note
-
     @pytest.mark.parametrize(
         "words", [{"Load": ["Update"], "DB": ["Tool"]}, {"Calculate": ["Finish"]}],
         ids=["load_db_as_update_tool", "calculate_as_finish"],

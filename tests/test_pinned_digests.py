@@ -33,9 +33,9 @@ SEED = 7
 
 # workload -> (trees, SFT)
 PINS = {
-    "adaptive_drift": ("a71ae760ba38256c", "b760379ef1d6575d"),
-    "rigid_ood": ("3c002cee6638277a", "e3b0c44298fc1c14"),
-    "remote_loopback": ("95ae65c41cab5628", "0981844ef575629e"),
+    "adaptive_drift": ("2d7f5b6780268403", "d0745632522a5c03"),
+    "rigid_ood": ("d134943b2807d310", "e3b0c44298fc1c14"),
+    "remote_loopback": ("21af5e2856dbaf83", "be83b9c0783f51ed"),
 }
 
 OVERRIDES = argparse.Namespace(setting=None, no_self_reflection=False, no_tool_update=False, jobs=1)
@@ -56,8 +56,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_seed_7_digests(bench, tmp_path, name):
+def _search(bench, name) -> list:
+    """The workload's seed-7 trees, searched in process, in tree-id order."""
     run, stub_server = bench
     workload = run.WORKLOADS[name]
     endpoint = "endpoint = http://127.0.0.1:1/\n" if workload.policy == "remote" else ""
@@ -77,10 +77,27 @@ def test_seed_7_digests(bench, tmp_path, name):
             return DirectPolicy()
 
     with mock.patch.object(cli, "build_policy", build_policy):
-        trees, _, _ = cli.run_manifest(parser, OVERRIDES)
-    texts = [cli.tree_to_json(tree) for tree in trees]
-    sft = tmp_path / "sft.jsonl"
+        return cli.run_manifest(parser, OVERRIDES)[0]
+
+
+def _sft(trees, path: Path) -> bytes:
+    export_sft(collect_from_trees(trees, max_per_task=4, seed=SEED), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_seed_7_digests(bench, tmp_path, name):
+    texts = [cli.tree_to_json(tree) for tree in _search(bench, name)]
     # Exported from the trees as read back, as ``export`` reads the tree files.
-    export_sft(collect_from_trees(map(tree_from_json, texts), max_per_task=4, seed=SEED), sft)
-    digests = (_digest("".join(texts).encode("utf-8")), _digest(sft.read_bytes()))
-    assert digests == PINS[name]
+    sft = _sft(map(tree_from_json, texts), tmp_path / "sft.jsonl")
+    assert (_digest("".join(texts).encode("utf-8")), _digest(sft)) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_sft_from_the_searched_trees_is_sft_from_their_files(bench, tmp_path, name):
+    """A tree file keeps what search holds, each Action Input's key order
+    included, so exporting the trees in process or from their texts writes
+    the same records."""
+    trees = _search(bench, name)
+    read_back = _sft((tree_from_json(cli.tree_to_json(tree)) for tree in trees), tmp_path / "read_back.jsonl")
+    assert _sft(trees, tmp_path / "searched.jsonl") == read_back

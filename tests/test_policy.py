@@ -172,9 +172,8 @@ class TestClosedLoop:
         plans = [
             MutationPlan(seed=5, kinds=frozenset({"name_special_char", "param_special_char"})),
             MutationPlan(seed=3, kinds=frozenset({"param_format"})),
-            MutationPlan(seed=8, kinds=frozenset({"response_format"})),
             MutationPlan(seed=6, kinds=frozenset(
-                {"name_text", "name_special_char", "param_text", "param_special_char", "param_format", "response_format"}
+                {"name_text", "name_special_char", "param_text", "param_special_char", "param_format"}
             ), special_char="."),
         ]
         policy = ScriptedAdaptivePolicy(corpus)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tooldrift.adapt import advance, execute_action
-from tooldrift.env import TaskInstance
+from tooldrift.env import ANSWER_CORRECT_TEXT, TaskInstance
 from tooldrift import react
 from tooldrift.mcts import FAILED_ACTION_NAME, SearchConfig, run_search
 from tooldrift.react import (
@@ -134,7 +134,7 @@ class TestParseAction:
         assert record.action_input == {"answer": repr(float(number))}
         task = TaskInstance(id="t", description="What?", gold_answer=number, dataset="coffee", difficulty="easy")
         state = StateRecord(task=task, tool_manual=())
-        assert execute_action(state, record, registry=None).reward == 1
+        assert execute_action(state, record, registry=None).step.observation == ANSWER_CORRECT_TEXT
 
     @pytest.mark.parametrize("case", sorted(PAST_THE_LIMITS))
     def test_input_past_the_decoders_limits_is_an_error(self, case):
@@ -149,7 +149,7 @@ class TestParseAction:
         assert str(err.value) == REJECTED_LITERAL_TEXT
 
     def test_rejected_literal_reads_the_same_in_every_process(self):
-        """The text reaches a tree's failure column, so two processes must agree."""
+        """The text is a malformed action's observation in a tree file, so two processes must agree."""
         script = (
             "import sys\nfrom tooldrift.react import ActionParseError, parse_action\n"
             "try:\n    parse_action(sys.argv[1])\nexcept ActionParseError as exc:\n    print(exc)\n"
@@ -288,8 +288,8 @@ def test_search_over_inputs_past_the_limits_ends_in_malformed_actions(corpus, ba
     assert len(children) == len(PAST_THE_LIMITS)
     for child in children:
         assert tree.action[child].action_name == FAILED_ACTION_NAME
-        assert tree.reward[child] == -1
-        assert tree.failure[child].startswith("could not parse field 'Action Input'")
+        assert tree.reward[child] == -1 and tree.failure[child] is None
+        assert tree.action[child].observation.startswith("could not parse field 'Action Input'")
 
 
 class TestRenderPrompt:

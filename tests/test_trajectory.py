@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tooldrift.adapt import UPDATE_TOOL_OK_TEXT, execute_action
 from tooldrift.env import evaluate, invoke
-from tooldrift.mcts import SearchConfig, run_search
+from tooldrift.mcts import SearchConfig, run_search, step_reward
 from tooldrift.mutation import MutationPlan, draw, mutate_registry
 from tooldrift.policy import ScriptedAdaptivePolicy
 from tooldrift.react import ActionRecord, StateRecord, render_prompt
@@ -111,9 +111,9 @@ class TestExtract:
             for index, step in enumerate(steps):
                 outcome = execute_action(state, replace(step, observation=None), registry)
                 assert outcome.step.observation == step.observation
-                assert (outcome.reward is not None) == (index == len(steps) - 1)
+                assert (step_reward(outcome.step, False) is not None) == (index == len(steps) - 1)
                 state = outcome.state
-            assert outcome.reward == 1
+            assert step_reward(outcome.step, False) == 1
 
     def test_collect_from_trees_caps_per_task(self, corpus, mutated_registry):
         config = SearchConfig(max_simulations=12, rng_seed=3)
