@@ -27,8 +27,11 @@ rebuilds the state that way still gets the same answers.
 The remote policy retries a failed request a fixed ``RemotePolicy.MAX_RETRIES``
 times. It has no request limit of its own: ``search --jobs`` shares one policy
 across its worker threads, so the number of jobs bounds the requests in flight.
-Only ``RemotePolicy`` loads ``http.client`` and ``logging`` (its retries and
-latency go to the ``tooldrift.policy`` logger), so scripted runs import neither.
+Only ``RemotePolicy`` loads ``socket``, ``ssl`` (for an https endpoint) and
+``logging`` (its retries and latency go to the ``tooldrift.policy`` logger), so
+scripted runs import none of them. It does its one HTTP/1.1 exchange over a
+plain socket, which costs less CPU than ``http.client``: that parses every
+reply's headers with the ``email`` package.
 """
 
 from __future__ import annotations
@@ -55,6 +58,12 @@ _DEPRECATION_MSG_RE = re.compile(
 )
 
 
+# An endpoint goes into the request line and the Host header as written, so it
+# must be printable ASCII without spaces; an internationalised host is written
+# in its IDNA form.
+_REQUEST_TARGET_RE = re.compile(r"[!-~]+")
+
+
 class UnknownTaskError(PolicyError):
     """A scripted policy was asked about a task outside its corpus."""
 
@@ -62,7 +71,8 @@ class UnknownTaskError(PolicyError):
 @dataclass(frozen=True)
 class PolicyConfig:
     """How to build a policy; a non-empty endpoint, an http or https URL with
-    a host, is required exactly for the remote kind."""
+    a host and no space or non-ASCII character, is required exactly for the
+    remote kind."""
 
     kind: str = "scripted_adaptive"
     endpoint: str | None = None
@@ -78,7 +88,10 @@ class PolicyConfig:
         if self.endpoint:
             try:
                 url = urlsplit(self.endpoint)
-                valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+                valid = (
+                    url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+                    and _REQUEST_TARGET_RE.fullmatch(self.endpoint) is not None
+                )
             except ValueError:  # an unbalanced IPv6 bracket, or a port that is not a number in range
                 valid = False
             if not valid:
@@ -271,60 +284,90 @@ class RemotePolicy:
     Request: {"prompt": text, "n": int, "temperature": float, "stop": [text]}.
     Response: {"choices": [{"text": ...}, ...]} with exactly n choices. The
     stop sequence is the Observation label so the model never invents
-    environment feedback. Each thread POSTs over its own keep-alive
-    ``http.client`` connection, opened on first use and again after a reply
-    that closes it or a transport error; proxy variables and ``.netrc`` are
-    not read. A failed POST, a non-2xx status, or a reply that does not decode
-    (one nested past the recursion limit included) or has another shape, is
-    retried MAX_RETRIES times and then raises PolicyError.
+    environment feedback. Each thread POSTs over its own keep-alive socket,
+    opened on first use and again after a reply that closes it or a transport
+    error. A reply body is framed by its Content-Length, by chunked transfer
+    coding, or else by the end of the connection; a status or header line
+    longer than 65,536 bytes, or more than 100 header lines, is a malformed
+    reply. Proxy variables, ``.netrc``, redirects and the credentials in the
+    URL are not honoured. A failed POST, a malformed reply, a status that is
+    not 2xx, or a reply that does not decode (one nested past the recursion
+    limit included) or has another shape, is retried MAX_RETRIES times and
+    then raises PolicyError.
     """
 
     STOP_SEQUENCES = ["Observation:"]
     MAX_RETRIES = 2
 
     def __init__(self, config: PolicyConfig):
-        import http.client
         import logging
         if config.kind != "remote":
             raise ValueError("RemotePolicy requires a remote PolicyConfig")
         self.config = config
         url = urlsplit(config.endpoint)
-        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        # Given no port, http.client would read a bare IPv6 host's last group as one.
-        port = url.port or connection.default_port
-        self._connect = functools.partial(connection, url.hostname, port, timeout=config.request_timeout)
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        default_port = 443 if url.scheme == "https" else 80
+        self._address = (url.hostname, url.port or default_port)
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        # The Host header: an IPv6 host in brackets, a port only if not the default.
+        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        if url.port not in (None, default_port):
+            host += f":{url.port}"
+        self._head = (
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
+        self._tls_context = None
+        if url.scheme == "https":
+            import ssl
+            self._tls_context = ssl.create_default_context()
         self._local = threading.local()
-        self._connections = []  # every thread's, for close()
+        self._connections = set()  # every thread's open (socket, reader), for close()
         self._log = logging.getLogger(__name__)
+
+    def _open(self) -> tuple:
+        import socket
+        sock = socket.create_connection(self._address, timeout=self.config.request_timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls_context is not None:
+                sock = self._tls_context.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        conn = (sock, sock.makefile("rb"))
+        self._connections.add(conn)
+        return conn
+
+    def _discard(self, conn: tuple) -> None:
+        self._connections.discard(conn)
+        for end in conn:
+            end.close()
 
     def _post(self, body: bytes) -> bytes:
         """POST ``body`` on this thread's connection and return the reply body.
-        A transport error closes the connection, so the next POST opens a
-        fresh one."""
-        import http.client
+        A transport error or a malformed reply closes the connection, so the
+        next POST opens a fresh one."""
         conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._connect()
-            self._connections.append(conn)
+        if conn not in self._connections:  # none yet, or closed
+            conn = self._local.conn = self._open()
         try:
-            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
-            response = conn.getresponse()
-            data = response.read()
-        except (OSError, http.client.HTTPException):
-            conn.close()
+            conn[0].sendall(self._head + b"%d\r\n\r\n" % len(body) + body)
+            status, reason, data, keep_open = _read_reply(conn[1])
+        except (OSError, ValueError):
+            self._discard(conn)
             raise
-        if not 200 <= response.status < 300:
-            raise http.client.HTTPException(f"{response.status} {response.reason} from {self.config.endpoint}")
+        if not keep_open:
+            self._discard(conn)
+        if not 200 <= status < 300:
+            raise ValueError(f"{status} {reason} from {self.config.endpoint}")
         return data
 
     def close(self) -> None:
         """Close every thread's connection; a later POST opens a new one."""
-        for conn in self._connections:
-            conn.close()
+        while self._connections:
+            self._discard(self._connections.pop())
 
     def propose(self, state: StateRecord, k: int) -> list[str]:
-        import http.client
         if k < 1:
             raise ValueError("k must be >= 1")
         payload = {
@@ -350,12 +393,97 @@ class RemotePolicy:
                 if len(texts) < k:
                     raise ValueError(f"endpoint returned {len(texts)} candidates, wanted {k}")
                 return texts[:k]
-            except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 last_error = exc
                 if attempt < self.MAX_RETRIES:
                     self._log.warning("remote policy attempt %d failed, retrying: %s", attempt + 1, exc)
                     time.sleep(0.05 * (attempt + 1))
         raise PolicyError(f"remote policy failed after retries: {last_error}")
+
+
+# http.client's limits on a reply: the longest status or header line, and the most header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+def _read_line(rfile) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ValueError("reply cut short")
+    return line
+
+
+def _read_exactly(rfile, size: int) -> bytes:
+    """``size`` bytes, read at most a MiB at a time, so that a length the
+    reply overstates ends in ValueError at the end of the stream and is never
+    allocated up front."""
+    parts = []
+    while size > 0:
+        part = rfile.read(min(size, 1 << 20))
+        if not part:
+            raise ValueError("reply cut short")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _read_headers(rfile) -> dict[bytes, bytes]:
+    """Header lines up to the blank line that ends them, by lower-cased name."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(rfile)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise ValueError(f"malformed reply header {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    raise ValueError(f"reply has more than {_MAX_HEADERS} headers")
+
+
+def _read_chunked(rfile) -> bytes:
+    chunks = []
+    while True:
+        size = int(_read_line(rfile).split(b";", 1)[0], 16)
+        if size == 0:
+            _read_headers(rfile)  # the trailer
+            return b"".join(chunks)
+        if size < 0:
+            raise ValueError("malformed chunked reply")
+        chunks.append(_read_exactly(rfile, size))
+        if _read_line(rfile) not in (b"\r\n", b"\n"):
+            raise ValueError("malformed chunked reply")
+
+
+def _read_reply(rfile) -> tuple[int, str, bytes, bool]:
+    """One HTTP/1.x reply to a POST: its status, reason and body, and whether
+    the connection stays open after it. A malformed or cut-short reply, or a
+    1xx status, raises ValueError."""
+    line = _read_line(rfile)
+    version, _, rest = line.rstrip(b"\r\n").partition(b" ")
+    code, _, reason = rest.partition(b" ")
+    if not (version.startswith(b"HTTP/1.") and len(code) == 3 and code.isdigit()):
+        raise ValueError(f"malformed status line {line[:80]!r}")
+    status = int(code)
+    if status < 200:
+        raise ValueError(f"unexpected status {status}")
+    headers = _read_headers(rfile)
+    connection = headers.get(b"connection", b"").lower()
+    keep_open = b"keep-alive" in connection if version == b"HTTP/1.0" else b"close" not in connection
+    length = headers.get(b"content-length")
+    if status in (204, 304):
+        body = b""
+    elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        body = _read_chunked(rfile)
+    elif length is not None:
+        if not length.isdigit():
+            raise ValueError(f"malformed Content-Length {length[:80]!r}")
+        body = _read_exactly(rfile, int(length))
+    else:
+        body, keep_open = rfile.read(), False
+    return status, reason.decode("latin-1"), body, keep_open
 
 
 def build_policy(config: PolicyConfig, corpus: Corpus | None = None):

@@ -22,13 +22,15 @@ PROMPT_HEADER = (
     "the result. Use Finish[answer] to submit the final answer."
 )
 
-# No pattern nests quantifiers or ends a lazy group with a whitespace run, so
-# parse_action runs in linear time.
+# No pattern nests quantifiers or ends a lazy group with a whitespace run, and
+# an Action Input is decoded at most twice (once as JSON, then by the scanner
+# and the decoders below), so parse_action runs in linear time.
 _THOUGHT_LABEL_RE = re.compile(r"\n[^\S\n]*Thought:")
 _SPACE_RE = re.compile(r"\s*")
 _ACTION_RE = re.compile(r"\nAction:\s*([A-Za-z0-9_.\-]+)\s*(?=\n)")
 _INPUT_LABEL_RE = re.compile(r"\nAction\s+Input:\s*")
 _OBSERVATION_LABEL = "\nObservation:"
+_JSON_DECODER = json.JSONDecoder(strict=False)
 
 
 class ActionParseError(ValueError):
@@ -137,6 +139,27 @@ def _parse_input_body(body: str) -> dict[str, Any]:
     return {str(k): _coerce_value(v) for k, v in parsed.items()}
 
 
+def _action_input(padded: str, brace_start: int) -> tuple[dict[str, Any], int]:
+    """The Action Input map whose body opens at ``padded[brace_start]``, and
+    the index where the body ends. A JSON object is decoded in one call: in it,
+    a quote or a brace outside a double-quoted string is structure, so the
+    brace scanner would end the body at the same index. Any other body, or a
+    failure of that call, goes to the scanner and the JSON-then-literal
+    decoders, which give each text its record or its error."""
+    try:
+        parsed, end = _JSON_DECODER.raw_decode(padded, brace_start)
+        return {str(k): _coerce_value(v) for k, v in parsed.items()}, end
+    except (ValueError, RecursionError, MemoryError):  # ActionParseError included
+        pass
+    body = _scan_braced_body(padded, brace_start)
+    try:
+        return _parse_input_body(body), brace_start + len(body)
+    except ActionParseError:
+        raise
+    except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
+        raise ActionParseError("Action Input", str(exc) or type(exc).__name__) from None
+
+
 def _thought(padded: str) -> tuple[str, int]:
     """The first labeled thought of ``padded`` and where the ``\\nAction:`` that
     ends it starts. A ``Thought:`` label starts a line, after any spaces. Its
@@ -170,15 +193,9 @@ def parse_action(text: str) -> ActionRecord:
     brace_start = padded.find("{", label_match.end())
     if brace_start < 0:
         raise ActionParseError("Action Input", "no opening brace")
-    body = _scan_braced_body(padded, brace_start)
-    try:
-        action_input = _parse_input_body(body)
-    except ActionParseError:
-        raise
-    except (ValueError, SyntaxError, RecursionError, MemoryError) as exc:
-        raise ActionParseError("Action Input", str(exc) or type(exc).__name__) from None
+    action_input, input_end = _action_input(padded, brace_start)
     observation = None
-    obs_start = padded.find(_OBSERVATION_LABEL, brace_start + len(body))
+    obs_start = padded.find(_OBSERVATION_LABEL, input_end)
     if obs_start >= 0:
         observation = padded[obs_start + len(_OBSERVATION_LABEL):].strip()
     return ActionRecord(

@@ -400,6 +400,7 @@ class TestSearchCommand:
             ("kind = scripted_adaptive", "kind = remote\nendpoint = ftp://localhost/complete", "endpoint"),
             ("kind = scripted_adaptive", "kind = remote\nendpoint = http:///complete", "endpoint"),
             ("kind = scripted_adaptive", "kind = remote\nendpoint = http://localhost:http/", "endpoint"),
+            ("kind = scripted_adaptive", "kind = remote\nendpoint = http://localhost/a b", "endpoint"),
             ("kinds = name_text, param_text, param_format", "kinds =", "[mutation]"),
             ("c_puct = 1.25", "c_puct = nan", "c_puct"),
             ("c_puct = 1.25", "c_puct = inf", "c_puct"),
@@ -427,6 +428,7 @@ class TestSearchCommand:
             "remote_endpoint_not_http",
             "remote_endpoint_without_host",
             "remote_endpoint_port_not_a_number",
+            "remote_endpoint_with_a_space",
             "empty_kinds",
             "c_puct_nan",
             "c_puct_inf",

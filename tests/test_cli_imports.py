@@ -46,8 +46,10 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 PACKAGE = ("corpus", "mcts", "adapt", "mutation", "policy", "trajectory")
 # Only ``--jobs`` above 1 (concurrent.futures, which loads logging) or a remote
-# policy (http.client and logging) needs these; nothing imports requests.
-ELSEWHERE = ("concurrent.futures", "logging", "http.client", "requests")
+# policy (socket, logging, and ssl for an https endpoint) needs these. Nothing
+# imports requests or http.client, nor the email package that http.client
+# parses headers with.
+ELSEWHERE = ("concurrent.futures", "logging", "socket", "ssl", "email", "http.client", "requests")
 
 
 def run_python(code: str, *args: str, cwd: Path) -> str:
@@ -176,3 +178,24 @@ print(json.dumps([len(trees), sorted(set(proposed)), sorted(task.id for task in 
 def test_a_build_policy_patched_before_binding_is_honoured_and_restored(searched):
     trees, proposed, tasks = json.loads(run_python(PATCH_BUILD_POLICY, cwd=searched).splitlines()[-1])
     assert trees == len(tasks) and proposed == tasks
+
+
+# Proposes once through a RemotePolicy for the endpoint given, then prints the
+# number of texts and which of the modules named after it were loaded.
+PROPOSE_AND_LIST_MODULES = """\
+import json, sys
+from tooldrift.env import TaskInstance
+from tooldrift.policy import PolicyConfig, RemotePolicy
+from tooldrift.react import StateRecord
+task = TaskInstance(id="t", description="What?", gold_answer="5", dataset="coffee", difficulty="easy")
+policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=sys.argv[1]))
+texts = policy.propose(StateRecord(task=task, tool_manual=()), 2)
+policy.close()
+print(json.dumps([len(texts), [name for name in sys.argv[2:] if name in sys.modules]]))
+"""
+
+
+def test_a_remote_policy_for_http_loads_neither_http_client_nor_ssl(completion_server, tmp_path):
+    url, _ = completion_server
+    out = run_python(PROPOSE_AND_LIST_MODULES, url, "http.client", "ssl", "email", cwd=tmp_path)
+    assert json.loads(out.splitlines()[-1]) == [2, []]

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
+import ssl
+import subprocess
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -262,63 +266,6 @@ class TestGuidanceParsing:
         )
 
 
-class _CompletionHandler(BaseHTTPRequestHandler):
-    """Answers each POST with ``fail_with`` as its status, else the canned
-    ``reply`` body, else n Finish candidates. It records each request and the
-    client port it came from. HTTP/1.0 closes every connection after one reply;
-    set ``protocol_version`` to "HTTP/1.1" to keep them open, and
-    ``drop_after_reply`` to close them anyway without saying so."""
-
-    fail_with = None
-    reply = None
-    drop_after_reply = False
-    seen = []
-    ports = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        type(self).seen.append(payload)
-        type(self).ports.append(self.client_address[1])
-        status, body = 200, type(self).reply
-        if type(self).fail_with is not None:
-            status, body = type(self).fail_with, ""
-        elif body is None:
-            body = json.dumps(
-                {"choices": [{"text": f"Thought: t{i}\nAction: Finish\nAction Input: {{\"answer\": \"5\"}}"}
-                             for i in range(payload["n"])]}
-            )
-        body = body.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        if type(self).drop_after_reply:
-            self.close_connection = True
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def completion_server():
-    _CompletionHandler.protocol_version = "HTTP/1.0"
-    _CompletionHandler.fail_with = None
-    _CompletionHandler.reply = None
-    _CompletionHandler.drop_after_reply = False
-    _CompletionHandler.seen = []
-    _CompletionHandler.ports = []
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _CompletionHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/complete", _CompletionHandler
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=2)
-    assert not thread.is_alive()
-
-
 BAD_REPLIES = {
     "text_not_a_string": json.dumps({"choices": [{"text": 5}] * 5}),
     "text_is_a_list": json.dumps({"choices": [{"text": ["a"]}] * 5}),
@@ -392,6 +339,37 @@ class TestRemotePolicy:
         assert not caplog.records
         assert len(handler.ports) == 5 and len(set(handler.ports)) == connections
 
+    def test_threads_sharing_a_policy_each_keep_one_connection(self, corpus, completion_server):
+        """Six threads, more than the cores, POST ten times each through one
+        policy while the interpreter switches threads often: every POST
+        succeeds, each thread opens one connection, and close() ends them all."""
+        url, handler = completion_server
+        handler.protocol_version = "HTTP/1.1"
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url))
+        state = state_for(corpus, "coffee-easy-1")
+        barrier = threading.Barrier(6)
+        counts = []
+
+        def work():
+            barrier.wait(timeout=30)
+            counts.append(sum(len(policy.propose(state, 2)) for _ in range(10)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counts == [20] * 6
+        assert len(handler.ports) == 60 and len(set(handler.ports)) == 6
+        policy.close()
+        assert not policy._connections
+
     def test_a_connection_the_server_dropped_is_reopened_by_the_retry(
         self, corpus, completion_server, caplog, monkeypatch
     ):
@@ -411,6 +389,113 @@ class TestRemotePolicy:
         assert len(handler.ports) == 2 and len(set(handler.ports)) == 2
 
     @pytest.mark.parametrize(
+        "protocol, framing, extra_headers, connections",
+        [
+            ("HTTP/1.1", "length", 0, 1),
+            ("HTTP/1.1", "chunked", 0, 1),
+            ("HTTP/1.0", "eof", 0, 3),
+            ("HTTP/1.1", "length", 96, 1),
+        ],
+        ids=["content_length", "chunked", "http_1_0_to_eof", "100_headers"],
+    )
+    def test_every_framing_gives_the_same_texts(
+        self, corpus, completion_server, caplog, protocol, framing, extra_headers, connections
+    ):
+        """A reply framed by its length, by chunks or by the end of an
+        HTTP/1.0 connection reads the same; a chunked reply keeps the
+        connection open, and 100 header lines (Server, Date, Content-Type,
+        Content-Length and 96 more) are within the limit."""
+        url, handler = completion_server
+        handler.protocol_version = protocol
+        handler.framing = framing
+        handler.extra_headers = [(f"X-Extra-{i}", "v") for i in range(extra_headers)]
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url))
+        expected = [f'Thought: t{i}\nAction: Finish\nAction Input: {{"answer": "5"}}' for i in range(3)]
+        with caplog.at_level(logging.WARNING, logger="tooldrift.policy"):
+            for _ in range(3):
+                assert policy.propose(state_for(corpus, "coffee-easy-1"), 3) == expected
+        policy.close()
+        assert not caplog.records
+        assert len(set(handler.ports)) == connections
+
+    @pytest.mark.parametrize(
+        "protocol, framing, extra_headers, fail_with",
+        [
+            ("HTTP/1.0", "length", [(f"X-Extra-{i}", "v") for i in range(97)], None),
+            ("HTTP/1.1", "length", [("X-Long", "a" * 65_536)], None),
+            ("HTTP/1.1", "length", [], 503),
+            ("HTTP/1.1", "cut_short", [], None),
+            ("HTTP/1.1", "terabyte", [], None),
+            ("HTTP/1.1", "chunked", [], 404),
+        ],
+        ids=["101_headers", "header_line_over_64_kib", "status_503", "body_cut_short", "terabyte_content_length",
+             "chunked_404"],
+    )
+    def test_a_malformed_or_failed_reply_is_retried_then_a_policy_error(
+        self, corpus, completion_server, caplog, monkeypatch, protocol, framing, extra_headers, fail_with
+    ):
+        monkeypatch.setattr(policy_module.time, "sleep", lambda seconds: None)
+        url, handler = completion_server
+        handler.protocol_version = protocol
+        handler.framing = framing
+        handler.extra_headers = extra_headers
+        handler.fail_with = fail_with
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=url, request_timeout=5))
+        with caplog.at_level(logging.WARNING, logger="tooldrift.policy"), pytest.raises(PolicyError):
+            policy.propose(state_for(corpus, "coffee-easy-1"), 2)
+        policy.close()
+        assert len(handler.seen) == 1 + RemotePolicy.MAX_RETRIES
+        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == RemotePolicy.MAX_RETRIES
+        if fail_with is not None:
+            assert f"{fail_with} " in caplog.records[0].getMessage()
+
+    def test_an_https_endpoint_is_served_once_its_certificate_is_trusted(
+        self, corpus, completion_server, tmp_path, monkeypatch
+    ):
+        if shutil.which("openssl") is None:
+            pytest.skip("no openssl to make a certificate with")
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run(
+            ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1", "-nodes",
+             "-days", "1", "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+             "-keyout", str(key), "-out", str(cert)],
+            check=True, capture_output=True, timeout=60,
+        )
+        monkeypatch.setattr(policy_module.time, "sleep", lambda seconds: None)
+        _, handler = completion_server
+        handler.protocol_version = "HTTP/1.1"
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(cert, key)
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        try:
+            endpoint = f"https://127.0.0.1:{server.server_address[1]}/complete"
+            state = state_for(corpus, "coffee-easy-1")
+            with pytest.raises(PolicyError, match="CERTIFICATE_VERIFY_FAILED"):
+                RemotePolicy(PolicyConfig(kind="remote", endpoint=endpoint)).propose(state, 2)
+            policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=endpoint))
+            policy._tls_context.load_verify_locations(cert)
+            for _ in range(2):
+                assert len(policy.propose(state, 2)) == 2
+            policy.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=2)
+        assert not thread.is_alive()
+        assert len(handler.seen) == 2 and len(set(handler.ports)) == 1
+
+    def test_the_host_header_carries_no_credentials(self, corpus, completion_server):
+        url, handler = completion_server
+        port = url.split(":")[2].split("/")[0]
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=f"http://u:p@127.0.0.1:{port}/x"))
+        assert len(policy.propose(state_for(corpus, "coffee-easy-1"), 1)) == 1
+        policy.close()
+        assert handler.hosts == [f"127.0.0.1:{port}"]
+
+    @pytest.mark.parametrize(
         "endpoint, scheme, host, port, path",
         [
             ("http://127.0.0.1:8080/complete", "http", "127.0.0.1", 8080, "/complete"),
@@ -421,10 +506,23 @@ class TestRemotePolicy:
     )
     def test_endpoint_sets_the_connection_and_the_path(self, endpoint, scheme, host, port, path):
         policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=endpoint))
-        conn = policy._connect()
-        assert (type(conn).__name__, conn.host, conn.port, policy._path) == (
-            f"{scheme.upper()}Connection", host, port, path
-        )
+        assert (policy._tls_context is not None, policy._address) == (scheme == "https", (host, port))
+        assert policy._head.startswith(f"POST {path} HTTP/1.1\r\n".encode())
+
+    @pytest.mark.parametrize(
+        "endpoint, host_header",
+        [
+            ("http://127.0.0.1:8080/complete", "127.0.0.1:8080"),
+            ("http://[::1]/complete", "[::1]"),
+            ("http://[::1]:8080/complete", "[::1]:8080"),
+            ("https://Example.org:443/v1", "example.org"),
+            ("http://localhost:80", "localhost"),
+            ("http://u:p@localhost:81/", "localhost:81"),
+        ],
+    )
+    def test_host_header_names_the_host_and_a_port_that_is_not_the_default(self, endpoint, host_header):
+        policy = RemotePolicy(PolicyConfig(kind="remote", endpoint=endpoint))
+        assert f"\r\nHost: {host_header}\r\n".encode() in policy._head
 
     def test_config_requires_endpoint_for_remote(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -234,8 +235,39 @@ _FRAGMENTS = st.sampled_from([
 ])
 
 
+# Steps whose Action Input opens a valid JSON object, which parse_action
+# decodes in one call: quotes, braces and escapes inside strings, nested
+# objects, lists and nulls (values it rejects), NaN and the infinities, then
+# bodies past the decoders' limits, each followed by prose and an observation.
+_JSON_STRINGS = st.text(alphabet="ab'\"{}\\:\n\t ", max_size=6)
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_STRINGS, st.integers(), st.floats(), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=2), st.dictionaries(_JSON_STRINGS, inner, max_size=3)),
+    max_leaves=6,
+)
+_JSON_BODIES = st.one_of(
+    st.builds(
+        json.dumps,
+        st.dictionaries(_JSON_STRINGS, _JSON_VALUES, max_size=4),
+        ensure_ascii=st.booleans(),
+        indent=st.sampled_from([None, 1]),
+    ),
+    st.sampled_from([
+        PAST_THE_LIMITS["json_integer_too_long"],
+        '{"a": ' * 5_000 + "1" + "}" * 5_000,
+        '{"a": ' + "[" * 5_000 + "]" * 5_000 + "}",
+    ]),
+)
+_JSON_STEPS = st.builds(
+    lambda body, prose, observation: f"Thought: t\nAction: Calculate\nAction Input: {body}{prose}{observation}",
+    _JSON_BODIES,
+    st.sampled_from(["", " and then some chatter", "} {'x': 1}", "'", '"', "\n"]),
+    st.sampled_from(["", "\nObservation: done", '\nObservation: {"a": "}"}\n', "\nObservation:"]),
+)
+
+
 class TestParseMatchesTheOracle:
-    @given(text=st.lists(_FRAGMENTS, max_size=30).map("".join))
+    @given(text=st.one_of(st.lists(_FRAGMENTS, max_size=30).map("".join), _JSON_STEPS))
     def test_same_record_or_error(self, text):
         assert _outcome(parse_action, text) == _outcome(oracle_parse, text)
 
