@@ -18,17 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import json
-
 from .env import INVOCATION_ERROR_TEXT, Observation, ToolRegistry, evaluate, invoke
-from .react import ActionRecord, StateRecord
+from .react import ActionRecord, StateRecord, render_action_input
 
 UPDATE_TOOL_OK_TEXT = "The description for the new tool has been updated successfully."
 
 
 def as_text(value) -> str:
     """An action-input value as text: strings as given, anything else as JSON."""
-    return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
+    return value if isinstance(value, str) else render_action_input(value)
 
 
 def _tool_description(step: ActionRecord) -> str:

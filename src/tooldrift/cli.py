@@ -40,9 +40,13 @@ task of the corpus; the first task without one exits 2.
 ``search`` draws each (task, tree index) run as it searches it and writes
 each tree to ``<output_dir>/trees/<tree id>.json`` as it finishes, in run
 order (task, then tree index). It keeps only each tree's task id and outcome
-for the summary, so one tree at a time is held, plus, with ``--jobs`` above 1,
-the trees of at most two searches per job submitted ahead of it. A tree that breaks an
-invariant exits 4 unwritten; the trees written before it remain.
+for the summary, so one tree at a time is held. A search runs in the calling
+thread unless the policy is remote and ``--jobs`` is above 1: then ``--jobs``
+threads overlap its requests, and the trees of at most two searches per job
+are submitted ahead of the tree last written. Under the interpreter lock
+threads never run two in-process searches at once, so ``--jobs`` has no effect
+on a scripted policy. A tree that breaks an invariant exits 4 unwritten; the
+trees written before it remain.
 
 ``export`` reads the tree files one at a time, in name order, and holds only
 the reward-+1 paths of each; a corrupt file exits 4 before any SFT is written.
@@ -50,12 +54,12 @@ It creates the directory of ``--out`` if it is missing.
 
 Each command imports only the modules it runs, since every interpreter start
 pays for them: ``mutate`` loads ``corpus`` and ``mutation``; ``search`` those,
-``mcts`` and ``policy``, and ``concurrent.futures`` only with ``--jobs`` above
-1; ``export`` loads ``mcts`` and ``trajectory``; ``inspect``, ``mcts``. The
-names cli uses from those modules (``_LAZY``) are still ``cli`` attributes:
-reading one binds it, and a command binds what it needs without replacing a
-name that a caller has already set, so a patched or wrapped name is the one
-the command calls.
+``mcts`` and ``policy``, and ``concurrent.futures`` only for a remote policy
+with ``--jobs`` above 1; ``export`` loads ``mcts`` and ``trajectory``;
+``inspect``, ``mcts``. The names cli uses from those modules (``_LAZY``) are
+still ``cli`` attributes: reading one binds it, and a command binds what it
+needs without replacing a name that a caller has already set, so a patched or
+wrapped name is the one the command calls.
 """
 
 from __future__ import annotations
@@ -253,9 +257,11 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
     """Check the manifest and the overrides, then return an iterator that runs
     each search as it is drawn and yields the trees in run order (task, then
     tree index), with the corpus and the setting. A bad manifest raises
-    CliError before any search runs. With ``--jobs`` above 1 the searches run
-    in a thread pool, at most two per job submitted ahead of the tree last
-    yielded; closing the iterator cancels those not yet started."""
+    CliError before any search runs. The searches run in the calling thread,
+    unless the policy is remote and ``--jobs`` is above 1: a remote policy
+    waits on the network, so its searches run in a thread pool, at most two
+    per job submitted ahead of the tree last yielded; closing the iterator
+    cancels those not yet started."""
     _bind("corpus", "mcts", "mutation", "policy")
     if overrides.jobs < 1:
         raise CliError(f"--jobs must be a positive integer, not {overrides.jobs}", EXIT_CONFIG)
@@ -291,7 +297,7 @@ def search_manifest(parser: configparser.ConfigParser, overrides) -> tuple[Itera
 
     def trees():
         runs = ((task, index) for task in corpus.tasks for index in range(search_cfg.trees_per_task))
-        if overrides.jobs == 1:
+        if policy_cfg.kind != "remote" or overrides.jobs == 1:
             yield from map(one, runs)
             return
         from concurrent.futures import ThreadPoolExecutor
@@ -461,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--csv", default=None, help="also write the summary as CSV")
     p_search.add_argument(
         "--jobs", type=int, default=1,
-        help="search threads; they overlap a remote policy's requests, and a scripted policy runs fastest at 1",
+        help="remote policy: searches in flight, one thread each; a scripted policy searches in the calling thread",
     )
     p_search.add_argument("--no-tool-update", dest="no_tool_update", action="store_true")
     p_search.add_argument("--no-self-reflection", dest="no_self_reflection", action="store_true")

@@ -77,13 +77,14 @@ class SearchTree:
     manual: tuple[str, ...] = ()
     demos: tuple[str, ...] = ()
     stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_STATS_TYPES, 0))
-    # The node columns; tree JSON writes parent (per expansion), action and failure, and rebuilds the rest.
+    # The node columns; tree JSON writes parent (per expansion) and action, and rebuilds the rest.
     parent: list[int | None] = field(default_factory=lambda: [None])
     action: list[ActionRecord | None] = field(default_factory=lambda: [None])
     q_value: list[float] = field(default_factory=lambda: [0.0])
     visit_count: list[int] = field(default_factory=lambda: [0])
     reward: list[int | None] = field(default_factory=lambda: [None])
-    failure: list[str | None] = field(default_factory=lambda: [None])
+    # Node id -> its failed expansion's message; tree JSON writes it as sorted [id, message] pairs.
+    failure: dict[int, str] = field(default_factory=dict)
     # One [leaf, chosen, reward] entry per simulation run, in order.
     simulations: list[list[int]] = field(default_factory=list)
     # The nodes ``expand`` has opened, whose children selection sees; the log's leaves.
@@ -109,7 +110,7 @@ class SearchTree:
         terminal = [reward is not None for reward in self.reward]
         return tuple(map(
             Node, range(len(parent)), parent, self.action, self.q_value, self.visit_count, prior, cached,
-            self.reward, self.failure, map(tuple, children), self.depth, terminal,
+            self.reward, map(self.failure.get, range(len(parent))), map(tuple, children), self.depth, terminal,
         ))
 
     def successful_leaves(self) -> list[int]:
@@ -257,7 +258,6 @@ def _children(tree: SearchTree, node_id: int, policy, registry: ToolRegistry) ->
     tree.q_value += [0.0] * k
     tree.visit_count += [0] * k
     tree.reward += rewards
-    tree.failure += [None] * k
     tree.children += [()] * k
     tree.depth += [tree.depth[node_id] + 1] * k
     tree.children[node_id] = range(start, start + k)
@@ -438,7 +438,9 @@ def tree_to_json(tree: SearchTree) -> str:
     indices = list(map(index_of.__getitem__, map(id, tree.action[1:])))
     if None in indices:
         raise ValueError(f"node {indices.index(None) + 1}: a node after the root has no action")
-    failures = [[i, message] for i, message in enumerate(tree.failure) if message is not None]
+    failures = sorted(tree.failure.items())
+    _require([f"node {node}: failed to expand, but the tree has no such node"
+              for node, _ in failures if not 0 <= node < len(tree.parent)])
     reward, problems = _rewards([a for _, _, a in table.values()], indices, failures, tree.config.no_self_reflection)
     if reward != tree.reward:
         node, value, expected = next((i, *p) for i, p in enumerate(zip_longest(tree.reward, reward)) if p[0] != p[1])
@@ -528,7 +530,7 @@ def tree_from_json(text: str) -> SearchTree:
     tree = SearchTree(
         task=task, config=config, registry_generation=doc["registry_generation"], tree_id=doc["tree_id"],
         manual=tuple(doc["manual"]), demos=tuple(doc["demos"]), stats=stats, simulations=log, parent=parent,
-        action=[None, *map(actions.__getitem__, indices)], failure=list(map(dict(pairs).get, range(n))),
+        action=[None, *map(actions.__getitem__, indices)], failure=dict(pairs),
         children=children, depth=depth,
     )
     tree.reward, problems = _rewards(actions, indices, pairs, config.no_self_reflection)

@@ -47,7 +47,7 @@ from urllib.parse import urlsplit
 
 from .corpus import Corpus, PlannedCall, load_corpus, remap_args
 from .env import INVOCATION_ERROR_TEXT
-from .react import ActionRecord, PolicyError, StateRecord, render_prompt, render_step
+from .react import ActionRecord, PolicyError, StateRecord, render_action_input, render_prompt, render_step
 
 POLICY_KINDS = ("scripted_adaptive", "scripted_rigid", "scripted_semi_adaptive", "remote")
 
@@ -111,7 +111,7 @@ def update_tool_desc(successor: str, old_name: str, example: dict) -> str:
     signature = f"{successor}[{', '.join(example)}]"
     return (
         f"{signature}, which is an updated version of {old_name}. "
-        f"For example, {json.dumps(example, ensure_ascii=False)}."
+        f"For example, {render_action_input(example)}."
     )
 
 

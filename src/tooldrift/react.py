@@ -206,9 +206,9 @@ def parse_action(text: str) -> ActionRecord:
     )
 
 
-def render_action_input(action_input: dict[str, Any]) -> str:
-    """Canonical double-quoted rendering of an action input map."""
-    return json.dumps(action_input, ensure_ascii=False)
+# Canonical double-quoted rendering of an action input map, or of a value in
+# one: json.dumps(value, ensure_ascii=False) with its encoder built once, not per call.
+render_action_input = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def render_step(step: ActionRecord) -> str:

@@ -99,7 +99,7 @@ class TestCriterion2Puct:
                 # column; each child's prior is 1/m, so Q and N decide.
                 tree = SearchTree(
                     task=state.task, config=SearchConfig(), parent=[None] + [0] * m, action=[None] * (1 + m),
-                    visit_count=[visits], q_value=[0.0], reward=[None] * (1 + m), failure=[None] * (1 + m),
+                    visit_count=[visits], q_value=[0.0], reward=[None] * (1 + m),
                     expanded={0}, children=[range(1, 1 + m)] + [()] * m, depth=[0] + [1] * m,
                 )
                 for _ in range(m):

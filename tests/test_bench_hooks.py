@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from tooldrift import cli
 from tooldrift.corpus import load_corpus
 from tooldrift.env import SYSTEM_ACTIONS
@@ -69,11 +71,15 @@ def traced_span_names(tmp_path, *argv) -> set[str]:
     return {span[2] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
 
 
-def test_traced_search_records_every_layer(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_traced_search_records_every_layer(tmp_path, jobs):
+    """With any ``--jobs``, as the traced adaptive_drift run passes 2: the
+    spans of every search reach the trace, so none may run in a process of
+    its own unless its spans come back."""
     manifest = tmp_path / "run.ini"
     manifest.write_text(MANIFEST + SEARCH.format(2), encoding="utf-8")
-    names = traced_span_names(tmp_path, "search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"))
-    assert set(SPANS) <= names
+    argv = ("search", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"), "--jobs", jobs)
+    assert set(SPANS) <= traced_span_names(tmp_path, *argv)
 
 
 def test_traced_mutate_and_mutated_search_record_the_drift_check(tmp_path):

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import weakref
@@ -64,6 +65,20 @@ def write_manifest(tmp_path, **kwargs):
     path = tmp_path / "run.ini"
     path.write_text(manifest_text(tmp_path, **kwargs))
     return str(path)
+
+
+def remote_policy(endpoint: str) -> str:
+    """The ``policy`` of ``manifest_text`` for a remote policy at ``endpoint``,
+    the one kind whose searches share the ``--jobs`` threads."""
+    return f"remote\nendpoint = {endpoint}"
+
+
+def scripted_in_place_of_remote(monkeypatch, kind):
+    """Make ``cli.build_policy`` build the scripted ``kind`` for a remote
+    manifest, so its searches take the thread pool with scripted candidates."""
+    monkeypatch.setattr(
+        cli, "build_policy", lambda config, corpus: build_policy(replace(config, kind=kind, endpoint=None), corpus)
+    )
 
 
 # A JSON document nested deeper than the interpreter's recursion limit.
@@ -243,8 +258,14 @@ class TestSearchCommand:
         assert len(rows) == 5
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_csv_summary_matches_the_written_trees(self, tmp_path, capsys, jobs):
-        manifest = write_manifest(tmp_path, setting="mutated_in", policy="scripted_semi_adaptive", sims=3, trees=2)
+    def test_csv_summary_matches_the_written_trees(self, tmp_path, capsys, monkeypatch, completion_server, jobs):
+        """With ``--jobs 2`` the manifest names a remote policy, so the
+        searches run in the thread pool; cli builds the scripted one instead."""
+        policy = "scripted_semi_adaptive"
+        if jobs != "1":
+            scripted_in_place_of_remote(monkeypatch, policy)
+            policy = remote_policy(completion_server[0])
+        manifest = write_manifest(tmp_path, setting="mutated_in", policy=policy, sims=3, trees=2)
         csv_path = tmp_path / "summary.csv"
         args = ["search", "--manifest", manifest, "--csv", str(csv_path), "--jobs", jobs, "--no-self-reflection"]
         assert main(args) == EXIT_OK
@@ -271,12 +292,15 @@ class TestSearchCommand:
         assert len(searched) == 24
 
     @staticmethod
-    def _one_task_manifest(tmp_path, trees_per_task) -> str:
+    def _one_task_manifest(tmp_path, trees_per_task, endpoint=None) -> str:
+        """A manifest of ``trees_per_task`` trees of one task, with a remote
+        policy at ``endpoint`` if one is given."""
         tasks = tmp_path / "tasks.json"
         tasks.write_text(tasks_to_json([load_corpus().task("coffee-easy-1")]))
         manifest = tmp_path / "run.ini"
         manifest.write_text(
             f"[run]\ncorpus = {tasks}\noutput_dir = {tmp_path / 'out'}\n\n[search]\ntrees_per_task = {trees_per_task}\n"
+            + (f"\n[policy]\nkind = remote\nendpoint = {endpoint}\n" if endpoint else "")
         )
         return str(manifest)
 
@@ -300,15 +324,22 @@ class TestSearchCommand:
             tracemalloc.stop()
         assert stop.value.args[0] < 2_000_000
 
-    def test_parallel_searches_start_at_most_two_per_job_ahead(self, tmp_path, monkeypatch):
-        """Each time a tree is yielded, count the searches started after it;
-        the consumer dawdles over the first tree, so idle workers could run on."""
-        started = []
-        monkeypatch.setattr(cli, "run_search", lambda *args, tree_id, **kwargs: started.append(tree_id) or tree_id)
+    def test_parallel_searches_start_at_most_two_per_job_ahead(self, tmp_path, monkeypatch, completion_server):
+        """A remote policy's searches run in the pool's threads. Each time a
+        tree is yielded, count the searches started after it; the consumer
+        dawdles over the first tree, so idle workers could run on."""
+        started, threads = [], set()
+
+        def search(*args, tree_id, **kwargs):
+            threads.add(threading.current_thread())
+            started.append(tree_id)
+            return tree_id
+
+        monkeypatch.setattr(cli, "run_search", search)
         overrides = argparse.Namespace(
             setting=None, no_self_reflection=False, no_tool_update=False, jobs=2
         )
-        parser = cli._read_config(self._one_task_manifest(tmp_path, 1000))
+        parser = cli._read_config(self._one_task_manifest(tmp_path, 1000, endpoint=completion_server[0]))
         trees, _, _ = cli.search_manifest(parser, overrides)
         yielded, ahead = [], []
         with closing(trees):
@@ -319,18 +350,41 @@ class TestSearchCommand:
                 ahead.append(len(started) - len(yielded))
         assert yielded == [f"coffee-easy-1__t{index}" for index in range(1000)]
         assert max(ahead) <= 2 * 2
+        assert threads and threading.main_thread() not in threads
 
-    def test_jobs_parallelism_is_deterministic(self, tmp_path, capsys):
-        manifest = write_manifest(tmp_path, sims=10)
-        assert main(["search", "--manifest", manifest, "--jobs", "4"]) == EXIT_OK
-        serial = serial_dir_mk(tmp_path, "serial")
-        manifest2 = write_manifest(serial, sims=10)
-        assert main(["search", "--manifest", manifest2, "--jobs", "1"]) == EXIT_OK
+    def test_a_scripted_search_runs_every_search_in_the_calling_thread(self, tmp_path, capsys, monkeypatch):
+        """Threads never run two in-process searches at once, so a scripted
+        policy ignores ``--jobs`` and starts none."""
+        threads = []
+
+        def search(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return run_search(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_search", search)
+        assert main(["search", "--manifest", write_manifest(tmp_path, sims=2), "--jobs", "4"]) == EXIT_OK
+        assert len(threads) == 24 and set(threads) == {threading.main_thread()}
+
+    @pytest.mark.parametrize("policy", ["scripted_adaptive", "remote", "remote_built_scripted"])
+    def test_jobs_parallelism_is_deterministic(self, tmp_path, capsys, monkeypatch, completion_server, policy):
+        """Every ``--jobs`` writes the same tree files and CSV, for a scripted
+        policy and for a remote one, whose searches share the threads: one
+        that posts to a server, and one that cli builds as the scripted
+        adaptive policy, so the threads interleave whole searches."""
+        if policy == "remote_built_scripted":
+            scripted_in_place_of_remote(monkeypatch, "scripted_adaptive")
+        if policy.startswith("remote"):
+            policy = remote_policy(completion_server[0])
+        written = []
+        for jobs in ("1", "2", "4"):
+            run = serial_dir_mk(tmp_path, jobs)
+            manifest = write_manifest(run, policy=policy, sims=10)
+            assert main(["search", "--manifest", manifest, "--jobs", jobs, "--csv", str(run / "s.csv")]) == EXIT_OK
+            files = sorted((run / "out" / "trees").glob("*.json"))
+            written.append([(p.name, p.read_bytes()) for p in [*files, run / "s.csv"]])
         capsys.readouterr()
-        a = sorted((tmp_path / "out" / "trees").glob("*.json"))
-        b = sorted((serial / "out" / "trees").glob("*.json"))
-        assert [p.name for p in a] == [p.name for p in b]
-        assert all(x.read_bytes() == y.read_bytes() for x, y in zip(a, b))
+        assert len(written[0]) == 24 + 1
+        assert written[0] == written[1] == written[2]
 
     def test_no_tool_update_ablation(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, setting="mutated_in", sims=20)
@@ -562,7 +616,11 @@ class TestSearchCommand:
         assert not list((tmp_path / "out" / "trees").glob("*.json"))
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_later_tree_that_breaks_an_invariant_leaves_the_earlier_ones(self, tmp_path, capsys, monkeypatch, jobs):
+    def test_later_tree_that_breaks_an_invariant_leaves_the_earlier_ones(
+        self, tmp_path, capsys, monkeypatch, completion_server, jobs
+    ):
+        """With ``--jobs 2`` the policy is remote, so later searches run ahead
+        in the thread pool; their trees are not written either."""
         corpus = load_corpus()
         bad = corpus.tasks[3].id
 
@@ -573,7 +631,8 @@ class TestSearchCommand:
             return tree
 
         monkeypatch.setattr(cli, "run_search", broken_search)
-        manifest = write_manifest(tmp_path, sims=2)
+        policy = "scripted_adaptive" if jobs == "1" else remote_policy(completion_server[0])
+        manifest = write_manifest(tmp_path, policy=policy, sims=2)
         assert main(["search", "--manifest", manifest, "--jobs", jobs]) == EXIT_INVARIANT
         assert f"tree {bad}__t0" in capsys.readouterr().err
         written = sorted(p.stem for p in (tmp_path / "out" / "trees").glob("*.json"))

@@ -45,8 +45,8 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 PACKAGE = ("corpus", "mcts", "adapt", "mutation", "policy", "trajectory")
-# Only ``--jobs`` above 1 (concurrent.futures, which loads logging) or a remote
-# policy (socket, logging, and ssl for an https endpoint) needs these. Nothing
+# Only a remote policy needs these: socket, logging, ssl for an https endpoint,
+# and with ``--jobs`` above 1 concurrent.futures, which loads logging. Nothing
 # imports requests or http.client, nor the email package that http.client
 # parses headers with.
 ELSEWHERE = ("concurrent.futures", "logging", "socket", "ssl", "email", "http.client", "requests")
@@ -90,6 +90,12 @@ COMMANDS = {
     ),
     "search": (
         ["search", "--manifest", "run.ini", "--output-dir", "again", "--jobs", "1"],
+        {"corpus", "mcts", "mutation", "policy"},
+        {"trajectory", *ELSEWHERE},
+    ),
+    # A scripted policy searches in the calling thread whatever --jobs says.
+    "search --jobs 2": (
+        ["search", "--manifest", "run.ini", "--output-dir", "in-one-thread", "--jobs", "2"],
         {"corpus", "mcts", "mutation", "policy"},
         {"trajectory", *ELSEWHERE},
     ),

@@ -34,7 +34,7 @@ from tooldrift.react import ActionRecord, StateRecord, render_prompt
 from reference_search import ReferenceSearch
 
 # The node lists of a SearchTree, in the order of append_node's row.
-NODE_LISTS = ("parent", "action", "q_value", "visit_count", "reward", "failure", "children", "depth")
+NODE_LISTS = ("parent", "action", "q_value", "visit_count", "reward", "children", "depth")
 
 
 LOAD = 'Thought: t\nAction: LoadDB\nAction Input: {"DBName": "coffee"}'
@@ -73,7 +73,7 @@ def append_node(tree, parent, action=None, q=0.0, n=0, cached=False, reward=None
     """Append one node to ``tree`` by writing its columns; returns its id. The
     parent counts as expanded, so its children are visible, unless ``cached``."""
     node_id = len(tree.parent)
-    row = (parent, action, q, n, reward, None, (), tree.depth[parent] + 1)
+    row = (parent, action, q, n, reward, (), tree.depth[parent] + 1)
     for column, value in zip(NODE_LISTS, row):
         getattr(tree, column).append(value)
     tree.children[parent] = [*tree.children[parent], node_id]
@@ -300,16 +300,16 @@ class TestExpand:
         assert tree.reward[ids[1]] == tree.reward[ids[4]] == -1
         assert actions[0] is not actions[1] and tree.reward[ids[0]] is None
         # A parse failure's message is its action's observation; the failure
-        # column holds only failed expansions.
-        assert tree.reward[ids[3]] == -1 and tree.failure[ids[3]] is None
+        # map holds only failed expansions.
+        assert tree.reward[ids[3]] == -1 and tree.failure == {}
         assert actions[3].observation.startswith("could not parse")
         # The memo lives for the whole tree: a later expansion elsewhere that
         # gets the same texts reuses the records and executes nothing new.
         deeper = expand(tree, ids[0], MixedPolicy(), base_registry)
         assert executed == ["LoadDB", "Finish"]
         assert [tree.action[i] for i in deeper] == actions
-        outcomes = [(tree.reward[i], tree.failure[i]) for i in ids]
-        assert [(tree.reward[i], tree.failure[i]) for i in deeper] == outcomes
+        assert [tree.reward[i] for i in deeper] == [tree.reward[i] for i in ids]
+        assert tree.failure == {}
         assert all(tree.depth[i] == 2 for i in deeper)
         # A searched tree has a memo of its own, and its loaded copy starts
         # with an empty one.
@@ -384,7 +384,7 @@ class TestExpand:
         tree = _root_tree(corpus, "coffee-easy-1")
         assert expand(tree, 0, FailingPolicy(), base_registry) == []
         assert tree.reward[0] == -1
-        assert "connection refused" in tree.failure[0]
+        assert list(tree.failure) == [0] and "connection refused" in tree.failure[0]
 
 
 def _root_tree(corpus, task_id, config=None):
@@ -591,6 +591,14 @@ class TestTreeSerialization:
             tree_to_json(tree)
         tree.expanded.clear()
         assert tree_from_json(tree_to_json(tree)) == tree
+
+    @pytest.mark.parametrize("node", [-1, 2])
+    def test_a_failure_on_no_node_is_not_written(self, node):
+        tree = bare_tree()
+        add_child(tree, cached=True)
+        tree.failure[node] = "x"
+        with pytest.raises(ValueError, match=f"node {node}: failed to expand, but the tree has no such node"):
+            tree_to_json(tree)
 
 
 def canonical_fields(tree: SearchTree, stats: bool = True) -> str:

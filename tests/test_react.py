@@ -320,7 +320,7 @@ def test_search_over_inputs_past_the_limits_ends_in_malformed_actions(corpus, ba
     assert len(children) == len(PAST_THE_LIMITS)
     for child in children:
         assert tree.action[child].action_name == FAILED_ACTION_NAME
-        assert tree.reward[child] == -1 and tree.failure[child] is None
+        assert tree.reward[child] == -1 and child not in tree.failure
         assert tree.action[child].observation.startswith("could not parse field 'Action Input'")
 
 
