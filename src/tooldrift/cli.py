@@ -11,7 +11,13 @@ tree file, 4.
 sections below); ``--seed`` overrides the plan's seed. It and a mutated search
 setting build the registry through one path, before anything is written: a
 plan that cannot be applied, or that deploys a name an Action line cannot
-spell, exits 2; a drift that fails ``verify_mutation`` exits 4.
+spell, exits 2; a drift that fails ``verify_mutation`` exits 4. A registry
+file (``--base``, ``[run] registry``) loads as a drift of the builtin
+registry and obeys its rules (``env.ToolRegistry``): each retired name is a
+builtin API with one successor of the same arity, and every other API is a
+builtin API with its param names. Since the base of a drift retires nothing,
+a base file that retires APIs exits 2 from ``mutate --base`` and from a
+mutated search, as does a file that renames a kept API's param.
 
 A run manifest (``search --manifest``) is an INI file. Every section and key
 is optional, and an absent key takes its default:
@@ -223,7 +229,7 @@ def _mutated(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
     with _exits(EXIT_CONFIG, "mutation failed"):
         mutated = mutate_registry(base, plan)
     with _exits(EXIT_INVARIANT, "drift check failed", MutationError):
-        verify_mutation(base, mutated)
+        verify_mutation(mutated)
     return mutated
 
 

@@ -5,6 +5,10 @@ tools (the ReAct loop's own ``SYSTEM_ACTIONS`` are not in it), typed error
 feedback (invocation vs deprecation), and an answer-text scorer for final
 answers. Errors are returned as data, never raised, so a search can keep
 exploring through error states.
+
+A drift is a base API surface plus a deprecation map from each retired base
+API to its successor. ``ToolRegistry`` holds its base and is the one check of
+its rules, for a drift built in process and one loaded from its file alike.
 """
 
 from __future__ import annotations
@@ -121,16 +125,6 @@ class ApiSpec:
 
 
 @dataclass(frozen=True)
-class DeprecationEntry:
-    """Where a retired API name points: its successor, and the retired
-    signature's param names, which the deprecation error shows. A registry
-    file stores only the successor; the loader reads the names off the base."""
-
-    successor: str
-    old_params: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Observation:
     """Environment feedback for one action: its class, one of the
     OBSERVATION_KINDS, and its text (for task_done, one of the answer texts)."""
@@ -169,43 +163,70 @@ Behavior = Callable[[list[Any], dict], str]
 class ToolRegistry:
     """Deployed API surface: specs, behaviors, deprecation map, world data.
 
-    Only drifting tools, never ``SYSTEM_ACTIONS``. Frozen, and checked when
-    built: each key names its spec, each API has a behavior, and each
-    deprecated name is retired (not deployed) and points at its own deployed
-    successor. The dicts are not copied, so a builder hands them over and
-    changes them no more; invoke() only reads.
+    Only drifting tools, never ``SYSTEM_ACTIONS``. A base registry holds its
+    behaviors and world and retires nothing. A drift holds what its file
+    stores (specs, ``deprecated`` and ``generation``) plus its ``base``,
+    which retires nothing. A drift's behaviors and world are set from its
+    base when it is built: each successor runs the behavior of the API it
+    retired, and any other API its own. So a drift is given no behaviors
+    and no world, or the ones it would take (as ``dataclasses.replace``
+    passes them); others raise. Frozen, and checked when built, so a drift
+    is valid in process exactly when its file loads: each key names its
+    spec; each API of a base has a behavior; each retired name is an API of
+    the base, no longer deployed, with one deployed successor, a new name
+    that takes as many params; and every other API is a base API that keeps
+    its param names. The dicts are not copied, so a builder hands them over
+    and changes them no more; invoke() only reads.
     ``generation`` tags which registry produced an artifact (base vs a
     seeded mutation) and travels with serialized trees and SFT records.
     """
 
     apis: dict[str, ApiSpec]
-    behaviors: dict[str, Behavior]
-    deprecated: dict[str, DeprecationEntry] = field(default_factory=dict)
+    behaviors: dict[str, Behavior] = field(default_factory=dict)
+    deprecated: dict[str, str] = field(default_factory=dict)
     world: dict = field(default_factory=dict)
     generation: str = "base"
+    base: ToolRegistry | None = None
 
     def __post_init__(self) -> None:
         for name, spec in self.apis.items():
             if name != spec.name:
                 raise ValueError(f"registry key {name!r} does not match spec name {spec.name!r}")
-            if name not in self.behaviors:
-                raise ValueError(f"API {name} has no behavior")
+        base = self.base
+        if base is None:
+            if self.deprecated:
+                raise ValueError(f"a registry without a base retires nothing, not {sorted(self.deprecated)}")
+            for name in self.apis:
+                if name not in self.behaviors:
+                    raise ValueError(f"API {name} has no behavior")
+            return
+        if base.deprecated:
+            raise ValueError(f"the base of a drift retires nothing, not {sorted(base.deprecated)}")
         overlap = set(self.deprecated) & set(self.apis)
         if overlap:
             raise ValueError(f"deprecated names overlap deployed names: {sorted(overlap)}")
-        for old, entry in self.deprecated.items():
-            if entry.successor not in self.apis:
-                raise ValueError(f"deprecated {old} points at unknown successor {entry.successor}")
-        _retired_names(self.deprecated)
-
-
-def _retired_names(deprecated: dict[str, DeprecationEntry]) -> dict[str, str]:
-    """Each successor's retired name; a successor of two names raises ValueError."""
-    found: dict[str, str] = {}
-    for old, entry in deprecated.items():
-        if found.setdefault(entry.successor, old) != old:
-            raise ValueError(f"{entry.successor} replaces both {found[entry.successor]} and {old}")
-    return found
+        lineage: dict[str, str] = {}
+        for old, successor in self.deprecated.items():
+            if old not in base.apis:
+                raise ValueError(f"deprecated {old} is not an API of the base registry")
+            if successor not in self.apis:
+                raise ValueError(f"deprecated {old} points at unknown successor {successor}")
+            if successor in base.apis:
+                raise ValueError(f"{successor} is a base API, not a new name")
+            if lineage.setdefault(successor, old) != old:
+                raise ValueError(f"{successor} replaces both {lineage[successor]} and {old}")
+            takes, took = len(self.apis[successor].params), len(base.apis[old].params)
+            if takes != took:
+                raise ValueError(f"API {successor} takes {takes} params, {old} {took}")
+        for name, spec in self.apis.items():
+            origin = base.apis.get(name)
+            if name not in lineage and (origin is None or origin.param_names() != spec.param_names()):
+                raise ValueError(f"API {name} is neither a successor nor a base API with its param names")
+        behaviors = {name: base.behaviors[lineage.get(name, name)] for name in self.apis}
+        if self.behaviors not in ({}, behaviors) or self.world not in ({}, base.world):
+            raise ValueError("a drift takes its behaviors and world from its base")
+        object.__setattr__(self, "behaviors", behaviors)
+        object.__setattr__(self, "world", base.world)
 
 
 def _value_matches_kind(value: Any, kind: str) -> bool:
@@ -231,11 +252,11 @@ def invoke(registry: ToolRegistry, name: str, args: dict[str, Any]) -> Observati
     error naming the successor, unknown names and contract violations yield
     the fixed invocation-error text, and valid calls run the behavior.
     """
-    entry = registry.deprecated.get(name)
-    if entry is not None:
-        new = registry.apis[entry.successor]
+    successor = registry.deprecated.get(name)
+    if successor is not None:
+        new = registry.apis[successor]
         text = DEPRECATION_ERROR_TEMPLATE.format(
-            old=name, old_params=", ".join(entry.old_params), new=new.name,
+            old=name, old_params=", ".join(registry.base.apis[name].param_names()), new=new.name,
             new_params=", ".join(new.param_names()), example=json.dumps(new.example_args()),
         )
         return Observation(kind="deprecation_error", text=text)
@@ -272,8 +293,8 @@ def evaluate(task: TaskInstance, answer: str) -> Observation:
 
 
 # ---------------------------------------------------------------------------
-# Serialization. One JSON document per registry generation; behaviors are
-# re-bound by lineage at load time (they are code, not data).
+# Serialization. One JSON document per registry generation; a drift's
+# behaviors come from its base by lineage (they are code, not data).
 # ---------------------------------------------------------------------------
 
 _REGISTRY_TYPES = {"generation": (str,), "apis": (list,), "deprecated": (dict,)}
@@ -307,19 +328,15 @@ def registry_to_json(registry: ToolRegistry) -> str:
     doc = {
         "generation": registry.generation,
         "apis": [asdict(spec) for _, spec in sorted(registry.apis.items())],
-        "deprecated": {old: e.successor for old, e in sorted(registry.deprecated.items())},
+        "deprecated": dict(sorted(registry.deprecated.items())),
     }
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def registry_from_json(text: str, base: ToolRegistry) -> ToolRegistry:
-    """Rebuild a registry from JSON, re-binding behaviors through lineage.
-
-    ``deprecated`` maps each retired name, an API of ``base``, to the one
-    deployed API that replaced it, which inherits that API's behavior (an
-    unretired API keeps its own) and must take as many params. The world is
-    the base's. Any malformed document raises ValueError.
-    """
+    """Rebuild a drift of ``base`` from JSON; ``ToolRegistry`` checks it
+    against the base and binds its behaviors by lineage. Any malformed
+    document raises ValueError."""
     doc = typed_object(json.loads(text), _REGISTRY_TYPES, "registry")
     apis: dict[str, ApiSpec] = {}
     for index, spec_doc in enumerate(doc["apis"]):
@@ -327,27 +344,7 @@ def registry_from_json(text: str, base: ToolRegistry) -> ToolRegistry:
         if spec.name in apis:
             raise ValueError(f"api {index}: duplicate name {spec.name!r}")
         apis[spec.name] = spec
-    deprecated = {}
     for old, successor in doc["deprecated"].items():
         if type(successor) is not str:
             raise ValueError(f"deprecated {old}: the successor is {type(successor).__name__}, not a string")
-        if old not in base.apis:
-            raise ValueError(f"deprecated {old} is not an API of the base registry")
-        deprecated[old] = DeprecationEntry(successor=successor, old_params=tuple(base.apis[old].param_names()))
-    successor_to_old = _retired_names(deprecated)
-    behaviors: dict[str, Behavior] = {}
-    for name, spec in apis.items():
-        lineage = successor_to_old.get(name, name)
-        origin = base.apis.get(lineage)
-        if origin is None:
-            raise ValueError(f"no behavior known for API {name} (lineage {lineage})")
-        if len(spec.params) != len(origin.params):
-            raise ValueError(f"API {name} takes {len(spec.params)} params, {lineage} {len(origin.params)}")
-        behaviors[name] = base.behaviors[lineage]
-    return ToolRegistry(
-        apis=apis,
-        behaviors=behaviors,
-        deprecated=deprecated,
-        world=base.world,
-        generation=doc["generation"],
-    )
+    return ToolRegistry(apis=apis, deprecated=doc["deprecated"], generation=doc["generation"], base=base)

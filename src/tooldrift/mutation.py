@@ -15,14 +15,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .corpus import remap_args
-from .env import (
-    SPECIAL_CHARS,
-    ApiSpec,
-    DeprecationEntry,
-    ParamSpec,
-    ToolRegistry,
-    invoke,
-)
+from .env import SPECIAL_CHARS, ApiSpec, ParamSpec, ToolRegistry, invoke
 
 MUTATION_KINDS = (
     "name_text",
@@ -163,19 +156,16 @@ def _mutate_param(param: ParamSpec, plan: MutationPlan, api_name: str, index: in
 
 
 def mutate_registry(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
-    """Derive a new registry generation; pure in (serialized base, plan)."""
+    """Derive a new registry generation; pure in (serialized base, plan).
+    ``ToolRegistry`` rejects a drift that breaks its rules: a base that
+    retires APIs, a name left unchanged or deployed twice."""
     if not base.apis:
         raise MutationError("base registry has no API to mutate")
     apis: dict[str, ApiSpec] = {}
-    behaviors = {}
-    deprecated: dict[str, DeprecationEntry] = {}
+    deprecated: dict[str, str] = {}
     for name in sorted(base.apis):
         spec = base.apis[name]
         new_name = _rename(name, plan, "name_text", "name_special_char", True, name, "api")
-        if new_name == name:
-            raise MutationError(f"mutation left API name {name!r} unchanged")
-        if new_name in apis or new_name in base.apis:
-            raise MutationError(f"mutated name collision on {new_name!r}")
         try:
             new_spec = replace(
                 spec,
@@ -185,15 +175,8 @@ def mutate_registry(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
         except ValueError as exc:
             raise MutationError(f"mutated {name!r}: {exc}") from None
         apis[new_name] = new_spec
-        behaviors[new_name] = base.behaviors[name]
-        deprecated[name] = DeprecationEntry(successor=new_name, old_params=tuple(spec.param_names()))
-    return ToolRegistry(
-        apis=apis,
-        behaviors=behaviors,
-        deprecated=deprecated,
-        world=base.world,
-        generation=f"mutated-{plan.seed}",
-    )
+        deprecated[name] = new_name
+    return ToolRegistry(apis=apis, deprecated=deprecated, generation=f"mutated-{plan.seed}", base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +184,17 @@ def mutate_registry(base: ToolRegistry, plan: MutationPlan) -> ToolRegistry:
 # ---------------------------------------------------------------------------
 
 
-def verify_mutation(base: ToolRegistry, mutated: ToolRegistry) -> None:
-    """Raise MutationError unless each successor in ``mutate_registry``'s
-    ``mutated`` answers its base API's example arguments, carried onto its
-    signature, as that API does. The rest of a valid drift holds by
-    construction (one hop, arity) or in ``ApiSpec`` (names)."""
-    for spec in base.apis.values():
-        entry = mutated.deprecated[spec.name]
+def verify_mutation(mutated: ToolRegistry) -> None:
+    """Raise MutationError unless each successor in ``mutated`` answers its
+    retired base API's example arguments, carried onto its signature, as
+    that API does on the base. The rest of a valid drift is checked by
+    ``ToolRegistry`` when it is built (lineage, arity, names)."""
+    base = mutated.base
+    for old, successor in mutated.deprecated.items():
+        spec = base.apis[old]
         probe = spec.example_args()
-        base_obs = invoke(base, spec.name, probe)
-        args = remap_args(probe, spec.param_names(), mutated.apis[entry.successor].example_args())
-        mut_obs = invoke(mutated, entry.successor, args)
+        base_obs = invoke(base, old, probe)
+        args = remap_args(probe, spec.param_names(), mutated.apis[successor].example_args())
+        mut_obs = invoke(mutated, successor, args)
         if (base_obs.kind, base_obs.text) != (mut_obs.kind, mut_obs.text):
-            raise MutationError(f"behavior drift: {spec.name} -> {entry.successor} ({base_obs.kind}/{mut_obs.kind})")
+            raise MutationError(f"behavior drift: {old} -> {successor} ({base_obs.kind}/{mut_obs.kind})")

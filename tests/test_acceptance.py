@@ -216,7 +216,7 @@ class TestCriterion6Mutation:
             for seed in range(100):
                 plan = MutationPlan(seed=seed)
                 mutated = mutate_registry(base_registry, plan)
-                verify_mutation(base_registry, mutated)  # raises MutationError on a behaviour drift
+                verify_mutation(mutated)  # raises MutationError on a behaviour drift
                 for spec in mutated.apis.values():
                     for identifier in [spec.name] + spec.param_names():
                         for segment in re.split(f"[{chars}]", identifier):

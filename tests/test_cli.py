@@ -108,12 +108,40 @@ def write_drift_base(tmp_path) -> str:
     return str(path)
 
 
-# (synonyms over the default table, base from write_drift_base, exit code, error line)
+def write_retiring_base(tmp_path) -> str:
+    """The seed-7 drift as a base file: it loads, but retires every builtin API."""
+    path = tmp_path / "base.json"
+    path.write_text(registry_to_json(mutate_registry(load_corpus().base_registry, MutationPlan(seed=7))))
+    return str(path)
+
+
+def write_renamed_param_base(tmp_path) -> str:
+    """A base file whose LoadDB, which it keeps, calls its param DBLabel."""
+    doc = json.loads(registry_to_json(load_corpus().base_registry))
+    next(spec for spec in doc["apis"] if spec["name"] == "LoadDB")["params"][0]["name"] = "DBLabel"
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# The words of the seed-7 drift's names that the default table lacks.
+_SEED_7_WORDS = ("Clause", "Data", "Database", "Datastore", "Fetch", "Field", "Formula", "Header",
+                 "Identifier", "Initialize", "Label", "Reckon", "Screen", "Select", "Table", "Title")
+
+# (synonyms over the default table, base file writer or None for builtin, exit code, error line)
 DRIFT_CASES = {
     "name_no_action_line_can_spell": (
-        {"Load": ["Open Now"]}, False, EXIT_CONFIG, "error: mutation failed: mutated 'LoadDB': API Open Now"
+        {"Load": ["Open Now"]}, None, EXIT_CONFIG, "error: mutation failed: mutated 'LoadDB': API Open Now"
     ),
-    "behavior_drift": ({}, True, EXIT_INVARIANT, "error: drift check failed: behavior drift: FilterDB -> "),
+    "behavior_drift": ({}, write_drift_base, EXIT_INVARIANT, "error: drift check failed: behavior drift: FilterDB -> "),
+    "base_that_retires_apis": (
+        {word: [f"{word}s"] for word in _SEED_7_WORDS}, write_retiring_base, EXIT_CONFIG,
+        "error: mutation failed: the base of a drift retires nothing, not ['Calculate', 'FilterDB'",
+    ),
+    "base_that_renames_a_kept_param": (
+        {}, write_renamed_param_base, EXIT_CONFIG,
+        "error: cannot parse registry {base}: API LoadDB is neither a successor nor a base API",
+    ),
 }
 
 
@@ -205,9 +233,10 @@ class TestMutateCommand:
     @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
     def test_drift_that_fails_a_rule_exits_alike_and_writes_nothing(self, tmp_path, capsys, case):
         """``mutate`` and a mutated_in search on the same base and plan."""
-        synonyms, drift_base, code, message = DRIFT_CASES[case]
+        synonyms, write_base, code, message = DRIFT_CASES[case]
         section = f"[mutation]\nsynonyms = {json.dumps({**DEFAULT_SYNONYMS, **synonyms})}\n"
-        base = write_drift_base(tmp_path) if drift_base else "builtin"
+        base = write_base(tmp_path) if write_base else "builtin"
+        message = message.format(base=base)
         plan = tmp_path / "plan.ini"
         plan.write_text(section)
         assert main(["mutate", "--base", base, "--plan", str(plan), "--out", str(tmp_path / "m.json")]) == code

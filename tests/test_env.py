@@ -26,7 +26,6 @@ from tooldrift.env import (
     INVOCATION_ERROR_TEXT,
     OBSERVATION_KINDS,
     ApiSpec,
-    DeprecationEntry,
     Observation,
     ParamSpec,
     TaskInstance,
@@ -49,7 +48,12 @@ _SHARED_REGISTRY = load_corpus().base_registry
 
 @pytest.fixture()
 def deprecated_loaddb_registry():
-    """A registry where LoadDB was retired in favor of InitializeDatabase."""
+    """A drift of a LoadDB-only base, which retired LoadDB in favor of InitializeDatabase."""
+    base = ToolRegistry(
+        apis={"LoadDB": ApiSpec(name="LoadDB", params=(ParamSpec(name="DBName", example="coffee"),))},
+        behaviors={"LoadDB": behavior_load_db},
+        world=build_world(),
+    )
     apis = {
         "InitializeDatabase": ApiSpec(
             name="InitializeDatabase",
@@ -57,14 +61,7 @@ def deprecated_loaddb_registry():
             description="Loads the database by name.",
         ),
     }
-    return ToolRegistry(
-        apis=apis,
-        behaviors={"InitializeDatabase": behavior_load_db},
-        deprecated={
-            "LoadDB": DeprecationEntry(successor="InitializeDatabase", old_params=("DBName",))
-        },
-        world=build_world(),
-    )
+    return ToolRegistry(apis=apis, deprecated={"LoadDB": "InitializeDatabase"}, base=base)
 
 
 class TestInvoke:
@@ -342,7 +339,8 @@ class TestBuiltinCorpus:
         text = registry_to_json(mutated_registry)
         loaded = registry_from_json(text, base_registry)
         assert registry_to_json(loaded) == text
-        successor = loaded.deprecated["Calculate"].successor
+        assert loaded.base is base_registry and loaded.world is base_registry.world
+        successor = loaded.deprecated["Calculate"]
         assert loaded.behaviors[successor] is base_registry.behaviors["Calculate"]
 
     def test_tasks_serialization_round_trip(self, corpus):
@@ -351,19 +349,59 @@ class TestBuiltinCorpus:
 
     def test_validation_rejects_overlapping_deprecation(self, base_registry):
         with pytest.raises(ValueError, match="overlap"):
-            ToolRegistry(
-                apis=dict(base_registry.apis),
-                behaviors=dict(base_registry.behaviors),
-                deprecated={"LoadDB": DeprecationEntry(successor="FilterDB", old_params=("DBName",))},
-                world=base_registry.world,
-            )
+            ToolRegistry(apis=dict(base_registry.apis), deprecated={"LoadDB": "FilterDB"}, base=base_registry)
 
     def test_validation_rejects_a_successor_of_two_names(self, mutated_registry):
         """A registry with a map its file could not hold is not built either."""
-        deprecated = dict(mutated_registry.deprecated)
-        deprecated["Foo"] = DeprecationEntry(successor=deprecated["LoadDB"].successor, old_params=("DBName",))
-        with pytest.raises(ValueError, match="replaces both LoadDB and Foo"):
+        deprecated = {**mutated_registry.deprecated, "Calculate": mutated_registry.deprecated["LoadDB"]}
+        with pytest.raises(ValueError, match="replaces both Calculate and LoadDB"):
             replace(mutated_registry, deprecated=deprecated)
+
+    @pytest.mark.parametrize(
+        "held_base,message",
+        [(False, r"a registry without a base retires nothing, not \['Foo'\]"),
+         (True, "deprecated Foo is not an API of the base registry")],
+        ids=["no_base", "builtin_base"],
+    )
+    def test_validation_rejects_retiring_a_name_the_base_lacks(self, base_registry, held_base, message):
+        """The builtin registry plus a ``Foo`` retirement: its file could not
+        load, so it is not built either, with or without a base to check."""
+        with pytest.raises(ValueError, match=message):
+            replace(base_registry, deprecated={"Foo": "LoadDB"}, base=base_registry if held_base else None)
+
+    def test_validation_rejects_a_successor_of_another_arity(self, base_registry):
+        apis = {name: spec for name, spec in base_registry.apis.items() if name != "LoadDB"}
+        apis["FilterRows"] = replace(apis["FilterDB"], name="FilterRows")
+        with pytest.raises(ValueError, match="API FilterRows takes 2 params, LoadDB 1"):
+            ToolRegistry(apis=apis, deprecated={"LoadDB": "FilterRows"}, base=base_registry)
+
+    def test_validation_rejects_a_drift_of_a_drift(self, base_registry, mutated_registry):
+        with pytest.raises(ValueError, match="the base of a drift retires nothing"):
+            replace(base_registry, behaviors={}, world={}, base=mutated_registry)
+
+    def test_validation_rejects_a_kept_api_that_renames_a_param(self, base_registry):
+        apis = dict(base_registry.apis)
+        apis["LoadDB"] = replace(apis["LoadDB"], params=(ParamSpec(name="DBLabel", example="coffee"),))
+        with pytest.raises(ValueError, match="API LoadDB is neither a successor nor a base API"):
+            ToolRegistry(apis=apis, base=base_registry)
+
+    def test_validation_rejects_a_successor_named_as_a_kept_api(self, base_registry):
+        """Calculate would run LoadDB's behavior, and base Calculate's could
+        no longer be reached."""
+        apis = {name: spec for name, spec in base_registry.apis.items() if name != "LoadDB"}
+        with pytest.raises(ValueError, match="Calculate is a base API, not a new name"):
+            ToolRegistry(apis=apis, deprecated={"LoadDB": "Calculate"}, base=base_registry)
+
+    def test_a_drift_takes_its_behaviors_and_world_from_its_base(self, base_registry, mutated_registry):
+        rebuilt = replace(mutated_registry, behaviors={}, world={})
+        assert rebuilt.world is base_registry.world
+        assert rebuilt.behaviors == mutated_registry.behaviors
+
+    @pytest.mark.parametrize("field_name", ["behaviors", "world"])
+    def test_validation_rejects_a_drift_given_its_own_behaviors_or_world(self, mutated_registry, field_name):
+        given = {"behaviors": {name: lambda values, world: "" for name in mutated_registry.apis}, "world": {"x": 1}}
+        with pytest.raises(ValueError, match="a drift takes its behaviors and world from its base"):
+            replace(mutated_registry, **{field_name: given[field_name]})
 
     def test_validation_rejects_missing_behavior(self, base_registry):
         behaviors = dict(base_registry.behaviors)
@@ -418,6 +456,12 @@ def _rename_successor(doc, old, name):
     doc["deprecated"][old] = name
 
 
+def _retire_into_a_base_name(doc):
+    """Stop retiring Calculate, and deploy LoadDB's successor as Calculate."""
+    doc["apis"].remove(_api(doc, doc["deprecated"].pop("Calculate")))
+    _rename_successor(doc, "LoadDB", "Calculate")
+
+
 # Edits of a drifted registry's file, each with the error it must raise.
 MALFORMED_DRIFT_EDITS = {
     "successor_not_a_string": (lambda doc: doc["deprecated"].update(LoadDB=5), "not a string"),
@@ -430,6 +474,7 @@ MALFORMED_DRIFT_EDITS = {
     "successor_claimed_twice": (
         lambda doc: doc["deprecated"].update(LoadDB=doc["deprecated"]["FilterDB"]), "replaces both",
     ),
+    "successor_named_as_a_base_api": (_retire_into_a_base_name, "Calculate is a base API, not a new name"),
     "api_named_finish": (lambda doc: _rename_successor(doc, "Calculate", "Finish"), "reserved"),
     "api_named_update_tool": (lambda doc: _rename_successor(doc, "LoadDB", "UpdateTool"), "reserved"),
     "leftover_is_system_tool_key": (
@@ -448,7 +493,7 @@ class TestRegistryJson:
 
     def test_drifted_doc_maps_each_retired_name_to_its_successor(self, base_registry, mutated_registry):
         doc = json.loads(registry_to_json(mutated_registry))
-        assert doc["deprecated"] == {old: e.successor for old, e in mutated_registry.deprecated.items()}
+        assert doc["deprecated"] == mutated_registry.deprecated
         assert sorted(spec["name"] for spec in doc["apis"]) == sorted(mutated_registry.apis)
         loaded = registry_from_json(json.dumps(doc), base_registry)
         assert (loaded.apis, loaded.deprecated) == (mutated_registry.apis, mutated_registry.deprecated)

@@ -264,7 +264,7 @@ class TestExpand:
         leaf = first_level[0]
         assert tree.action[leaf].kind == "deprecation_error"
         children = expand(tree, leaf, policy, registry)
-        successor = registry.deprecated["LoadDB"].successor
+        successor = registry.deprecated["LoadDB"]
         child = tree.action[children[0]]
         assert child.action_name == successor
         assert child.kind == "response"

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -32,9 +33,31 @@ from tooldrift.mutation import (
 )
 from tooldrift.react import parse_action
 
+from test_cli import write_drift_base
+
 
 def _echo(values, world):
     return f"echo: {values[0]}"
+
+
+def _map_filter_apis():
+    """One FilterDB whose condition is a map, with a text alternative."""
+    param = ParamSpec(
+        name="FilterCondition",
+        kind="map",
+        example='{"condition1": "Date=2022-09-05"}',
+        alt_kind="text",
+        alt_example="Date=2022-09-05",
+    )
+    return {"FilterDB": ApiSpec(name="FilterDB", params=(param,))}
+
+
+@pytest.fixture(scope="module")
+def drift_base(base_registry, tmp_path_factory):
+    """The base file of the CLI's drift tests, loaded: the builtin APIs with
+    FilterDB's condition a map of two conditions."""
+    path = write_drift_base(tmp_path_factory.mktemp("drift_base"))
+    return registry_from_json(Path(path).read_text(), base_registry)
 
 
 @pytest.fixture()
@@ -75,17 +98,17 @@ class TestMutateRegistry:
     def test_name_text_creates_deprecated_successor(self, base_registry):
         plan = MutationPlan(seed=11, kinds=frozenset({"name_text"}))
         mutated = mutate_registry(base_registry, plan)
-        entry = mutated.deprecated["LoadDB"]
-        assert entry.successor in mutated.apis
-        assert entry.successor != "LoadDB"
-        assert "_" not in entry.successor
+        successor = mutated.deprecated["LoadDB"]
+        assert successor in mutated.apis
+        assert successor != "LoadDB"
+        assert "_" not in successor
         assert "LoadDB" not in mutated.apis
 
     def test_special_char_only_between_words(self, agenda_fetch_registry):
         base, synonyms = agenda_fetch_registry
         plan = MutationPlan(seed=1, kinds=frozenset({"name_special_char"}), synonyms=synonyms)
         mutated = mutate_registry(base, plan)
-        assert mutated.deprecated["RetrieveAgenda"].successor == "Retrieve_Agenda"
+        assert mutated.deprecated["RetrieveAgenda"] == "Retrieve_Agenda"
 
     def test_text_plus_special_char(self, agenda_fetch_registry):
         base, synonyms = agenda_fetch_registry
@@ -93,7 +116,7 @@ class TestMutateRegistry:
             seed=1, kinds=frozenset({"name_text", "name_special_char"}), synonyms=synonyms
         )
         mutated = mutate_registry(base, plan)
-        successor = mutated.deprecated["RetrieveAgenda"].successor
+        successor = mutated.deprecated["RetrieveAgenda"]
         for segment in successor.split("_"):
             assert re.fullmatch(r"[A-Z][A-Za-z0-9]*", segment)
         assert successor != "Retrieve_Agenda"
@@ -101,7 +124,7 @@ class TestMutateRegistry:
     def test_param_format_switches_condition_form(self, base_registry):
         plan = MutationPlan(seed=3, kinds=frozenset({"param_format"}))
         mutated = mutate_registry(base_registry, plan)
-        successor = mutated.deprecated["FilterDB"].successor
+        successor = mutated.deprecated["FilterDB"]
         params = {p.name: p for p in mutated.apis[successor].params}
         condition = [p for p in params.values() if p.kind == "map"]
         assert len(condition) == 1
@@ -110,23 +133,9 @@ class TestMutateRegistry:
         assert map_values and "condition1" in map_values[0]
 
     def test_param_format_flips_back_from_map_form(self):
-        apis = {
-            "FilterDB": ApiSpec(
-                name="FilterDB",
-                params=(
-                    ParamSpec(
-                        name="FilterCondition",
-                        kind="map",
-                        example='{"condition1": "Date=2022-09-05"}',
-                        alt_kind="text",
-                        alt_example="Date=2022-09-05",
-                    ),
-                ),
-            ),
-        }
-        base = ToolRegistry(apis=apis, behaviors={"FilterDB": _echo}, world=build_world())
+        base = ToolRegistry(apis=_map_filter_apis(), behaviors={"FilterDB": _echo}, world=build_world())
         mutated = mutate_registry(base, MutationPlan(seed=4, kinds=frozenset({"param_format"})))
-        successor = mutated.deprecated["FilterDB"].successor
+        successor = mutated.deprecated["FilterDB"]
         param = mutated.apis[successor].params[0]
         assert param.kind == "text"
         assert param.example == "Date=2022-09-05"
@@ -170,7 +179,7 @@ class TestDeterminism:
 
     def test_both_seeded_outputs_verify(self, base_registry):
         for seed in (11, 42):
-            verify_mutation(base_registry, mutate_registry(base_registry, MutationPlan(seed=seed)))
+            verify_mutation(mutate_registry(base_registry, MutationPlan(seed=seed)))
 
     def test_deprecation_texts_are_pinned(self, base_registry):
         """First 16 hex chars of sha256 over the text each base API's example
@@ -207,55 +216,58 @@ _ODD_WORDS = ["", "Open Now", "tch", "DB", "Name", "Value", "Filter"]
         }
     ),
 )
-def test_every_registry_a_plan_builds_loads_back(base_registry, kinds, special_char, seed, synonyms):
+def test_every_registry_a_plan_builds_loads_back(base_registry, drift_base, kinds, special_char, seed, synonyms):
     """A plan either fails to mutate, or its registry's file loads back to the
-    same specs and deprecation map: one rule for a valid registry. Such a
-    registry passes the drift check, and holds by construction what the check
-    no longer looks at: one deprecation hop per base API, each successor
-    deployed, the same arity; each deployed name is one an Action line can
-    spell."""
+    same specs and deprecation map, and every call reads the same observation
+    on both: one rule for a valid registry, on the builtin base and on a base
+    file. On the builtin base such a registry passes the drift check, and
+    holds by construction what the check no longer looks at: one deprecation
+    hop per base API, each successor deployed, the same arity; each deployed
+    name is one an Action line can spell."""
     plan = MutationPlan(seed=seed, kinds=kinds, special_char=special_char, synonyms=synonyms)
     try:
         mutated = mutate_registry(base_registry, plan)
     except ValueError:
         return
-    loaded = registry_from_json(registry_to_json(mutated), base_registry)
-    assert (loaded.apis, loaded.deprecated) == (mutated.apis, mutated.deprecated)
-    verify_mutation(base_registry, mutated)
+    # The base file keeps every name, so the plan drifts it too.
+    for drift in (mutated, mutate_registry(drift_base, plan)):
+        loaded = registry_from_json(registry_to_json(drift), base_registry)
+        assert (loaded.apis, loaded.deprecated) == (drift.apis, drift.deprecated)
+        calls = [(name, spec.example_args()) for name, spec in drift.apis.items()]
+        calls += [(old, drift.base.apis[old].example_args()) for old in drift.deprecated]
+        for name, args in calls:
+            assert invoke(loaded, name, args) == invoke(drift, name, args)
+    verify_mutation(mutated)
     assert set(mutated.deprecated) == set(base_registry.apis)
-    assert {entry.successor for entry in mutated.deprecated.values()} == set(mutated.apis)
-    for old, entry in mutated.deprecated.items():
-        assert len(mutated.apis[entry.successor].params) == len(base_registry.apis[old].params)
+    assert set(mutated.deprecated.values()) == set(mutated.apis)
+    for old, successor in mutated.deprecated.items():
+        assert len(mutated.apis[successor].params) == len(base_registry.apis[old].params)
     for name in mutated.apis:
         assert parse_action(f"Thought: t\nAction: {name}\nAction Input: {{}}").action_name == name
 
 
 class TestVerifyMutation:
-    def test_round_trip_passes(self, base_registry, mutated_registry):
-        assert verify_mutation(base_registry, mutated_registry) is None
+    def test_round_trip_passes(self, mutated_registry):
+        assert verify_mutation(mutated_registry) is None
 
     def test_special_char_inside_word_flagged(self, mutated_registry):
         """``ApiSpec`` rejects the name when it is built, so no registry holds it."""
-        spec = mutated_registry.apis[mutated_registry.deprecated["LoadDB"].successor]
+        spec = mutated_registry.apis[mutated_registry.deprecated["LoadDB"]]
         with pytest.raises(ValueError, match="'Fe_tch' is not CamelCase"):
             replace(spec, name="Fe_tch")
 
-    def test_behavior_drift_flagged(self, base_registry, mutated_registry):
-        behaviors = dict(mutated_registry.behaviors)
-        successor = mutated_registry.deprecated["LoadDB"].successor
-        behaviors[successor] = _echo
-        broken = ToolRegistry(
-            apis=dict(mutated_registry.apis),
-            behaviors=behaviors,
-            deprecated=dict(mutated_registry.deprecated),
-            world=mutated_registry.world,
-        )
-        with pytest.raises(MutationError, match=f"behavior drift: LoadDB -> {successor}"):
-            verify_mutation(base_registry, broken)
+    def test_behavior_drift_flagged(self):
+        """A successor runs its base API's behavior, so only the carried
+        arguments can drift: a format flip hands the echo a condition string
+        where the base API took a map."""
+        base = ToolRegistry(apis=_map_filter_apis(), behaviors={"FilterDB": _echo}, world=build_world())
+        broken = mutate_registry(base, MutationPlan(seed=4, kinds=frozenset({"param_format"})))
+        with pytest.raises(MutationError, match=f"behavior drift: FilterDB -> {broken.deprecated['FilterDB']}"):
+            verify_mutation(broken)
 
     def test_semantic_preservation_probe(self, base_registry, mutated_registry):
-        entry = mutated_registry.deprecated["GetValue"]
-        successor_spec = mutated_registry.apis[entry.successor]
+        successor = mutated_registry.deprecated["GetValue"]
+        successor_spec = mutated_registry.apis[successor]
         base_obs = invoke(
             base_registry,
             "GetValue",
@@ -265,7 +277,7 @@ class TestVerifyMutation:
         for p in successor_spec.params:
             if p.kind == "map":
                 args[p.name] = {"condition1": "Date=2022-09-05"}
-        mutated_obs = invoke(mutated_registry, entry.successor, args)
+        mutated_obs = invoke(mutated_registry, successor, args)
         assert (base_obs.kind, base_obs.text) == (mutated_obs.kind, mutated_obs.text)
 
 

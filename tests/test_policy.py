@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import http.client
+import importlib
+import io
 import json
 import logging
 import shutil
@@ -7,15 +11,20 @@ import ssl
 import subprocess
 import sys
 import threading
-from http.server import ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tooldrift import cli
 from tooldrift import policy as policy_module
 from tooldrift.adapt import UPDATE_TOOL_OK_TEXT
+from tooldrift.corpus import load_corpus, tasks_to_json
 from tooldrift.env import DEPRECATION_ERROR_TEMPLATE, INVOCATION_ERROR_TEXT, invoke
-from tooldrift.mcts import SearchConfig, run_search
-from tooldrift.mutation import MutationPlan, mutate_registry
+from tooldrift.mcts import SearchConfig, run_search, tree_from_json
+from tooldrift.mutation import MutationPlan, draw, mutate_registry
 from tooldrift.policy import (
     PolicyConfig,
     PolicyError,
@@ -24,12 +33,16 @@ from tooldrift.policy import (
     ScriptedRigidPolicy,
     ScriptedSemiAdaptivePolicy,
     UnknownTaskError,
+    _read_reply,
     build_policy,
     parse_deprecation_guidance,
     read_path,
     update_tool_desc,
 )
 from tooldrift.react import ActionRecord, StateRecord, parse_action
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def state_for(corpus, task_id, steps=()):
@@ -73,7 +86,7 @@ class TestScriptedPolicies:
         )
         assert state.steps[-1].kind == "deprecation_error"
         record = parse_action(ScriptedAdaptivePolicy(corpus).propose(state, 5)[0])
-        successor = mutated_registry.deprecated["LoadDB"].successor
+        successor = mutated_registry.deprecated["LoadDB"]
         assert record.action_name == successor
         assert "deprecated" in record.thought
         obs = invoke(mutated_registry, record.action_name, record.action_input)
@@ -91,7 +104,7 @@ class TestScriptedPolicies:
         assert record.action_input == {"DBName": "coffee"}
 
     def test_adaptive_emits_update_tool_after_retry(self, corpus, mutated_registry):
-        successor = mutated_registry.deprecated["LoadDB"].successor
+        successor = mutated_registry.deprecated["LoadDB"]
         example = mutated_registry.apis[successor].example_args()
         state = executed(
             corpus,
@@ -247,7 +260,7 @@ class TestReadPath:
         """An update in the manual, with no deprecation error on the path, does
         not change the call: the agent proposes the plan's own LoadDB step."""
         registry = mutate_registry(corpus.base_registry, MutationPlan(seed=7))
-        successor = registry.deprecated["LoadDB"].successor
+        successor = registry.deprecated["LoadDB"]
         manual = (*corpus.manual, update_tool_desc(successor, "LoadDB", registry.apis[successor].example_args()))
         state = StateRecord(task=corpus.task("coffee-easy-1"), tool_manual=manual)
         assert ScriptedAdaptivePolicy(corpus).propose(state, 1) == [corpus.plans["coffee-easy-1"].calls[0].text]
@@ -538,3 +551,173 @@ class TestRemotePolicy:
             build_policy(PolicyConfig(kind="scripted_semi_adaptive"), corpus), ScriptedSemiAdaptivePolicy
         )
 
+
+
+class _ReplySocket:
+    """Just enough of a socket for ``http.client.HTTPResponse``."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BytesIO(self.data)
+
+
+def _reference_reply(data: bytes) -> tuple[int, bytes, bool]:
+    """(status, body, keeps the connection open) as ``http.client`` reads them."""
+    response = http.client.HTTPResponse(_ReplySocket(data), method="POST")
+    response.begin()
+    keep_open = not response.will_close
+    return response.status, response.read(), keep_open
+
+
+@st.composite
+def well_formed_replies(draw):
+    """An HTTP/1.x reply to a POST, framed by Content-Length, chunked coding,
+    both (chunked wins) or the end of the stream, with or without a
+    Connection header. 204 and 304, which have no body, are left out: there
+    RFC 9112 and ``http.client`` read a body that follows differently."""
+    version = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"]))
+    status, reason = draw(st.sampled_from(
+        [(200, "OK"), (201, "Created"), (404, "Not Found"), (500, "Internal Server Error"), (200, "")]
+    ))
+    body = draw(st.binary(max_size=200))
+    framing = draw(st.sampled_from(["length", "chunked", "both", "eof"]))
+    headers = [b"Content-Type: application/json"]
+    connection = draw(st.sampled_from([None, "close", "Close", "keep-alive", "Keep-Alive", "Upgrade, close"]))
+    if connection is not None:
+        headers.append(b"Connection: " + connection.encode())
+    if framing in ("length", "both"):
+        headers.append(b"Content-Length: %d" % len(body))
+    if framing in ("chunked", "both"):
+        headers.append(draw(st.sampled_from([b"Transfer-Encoding: chunked", b"transfer-encoding:  Chunked"])))
+        cuts = sorted(draw(st.lists(st.integers(0, len(body)), max_size=4)))
+        chunks = [body[i:j] for i, j in zip([0, *cuts], [*cuts, len(body)]) if j > i]
+        extension = draw(st.sampled_from([b"", b";ext=1"]))
+        trailer = draw(st.sampled_from([b"", b"X-Trailer: t\r\n"]))
+        payload = b"".join(b"%x%s\r\n%s\r\n" % (len(c), extension, c) for c in chunks) + b"0\r\n" + trailer + b"\r\n"
+    else:
+        payload = body
+    order = draw(st.permutations(headers))
+    head = f"{version} {status} {reason}".rstrip(" ").encode() + b"\r\n" + b"".join(h + b"\r\n" for h in order)
+    return head + b"\r\n" + payload
+
+
+class TestReadReply:
+    """``policy._read_reply`` against ``http.client``, the reader it replaced."""
+
+    @given(data=well_formed_replies())
+    def test_a_well_formed_reply_reads_as_http_client_reads_it(self, data):
+        status, _, body, keep_open = _read_reply(io.BytesIO(data))
+        assert (status, body, keep_open) == _reference_reply(data)
+
+    @given(data=st.one_of(
+        st.binary(max_size=300),
+        st.tuples(well_formed_replies(), st.integers(0, 400)).map(lambda pair: pair[0][:pair[1]]),
+        st.tuples(well_formed_replies(), st.integers(0, 400), st.binary(min_size=1, max_size=3)).map(
+            lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + len(t[2]):]
+        ),
+    ))
+    def test_any_bytes_end_in_a_reply_or_value_error(self, data):
+        try:
+            status, reason, body, keep_open = _read_reply(io.BytesIO(data))
+        except ValueError:
+            return
+        assert 200 <= status < 1000 and isinstance(reason, str) and isinstance(body, bytes)
+        assert isinstance(keep_open, bool)
+
+
+# The faults a completion server may answer an attempt with.
+FAULTS = ("dropped_connection", "status_503", "cut_short_body", "non_json_body")
+
+
+class _FaultyOracleHandler(BaseHTTPRequestHandler):
+    """Answers with the bench ``Oracle``'s choices over HTTP/1.1 keep-alive,
+    except for a seeded third of the distinct request bodies, each of which
+    draws one of FAULTS: that spoils its first attempt, or every attempt when
+    the server's ``every_attempt`` is set."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        server = self.server
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        drawn = draw(server.seed, hashlib.sha256(body).hexdigest())
+        fault = FAULTS[drawn // 3 % len(FAULTS)] if server.faulty and drawn % 3 == 0 else None
+        with server.lock:
+            attempts = server.attempts[body] = server.attempts.get(body, 0) + 1
+            if fault is not None and (attempts == 1 or server.every_attempt):
+                server.faults_sent.add(fault)
+            else:
+                fault = None
+        request = json.loads(body)
+        texts = server.oracle.choices(request["prompt"], request["n"])
+        reply = json.dumps({"choices": [{"text": text} for text in texts]}).encode()
+        status = "200 OK"
+        if fault == "dropped_connection":
+            self.close_connection = True
+            return
+        if fault == "status_503":
+            status, reply = "503 Service Unavailable", b""
+        elif fault == "non_json_body":
+            reply = b"<html>busy</html>"
+        head = f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {len(reply)}\r\n\r\n"
+        if fault == "cut_short_body":
+            reply, self.close_connection = reply[: len(reply) // 2], True
+        self.wfile.write(head.encode() + reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def faulty_oracle_server(monkeypatch):
+    """A server of ``_FaultyOracleHandler``, its URL, and no back-off sleep."""
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
+    stub_server = importlib.import_module("stub_server")
+    monkeypatch.setattr(policy_module.time, "sleep", lambda seconds: None)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FaultyOracleHandler)
+    server.daemon_threads = True
+    server.oracle = stub_server.Oracle(load_corpus())
+    server.seed, server.faulty, server.every_attempt = 3, False, False
+    server.lock, server.attempts, server.faults_sent = threading.Lock(), {}, set()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server, f"http://127.0.0.1:{server.server_address[1]}/complete"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=2)
+    assert not thread.is_alive()
+
+
+class TestFaultSchedule:
+    """A remote search through faults that the retries absorb writes the trees
+    of a clean run; faults past the retries end expansions, as failures."""
+
+    def search(self, tmp_path, url, name) -> dict[str, bytes]:
+        """The tree files of a small mutated_in remote search, by name."""
+        corpus = tmp_path / "tasks.json"
+        corpus.write_text(tasks_to_json(load_corpus().tasks[::8]))
+        manifest = tmp_path / f"{name}.ini"
+        manifest.write_text(
+            f"[run]\ncorpus = {corpus}\nsetting = mutated_in\n\n[mutation]\nseed = 7\n\n"
+            f"[search]\nmax_simulations = 4\ntrees_per_task = 1\n\n[policy]\nkind = remote\nendpoint = {url}\n"
+        )
+        out = tmp_path / name
+        assert cli.main(["search", "--manifest", str(manifest), "--output-dir", str(out), "--jobs", "2"]) == 0
+        return {path.name: path.read_bytes() for path in sorted((out / "trees").glob("*.json"))}
+
+    def test_absorbed_faults_leave_the_trees_of_a_clean_run(self, tmp_path, faulty_oracle_server):
+        server, url = faulty_oracle_server
+        clean = self.search(tmp_path, url, "clean")
+        server.faulty, server.attempts = True, {}
+        assert self.search(tmp_path, url, "faulty") == clean
+        assert server.faults_sent == set(FAULTS)
+
+    def test_faults_past_the_retries_end_their_expansions(self, tmp_path, faulty_oracle_server):
+        server, url = faulty_oracle_server
+        server.faulty = server.every_attempt = True
+        trees = [tree_from_json(text.decode()) for text in self.search(tmp_path, url, "failing").values()]
+        failures = [message for tree in trees for message in tree.failure.values()]
+        assert failures and all(message.startswith("remote policy failed") for message in failures)
+        assert server.faults_sent == set(FAULTS)
